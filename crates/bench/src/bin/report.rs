@@ -118,15 +118,29 @@ const USAGE: &str = "usage: report [--scale <f64>] [--runs <n>] [--section <name
                      early_termination, micro_succinct, \
                      collection_report, search_report)";
 
-/// The experiment sections `--section` can select.
-const SECTIONS: &[&str] = &[
-    "concurrency",
-    "ordered_axis_queries",
-    "early_termination",
-    "micro_succinct",
-    "collection_report",
-    "search_report",
+/// The experiment sections `--section` can select, each with the result
+/// file (at the repository root) it is written to.
+const SECTIONS: &[(&str, &str)] = &[
+    ("concurrency", "BENCH_pr7.json"),
+    ("ordered_axis_queries", "BENCH_pr7.json"),
+    ("early_termination", "BENCH_pr7.json"),
+    ("micro_succinct", "BENCH_pr7.json"),
+    ("collection_report", "BENCH_pr9.json"),
+    ("search_report", "BENCH_pr10.json"),
 ];
+
+/// Whether `section` runs under the `--section` selection (none = all).
+fn enabled(selected: &[String], section: &str) -> bool {
+    selected.is_empty() || selected.iter().any(|s| s == section)
+}
+
+/// Whether the run rewrites `file`: only when one of the file's own
+/// sections runs, so a partial run never replaces another experiment's
+/// results with an empty section list.  `main` asks this before each of
+/// its three writes.
+fn writes_file(selected: &[String], file: &str) -> bool {
+    SECTIONS.iter().any(|&(section, target)| target == file && enabled(selected, section))
+}
 
 fn usage_error(message: &str) -> ! {
     // The benchmark queries are plain XPath: print the supported fragment
@@ -135,36 +149,35 @@ fn usage_error(message: &str) -> ! {
     sxsi_bench::usage_error("report", message, &format!("{USAGE}\n{help}"));
 }
 
-fn parse_args() -> (f64, usize, Vec<String>) {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(f64, usize, Vec<String>), String> {
     let mut scale = 0.15;
     let mut runs = 5;
     let mut sections: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => scale = v,
-                None => usage_error("--scale expects a floating-point factor"),
+                None => return Err("--scale expects a floating-point factor".into()),
             },
             "--runs" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => runs = v,
-                _ => usage_error("--runs expects a positive integer"),
+                _ => return Err("--runs expects a positive integer".into()),
             },
             "--section" => match args.next() {
                 // An unknown section name is a hard error (exit status 2):
                 // a typo'd CI invocation must fail loudly, not silently
                 // skip the experiment it meant to run.
-                Some(name) if SECTIONS.contains(&name.as_str()) => sections.push(name),
-                Some(name) => usage_error(&format!(
-                    "unknown section '{name}' (known: {})",
-                    SECTIONS.join(", ")
-                )),
-                None => usage_error("--section expects a section name"),
+                Some(name) if SECTIONS.iter().any(|&(known, _)| known == name) => sections.push(name),
+                Some(name) => {
+                    let known: Vec<&str> = SECTIONS.iter().map(|&(known, _)| known).collect();
+                    return Err(format!("unknown section '{name}' (known: {})", known.join(", ")));
+                }
+                None => return Err("--section expects a section name".into()),
             },
-            other => usage_error(&format!("unknown option '{other}'")),
+            other => return Err(format!("unknown option '{other}'")),
         }
     }
-    (scale, runs, sections)
+    Ok((scale, runs, sections))
 }
 
 /// Runs every O-query against its corpus index, `runs` times each.
@@ -552,9 +565,10 @@ fn build(corpus: &str, xml: &str) -> SxsiIndex {
 }
 
 fn main() {
-    let (scale, runs, selected) = parse_args();
+    let (scale, runs, selected) =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|message| usage_error(&message));
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let enabled = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
+    let enabled = |name: &str| enabled(&selected, name);
     let need_corpora =
         enabled("concurrency") || enabled("ordered_axis_queries") || enabled("early_termination");
 
@@ -631,7 +645,7 @@ fn main() {
     } else {
         Vec::new()
     };
-    if enabled("collection_report") {
+    if writes_file(&selected, "BENCH_pr9.json") {
         println!("collection fan-out: X01-X17 across an 8-document collection ...");
         let (collection_entries, docs) = measure_collection(scale, runs);
         let mut json = String::new();
@@ -667,7 +681,7 @@ fn main() {
         std::fs::write(path, &json).expect("BENCH_pr9.json is writable");
         println!("wrote {path}");
     }
-    if enabled("search_report") {
+    if writes_file(&selected, "BENCH_pr10.json") {
         println!("keyword search: cold vs cached daemon requests at 1/2/4 terms ...");
         let (search_entries, hit_rate) = measure_search(scale, runs);
         let mut json = String::new();
@@ -703,11 +717,7 @@ fn main() {
         std::fs::write(path, &json).expect("BENCH_pr10.json is writable");
         println!("wrote {path}");
     }
-    let write_pr7 = enabled("concurrency")
-        || enabled("ordered_axis_queries")
-        || enabled("early_termination")
-        || enabled("micro_succinct");
-    if !write_pr7 {
+    if !writes_file(&selected, "BENCH_pr7.json") {
         return;
     }
 
@@ -800,4 +810,44 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr7.json");
     std::fs::write(path, &json).expect("BENCH_pr7.json is writable");
     println!("\nwrote {}", path);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> impl Iterator<Item = String> {
+        list.iter().map(|a| a.to_string()).collect::<Vec<_>>().into_iter()
+    }
+
+    /// Selecting one section rewrites that section's file and no other.
+    #[test]
+    fn a_section_writes_only_its_own_file() {
+        let files = ["BENCH_pr7.json", "BENCH_pr9.json", "BENCH_pr10.json"];
+        for &(section, target) in SECTIONS {
+            let (_, _, selected) = parse_args(args(&["--section", section])).expect("known section");
+            assert_eq!(selected, [section]);
+            for file in files {
+                assert_eq!(writes_file(&selected, file), file == target, "--section {section} / {file}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_selection_runs_every_section_and_writes_every_file() {
+        let (scale, runs, selected) = parse_args(args(&["--scale", "0.5", "--runs", "3"])).unwrap();
+        assert_eq!((scale, runs), (0.5, 3));
+        assert!(SECTIONS.iter().all(|&(section, file)| enabled(&selected, section) && writes_file(&selected, file)));
+    }
+
+    #[test]
+    fn sections_combine_and_bad_arguments_are_errors() {
+        let (_, _, selected) =
+            parse_args(args(&["--section", "micro_succinct", "--section", "search_report"])).unwrap();
+        assert!(writes_file(&selected, "BENCH_pr7.json") && writes_file(&selected, "BENCH_pr10.json"));
+        assert!(!writes_file(&selected, "BENCH_pr9.json") && !enabled(&selected, "concurrency"));
+        for bad in [&["--section", "micro"][..], &["--section"], &["--runs", "0"], &["--scale", "x"], &["--out"]] {
+            assert!(parse_args(args(bad)).is_err(), "{bad:?}");
+        }
+    }
 }

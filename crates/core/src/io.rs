@@ -53,8 +53,10 @@ pub const MAGIC: [u8; 8] = *b"SXSIIDX\0";
 ///
 /// History: version 1 was the original layout; version 2 added the succinct
 /// backend tags (interleaved rank bitmaps, wavelet-matrix sequences) to the
-/// options section and to every backend-dispatched structure.
-pub const FORMAT_VERSION: u32 = 2;
+/// options section and to every backend-dispatched structure; version 3
+/// dropped the tag sequence's backend byte (its occurrence index is always
+/// one sarray per tag, rebuilt on load).
+pub const FORMAT_VERSION: u32 = 3;
 
 const SECTION_OPTIONS: u8 = 1;
 const SECTION_TREE: u8 = 2;

@@ -513,7 +513,7 @@ impl Verify for SxsiIndex {
         ctx.enter("texts", |ctx| self.texts.verify_into(depth, ctx));
         ctx.check(
             "options-backend-mismatch",
-            self.tree.backends() == self.options.succinct
+            self.tree.backends() == self.options.succinct.rank
                 && self.texts.fm_index().backends() == self.options.succinct,
             || {
                 format!(

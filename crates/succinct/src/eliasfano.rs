@@ -17,7 +17,7 @@
 //! `m * (2 + ceil(log2(u/m)))` bits plus a small select directory.
 
 use crate::bits::{bits_for, ceil_div};
-use crate::{BitVec, RsBitVector, SpaceUsage};
+use crate::{RsBitVector, SpaceUsage};
 use sxsi_io::{corrupt, read_u32, read_u64, read_u64_vec, read_usize, write_u32, write_u64, write_u64_slice, write_usize, IoError, ReadFrom, WriteInto};
 
 /// Compressed monotone sequence (a.k.a. sparse bit set) with rank/select.
@@ -33,6 +33,88 @@ pub struct EliasFano {
     universe: u64,
 }
 
+/// Streaming constructor: the number of values is fixed up front (it sets
+/// the low/high split), then values are pushed in non-decreasing order.
+/// Memory is the finished structure's own — no staging copy of the values —
+/// which is what lets the tree build one sarray per tag in two passes over
+/// the tag sequence (count, then fill).
+#[derive(Debug)]
+pub struct EliasFanoBuilder {
+    low: Vec<u64>,
+    low_bits: u32,
+    upper: Vec<u64>,
+    capacity: usize,
+    len: usize,
+    prev: u64,
+    universe: u64,
+}
+
+impl EliasFanoBuilder {
+    /// A builder for exactly `len` values, each less than `universe`.
+    pub fn new(len: usize, universe: u64) -> Self {
+        let low_bits = if len == 0 { 1 } else { bits_for(universe / len as u64).saturating_sub(1).max(1) };
+        // The split keeps `universe >> low_bits` below `2 * len`, so the
+        // upper bitmap stays linear in `len` (an empty sequence needs none
+        // of its universe's buckets).
+        let max_high = if len == 0 { 0 } else { (universe.saturating_sub(1) >> low_bits) as usize };
+        Self {
+            low: vec![0u64; ceil_div(len * low_bits as usize, 64).max(1)],
+            low_bits,
+            upper: vec![0u64; ceil_div(max_high + len + 1, 64)],
+            capacity: len,
+            len: 0,
+            prev: 0,
+            universe,
+        }
+    }
+
+    /// Appends the next value.
+    ///
+    /// # Panics
+    /// Panics if `v` is smaller than its predecessor, not below the
+    /// universe, or more values are pushed than announced.
+    pub fn push(&mut self, v: u64) {
+        let i = self.len;
+        assert!(i < self.capacity, "EliasFano builder was sized for {} values", self.capacity);
+        assert!(v >= self.prev, "EliasFano input must be non-decreasing (index {i})");
+        assert!(
+            v < self.universe || (v == 0 && self.universe == 0),
+            "value {v} exceeds universe {}",
+            self.universe
+        );
+        self.prev = v;
+        let lv = v & ((1u64 << self.low_bits) - 1);
+        let bit = i * self.low_bits as usize;
+        let (word, offset) = (bit / 64, (bit % 64) as u32);
+        self.low[word] |= lv << offset;
+        if offset + self.low_bits > 64 {
+            self.low[word + 1] |= lv >> (64 - offset);
+        }
+        // Upper bits: value `i` sets the bit at `high + i` (unary buckets).
+        let target = (v >> self.low_bits) as usize + i;
+        self.upper[target / 64] |= 1u64 << (target % 64);
+        self.len += 1;
+    }
+
+    /// Freezes the structure.
+    ///
+    /// # Panics
+    /// Panics if fewer values were pushed than announced.
+    pub fn finish(self) -> EliasFano {
+        assert!(self.len == self.capacity, "EliasFano builder holds {} of {} values", self.len, self.capacity);
+        // The bitmap ends one zero past the last value's bit, so select0 on
+        // the last bucket and rank at the end behave.
+        let upper_len = if self.len == 0 { 1 } else { (self.prev >> self.low_bits) as usize + self.len + 1 };
+        EliasFano {
+            low: self.low,
+            low_bits: self.low_bits,
+            upper: RsBitVector::from_words(self.upper, upper_len),
+            len: self.len,
+            universe: self.universe,
+        }
+    }
+}
+
 impl EliasFano {
     /// Builds the structure from a non-decreasing slice of values, each less
     /// than `universe`.
@@ -40,45 +122,11 @@ impl EliasFano {
     /// # Panics
     /// Panics if the values are not non-decreasing or exceed the universe.
     pub fn new(values: &[u64], universe: u64) -> Self {
-        let len = values.len();
-        let low_bits = if len == 0 { 1 } else { bits_for(universe / len as u64).saturating_sub(1).max(1) };
-        let low_mask = (1u64 << low_bits) - 1;
-        let mut low = vec![0u64; ceil_div(len * low_bits as usize, 64).max(1)];
-        let mut upper = BitVec::with_capacity(len * 2 + 2);
-        let mut prev = 0u64;
-        let mut upper_pos = 0usize;
-        for (i, &v) in values.iter().enumerate() {
-            assert!(v >= prev, "EliasFano input must be non-decreasing (index {i})");
-            assert!(v < universe || (v == 0 && universe == 0), "value {v} exceeds universe {universe}");
-            prev = v;
-            // low bits
-            let lv = v & low_mask;
-            let bit = i * low_bits as usize;
-            let word = bit / 64;
-            let offset = (bit % 64) as u32;
-            low[word] |= lv << offset;
-            if offset + low_bits > 64 {
-                low[word + 1] |= lv >> (64 - offset);
-            }
-            // upper bits: unary encode the high part
-            let hv = (v >> low_bits) as usize;
-            let target = hv + i;
-            while upper_pos < target {
-                upper.push(false);
-                upper_pos += 1;
-            }
-            upper.push(true);
-            upper_pos += 1;
+        let mut builder = EliasFanoBuilder::new(values.len(), universe);
+        for &v in values {
+            builder.push(v);
         }
-        // Trailing zero so select/rank on the upper part behave at the end.
-        upper.push(false);
-        Self { low, low_bits, upper: RsBitVector::new(&upper), len, universe }
-    }
-
-    /// Builds from an iterator of strictly increasing positions (a set).
-    pub fn from_positions(positions: &[usize], universe: usize) -> Self {
-        let vals: Vec<u64> = positions.iter().map(|&p| p as u64).collect();
-        Self::new(&vals, universe as u64)
+        builder.finish()
     }
 
     /// Number of stored values.
@@ -101,9 +149,6 @@ impl EliasFano {
 
     #[inline]
     fn low_value(&self, i: usize) -> u64 {
-        if self.low_bits == 0 {
-            return 0;
-        }
         let mask = (1u64 << self.low_bits) - 1;
         let bit = i * self.low_bits as usize;
         let word = bit / 64;
@@ -116,6 +161,12 @@ impl EliasFano {
         }
     }
 
+    /// The value of index `k`, whose bit sits at `pos` in the upper bitmap.
+    #[inline]
+    fn value_at(&self, k: usize, pos: usize) -> u64 {
+        (((pos - k) as u64) << self.low_bits) | self.low_value(k)
+    }
+
     /// The `k`-th stored value, 0-based.  `None` if `k >= len()`.
     #[inline]
     pub fn get(&self, k: usize) -> Option<u64> {
@@ -123,52 +174,79 @@ impl EliasFano {
             return None;
         }
         let pos = self.upper.select1(k + 1)?;
-        let high = (pos - k) as u64;
-        Some((high << self.low_bits) | self.low_value(k))
+        Some(self.value_at(k, pos))
     }
 
-    /// Number of stored values strictly less than `bound`.
-    pub fn rank(&self, bound: u64) -> usize {
-        if self.len == 0 {
-            return 0;
+    /// Number of consecutive ones of the upper bitmap starting at `pos`
+    /// (the length of the bucket that starts there).
+    #[inline]
+    fn ones_run(&self, pos: usize) -> usize {
+        let words = self.upper.words();
+        let mut word = pos / 64;
+        let mut offset = pos % 64;
+        let mut run = 0;
+        while word < words.len() {
+            let ones = (words[word] >> offset).trailing_ones() as usize;
+            run += ones;
+            if ones < 64 - offset {
+                break;
+            }
+            word += 1;
+            offset = 0;
         }
+        run
+    }
+
+    /// Locates `bound`: the number `k` of stored values `< bound`, and the
+    /// position in the upper bitmap of the bit of value `k` when that value
+    /// shares `bound`'s high part (so a caller wanting it need not select).
+    ///
+    /// One `select0` finds the bucket of `bound`'s high part; the bucket —
+    /// a run of ones — is then binary searched on the low bits.
+    #[inline]
+    fn locate(&self, bound: u64) -> (usize, Option<usize>) {
         let high = bound >> self.low_bits;
-        // Values with smaller high part are all < bound.  Candidates share the
-        // same high part; binary search their low parts.
-        let start = if high == 0 { 0 } else { self.upper.select0(high as usize).map(|p| p + 1 - high as usize).unwrap_or(self.len) };
-        let end = self
-            .upper
-            .select0(high as usize + 1)
-            .map(|p| p - high as usize)
-            .unwrap_or(self.len);
+        let (start, pos) = if high == 0 {
+            (0, 0)
+        } else {
+            match usize::try_from(high).ok().and_then(|h| self.upper.select0(h).map(|p| (p + 1 - h, p + 1))) {
+                Some(found) => found,
+                // Fewer than `high` buckets: every value is smaller.
+                None => return (self.len, None),
+            }
+        };
+        let run = self.ones_run(pos);
         let low_bound = bound & ((1u64 << self.low_bits) - 1);
-        let mut lo = start;
-        let mut hi = end;
+        let (mut lo, mut hi) = (0, run);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.low_value(mid) < low_bound {
+            if self.low_value(start + mid) < low_bound {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        lo
+        (start + lo, (lo < run).then_some(pos + lo))
+    }
+
+    /// Number of stored values strictly less than `bound`.
+    pub fn rank(&self, bound: u64) -> usize {
+        self.locate(bound).0
     }
 
     /// Smallest stored value `>= bound` together with its index, or `None`.
     pub fn successor(&self, bound: u64) -> Option<(usize, u64)> {
-        let k = self.rank(bound);
-        self.get(k).map(|v| (k, v))
+        match self.locate(bound) {
+            (k, Some(pos)) => Some((k, self.value_at(k, pos))),
+            // The successor lives in a later bucket.
+            (k, None) => self.get(k).map(|v| (k, v)),
+        }
     }
 
     /// Largest stored value `< bound` together with its index, or `None`.
     pub fn predecessor(&self, bound: u64) -> Option<(usize, u64)> {
-        let k = self.rank(bound);
-        if k == 0 {
-            None
-        } else {
-            self.get(k - 1).map(|v| (k - 1, v))
-        }
+        let k = self.rank(bound).checked_sub(1)?;
+        self.get(k).map(|v| (k, v))
     }
 
     /// Whether `value` is stored.
@@ -178,7 +256,25 @@ impl EliasFano {
 
     /// Iterator over the stored values in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |k| self.get(k).expect("k < len"))
+        self.iter_from(0)
+    }
+
+    /// Iterator over the stored values of index `k` and up: one `select1`,
+    /// then a walk over the set bits of the upper bitmap.
+    pub fn iter_from(&self, k: usize) -> impl Iterator<Item = u64> + '_ {
+        let words = self.upper.words();
+        let start = if k < self.len { self.upper.select1(k + 1).expect("k < len") } else { 0 };
+        let mut word = start / 64;
+        let mut bits = words.get(word).map_or(0, |w| w & (u64::MAX << (start % 64)));
+        (k..self.len).map(move |k| {
+            while bits == 0 {
+                word += 1;
+                bits = words[word];
+            }
+            let pos = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.value_at(k, pos)
+        })
     }
 }
 
@@ -189,8 +285,8 @@ impl sxsi_verify::Verify for EliasFano {
     /// perturbed low word passes every byte-level check but breaks both.
     fn verify_into(&self, depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         let issues_before = ctx.issue_count();
-        ctx.check("ef-low-bits", (1..=64).contains(&self.low_bits), || {
-            format!("low_bits {} not in 1..=64", self.low_bits)
+        ctx.check("ef-low-bits", (1..=63).contains(&self.low_bits), || {
+            format!("low_bits {} not in 1..=63", self.low_bits)
         });
         let expected_low = ceil_div(self.len.saturating_mul(self.low_bits as usize), 64).max(1);
         ctx.check("ef-low-words", self.low.len() == expected_low, || {
@@ -206,11 +302,7 @@ impl sxsi_verify::Verify for EliasFano {
         let mut prev = 0u64;
         let mut monotone = true;
         let mut in_universe = true;
-        for k in 0..self.len {
-            let Some(v) = self.get(k) else {
-                monotone = false;
-                break;
-            };
+        for v in self.iter() {
             monotone &= v >= prev;
             in_universe &= v < self.universe.max(1);
             prev = v;
@@ -243,8 +335,8 @@ impl WriteInto for EliasFano {
 impl ReadFrom for EliasFano {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
         let low_bits = read_u32(r)?;
-        if !(1..=64).contains(&low_bits) {
-            return Err(corrupt(format!("EliasFano low_bits {low_bits} not in 1..=64")));
+        if !(1..=63).contains(&low_bits) {
+            return Err(corrupt(format!("EliasFano low_bits {low_bits} not in 1..=63")));
         }
         let len = read_usize(r)?;
         let universe = read_u64(r)?;

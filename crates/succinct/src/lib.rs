@@ -67,7 +67,7 @@ pub mod wavelet;
 
 pub use backend::{RankBackend, RankBitmap, SequenceBackend, SuccinctOptions};
 pub use bitvec::BitVec;
-pub use eliasfano::EliasFano;
+pub use eliasfano::{EliasFano, EliasFanoBuilder};
 pub use interleaved::InterleavedRsBitVector;
 pub use intvec::IntVector;
 pub use rsbitvec::RsBitVector;

@@ -132,6 +132,65 @@ fn eliasfano_matches_naive() {
     }
 }
 
+/// `rank`, `successor`, `predecessor` and `iter_from` against linear scans.
+fn check_sarray_probes(label: &str, values: &[u64], universe: u64, probes: &[u64]) {
+    let ef = EliasFano::new(values, universe);
+    assert_eq!(ef.iter().collect::<Vec<_>>(), values, "{label}: iter");
+    for &p in probes {
+        let rank = values.iter().filter(|&&v| v < p).count();
+        assert_eq!(ef.rank(p), rank, "{label}: rank({p})");
+        let succ = values.iter().copied().enumerate().find(|&(_, v)| v >= p);
+        assert_eq!(ef.successor(p), succ, "{label}: successor({p})");
+        let pred = values.iter().copied().enumerate().rev().find(|&(_, v)| v < p);
+        assert_eq!(ef.predecessor(p), pred, "{label}: predecessor({p})");
+        assert_eq!(ef.iter_from(rank).collect::<Vec<_>>(), &values[rank..], "{label}: iter_from({rank})");
+    }
+}
+
+/// The probes every sarray edge case is checked at: each stored value and
+/// its neighbours, both ends of the universe and beyond, and every multiple
+/// of every power of two up to 2^16 — whatever the low/high split, that
+/// includes each bucket's first position and the one before it.
+fn sarray_edge_probes(values: &[u64], universe: u64) -> Vec<u64> {
+    let mut probes = vec![0, 1, universe.saturating_sub(1), universe, universe + 1, universe + 777, u64::MAX];
+    for &v in values {
+        probes.extend([v.saturating_sub(1), v, v + 1]);
+    }
+    for shift in 1..=16u32 {
+        let step = 1u64 << shift;
+        for multiple in (0..=universe / step).take(200) {
+            probes.extend([(multiple * step).saturating_sub(1), multiple * step]);
+        }
+    }
+    probes
+}
+
+#[test]
+fn eliasfano_sarray_edges_match_naive() {
+    let cases: Vec<(&str, Vec<u64>, u64)> = vec![
+        ("empty sequence", vec![], 1000),
+        ("single value at zero", vec![0], 1),
+        ("single value mid-universe", vec![4242], 1 << 16),
+        ("single value at the end", vec![(1 << 16) - 1], 1 << 16),
+        // 100 values in 2^14 positions split 7 low bits: a value on every
+        // bucket's first and last position.
+        ("values on bucket boundaries", (0..50).flat_map(|b| [b * 256, b * 256 + 127]).collect(), 1 << 14),
+        ("empty buckets between occupied ones", vec![5, 6, 7, 40_000, 40_001, 900_000, 900_002], 1 << 20),
+        // Long buckets (binary-searched) and a run that crosses buckets.
+        ("one run of consecutive values", (70_000..70_600).collect(), 1 << 20),
+        ("runs of consecutive values", (0..6).flat_map(|r| r * 150_000..r * 150_000 + 200).collect(), 1 << 20),
+        ("dense: every position", (0..3000).collect(), 3000),
+        // A cluster, then more than a select sample's worth of empty
+        // buckets before the last value: the neighbour is many words away.
+        ("long gap after a cluster", (0..1000).chain([(1 << 20) - 1]).collect(), 1 << 20),
+        ("long gap before a cluster", [3].into_iter().chain((1 << 20) - 1000..1 << 20).collect(), 1 << 20),
+        ("duplicates", vec![9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 500, 500, 70_000], 1 << 17),
+    ];
+    for (label, values, universe) in &cases {
+        check_sarray_probes(label, values, *universe, &sarray_edge_probes(values, *universe));
+    }
+}
+
 fn check_wavelet<Sym: Copy + Eq + std::fmt::Debug, S: SequenceIndex<Sym>>(seq: &[Sym], wt: &S, alphabet: &[Sym]) {
     assert_eq!(wt.len(), seq.len());
     for (i, &s) in seq.iter().enumerate() {

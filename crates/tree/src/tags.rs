@@ -10,11 +10,8 @@
 
 use crate::error::TreeError;
 use std::collections::HashMap;
-use sxsi_io::{
-    corrupt, read_string, read_u8, read_usize, write_str, write_u8, write_usize, IoError, ReadFrom,
-    WriteInto,
-};
-use sxsi_succinct::{EliasFano, IntVector, SequenceBackend, SpaceUsage, WaveletMatrix};
+use sxsi_io::{corrupt, read_string, read_usize, write_str, write_usize, IoError, ReadFrom, WriteInto};
+use sxsi_succinct::{EliasFano, EliasFanoBuilder, IntVector, SpaceUsage};
 
 /// Numeric identifier of a tag name.
 pub type TagId = u32;
@@ -95,77 +92,46 @@ impl TagRegistry {
     }
 }
 
-/// Rank/select support over opening-tag occurrences, behind the
-/// sequence-backend choice.
-#[derive(Debug, Clone)]
-pub enum TagOccurrences {
-    /// One Elias–Fano *sarray* of occurrence positions per tag (the paper's
-    /// per-row Okanohara–Sadakane layout): `rank` is `O(log)` in the row,
-    /// `select` is `O(1)`.
-    Sarray(Vec<EliasFano>),
-    /// One wavelet matrix over the whole code sequence: every tag shares a
-    /// single structure, `rank`/`select` are `O(log σ)` single-cache-line
-    /// ranks, and space stops depending on the number of distinct tags.
-    Matrix {
-        /// The code sequence (opening *and* closing codes) as a matrix.
-        wm: WaveletMatrix,
-        /// Opening-occurrence count per tag (answers `count` without a
-        /// descent).
-        counts: Vec<usize>,
-    },
-}
-
-impl TagOccurrences {
-    fn build(codes: &[u32], num_tags: usize, backend: SequenceBackend) -> Self {
-        match backend {
-            SequenceBackend::Pointer => {
-                let mut per_tag: Vec<Vec<usize>> = vec![Vec::new(); num_tags];
-                for (i, &c) in codes.iter().enumerate() {
-                    if (c as usize) < num_tags {
-                        per_tag[c as usize].push(i);
-                    }
-                }
-                TagOccurrences::Sarray(
-                    per_tag
-                        .into_iter()
-                        .map(|positions| EliasFano::from_positions(&positions, codes.len().max(1)))
-                        .collect(),
-                )
-            }
-            SequenceBackend::Matrix => {
-                let syms: Vec<u64> = codes.iter().map(|&c| c as u64).collect();
-                let mut counts = vec![0usize; num_tags];
-                for &c in codes {
-                    if (c as usize) < num_tags {
-                        counts[c as usize] += 1;
-                    }
-                }
-                TagOccurrences::Matrix {
-                    wm: WaveletMatrix::new(&syms, (2 * num_tags).max(1) as u64),
-                    counts,
-                }
-            }
-        }
-    }
-
-    /// The backend this structure was built with.
-    pub fn backend(&self) -> SequenceBackend {
-        match self {
-            TagOccurrences::Sarray(_) => SequenceBackend::Pointer,
-            TagOccurrences::Matrix { .. } => SequenceBackend::Matrix,
-        }
-    }
-}
-
 /// Immutable tag sequence aligned with the parenthesis sequence.
 #[derive(Debug, Clone)]
 pub struct TagSequence {
     /// Packed codes: `tag` for opening positions, `num_tags + tag` for
     /// closing positions.
     codes: IntVector,
-    /// Rank/select over the *opening* occurrences of each tag.
-    occurrences: TagOccurrences,
-    num_tags: usize,
+    /// Per tag, the Elias–Fano *sarray* of its opening positions (the
+    /// paper's per-row Okanohara–Sadakane layout): a successor query is one
+    /// `select0` plus a search of one bucket, a rank the same, a select one
+    /// `select1`.
+    occurrences: Vec<EliasFano>,
+}
+
+/// The packing width of the codes of `num_tags` tags.
+fn code_width(num_tags: usize) -> u32 {
+    sxsi_succinct::bits::bits_for((2 * num_tags).saturating_sub(1).max(1) as u64)
+}
+
+/// Builds the per-tag sarrays in two streaming passes over the codes (count
+/// per tag, then fill), so the build holds nothing beyond the finished
+/// structures.  Fails on a code outside `[0, 2 * num_tags)`.
+fn build_occurrences(codes: &IntVector, num_tags: usize) -> Result<Vec<EliasFano>, TreeError> {
+    let mut counts = vec![0usize; num_tags];
+    for (i, c) in codes.iter().enumerate() {
+        if c as usize >= 2 * num_tags {
+            return Err(TreeError::TagCodeOutOfRange { code: c as u32, position: i, num_tags });
+        }
+        if let Some(count) = counts.get_mut(c as usize) {
+            *count += 1;
+        }
+    }
+    let universe = codes.len().max(1) as u64;
+    let mut rows: Vec<EliasFanoBuilder> =
+        counts.iter().map(|&count| EliasFanoBuilder::new(count, universe)).collect();
+    for (i, c) in codes.iter().enumerate() {
+        if let Some(row) = rows.get_mut(c as usize) {
+            row.push(i as u64);
+        }
+    }
+    Ok(rows.into_iter().map(EliasFanoBuilder::finish).collect())
 }
 
 impl TagSequence {
@@ -183,30 +149,46 @@ impl TagSequence {
     /// Fallible counterpart of [`TagSequence::new`]: returns
     /// [`TreeError::TagCodeOutOfRange`] instead of panicking.
     pub fn try_new(codes: &[u32], num_tags: usize) -> Result<Self, TreeError> {
-        Self::try_new_with_backend(codes, num_tags, SequenceBackend::default())
-    }
-
-    /// Builds the sequence with an explicit occurrence-structure backend;
-    /// [`TagSequence::try_new`] uses the default.
-    pub fn try_new_with_backend(
-        codes: &[u32],
-        num_tags: usize,
-        backend: SequenceBackend,
-    ) -> Result<Self, TreeError> {
-        for (i, &c) in codes.iter().enumerate() {
-            if c as usize >= 2 * num_tags {
-                return Err(TreeError::TagCodeOutOfRange { code: c, position: i, num_tags });
-            }
+        if let Some((position, &code)) =
+            codes.iter().enumerate().find(|(_, &c)| c as usize >= 2 * num_tags)
+        {
+            return Err(TreeError::TagCodeOutOfRange { code, position, num_tags });
         }
-        let occurrences = TagOccurrences::build(codes, num_tags, backend);
-        let packed: Vec<u64> = codes.iter().map(|&c| c as u64).collect();
-        let width = sxsi_succinct::bits::bits_for((2 * num_tags).saturating_sub(1).max(1) as u64);
-        Ok(Self { codes: IntVector::from_values_with_width(&packed, width), occurrences, num_tags })
+        let mut packed = IntVector::new(codes.len(), code_width(num_tags));
+        for (i, &c) in codes.iter().enumerate() {
+            packed.set(i, c as u64);
+        }
+        Self::from_packed(packed, num_tags)
     }
 
-    /// The occurrence-structure backend this sequence was built with.
-    pub fn backend(&self) -> SequenceBackend {
-        self.occurrences.backend()
+    /// Derives the occurrence sarrays of an already packed code sequence
+    /// (the form the index file stores).  Allocates per tag: a caller
+    /// loading untrusted bytes checks `num_tags` against the registry first.
+    pub(crate) fn from_packed(codes: IntVector, num_tags: usize) -> Result<Self, TreeError> {
+        let occurrences = build_occurrences(&codes, num_tags)?;
+        Ok(Self { codes, occurrences })
+    }
+
+    /// Reads what [`WriteInto`] stored — the tag count and the packed codes —
+    /// without building anything sized by the declared tag count; the tree
+    /// loader cross-checks the count against the registry (whose size the
+    /// file's own bytes bound) before handing both to
+    /// [`TagSequence::from_packed`].
+    pub(crate) fn read_packed<R: std::io::Read + ?Sized>(r: &mut R) -> Result<(usize, IntVector), IoError> {
+        let num_tags = read_usize(r)?;
+        // Codes are `u32`s, so twice the tag count must fit one.
+        if num_tags > 1 << 31 {
+            return Err(corrupt(format!("tag sequence declares {num_tags} tags")));
+        }
+        let codes = IntVector::read_from(r)?;
+        let expected_width = code_width(num_tags);
+        if codes.width() != expected_width {
+            return Err(corrupt(format!(
+                "tag sequence packs codes in {} bits, expected {expected_width}",
+                codes.width()
+            )));
+        }
+        Ok((num_tags, codes))
     }
 
     /// Number of parenthesis positions covered.
@@ -221,14 +203,15 @@ impl TagSequence {
 
     /// Number of distinct tags.
     pub fn num_tags(&self) -> usize {
-        self.num_tags
+        self.occurrences.len()
     }
 
     /// The opening tag id at position `i`, or `None` if `i` holds a closing
     /// code.
+    #[inline]
     pub fn opening_tag(&self, i: usize) -> Option<TagId> {
         let c = self.codes.get(i) as usize;
-        (c < self.num_tags).then_some(c as TagId)
+        (c < self.num_tags()).then_some(c as TagId)
     }
 
     /// The raw code at position `i` (opening `< num_tags`, closing otherwise).
@@ -237,68 +220,43 @@ impl TagSequence {
     }
 
     /// Number of opening occurrences of `tag` in positions `[0, i)`.
+    #[inline]
     pub fn rank_open(&self, tag: TagId, i: usize) -> usize {
-        match &self.occurrences {
-            TagOccurrences::Sarray(rows) => rows[tag as usize].rank(i as u64),
-            // Opening codes `< num_tags` never collide with closing codes,
-            // so a plain symbol rank is an opening rank.
-            TagOccurrences::Matrix { wm, .. } => wm.rank_sym(tag as u64, i),
-        }
+        self.occurrences[tag as usize].rank(i as u64)
     }
 
     /// Position of the `k`-th (1-based) opening occurrence of `tag`.
     pub fn select_open(&self, tag: TagId, k: usize) -> Option<usize> {
-        if k == 0 {
-            return None;
-        }
-        match &self.occurrences {
-            TagOccurrences::Sarray(rows) => rows[tag as usize].get(k - 1).map(|v| v as usize),
-            TagOccurrences::Matrix { wm, .. } => wm.select_sym(tag as u64, k),
-        }
+        self.occurrences[tag as usize].get(k.checked_sub(1)?).map(|v| v as usize)
     }
 
     /// Total number of opening occurrences of `tag`.
     pub fn count(&self, tag: TagId) -> usize {
-        match &self.occurrences {
-            TagOccurrences::Sarray(rows) => rows[tag as usize].len(),
-            TagOccurrences::Matrix { counts, .. } => counts[tag as usize],
-        }
+        self.occurrences[tag as usize].len()
     }
 
     /// First opening occurrence of `tag` at a position `>= from`, if any.
+    #[inline]
     pub fn next_occurrence(&self, tag: TagId, from: usize) -> Option<usize> {
-        match &self.occurrences {
-            TagOccurrences::Sarray(rows) => {
-                rows[tag as usize].successor(from as u64).map(|(_, v)| v as usize)
-            }
-            TagOccurrences::Matrix { wm, .. } => {
-                wm.select_sym(tag as u64, wm.rank_sym(tag as u64, from) + 1)
-            }
-        }
+        self.occurrences[tag as usize].successor(from as u64).map(|(_, v)| v as usize)
     }
 
     /// Last opening occurrence of `tag` at a position `< before`, if any.
+    #[inline]
     pub fn prev_occurrence(&self, tag: TagId, before: usize) -> Option<usize> {
-        match &self.occurrences {
-            TagOccurrences::Sarray(rows) => {
-                rows[tag as usize].predecessor(before as u64).map(|(_, v)| v as usize)
-            }
-            TagOccurrences::Matrix { wm, .. } => {
-                let r = wm.rank_sym(tag as u64, before);
-                (r > 0).then(|| wm.select_sym(tag as u64, r)).flatten()
-            }
-        }
+        self.occurrences[tag as usize].predecessor(before as u64).map(|(_, v)| v as usize)
+    }
+
+    /// The opening occurrences of `tag` at positions `>= from`, in order:
+    /// one rank, then a walk over the sarray.
+    pub fn occurrences_from(&self, tag: TagId, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.occurrences[tag as usize];
+        row.iter_from(row.rank(from as u64)).map(|v| v as usize)
     }
 
     /// Heap bytes used.
     pub fn size_bytes(&self) -> usize {
-        let occ = match &self.occurrences {
-            TagOccurrences::Sarray(rows) => rows.iter().map(|ef| ef.size_bytes()).sum::<usize>(),
-            TagOccurrences::Matrix { wm, counts } => {
-                wm.size_bytes() + counts.len() * std::mem::size_of::<usize>()
-            }
-        };
-        self.codes.size_bytes() + occ
+        self.codes.size_bytes() + self.occurrences.iter().map(|ef| ef.size_bytes()).sum::<usize>()
     }
 }
 
@@ -337,86 +295,44 @@ impl sxsi_verify::Verify for TagSequence {
         let issues_before = ctx.issue_count();
         ctx.enter("codes", |ctx| self.codes.verify_into(depth, ctx));
 
-        let expected_width =
-            sxsi_succinct::bits::bits_for((2 * self.num_tags).saturating_sub(1).max(1) as u64);
+        let num_tags = self.num_tags();
+        let expected_width = code_width(num_tags);
         ctx.check("tag-width", self.codes.width() == expected_width, || {
             format!("codes packed in {} bits, expected {expected_width}", self.codes.width())
         });
-        let bad_code =
-            (0..self.codes.len()).find(|&i| self.codes.get(i) as usize >= 2 * self.num_tags);
+        let bad_code = self.codes.iter().position(|c| c as usize >= 2 * num_tags);
         ctx.check("tag-code-range", bad_code.is_none(), || {
             let i = bad_code.unwrap();
-            format!(
-                "code {} at position {i} is out of range for {} tags",
-                self.codes.get(i),
-                self.num_tags
-            )
+            format!("code {} at position {i} is out of range for {num_tags} tags", self.codes.get(i))
         });
         if ctx.issue_count() > issues_before {
             return;
         }
 
         // Opening-occurrence counts recomputed from the code sequence; the
-        // occurrence structure must agree with them whatever its backend.
-        let mut counts = vec![0usize; self.num_tags];
-        for i in 0..self.codes.len() {
-            let c = self.codes.get(i) as usize;
-            if c < self.num_tags {
-                counts[c] += 1;
+        // sarray rows must agree with them.
+        let mut counts = vec![0usize; num_tags];
+        for c in self.codes.iter() {
+            if let Some(count) = counts.get_mut(c as usize) {
+                *count += 1;
             }
         }
-        match &self.occurrences {
-            TagOccurrences::Sarray(rows) => {
-                ctx.check("tag-occ-rows", rows.len() == self.num_tags, || {
-                    format!("{} sarray rows for {} tags", rows.len(), self.num_tags)
-                });
-                if ctx.issue_count() > issues_before {
-                    return;
-                }
-                ctx.check(
-                    "tag-occ-count",
-                    rows.iter().zip(&counts).all(|(r, &c)| r.len() == c),
-                    || "a sarray row length disagrees with the code sequence".to_string(),
-                );
-                if depth.is_deep() {
-                    let positions_ok = (0..self.num_tags).all(|t| {
-                        let mut k = 0usize;
-                        (0..self.codes.len()).all(|i| {
-                            if self.codes.get(i) as usize == t {
-                                k += 1;
-                                rows[t].get(k - 1) == Some(i as u64)
-                            } else {
-                                true
-                            }
-                        })
-                    });
-                    ctx.check("tag-occ-positions", positions_ok, || {
-                        "a sarray row decodes to positions other than the tag's occurrences"
-                            .to_string()
-                    });
-                    for row in rows {
-                        ctx.enter("row", |ctx| row.verify_into(depth, ctx));
-                    }
-                }
-            }
-            TagOccurrences::Matrix { wm, counts: stored } => {
-                use sxsi_succinct::wavelet::SequenceIndex as _;
-                ctx.check("tag-occ-len", wm.len() == self.codes.len(), || {
-                    format!("matrix covers {} positions of {}", wm.len(), self.codes.len())
-                });
-                ctx.check(
-                    "tag-occ-count",
-                    stored.len() == self.num_tags && *stored == counts,
-                    || "stored per-tag counts disagree with the code sequence".to_string(),
-                );
-                ctx.enter("wm", |ctx| wm.verify_into(depth, ctx));
-                if depth.is_deep() && ctx.issue_count() == issues_before {
-                    let content_ok =
-                        (0..self.codes.len()).all(|i| wm.access_sym(i) == self.codes.get(i));
-                    ctx.check("tag-occ-content", content_ok, || {
-                        "matrix symbols disagree with the packed code sequence".to_string()
-                    });
-                }
+        ctx.check(
+            "tag-occ-count",
+            self.occurrences.iter().zip(&counts).all(|(r, &c)| r.len() == c),
+            || "a sarray row length disagrees with the code sequence".to_string(),
+        );
+        if depth.is_deep() {
+            let mut rows: Vec<_> = self.occurrences.iter().map(|r| r.iter()).collect();
+            let positions_ok = self.codes.iter().enumerate().all(|(i, c)| match rows.get_mut(c as usize) {
+                Some(row) => row.next() == Some(i as u64),
+                None => true,
+            });
+            ctx.check("tag-occ-positions", positions_ok, || {
+                "a sarray row decodes to positions other than the tag's occurrences".to_string()
+            });
+            for row in &self.occurrences {
+                ctx.enter("row", |ctx| row.verify_into(depth, ctx));
             }
         }
     }
@@ -457,41 +373,27 @@ impl ReadFrom for TagRegistry {
     }
 }
 
+// lint:allow(roundtrip: read back by the tree loader through read_packed + from_packed, which the truncation tests below and in tree.rs damage)
 impl WriteInto for TagSequence {
-    /// Stores the occurrence-index backend tag, the packed code sequence and
-    /// the tag count; the per-tag occurrence structures are rebuilt (with
-    /// code-range validation) on load.
+    /// Stores the tag count and the packed code sequence; the per-tag
+    /// occurrence sarrays are rebuilt (with code-range validation) on load,
+    /// by the tree loader.
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_u8(w, self.backend().tag())?;
-        write_usize(w, self.num_tags)?;
+        write_usize(w, self.num_tags())?;
         self.codes.write_into(w)
-    }
-}
-
-impl ReadFrom for TagSequence {
-    fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let backend = SequenceBackend::from_tag(read_u8(r)?)?;
-        let num_tags = read_usize(r)?;
-        let codes = IntVector::read_from(r)?;
-        let expected_width =
-            sxsi_succinct::bits::bits_for((2 * num_tags).saturating_sub(1).max(1) as u64);
-        if codes.width() != expected_width {
-            return Err(corrupt(format!(
-                "tag sequence packs codes in {} bits, expected {expected_width}",
-                codes.width()
-            )));
-        }
-        let decoded: Vec<u32> = codes
-            .iter()
-            .map(|c| u32::try_from(c).map_err(|_| corrupt(format!("tag code {c} exceeds u32"))))
-            .collect::<Result<_, _>>()?;
-        Self::try_new_with_backend(&decoded, num_tags, backend).map_err(|e| corrupt(e.to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Loads a stored sequence the way the tree loader does, minus the
+    /// registry cross-check.
+    fn load(mut bytes: &[u8]) -> Result<TagSequence, IoError> {
+        let (num_tags, codes) = TagSequence::read_packed(&mut bytes)?;
+        TagSequence::from_packed(codes, num_tags).map_err(|e| corrupt(e.to_string()))
+    }
 
     #[test]
     fn registry_serialization_roundtrip_and_truncation() {
@@ -514,16 +416,14 @@ mod tests {
         let codes = [0u32, 1, 3, 1, 3, 2];
         let seq = TagSequence::new(&codes, 2);
         let bytes = seq.to_bytes();
-        let back = TagSequence::from_bytes(&bytes).expect("roundtrip");
+        let back = load(&bytes).expect("roundtrip");
         assert_eq!(back.len(), seq.len());
         for i in 0..codes.len() {
             assert_eq!(back.code(i), seq.code(i), "code {i}");
         }
         // Truncated input must fail structurally, never panic.
-        assert!(TagSequence::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(TagSequence::from_bytes(&bytes[..1]).is_err());
-        // An unknown backend tag byte is rejected up front.
-        assert!(TagSequence::from_bytes(&[0xff]).is_err());
+        assert!(load(&bytes[..bytes.len() - 1]).is_err());
+        assert!(load(&bytes[..1]).is_err());
     }
 
     #[test]
@@ -624,18 +524,16 @@ mod tests {
         use super::*;
         use sxsi_verify::{Verify, VerifyDepth};
 
-        fn sample(backend: SequenceBackend) -> TagSequence {
+        fn sample() -> TagSequence {
             // open0 open1 close1 open1 close1 close0, twice.
             let codes = [0u32, 1, 3, 1, 3, 2, 0, 1, 3, 1, 3, 2];
-            TagSequence::try_new_with_backend(&codes, 2, backend).unwrap()
+            TagSequence::new(&codes, 2)
         }
 
         #[test]
         fn clean_structures_verify() {
-            for backend in [SequenceBackend::Pointer, SequenceBackend::Matrix] {
-                let report = sample(backend).verify(VerifyDepth::Deep);
-                assert!(report.is_ok(), "{backend:?}: {report}");
-            }
+            let report = sample().verify(VerifyDepth::Deep);
+            assert!(report.is_ok(), "{report}");
             let report = TagRegistry::new().verify(VerifyDepth::Deep);
             assert!(report.is_ok(), "{report}");
         }
@@ -659,9 +557,10 @@ mod tests {
 
         #[test]
         fn out_of_range_code_is_caught() {
-            let mut seq = sample(SequenceBackend::Pointer);
-            // Shrinking the tag count puts every closing code out of range.
-            seq.num_tags = 1;
+            let mut seq = sample();
+            // Dropping a row shrinks the tag count, which puts every
+            // closing code out of range.
+            seq.occurrences.truncate(1);
             let report = seq.verify(VerifyDepth::Quick);
             assert!(
                 report.has_code("tag-code-range") || report.has_code("tag-width"),
@@ -671,35 +570,13 @@ mod tests {
 
         #[test]
         fn sarray_row_drift_is_caught() {
-            let mut seq = sample(SequenceBackend::Pointer);
+            let mut seq = sample();
             // Rebuild the occurrence rows from a different code sequence.
             let other = [0u32, 1, 3, 1, 3, 2, 1, 0, 2, 1, 3, 3];
-            seq.occurrences = TagOccurrences::build(&other, 2, SequenceBackend::Pointer);
+            seq.occurrences = TagSequence::new(&other, 2).occurrences;
             let report = seq.verify(VerifyDepth::Deep);
             assert!(
                 report.has_code("tag-occ-count") || report.has_code("tag-occ-positions"),
-                "{report}"
-            );
-        }
-
-        #[test]
-        fn matrix_count_drift_is_caught() {
-            let mut seq = sample(SequenceBackend::Matrix);
-            if let TagOccurrences::Matrix { counts, .. } = &mut seq.occurrences {
-                counts[1] += 1;
-            }
-            let report = seq.verify(VerifyDepth::Quick);
-            assert!(report.has_code("tag-occ-count"), "{report}");
-        }
-
-        #[test]
-        fn matrix_content_drift_is_caught() {
-            let mut seq = sample(SequenceBackend::Matrix);
-            let other = [0u32, 1, 3, 1, 3, 2, 1, 0, 2, 1, 3, 3];
-            seq.occurrences = TagOccurrences::build(&other, 2, SequenceBackend::Matrix);
-            let report = seq.verify(VerifyDepth::Deep);
-            assert!(
-                report.has_code("tag-occ-content") || report.has_code("tag-occ-count"),
                 "{report}"
             );
         }
@@ -725,13 +602,13 @@ mod tests {
     fn sequence_serialization_roundtrip() {
         let codes = [0u32, 1, 3, 1, 3, 2];
         let seq = TagSequence::new(&codes, 2);
-        let back = TagSequence::from_bytes(&seq.to_bytes()).unwrap();
+        let back = load(&seq.to_bytes()).unwrap();
         assert_eq!(back.len(), seq.len());
         assert_eq!(back.num_tags(), 2);
         for i in 0..codes.len() {
             assert_eq!(back.code(i), seq.code(i));
         }
         assert_eq!(back.select_open(1, 2), Some(3));
-        assert!(TagSequence::from_bytes(&seq.to_bytes()[..5]).is_err());
+        assert!(load(&seq.to_bytes()[..5]).is_err());
     }
 }

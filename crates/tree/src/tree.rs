@@ -19,7 +19,7 @@ use crate::bp::BalancedParens;
 use crate::error::TreeError;
 use crate::tags::{reserved, TagId, TagRegistry, TagSequence};
 use sxsi_io::{corrupt, read_usize, write_usize, IoError, ReadFrom, WriteInto};
-use sxsi_succinct::{BitVec, RankBitmap, SpaceUsage, SuccinctOptions};
+use sxsi_succinct::{BitVec, RankBackend, RankBitmap, SpaceUsage};
 
 /// A tree node: the position of its opening parenthesis in `Par`.
 pub type NodeId = usize;
@@ -263,7 +263,14 @@ impl XmlTree {
     /// Next sibling of `x`, if any.
     #[inline]
     pub fn next_sibling(&self, x: NodeId) -> Option<NodeId> {
-        let after = self.close(x) + 1;
+        self.sibling_after(self.close(x))
+    }
+
+    /// The next sibling of the node whose closing parenthesis is `close`,
+    /// for callers that already hold that position.
+    #[inline]
+    pub fn sibling_after(&self, close: usize) -> Option<NodeId> {
+        let after = close + 1;
         (after < self.bp.len() && self.bp.is_open(after)).then_some(after)
     }
 
@@ -370,16 +377,17 @@ impl XmlTree {
         if tag as usize >= self.tags.num_tags() || hi <= lo {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        let mut from = lo;
-        while let Some(p) = self.tags.next_occurrence(tag, from) {
-            if p >= hi {
-                break;
-            }
-            out.push(p);
-            from = p + 1;
+        self.tags.occurrences_from(tag, lo).take_while(|&p| p < hi).collect()
+    }
+
+    /// The last node labeled `tag` at a parenthesis position `< before`,
+    /// ancestors of that position included (the mirror image of
+    /// [`XmlTree::tagged_next`]).
+    pub fn tagged_prev(&self, tag: TagId, before: usize) -> Option<NodeId> {
+        if tag as usize >= self.tags.num_tags() {
+            return None;
         }
-        out
+        self.tags.prev_occurrence(tag, before)
     }
 
     /// The last node labeled `tag` with preorder smaller than `x` that is not
@@ -483,9 +491,10 @@ impl XmlTree {
         (reserved::NAMES.len()..self.num_tags()).map(|t| self.tags.count(t as TagId)).sum()
     }
 
-    /// The succinct backends the tree structures are stored with.
-    pub fn backends(&self) -> SuccinctOptions {
-        SuccinctOptions { rank: self.bp.backend(), sequence: self.tags.backend() }
+    /// The rank/select backend the parenthesis and text-leaf bitmaps are
+    /// stored with (the tag index has a single representation).
+    pub fn backends(&self) -> RankBackend {
+        self.bp.backend()
     }
 
     /// Recomputes the four relative tag-position tables from the parenthesis
@@ -662,8 +671,18 @@ impl WriteInto for XmlTree {
 impl ReadFrom for XmlTree {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
         let bp = BalancedParens::read_from(r)?;
-        let tags = TagSequence::read_from(r)?;
+        let (num_tags, codes) = TagSequence::read_packed(r)?;
         let registry = TagRegistry::read_from(r)?;
+        // The per-tag structures are sized by the declared tag count; the
+        // registry, whose length the bytes actually read bound, vouches for
+        // it first.
+        if registry.len() != num_tags {
+            return Err(corrupt(format!(
+                "registry holds {} names for {num_tags} tag codes",
+                registry.len()
+            )));
+        }
+        let tags = TagSequence::from_packed(codes, num_tags).map_err(|e| corrupt(e.to_string()))?;
         let text_leaves = RankBitmap::read_from(r)?;
         let child_table = TagTable::read_from(r)?;
         let desc_table = TagTable::read_from(r)?;
@@ -682,13 +701,6 @@ impl ReadFrom for XmlTree {
                 "text-leaf bitmap covers {} positions, parentheses {}",
                 text_leaves.len(),
                 bp.len()
-            )));
-        }
-        let num_tags = tags.num_tags();
-        if registry.len() != num_tags {
-            return Err(corrupt(format!(
-                "registry holds {} names for {num_tags} tag codes",
-                registry.len()
             )));
         }
         for (name, table) in [
@@ -885,13 +897,12 @@ impl XmlTreeBuilder {
     /// open or the recorded structure is not balanced, so malformed input
     /// can never panic a serving process.
     pub fn try_finish(self) -> Result<XmlTree, TreeError> {
-        self.try_finish_with(SuccinctOptions::default())
+        self.try_finish_with(RankBackend::default())
     }
 
-    /// Like [`XmlTreeBuilder::try_finish`], but selects the succinct
-    /// backends used for the parenthesis/leaf bitmaps (`backends.rank`) and
-    /// the tag-occurrence index (`backends.sequence`).
-    pub fn try_finish_with(mut self, backends: SuccinctOptions) -> Result<XmlTree, TreeError> {
+    /// Like [`XmlTreeBuilder::try_finish`], but selects the rank/select
+    /// backend of the parenthesis and text-leaf bitmaps.
+    pub fn try_finish_with(mut self, backend: RankBackend) -> Result<XmlTree, TreeError> {
         if self.stack.len() != 1 {
             return Err(TreeError::UnclosedElements { open: self.stack.len().saturating_sub(1) });
         }
@@ -912,9 +923,9 @@ impl XmlTreeBuilder {
                 }
             })
             .collect();
-        let bp = BalancedParens::try_new_with_backend(&self.parens, backends.rank)?;
-        let tags = TagSequence::try_new_with_backend(&codes, num_tags, backends.sequence)?;
-        let text_leaves = RankBitmap::build(&self.text_leaves, backends.rank);
+        let bp = BalancedParens::try_new_with_backend(&self.parens, backend)?;
+        let tags = TagSequence::try_new(&codes, num_tags)?;
+        let text_leaves = RankBitmap::build(&self.text_leaves, backend);
 
         let mut child_table = TagTable::new(num_tags);
         for (p, c) in &self.child_pairs {
@@ -1383,5 +1394,23 @@ mod tests {
         for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(XmlTree::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn implausible_tag_count_is_an_error_not_an_allocation() {
+        // A tag section of a few bytes declaring 2^31 tags (zero codes, in
+        // the 32 bits that count implies) passes every check of its own;
+        // the registry's six names must refuse it before anything is sized
+        // by the declared count.
+        let t = figure1_tree();
+        let bytes = t.to_bytes();
+        let tags_at = t.bp.to_bytes().len();
+        let registry_at = tags_at + t.tags.to_bytes().len();
+        let mut forged = bytes[..tags_at].to_vec();
+        forged.extend_from_slice(&(1u64 << 31).to_le_bytes());
+        forged.extend_from_slice(&sxsi_succinct::IntVector::new(0, 32).to_bytes());
+        forged.extend_from_slice(&bytes[registry_at..]);
+        let err = XmlTree::from_bytes(&forged).unwrap_err();
+        assert!(err.to_string().contains("registry holds"), "{err}");
     }
 }

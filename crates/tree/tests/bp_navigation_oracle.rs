@@ -77,12 +77,15 @@ impl Dom {
 fn random_tree(rng: &mut Rng, max_nodes: usize) -> (XmlTree, Dom) {
     const TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
     let mut builder = XmlTreeBuilder::new();
+    builder.intern("ghost"); // a registered tag that never occurs
     let mut dom = Dom::default();
     let root = dom.add(None, "&"); // mirror the builder's synthetic root
 
     let mut budget = max_nodes;
     fn grow(rng: &mut Rng, builder: &mut XmlTreeBuilder, dom: &mut Dom, parent: usize, depth: usize, budget: &mut usize) {
-        while *budget > 0 && rng.below(100) < 70 {
+        // The root keeps growing until the budget is spent (so the tree has
+        // about `max_nodes` nodes); inner nodes stop at random.
+        while *budget > 0 && (depth == 0 || rng.below(100) < 70) {
             *budget -= 1;
             if depth < 12 && rng.below(100) < 75 {
                 let tag = TAGS[rng.below(TAGS.len() as u64) as usize];
@@ -171,6 +174,70 @@ fn check_tree(tree: &XmlTree, dom: &Dom) {
         stack.extend(kids);
     }
     assert_eq!(walked, nodes, "first_child/next_sibling walk");
+}
+
+/// The tagged jumps and per-tag range queries, for every tag of the
+/// registry (tags that never occur included) and one id past it, against
+/// linear scans of the pointer DOM.
+fn check_tagged(tree: &XmlTree, dom: &Dom) {
+    let nodes: Vec<_> = tree.preorder_nodes().collect();
+    let positions = 2 * nodes.len();
+    let mut rng = Rng::new(0x7A6);
+    for tag in 0..tree.num_tags() as u32 + 1 {
+        let name = (tag as usize) < tree.num_tags();
+        let has_tag = |pre: usize| name && dom.tag[pre] == tree.tag_name(tag);
+        // The tag's nodes, as parenthesis positions, in document order.
+        let occurrences: Vec<usize> = (0..nodes.len()).filter(|&pre| has_tag(pre)).map(|pre| nodes[pre]).collect();
+        if name {
+            assert_eq!(tree.tag_count(tag), occurrences.len(), "tag_count({tag})");
+        }
+
+        for (pre, &x) in nodes.iter().enumerate() {
+            let end = pre + dom.subtree_size(pre); // preorder just past x's subtree
+            let desc = (pre + 1..end).find(|&d| has_tag(d)).map(|d| nodes[d]);
+            assert_eq!(tree.tagged_desc(x, tag), desc, "tagged_desc({pre}, {tag})");
+            let foll = (end..nodes.len()).find(|&d| has_tag(d)).map(|d| nodes[d]);
+            assert_eq!(tree.tagged_foll(x, tag), foll, "tagged_foll({pre}, {tag})");
+            let prec = (0..pre).rev().find(|&d| has_tag(d) && !dom.is_ancestor(d, pre)).map(|d| nodes[d]);
+            assert_eq!(tree.tagged_prec(x, tag), prec, "tagged_prec({pre}, {tag})");
+            let inside = (pre..end).filter(|&d| has_tag(d)).count();
+            assert_eq!(tree.subtree_tags(x, tag), inside, "subtree_tags({pre}, {tag})");
+        }
+
+        // Every position, opening or closing, occurrence or not, and past
+        // the end.
+        for from in 0..positions + 2 {
+            let next = occurrences.iter().copied().find(|&p| p >= from);
+            assert_eq!(tree.tagged_next(tag, from), next, "tagged_next({tag}, {from})");
+            let prev = occurrences.iter().copied().rev().find(|&p| p < from);
+            assert_eq!(tree.tagged_prev(tag, from), prev, "tagged_prev({tag}, {from})");
+        }
+
+        // Ranges: random ones, the whole sequence, empty and inverted ones,
+        // and ones that start or end exactly on an occurrence.
+        let mut ranges = vec![(0, positions), (0, 0), (positions, positions), (5, 2)];
+        for _ in 0..60 {
+            ranges.push((rng.below(positions as u64 + 1) as usize, rng.below(positions as u64 + 2) as usize));
+        }
+        for &p in &occurrences {
+            ranges.extend([(p, positions), (p + 1, positions), (0, p), (0, p + 1), (p, p + 1), (p, p)]);
+        }
+        for (lo, hi) in ranges {
+            let within: Vec<usize> = occurrences.iter().copied().filter(|&p| lo <= p && p < hi).collect();
+            assert_eq!(tree.tag_count_in_range(tag, lo, hi), within.len(), "tag_count_in_range({tag}, {lo}, {hi})");
+            assert_eq!(tree.tag_nodes_in_range(tag, lo, hi), within, "tag_nodes_in_range({tag}, {lo}, {hi})");
+        }
+    }
+}
+
+#[test]
+fn tagged_operations_match_pointer_dom() {
+    let mut rng = Rng::new(0x7A6_5EED);
+    for &max_nodes in &[0usize, 1, 2, 5, 20, 100, 400] {
+        let (tree, dom) = random_tree(&mut rng, max_nodes);
+        assert!(tree.tag_id("ghost").is_some_and(|ghost| tree.tag_count(ghost) == 0));
+        check_tagged(&tree, &dom);
+    }
 }
 
 #[test]

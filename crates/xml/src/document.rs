@@ -139,7 +139,7 @@ pub fn parse_document_with_options(
     // The event loop above already rejects mismatched and unclosed tags, so
     // this cannot fail on parser output — but routing through `try_finish`
     // guarantees that no input, however malformed, can panic the process.
-    let tree = builder.try_finish_with(options.succinct).map_err(|e| ParseError {
+    let tree = builder.try_finish_with(options.succinct.rank).map_err(|e| ParseError {
         position: parser.position(),
         message: format!("malformed tree structure: {e}"),
     })?;

@@ -82,6 +82,13 @@ impl StateSet {
         self.0.count_ones() as usize
     }
 
+    /// Number of member states smaller than `q` — the position of `q`
+    /// among the members when it is one.
+    #[inline]
+    pub fn rank(self, q: StateId) -> usize {
+        (self.0 & ((1u64 << q) - 1)).count_ones() as usize
+    }
+
     /// Iterator over the member states.
     pub fn iter(self) -> impl Iterator<Item = StateId> {
         let mut bits = self.0;
@@ -305,6 +312,18 @@ impl Automaton {
         tags.sort_unstable();
         tags.dedup();
         tags
+    }
+
+    /// Union of the `↓₂` targets over all transitions of the states in `set`.
+    pub fn down2_closure(&self, set: StateSet) -> StateSet {
+        let mut down1 = StateSet::EMPTY;
+        let mut down2 = StateSet::EMPTY;
+        for q in set.iter() {
+            for t in self.transitions_of(q) {
+                t.formula.collect_down_states(&mut down1, &mut down2);
+            }
+        }
+        down2
     }
 
     /// If `set` is a single pure-accumulator state, returns its tag.
@@ -542,6 +561,7 @@ mod tests {
         assert_eq!(t.union(StateSet::singleton(4)).len(), 2);
         let collected: Vec<StateId> = s.iter().collect();
         assert_eq!(collected, vec![0, 5, 63]);
+        assert_eq!([s.rank(0), s.rank(5), s.rank(6), s.rank(63)], [0, 1, 2, 2]);
         assert_eq!(format!("{s:?}"), "{q0,q5,q63}");
     }
 

@@ -11,10 +11,11 @@
 //!   current configuration is a bottom state with a descendant-style
 //!   self-loop, the run skips directly to the top-most nodes carrying a
 //!   *relevant* label using `TaggedDesc`/`TaggedFoll`-style successor
-//!   queries on the tag index.
+//!   queries on the per-tag sarrays.
 //! * **Memoization of transition selection** (Section 5.5.2, the paper's
 //!   just-in-time compilation) — the applicable transitions and the child /
-//!   sibling target configurations are cached per `(label, configuration)`.
+//!   sibling target configurations are compiled once per `(configuration,
+//!   label)` into a flat transition table.
 //! * **Lazy whole-region results** (Section 5.5.4) — when the configuration
 //!   is a single pure accumulator state, the result for a region is produced
 //!   as one lazy range (or one counter update) without visiting its nodes.
@@ -22,6 +23,19 @@
 //! Results are produced either as exact counts or as (lazily concatenated)
 //! node sets; `marked`, `visited` and result statistics are recorded for the
 //! Figure 13 experiment.
+//!
+//! # The cost of one visit
+//!
+//! Every distinct state set a run meets (a run meets tens) is *interned* to a
+//! dense `ConfigId`, and what depends on the configuration alone — how its
+//! forests are traversed (`Region`), its relevant tags, what it accepts on
+//! an empty forest — is decided at that moment.  A visit is then one tag
+//! access, one load from the table indexed `configuration * num_tags + tag`
+//! (a `NodeConfig`; the table is the private `table` module beside this
+//! one), at most one `find_close`, the recursion, and one
+//! formula evaluation per applicable transition over results that live on a
+//! reused value stack: no hashing, no reference counting, no allocation.
+//! ARCHITECTURE.md ("The cost of one visit") has the step-by-step list.
 //!
 //! # Early termination
 //!
@@ -35,8 +49,7 @@
 //! counting run.
 
 use crate::automaton::{Automaton, Formula, StateId, StateSet};
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::table::{Config, ConfigId, NodeConfig, Region, TransitionTable, EMPTY_CONFIG};
 use sxsi_text::{TextCollection, TextId};
 use sxsi_tree::{reserved, NodeId, TagId, TagRelation, XmlTree};
 
@@ -93,58 +106,83 @@ impl EvalStats {
 // Result representations
 // ---------------------------------------------------------------------
 
-/// Abstraction over the per-state result values accumulated during a run:
-/// either plain counters or lazily concatenated node sets.
-trait ResultOps: Clone {
-    fn empty() -> Self;
-    fn is_empty(&self) -> bool;
-    fn singleton(node: NodeId) -> Self;
-    fn union(self, other: Self) -> Self;
-    fn tag_range(tree: &XmlTree, tag: TagId, lo: usize, hi: usize) -> Self;
+/// The per-state result values accumulated during a run — plain counters or
+/// handles to lazily concatenated node sets.  Values are small and `Copy`;
+/// whatever a value refers to lives in the store.
+trait ResultStore {
+    type Value: Copy;
+    /// The value of a state that collected nothing.
+    const EMPTY: Self::Value;
+    fn is_empty(value: Self::Value) -> bool;
+    fn singleton(&mut self, node: NodeId) -> Self::Value;
+    /// Union of two non-empty values.
+    fn union(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+    /// The `count > 0` nodes labeled `tag` opening in `[lo, hi)`.
+    fn tag_range(&mut self, tag: TagId, lo: usize, hi: usize, count: u64) -> Self::Value;
 }
 
 /// Counting results (Section 5.5.3: sets replaced by integer counters).
-#[derive(Clone, Copy, Debug, Default)]
-struct CountResult(u64);
+struct Counts;
 
-impl ResultOps for CountResult {
-    fn empty() -> Self {
-        CountResult(0)
+impl ResultStore for Counts {
+    type Value = u64;
+    const EMPTY: u64 = 0;
+    fn is_empty(value: u64) -> bool {
+        value == 0
     }
-    fn is_empty(&self) -> bool {
-        self.0 == 0
+    fn singleton(&mut self, _node: NodeId) -> u64 {
+        1
     }
-    fn singleton(_node: NodeId) -> Self {
-        CountResult(1)
+    fn union(&mut self, a: u64, b: u64) -> u64 {
+        a + b
     }
-    fn union(self, other: Self) -> Self {
-        CountResult(self.0 + other.0)
-    }
-    fn tag_range(tree: &XmlTree, tag: TagId, lo: usize, hi: usize) -> Self {
-        CountResult(tree.tag_count_in_range(tag, lo, hi) as u64)
+    fn tag_range(&mut self, _tag: TagId, _lo: usize, _hi: usize, count: u64) -> u64 {
+        count
     }
 }
 
-/// Lazily concatenated node sets (Section 5.5.4).
-#[derive(Clone, Debug)]
+/// Handle to a lazily concatenated node set (Section 5.5.4): a single node
+/// is held inline, anything larger is an index into [`NodeSets::arena`].
+#[derive(Clone, Copy, Debug)]
+struct NodeSet(u64);
+
+impl NodeSet {
+    const EMPTY: NodeSet = NodeSet(u64::MAX);
+    /// Set on handles that index the arena; node ids never reach it.
+    const IN_ARENA: u64 = 1 << 63;
+}
+
+#[derive(Clone, Copy, Debug)]
 enum LazyNodes {
-    Empty,
-    One(NodeId),
     /// Every `tag`-labeled node with opening parenthesis in `[lo, hi)`.
     TagRange { tag: TagId, lo: usize, hi: usize },
-    Cat(Arc<LazyNodes>, Arc<LazyNodes>),
+    Cat(NodeSet, NodeSet),
 }
 
-impl LazyNodes {
-    fn flatten(&self, tree: &XmlTree, out: &mut Vec<NodeId>) {
-        let mut stack: Vec<&LazyNodes> = vec![self];
-        while let Some(top) = stack.pop() {
-            match top {
-                LazyNodes::Empty => {}
-                LazyNodes::One(n) => out.push(*n),
-                LazyNodes::TagRange { tag, lo, hi } => {
-                    out.extend(tree.tag_nodes_in_range(*tag, *lo, *hi));
-                }
+/// The arena behind [`NodeSet`] handles.
+#[derive(Default)]
+struct NodeSets {
+    arena: Vec<LazyNodes>,
+}
+
+impl NodeSets {
+    fn alloc(&mut self, nodes: LazyNodes) -> NodeSet {
+        self.arena.push(nodes);
+        NodeSet(NodeSet::IN_ARENA | (self.arena.len() - 1) as u64)
+    }
+
+    fn flatten(&self, set: NodeSet, tree: &XmlTree, out: &mut Vec<NodeId>) {
+        let mut stack = vec![set];
+        while let Some(NodeSet(handle)) = stack.pop() {
+            if handle == NodeSet::EMPTY.0 {
+                continue;
+            }
+            if handle & NodeSet::IN_ARENA == 0 {
+                out.push(handle as NodeId);
+                continue;
+            }
+            match self.arena[(handle & !NodeSet::IN_ARENA) as usize] {
+                LazyNodes::TagRange { tag, lo, hi } => out.extend(tree.tag_nodes_in_range(tag, lo, hi)),
                 LazyNodes::Cat(a, b) => {
                     stack.push(b);
                     stack.push(a);
@@ -154,88 +192,120 @@ impl LazyNodes {
     }
 }
 
-impl ResultOps for LazyNodes {
-    fn empty() -> Self {
-        LazyNodes::Empty
+impl ResultStore for NodeSets {
+    type Value = NodeSet;
+    const EMPTY: NodeSet = NodeSet::EMPTY;
+    fn is_empty(value: NodeSet) -> bool {
+        value.0 == NodeSet::EMPTY.0
     }
-    fn is_empty(&self) -> bool {
-        matches!(self, LazyNodes::Empty)
+    fn singleton(&mut self, node: NodeId) -> NodeSet {
+        NodeSet(node as u64)
     }
-    fn singleton(node: NodeId) -> Self {
-        LazyNodes::One(node)
+    fn union(&mut self, a: NodeSet, b: NodeSet) -> NodeSet {
+        self.alloc(LazyNodes::Cat(a, b))
     }
-    fn union(self, other: Self) -> Self {
-        match (&self, &other) {
-            (LazyNodes::Empty, _) => other,
-            (_, LazyNodes::Empty) => self,
-            _ => LazyNodes::Cat(Arc::new(self), Arc::new(other)),
-        }
-    }
-    fn tag_range(_tree: &XmlTree, tag: TagId, lo: usize, hi: usize) -> Self {
-        LazyNodes::TagRange { tag, lo, hi }
+    fn tag_range(&mut self, tag: TagId, lo: usize, hi: usize, _count: u64) -> NodeSet {
+        self.alloc(LazyNodes::TagRange { tag, lo, hi })
     }
 }
 
 /// Result mapping for one forest/node: which states have accepting runs, and
-/// the (non-empty) result value accumulated for each.
-#[derive(Clone, Debug)]
-struct ResMap<R> {
+/// which of them collected a (non-empty) value.  The values themselves sit
+/// on the run's value stack at `base..`, in state order, so a lookup is a
+/// bit rank and a map is three words that are passed by copy.
+#[derive(Clone, Copy, Debug)]
+struct ResMap {
     accepted: StateSet,
-    results: Vec<(StateId, R)>,
+    valued: StateSet,
+    base: usize,
 }
 
-impl<R: ResultOps> ResMap<R> {
+impl ResMap {
     fn nil(accepted: StateSet) -> Self {
-        Self { accepted, results: Vec::new() }
-    }
-
-    fn accepted(&self, q: StateId) -> bool {
-        self.accepted.contains(q)
-    }
-
-    fn value(&self, q: StateId) -> R {
-        self.results
-            .iter()
-            .find(|(s, _)| *s == q)
-            .map(|(_, r)| r.clone())
-            .unwrap_or_else(R::empty)
-    }
-
-    fn insert(&mut self, q: StateId, accepted: bool, value: R) {
-        if accepted {
-            self.accepted.insert(q);
-        }
-        if !value.is_empty() {
-            self.results.push((q, value));
-        }
-    }
-
-    fn union_with(&mut self, other: ResMap<R>) {
-        self.accepted = self.accepted.union(other.accepted);
-        for (q, r) in other.results {
-            if let Some(slot) = self.results.iter_mut().find(|(s, _)| *s == q) {
-                slot.1 = slot.1.clone().union(r);
-            } else {
-                self.results.push((q, r));
-            }
-        }
+        Self { accepted, valued: StateSet::EMPTY, base: 0 }
     }
 }
 
-// ---------------------------------------------------------------------
-// Memoized per-(label, configuration) transition selection
-// ---------------------------------------------------------------------
-
-/// The "compiled" behaviour of the automaton for one (label, configuration)
-/// pair: which transitions apply for each state of the configuration, and
-/// the configurations to run on the first child / next sibling.
-#[derive(Debug)]
-struct NodeConfig {
-    /// Per state (in configuration order): indices of applicable transitions.
-    applicable: Vec<(StateId, Vec<u16>)>,
-    down1: StateSet,
-    down2: StateSet,
+/// The result store of one run plus the value stack its [`ResMap`]s index.
+///
+/// Stack discipline: a function returning a `ResMap` leaves that map's
+/// values as the top of the stack, starting where the stack ended when the
+/// function was entered.
+struct Results<S: ResultStore> {
+    store: S,
+    stack: Vec<S::Value>,
 }
+
+impl<S: ResultStore> Results<S> {
+    fn new(store: S) -> Self {
+        Self { store, stack: Vec::new() }
+    }
+
+    fn value(&self, map: ResMap, q: StateId) -> S::Value {
+        if map.valued.contains(q) {
+            self.stack[map.base + map.valued.rank(q)]
+        } else {
+            S::EMPTY
+        }
+    }
+
+    fn union(&mut self, a: S::Value, b: S::Value) -> S::Value {
+        if S::is_empty(a) {
+            b
+        } else if S::is_empty(b) {
+            a
+        } else {
+            self.store.union(a, b)
+        }
+    }
+
+    /// A map accepting `accepted`, ready to take values on top of the stack.
+    fn open(&self, accepted: StateSet) -> ResMap {
+        ResMap { accepted, valued: StateSet::EMPTY, base: self.stack.len() }
+    }
+
+    /// Records the outcome of state `q` in `map`, whose values are the top
+    /// of the stack.  States must be recorded in increasing order.
+    fn insert(&mut self, map: &mut ResMap, q: StateId, value: S::Value) {
+        map.accepted.insert(q);
+        if !S::is_empty(value) {
+            map.valued.insert(q);
+            self.stack.push(value);
+        }
+    }
+
+    /// Moves `map`'s values (the top of the stack) down to `base`, dropping
+    /// whatever dead values lay in between.
+    fn settle(&mut self, base: usize, mut map: ResMap) -> ResMap {
+        let count = map.valued.len();
+        if count > 0 && map.base != base {
+            self.stack.copy_within(map.base..map.base + count, base);
+        }
+        self.stack.truncate(base + count);
+        map.base = base;
+        map
+    }
+
+    /// The union of `a` (whose values start at `base`) and `b` (whose
+    /// values follow as the top of the stack), settled at `base`.
+    fn merge(&mut self, base: usize, a: ResMap, b: ResMap) -> ResMap {
+        let accepted = a.accepted.union(b.accepted);
+        if b.valued.is_empty() {
+            return ResMap { accepted, ..a };
+        }
+        let mut out = self.open(accepted);
+        for q in a.valued.union(b.valued).iter() {
+            let (in_a, in_b) = (self.value(a, q), self.value(b, q));
+            let value = self.union(in_a, in_b);
+            self.stack.push(value);
+            out.valued.insert(q);
+        }
+        self.settle(base, out)
+    }
+}
+
+/// "No occurrence inside the scope" among jump candidates.
+const NO_CANDIDATE: usize = usize::MAX;
 
 // ---------------------------------------------------------------------
 // The evaluator
@@ -248,7 +318,15 @@ pub struct Evaluator<'a> {
     texts: Option<&'a TextCollection>,
     options: EvalOptions,
     stats: EvalStats,
-    memo: HashMap<(TagId, u64), Arc<NodeConfig>>,
+    table: TransitionTable<'a>,
+    /// Whether an `@` container can occur below another one (never in a
+    /// parsed document), in which case the nearest `@` *before* a node need
+    /// not be the nearest one *around* it.
+    nested_attributes: bool,
+    /// Scratch of the sibling-chain traversal: `(node, node config, close)`.
+    siblings: Vec<(NodeId, usize, Option<usize>)>,
+    /// Scratch of the jumping traversal: the next candidate per relevant tag.
+    candidates: Vec<usize>,
     /// Per predicate: the sorted text ids whose *whole* content satisfies it
     /// (only present when `text_index_predicates` is enabled).
     pred_text_matches: Vec<Option<Vec<TextId>>>,
@@ -271,15 +349,21 @@ impl<'a> Evaluator<'a> {
         texts: Option<&'a TextCollection>,
         options: EvalOptions,
     ) -> Self {
-        let pred_text_matches = vec![None; automaton.predicates.len()];
         Self {
             automaton,
             tree,
             texts,
             options,
             stats: EvalStats::default(),
-            memo: HashMap::new(),
-            pred_text_matches,
+            table: TransitionTable::new(automaton, tree, options),
+            nested_attributes: tree.tag_relation_possible(
+                reserved::ATTRIBUTES,
+                reserved::ATTRIBUTES,
+                TagRelation::Descendant,
+            ),
+            siblings: Vec::new(),
+            candidates: Vec::new(),
+            pred_text_matches: vec![None; automaton.predicates.len()],
             emitted_marks: 0,
             mark_budget: None,
         }
@@ -306,8 +390,9 @@ impl<'a> Evaluator<'a> {
             return self.materialize().len() as u64;
         }
         self.prepare_predicates();
-        let res: ResMap<CountResult> = self.run_root();
-        let total: u64 = self.automaton.top_states.iter().map(|q| res.value(q).0).sum();
+        let mut results = Results::new(Counts);
+        let res = self.run_root(&mut results);
+        let total: u64 = self.automaton.top_states.iter().map(|q| results.value(res, q)).sum();
         self.stats.result_nodes = total;
         total
     }
@@ -315,10 +400,11 @@ impl<'a> Evaluator<'a> {
     /// Runs the query and materializes the result nodes in document order.
     pub fn materialize(&mut self) -> Vec<NodeId> {
         self.prepare_predicates();
-        let res: ResMap<LazyNodes> = self.run_root();
+        let mut results = Results::new(NodeSets::default());
+        let res = self.run_root(&mut results);
         let mut out = Vec::new();
         for q in self.automaton.top_states.iter() {
-            res.value(q).flatten(self.tree, &mut out);
+            results.store.flatten(results.value(res, q), self.tree, &mut out);
         }
         out.sort_unstable();
         out.dedup();
@@ -339,19 +425,20 @@ impl<'a> Evaluator<'a> {
         }
         self.mark_budget = Some(1);
         self.prepare_predicates();
-        let _res: ResMap<CountResult> = self.run_root();
+        self.run_root(&mut Results::new(Counts));
         self.mark_budget = None;
         let found = self.emitted_marks > 0;
         self.stats.result_nodes = u64::from(found);
         found
     }
 
-    fn run_root<R: ResultOps>(&mut self) -> ResMap<R> {
+    fn run_root<S: ResultStore>(&mut self, results: &mut Results<S>) -> ResMap {
         self.stats = EvalStats::default();
         self.emitted_marks = 0;
         let root = self.tree.root();
-        let nil = ResMap::nil(StateSet::EMPTY);
-        self.eval_node(root, self.automaton.top_states, &nil)
+        let top = self.table.intern(self.automaton.top_states);
+        let node_config = self.table.node_config(top, self.tree.tag(root));
+        self.eval_node(results, root, node_config, None, ResMap::nil(StateSet::EMPTY))
     }
 
     // -----------------------------------------------------------------
@@ -404,282 +491,278 @@ impl<'a> Evaluator<'a> {
     }
 
     // -----------------------------------------------------------------
-    // Transition selection
-    // -----------------------------------------------------------------
-
-    fn compute_config(&self, tag: TagId, states: StateSet) -> NodeConfig {
-        let mut applicable = Vec::with_capacity(states.len());
-        let mut down1 = StateSet::EMPTY;
-        let mut down2 = StateSet::EMPTY;
-        for q in states.iter() {
-            let mut indices = Vec::new();
-            for (i, t) in self.automaton.transitions_of(q).iter().enumerate() {
-                if t.guard.matches(tag) {
-                    t.formula.collect_down_states(&mut down1, &mut down2);
-                    indices.push(i as u16);
-                }
-            }
-            applicable.push((q, indices));
-        }
-        NodeConfig { applicable, down1, down2 }
-    }
-
-    fn node_config(&mut self, tag: TagId, states: StateSet) -> Arc<NodeConfig> {
-        if !self.options.memoization {
-            return Arc::new(self.compute_config(tag, states));
-        }
-        if let Some(c) = self.memo.get(&(tag, states.0)) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(self.compute_config(tag, states));
-        self.memo.insert((tag, states.0), Arc::clone(&c));
-        c
-    }
-
-    // -----------------------------------------------------------------
     // Core recursion
     // -----------------------------------------------------------------
 
     /// Evaluates the binary subtree rooted at node `x` given the sibling
-    /// result `r2` (the evaluation of `x`'s next-sibling forest).
-    fn eval_node<R: ResultOps>(&mut self, x: NodeId, states: StateSet, r2: &ResMap<R>) -> ResMap<R> {
+    /// result `r2` (the evaluation of `x`'s next-sibling forest).  `close`
+    /// is `x`'s closing parenthesis when the caller already had to find it.
+    fn eval_node<S: ResultStore>(
+        &mut self,
+        results: &mut Results<S>,
+        x: NodeId,
+        node_config: usize,
+        close: Option<usize>,
+        r2: ResMap,
+    ) -> ResMap {
         if self.budget_exhausted() {
             return ResMap::nil(StateSet::EMPTY);
         }
         self.stats.visited_nodes += 1;
-        let tag = self.tree.tag(x);
-        let cfg = self.node_config(tag, states);
-        let r1: ResMap<R> = if cfg.down1.is_empty() {
+        let NodeConfig { down1, first, end, .. } = self.table.compiled(node_config);
+        let base = results.stack.len();
+        let r1 = if down1 == EMPTY_CONFIG {
             ResMap::nil(StateSet::EMPTY)
         } else {
-            let scope_end = self.tree.close(x);
-            self.eval_forest(self.tree.first_child(x), cfg.down1, scope_end)
-        };
-        let automaton = self.automaton;
-        let mut out = ResMap::nil(StateSet::EMPTY);
-        for (q, indices) in &cfg.applicable {
-            for &i in indices {
-                let formula = &automaton.transitions_of(*q)[i as usize].formula;
-                let emitted_before = self.emitted_marks;
-                let (ok, value) = self.eval_formula(formula, x, &r1, r2);
-                if ok {
-                    out.insert(*q, true, value);
-                    break;
+            match self.tree.first_child(x) {
+                None => ResMap::nil(self.table.config(down1).at_nil),
+                Some(child) => {
+                    let scope_end = close.unwrap_or_else(|| self.tree.close(x));
+                    self.eval_forest(results, child, down1, scope_end)
                 }
+            }
+        };
+        let mut out = results.open(StateSet::EMPTY);
+        let mut i = first;
+        while i < end {
+            let (q, formula) = self.table.transition(i);
+            i += 1;
+            let emitted_before = self.emitted_marks;
+            let (ok, value) = self.eval_formula(results, formula, x, r1, r2);
+            if ok {
+                results.insert(&mut out, q, value);
+                // The first satisfied transition of a state provides its
+                // result; skip the state's remaining ones.
+                while i < end && self.table.transition(i).0 == q {
+                    i += 1;
+                }
+            } else {
                 // A failed transition's marks never reach the output.
                 self.emitted_marks = emitted_before;
             }
         }
-        out
+        results.settle(base, out)
     }
 
-    /// Evaluates a forest (a node and all its following siblings, with their
-    /// subtrees).  `scope_end` is the parenthesis position just past the
-    /// forest (the closing parenthesis of the enclosing node).
-    fn eval_forest<R: ResultOps>(
+    /// Evaluates a non-empty forest (the node `first` and all its following
+    /// siblings, with their subtrees).  `scope_end` is the parenthesis
+    /// position just past the forest (the closing parenthesis of the
+    /// enclosing node).
+    fn eval_forest<S: ResultStore>(
         &mut self,
-        first: Option<NodeId>,
-        states: StateSet,
+        results: &mut Results<S>,
+        first: NodeId,
+        config: ConfigId,
         scope_end: usize,
-    ) -> ResMap<R> {
-        let Some(first) = first else {
-            return ResMap::nil(states.intersect(self.automaton.bottom_states));
-        };
-        if states.is_empty() {
-            return ResMap::nil(StateSet::EMPTY);
+    ) -> ResMap {
+        let Config { states, region, .. } = *self.table.config(config);
+        match region {
+            Region::Walk => self.eval_sibling_chain(results, first, config),
+            Region::Lazy { state, tag } => {
+                let count = self.tree.tag_count_in_range(tag, first, scope_end) as u64;
+                self.stats.marked_nodes += count;
+                self.emitted_marks += count;
+                let mut res = results.open(states);
+                if count > 0 {
+                    let value = results.store.tag_range(tag, first, scope_end, count);
+                    results.insert(&mut res, state, value);
+                }
+                res
+            }
+            Region::Jump { first: first_tag, end: end_tag } => {
+                self.eval_jump_region(results, first, scope_end, config, first_tag..end_tag)
+            }
         }
-        if self.options.jumping && self.automaton.is_jumpable(states) {
-            return self.eval_jump_region(first, scope_end, states);
-        }
-        self.eval_forest_no_jump(first, states, scope_end)
     }
 
     /// Jumping evaluation of a whole region `[start, scope_end)` for a
     /// configuration of descendant-loop bottom states: only the top-most
-    /// relevant-labeled nodes are visited.
-    fn eval_jump_region<R: ResultOps>(
+    /// nodes labeled with one of the relevant `tags` of the table are visited.
+    fn eval_jump_region<S: ResultStore>(
         &mut self,
+        results: &mut Results<S>,
         start: NodeId,
         scope_end: usize,
-        states: StateSet,
-    ) -> ResMap<R> {
-        // Lazy whole-region result for a pure accumulator configuration.
-        if self.options.lazy_regions {
-            if let Some(tag) = self.automaton.accumulator_tag(states) {
-                if !self.tree.tag_relation_possible(reserved::ATTRIBUTES, tag, TagRelation::Descendant) {
-                    let count = self.tree.tag_count_in_range(tag, start, scope_end) as u64;
-                    self.stats.marked_nodes += count;
-                    self.emitted_marks += count;
-                    let mut res = ResMap::nil(states);
-                    if count > 0 {
-                        let q = states.iter().next().expect("singleton");
-                        res.insert(q, true, R::tag_range(self.tree, tag, start, scope_end));
-                    }
-                    return res;
+        config: ConfigId,
+        tags: std::ops::Range<usize>,
+    ) -> ResMap {
+        let states = self.table.config(config).states;
+        let base = results.stack.len();
+        // Every state of a jumpable configuration is a bottom state, so all
+        // of them accept over the region regardless of what is found; the
+        // same holds for the (skipped) forest after each visited node.
+        let mut res = results.open(states);
+        let sibling_context = ResMap::nil(states);
+        // Per relevant tag, its next occurrence at or after `search_from`
+        // that no attribute container hides: found once, and again only
+        // after the scan has moved past it.
+        let candidates = self.candidates.len();
+        self.candidates.resize(candidates + tags.len(), 0);
+        let mut search_from = start;
+        while !self.budget_exhausted() {
+            let mut next = NO_CANDIDATE;
+            let mut next_tag = reserved::ROOT;
+            for (slot, i) in tags.clone().enumerate() {
+                let (tag, below_attributes) = self.table.relevant(i);
+                let mut candidate = self.candidates[candidates + slot];
+                if candidate < search_from {
+                    candidate = self.next_candidate(tag, below_attributes, search_from, scope_end);
+                    self.candidates[candidates + slot] = candidate;
+                }
+                if candidate < next {
+                    next = candidate;
+                    next_tag = tag;
                 }
             }
-        }
-        // The flat frontier iteration below feeds each top-most relevant node
-        // an "accepting but empty" sibling context; that is only sound when
-        // every ↓₂ atom reachable from the configuration targets the
-        // configuration itself (the usual descendant-recursion shape).  The
-        // rare exception — a following-sibling next step — falls back to the
-        // exact sibling-chain traversal.
-        if !self.down2_closure(states).is_subset_of(states) {
-            return self.eval_forest_no_jump(start, states, scope_end);
-        }
-        let relevant = self.automaton.relevant_tags(states);
-        // Every state of a jumpable configuration is a bottom state, so all
-        // of them accept over the region regardless of what is found.
-        let mut res = ResMap::nil(states);
-        if relevant.is_empty() {
-            return res;
-        }
-        let attr_possible: Vec<bool> = relevant
-            .iter()
-            .map(|&t| self.tree.tag_relation_possible(reserved::ATTRIBUTES, t, TagRelation::Descendant))
-            .collect();
-        let sibling_context = ResMap::nil(states);
-        let mut search_from = start;
-        loop {
-            if self.budget_exhausted() {
+            if next == NO_CANDIDATE {
                 break;
             }
-            // The next top-most relevant node at or after `search_from`,
-            // skipping occurrences hidden inside attribute containers.
-            let mut best: Option<NodeId> = None;
-            for (ti, &t) in relevant.iter().enumerate() {
-                let mut pos = search_from;
-                while let Some(p) = self.tree.tagged_next(t, pos) {
-                    if p >= scope_end {
-                        break;
-                    }
-                    if attr_possible[ti] {
-                        if let Some(at) = self.attribute_ancestor(p) {
-                            pos = self.tree.close(at) + 1;
-                            continue;
-                        }
-                    }
-                    best = Some(best.map_or(p, |b: usize| b.min(p)));
-                    break;
-                }
-            }
-            let Some(nd) = best else { break };
-            let node_res = self.eval_node(nd, states, &sibling_context);
-            res.union_with(node_res);
-            // Continue after `nd`'s subtree: deeper relevant nodes were
-            // handled by the recursive evaluation of `nd` itself.
-            search_from = self.tree.close(nd) + 1;
+            let compiled = self.table.mark();
+            let node_config = self.table.node_config(config, next_tag);
+            let close = self.tree.close(next);
+            let node_res = self.eval_node(results, next, node_config, Some(close), sibling_context);
+            self.table.release(compiled);
+            res = results.merge(base, res, node_res);
+            // Continue after the node's subtree: deeper relevant nodes were
+            // handled by its own recursive evaluation.
+            search_from = close + 1;
             if search_from >= scope_end {
                 break;
             }
         }
+        self.candidates.truncate(candidates);
         res
     }
 
-    /// Union of the `↓₂` targets over all transitions of the states in `set`.
-    fn down2_closure(&self, set: StateSet) -> StateSet {
-        let mut d1 = StateSet::EMPTY;
-        let mut d2 = StateSet::EMPTY;
-        for q in set.iter() {
-            for t in self.automaton.transitions_of(q) {
-                t.formula.collect_down_states(&mut d1, &mut d2);
-            }
-        }
-        d2
-    }
-
-    /// The exact sibling-chain traversal of a forest, used when jumping is
-    /// disabled or unsound for the configuration.
-    fn eval_forest_no_jump<R: ResultOps>(
-        &mut self,
-        first: NodeId,
-        states: StateSet,
-        _scope_end: usize,
-    ) -> ResMap<R> {
-        let mut siblings: Vec<(NodeId, StateSet)> = Vec::new();
-        let mut cur = Some(first);
-        let mut st = states;
-        while let Some(x) = cur {
-            siblings.push((x, st));
-            let cfg = self.node_config(self.tree.tag(x), st);
-            st = cfg.down2;
-            if st.is_empty() {
+    /// The first node labeled `tag` in `[from, scope_end)` that is not
+    /// hidden inside an attribute container, or [`NO_CANDIDATE`].
+    fn next_candidate(&self, tag: TagId, below_attributes: bool, from: usize, scope_end: usize) -> usize {
+        let mut pos = from;
+        while let Some(p) = self.tree.tagged_next(tag, pos) {
+            if p >= scope_end {
                 break;
             }
-            cur = self.tree.next_sibling(x);
+            match below_attributes.then(|| self.attribute_container_end(p)).flatten() {
+                Some(end) => pos = end + 1,
+                None => return p,
+            }
         }
-        let mut r2 = ResMap::nil(st.intersect(self.automaton.bottom_states));
-        for &(x, stx) in siblings.iter().rev() {
+        NO_CANDIDATE
+    }
+
+    /// The closing parenthesis of the nearest `@` container around `x`, if
+    /// any: the last `@` opening before `x` either encloses `x` or — as
+    /// containers do not nest in a parsed document — shows that none does.
+    fn attribute_container_end(&self, x: NodeId) -> Option<usize> {
+        let mut container = self.tree.tagged_prev(reserved::ATTRIBUTES, x);
+        while let Some(at) = container {
+            let end = self.tree.close(at);
+            if end > x {
+                return Some(end);
+            }
+            if !self.nested_attributes {
+                break;
+            }
+            container = self.tree.tagged_prev(reserved::ATTRIBUTES, at);
+        }
+        None
+    }
+
+    /// The exact sibling-chain traversal of a forest: a forward pass fixes
+    /// the configuration of every sibling, a backward pass evaluates them,
+    /// each with the result of the siblings after it.
+    fn eval_sibling_chain<S: ResultStore>(
+        &mut self,
+        results: &mut Results<S>,
+        first: NodeId,
+        config: ConfigId,
+    ) -> ResMap {
+        let compiled = self.table.mark();
+        let chain = self.siblings.len();
+        let mut x = first;
+        let mut config = config;
+        // The configuration of the (empty) forest after the last sibling
+        // the chain reaches.
+        let tail = loop {
+            let node_config = self.table.node_config(config, self.tree.tag(x));
+            let down2 = self.table.compiled(node_config).down2;
+            if down2 == EMPTY_CONFIG {
+                self.siblings.push((x, node_config, None));
+                break EMPTY_CONFIG;
+            }
+            let close = self.tree.close(x);
+            self.siblings.push((x, node_config, Some(close)));
+            config = down2;
+            match self.tree.sibling_after(close) {
+                Some(sibling) => x = sibling,
+                None => break down2,
+            }
+        };
+        let base = results.stack.len();
+        let mut r2 = ResMap::nil(self.table.config(tail).at_nil);
+        for i in (chain..self.siblings.len()).rev() {
             if self.budget_exhausted() {
                 break;
             }
-            r2 = self.eval_node(x, stx, &r2);
+            let (x, node_config, close) = self.siblings[i];
+            let res = self.eval_node(results, x, node_config, close, r2);
+            r2 = results.settle(base, res);
         }
+        self.siblings.truncate(chain);
+        self.table.release(compiled);
         r2
-    }
-
-    /// The nearest ancestor of `x` labeled `@`, if any.
-    fn attribute_ancestor(&self, x: NodeId) -> Option<NodeId> {
-        let mut cur = self.tree.parent(x);
-        while let Some(p) = cur {
-            if self.tree.tag(p) == reserved::ATTRIBUTES {
-                return Some(p);
-            }
-            cur = self.tree.parent(p);
-        }
-        None
     }
 
     // -----------------------------------------------------------------
     // Formula evaluation
     // -----------------------------------------------------------------
 
-    fn eval_formula<R: ResultOps>(
+    fn eval_formula<S: ResultStore>(
         &mut self,
+        results: &mut Results<S>,
         formula: &Formula,
         x: NodeId,
-        r1: &ResMap<R>,
-        r2: &ResMap<R>,
-    ) -> (bool, R) {
+        r1: ResMap,
+        r2: ResMap,
+    ) -> (bool, S::Value) {
         match formula {
-            Formula::True => (true, R::empty()),
-            Formula::False => (false, R::empty()),
+            Formula::True => (true, S::EMPTY),
+            Formula::False => (false, S::EMPTY),
             Formula::Mark => {
                 self.stats.marked_nodes += 1;
                 self.emitted_marks += 1;
-                (true, R::singleton(x))
+                (true, results.store.singleton(x))
             }
-            Formula::Down1(q) => (r1.accepted(*q), r1.value(*q)),
-            Formula::Down2(q) => (r2.accepted(*q), r2.value(*q)),
-            Formula::Pred(id) => (self.eval_pred(*id, x), R::empty()),
+            Formula::Down1(q) => (r1.accepted.contains(*q), results.value(r1, *q)),
+            Formula::Down2(q) => (r2.accepted.contains(*q), results.value(r2, *q)),
+            Formula::Pred(id) => (self.eval_pred(*id, x), S::EMPTY),
             Formula::And(a, b) => {
-                let (ok_a, val_a) = self.eval_formula(a, x, r1, r2);
+                let (ok_a, val_a) = self.eval_formula(results, a, x, r1, r2);
                 if !ok_a {
-                    return (false, R::empty());
+                    return (false, S::EMPTY);
                 }
-                let (ok_b, val_b) = self.eval_formula(b, x, r1, r2);
+                let (ok_b, val_b) = self.eval_formula(results, b, x, r1, r2);
                 if !ok_b {
-                    return (false, R::empty());
+                    return (false, S::EMPTY);
                 }
-                (true, val_a.union(val_b))
+                (true, results.union(val_a, val_b))
             }
             Formula::Or(a, b) => {
                 let emitted_before = self.emitted_marks;
-                let (ok_a, val_a) = self.eval_formula(a, x, r1, r2);
+                let (ok_a, val_a) = self.eval_formula(results, a, x, r1, r2);
                 if ok_a {
                     return (true, val_a);
                 }
                 // The failed branch's marks were discarded with its value.
                 self.emitted_marks = emitted_before;
-                self.eval_formula(b, x, r1, r2)
+                self.eval_formula(results, b, x, r1, r2)
             }
             Formula::Not(a) => {
                 let emitted_before = self.emitted_marks;
-                let (ok, _) = self.eval_formula(a, x, r1, r2);
+                let (ok, _) = self.eval_formula(results, a, x, r1, r2);
                 // Marks inside a negation never produce results.
                 self.emitted_marks = emitted_before;
-                (!ok, R::empty())
+                (!ok, S::EMPTY)
             }
         }
     }
@@ -854,6 +937,66 @@ mod tests {
             fast_visited < naive_visited,
             "jumping should visit fewer nodes ({fast_visited} vs {naive_visited})"
         );
+    }
+
+    /// Jump candidates hidden in an attribute container are skipped by
+    /// looking at the `@` openings *before* them — also in a hand-built tree
+    /// where containers nest, so that the nearest `@` before a node is not
+    /// the one around it.
+    #[test]
+    fn jumping_skips_candidates_inside_attribute_containers() {
+        let mut b = sxsi_tree::XmlTreeBuilder::new();
+        b.open("doc");
+        for nested in [false, true] {
+            b.open("item");
+            b.open_tag_id(reserved::ATTRIBUTES);
+            if nested {
+                b.open_tag_id(reserved::ATTRIBUTES);
+                b.open("name"); // hidden, two containers deep
+                b.close();
+                b.close();
+            }
+            b.open("name"); // hidden: after the inner container, inside the outer
+            b.text_leaf(true);
+            b.close();
+            b.close();
+            b.open("name"); // visible
+            b.close();
+            b.close();
+        }
+        b.close();
+        let tree = b.finish();
+        let a = compile(&parse_query("//name").unwrap(), &tree).unwrap();
+        for opts in all_option_sets() {
+            let mut e = Evaluator::new(&a, &tree, None, opts);
+            let found = e.materialize();
+            assert_eq!(found.len(), 2, "{opts:?}");
+            assert!(found.iter().all(|&n| tree.tag(tree.parent(n).unwrap()) != reserved::ATTRIBUTES));
+            assert_eq!(e.count(), 2, "{opts:?}");
+        }
+    }
+
+    /// The transition table is dense in the number of tag names; a document
+    /// with thousands of them (each query pays `configurations × tags` table
+    /// slots) answers like any other.
+    #[test]
+    fn many_distinct_tags() {
+        const TAGS: usize = 5000;
+        let mut xml = String::from("<root>");
+        for i in 0..TAGS {
+            xml.push_str(&format!("<t{i}><leaf/></t{i}>"));
+        }
+        xml.push_str("<t17><t4999/></t17></root>");
+        let doc = parse_document(xml.as_bytes()).unwrap();
+        assert!(doc.tree.num_tags() > TAGS);
+        let f = Fixture { texts: TextCollection::new(&doc.text_slices()), tree: doc.tree };
+        let expected = [("//t17", 2), ("//t17//t4999", 1), ("/root/t4999", 1), ("//*[leaf]", TAGS as u64), ("//*", 2 * TAGS as u64 + 3)];
+        for (query, expected) in expected {
+            for opts in all_option_sets() {
+                assert_eq!(count(&f, query, opts), expected, "{query} with {opts:?}");
+                assert_eq!(nodes(&f, query, opts).len() as u64, expected, "{query} with {opts:?}");
+            }
+        }
     }
 
     /// `exists` agrees with `count > 0` on every query and every

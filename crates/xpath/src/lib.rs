@@ -39,6 +39,7 @@ pub mod eval;
 pub mod parser;
 pub mod queries;
 pub mod rewrite;
+mod table;
 
 pub use ast::{Axis, NodeTest, Path, PositionPred, Predicate, Query, Step, AXIS_NAMES};
 pub use sxsi_search::FtMode;

@@ -184,13 +184,17 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
         Err(IoError::UnsupportedVersion { found: 99, .. })
     ));
 
-    // The superseded version-1 layout is also rejected up front.
-    let mut outdated = bytes.clone();
-    outdated[8..12].copy_from_slice(&1u32.to_le_bytes());
-    assert!(matches!(
-        SxsiIndex::from_bytes(&outdated),
-        Err(IoError::UnsupportedVersion { found: 1, .. })
-    ));
+    // The superseded layouts — version 1, and version 2 whose tag sequence
+    // led with a backend byte — are rejected up front the same way.
+    for superseded in [1u32, 2] {
+        let mut outdated = bytes.clone();
+        outdated[8..12].copy_from_slice(&superseded.to_le_bytes());
+        assert!(matches!(
+            SxsiIndex::from_bytes(&outdated),
+            Err(IoError::UnsupportedVersion { found, supported })
+                if found == superseded && supported == sxsi::FORMAT_VERSION
+        ));
+    }
 
     // Truncation at a spread of byte positions (header, each section, tail).
     for fraction in [0usize, 5, 11, 13, 40, 70, 95, 99] {
