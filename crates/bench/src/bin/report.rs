@@ -1,7 +1,7 @@
 //! Machine-readable benchmark report: `cargo run -p sxsi-bench --bin report`.
 //!
-//! Four experiment families, written to `BENCH_pr7.json` at the repository
-//! root:
+//! Three experiment families, written to `BENCH_pr7.json` at the repository
+//! root, plus two written to files of their own:
 //!
 //! * the quick concurrency benches carried over from PR 2 (the X01–X17
 //!   batch in counting and materializing mode at 1/2/4/8 worker threads
@@ -16,10 +16,6 @@
 //!   full materialization through the prepared-statement API — the
 //!   "how much of the answer is needed" dimension the query redesign
 //!   opened up;
-//! * the PR 7 **succinct-primitive micro-benchmarks**: before/after
-//!   throughput of every hot-path primitive — classic two-level rank vs the
-//!   cache-line-interleaved bitmap, and the pointer (Huffman) wavelet tree
-//!   vs the wavelet matrix — with the primitive variant recorded per row;
 //! * the PR 9 **collection fan-out** experiment, written separately to
 //!   `BENCH_pr9.json`: the X01–X17 batch run through the
 //!   `CollectionExecutor` over an eight-document XMark collection at
@@ -37,8 +33,8 @@
 //! `--runs <n>` (timed runs per entry, default 5) and a repeatable
 //! `--section <name>` restricting the run to named experiment sections
 //! (`concurrency`, `ordered_axis_queries`, `early_termination`,
-//! `micro_succinct`; unknown names exit with status 2).  Use `--release`
-//! for numbers worth recording.
+//! `collection_report`, `search_report`; unknown names exit with status 2).
+//! Use `--release` for numbers worth recording.
 
 use sxsi::{Prepared, QueryOptions, SxsiIndex};
 use sxsi_bench::{measure_batch_qps, median_ms};
@@ -47,8 +43,6 @@ use sxsi_datagen::{
     medline, treebank, wiki, xmark, MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig,
 };
 use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
-use sxsi_succinct::wavelet::SequenceIndex;
-use sxsi_succinct::{BitVec, HuffmanWaveletTree, InterleavedRsBitVector, RsBitVector, WaveletMatrix};
 use sxsi_xpath::{
     NamedQuery, MEDLINE_QUERIES, ORDERED_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES,
 };
@@ -108,15 +102,14 @@ const USAGE: &str = "usage: report [--scale <f64>] [--runs <n>] [--section <name
                      runs the X01-X17 concurrency batches, the O01-O20 \
                      ordered-axis queries, the early-termination \
                      comparison (exists / first-1 / first-10 vs full \
-                     materialization) over all paper query sets, and the \
-                     succinct-primitive micro-benchmarks, writing \
+                     materialization) over all paper query sets, writing \
                      BENCH_pr7.json (and BENCH_pr9.json for the \
                      collection fan-out experiment, BENCH_pr10.json \
                      for the keyword-search experiment).  --section \
                      restricts the run to the named sections \
                      (concurrency, ordered_axis_queries, \
-                     early_termination, micro_succinct, \
-                     collection_report, search_report)";
+                     early_termination, collection_report, \
+                     search_report)";
 
 /// The experiment sections `--section` can select, each with the result
 /// file (at the repository root) it is written to.
@@ -124,7 +117,6 @@ const SECTIONS: &[(&str, &str)] = &[
     ("concurrency", "BENCH_pr7.json"),
     ("ordered_axis_queries", "BENCH_pr7.json"),
     ("early_termination", "BENCH_pr7.json"),
-    ("micro_succinct", "BENCH_pr7.json"),
     ("collection_report", "BENCH_pr9.json"),
     ("search_report", "BENCH_pr10.json"),
 ];
@@ -281,135 +273,6 @@ fn measure_early_termination(
             first10,
         });
     }
-    entries
-}
-
-/// One micro-benchmark row: a primitive operation under one backend
-/// variant.
-struct MicroEntry {
-    name: &'static str,
-    variant: &'static str,
-    probes: usize,
-    ns_per_op: f64,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The PR 7 experiment: before/after throughput of every hot-path succinct
-/// primitive.  "classic"/"pointer" are the pre-PR7 structures; the
-/// "interleaved" bitmap and the "matrix" sequence are the replacements the
-/// live query path now defaults to.
-fn measure_micro_succinct(runs: usize) -> Vec<MicroEntry> {
-    // Out-of-cache working sets: the interleaved layout's whole point is
-    // fewer memory fetches per operation, which only shows once the rank
-    // directory no longer rides along in L2 with the bit data.
-    const BIT_N: usize = 1 << 26;
-    const SEQ_N: usize = 1 << 24;
-    const PROBES: usize = 100_000;
-    let mut state = 42u64;
-
-    let mut bv = BitVec::new();
-    for _ in 0..BIT_N {
-        bv.push(splitmix(&mut state) & 1 == 1);
-    }
-    let classic = RsBitVector::new(&bv);
-    let interleaved = InterleavedRsBitVector::from(&bv);
-    let ones = classic.count_ones();
-
-    let bytes: Vec<u8> = (0..SEQ_N).map(|_| splitmix(&mut state) as u8).collect();
-    let pointer = HuffmanWaveletTree::new(&bytes);
-    let syms: Vec<u64> = bytes.iter().map(|&b| b as u64).collect();
-    let matrix = WaveletMatrix::new(&syms, 256);
-
-    let mut entries = Vec::new();
-    let mut record = |name: &'static str, variant: &'static str, mut op: Box<dyn FnMut() -> usize>| {
-        // Minimum over the runs, not the median: external noise (this often
-        // runs on shared machines) only ever adds time, so the fastest run
-        // is the best estimate of the primitive's true cost.
-        std::hint::black_box(op()); // warm-up pass
-        let mut best_ms = f64::INFINITY;
-        for _ in 0..runs.max(1) {
-            let t = std::time::Instant::now();
-            std::hint::black_box(op());
-            best_ms = best_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        }
-        let ns_per_op = best_ms * 1e6 / PROBES as f64;
-        println!("  {name} [{variant}] {ns_per_op:.1} ns/op over {PROBES} probes");
-        entries.push(MicroEntry { name, variant, probes: PROBES, ns_per_op });
-    };
-
-    let probes: Vec<usize> = {
-        let mut ps = 7u64;
-        (0..PROBES).map(|_| splitmix(&mut ps) as usize % BIT_N).collect()
-    };
-    let rank_probes = probes.clone();
-    let c = classic.clone();
-    record("rank1", "classic", Box::new(move || rank_probes.iter().map(|&i| c.rank1(i)).sum()));
-    let rank_probes = probes.clone();
-    let iv = interleaved.clone();
-    record("rank1", "interleaved", Box::new(move || rank_probes.iter().map(|&i| iv.rank1(i)).sum()));
-
-    let select_probes: Vec<usize> = {
-        let mut ps = 11u64;
-        (0..PROBES).map(|_| splitmix(&mut ps) as usize % ones + 1).collect()
-    };
-    let sp = select_probes.clone();
-    let c = classic.clone();
-    record(
-        "select1",
-        "classic",
-        Box::new(move || sp.iter().map(|&k| c.select1(k).unwrap_or(0)).sum()),
-    );
-    let sp = select_probes;
-    let iv = interleaved.clone();
-    record(
-        "select1",
-        "interleaved",
-        Box::new(move || sp.iter().map(|&k| iv.select1(k).unwrap_or(0)).sum()),
-    );
-
-    let seq_positions: Vec<usize> = {
-        let mut ps = 13u64;
-        (0..PROBES).map(|_| splitmix(&mut ps) as usize % SEQ_N).collect()
-    };
-    let seq_probes = seq_positions.clone();
-    let by = bytes.clone();
-    let pt = pointer.clone();
-    record(
-        "seq-rank",
-        "pointer",
-        Box::new(move || seq_probes.iter().map(|&i| pt.rank(by[i], i)).sum()),
-    );
-    let seq_probes = seq_positions.clone();
-    let by2 = bytes.clone();
-    let mx = matrix.clone();
-    record(
-        "seq-rank",
-        "matrix",
-        Box::new(move || seq_probes.iter().map(|&i| mx.rank_sym(by2[i] as u64, i)).sum()),
-    );
-
-    let seq_probes = seq_positions.clone();
-    let pt = pointer;
-    record(
-        "seq-access",
-        "pointer",
-        Box::new(move || seq_probes.iter().map(|&i| pt.access(i) as usize).sum()),
-    );
-    let seq_probes = seq_positions;
-    let mx = matrix;
-    record(
-        "seq-access",
-        "matrix",
-        Box::new(move || seq_probes.iter().map(|&i| mx.access_sym(i) as usize).sum()),
-    );
-
     entries
 }
 
@@ -639,12 +502,6 @@ fn main() {
     } else {
         Vec::new()
     };
-    let micro = if enabled("micro_succinct") {
-        println!("succinct primitives: classic/pointer vs interleaved/matrix ...");
-        measure_micro_succinct(runs)
-    } else {
-        Vec::new()
-    };
     if writes_file(&selected, "BENCH_pr9.json") {
         println!("collection fan-out: X01-X17 across an 8-document collection ...");
         let (collection_entries, docs) = measure_collection(scale, runs);
@@ -725,20 +582,16 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"pr\": 7,\n");
     json.push_str(
-        "  \"bench\": \"hot-path succinct primitives (interleaved rank, wavelet matrix, \
-         broadword select) + batch throughput, ordered queries, early termination\",\n",
+        "  \"bench\": \"batch throughput, ordered queries, early termination\",\n",
     );
     json.push_str(&format!(
-        "  \"corpus\": \"xmark scale {scale} seed 42 (+ treebank/medline/wiki defaults); \
-         micro benches on 2^26 synthetic bits / 2^24 bytes\",\n"
+        "  \"corpus\": \"xmark scale {scale} seed 42 (+ treebank/medline/wiki defaults)\",\n"
     ));
     json.push_str(&format!("  \"queries\": {},\n", XMARK_QUERIES.len()));
     json.push_str(&format!("  \"runs_per_entry\": {runs},\n"));
     json.push_str(&format!("  \"available_parallelism\": {parallelism},\n"));
     json.push_str(
-        "  \"note\": \"thread scaling is bounded by available_parallelism; \
-         micro_succinct rows pair each primitive's pre-PR7 variant \
-         (classic/pointer) with its PR7 replacement (interleaved/matrix)\",\n",
+        "  \"note\": \"thread scaling is bounded by available_parallelism\",\n",
     );
     let mut sections_json: Vec<String> = Vec::new();
     if enabled("concurrency") {
@@ -792,18 +645,6 @@ fn main() {
         out.push_str("  ]");
         sections_json.push(out);
     }
-    if enabled("micro_succinct") {
-        let mut out = String::from("  \"micro_succinct\": [\n");
-        for (i, e) in micro.iter().enumerate() {
-            let comma = if i + 1 == micro.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"variant\": \"{}\", \"probes\": {}, \"ns_per_op\": {:.2} }}{comma}\n",
-                e.name, e.variant, e.probes, e.ns_per_op
-            ));
-        }
-        out.push_str("  ]");
-        sections_json.push(out);
-    }
     json.push_str(&sections_json.join(",\n"));
     json.push_str("\n}\n");
 
@@ -843,7 +684,7 @@ mod tests {
     #[test]
     fn sections_combine_and_bad_arguments_are_errors() {
         let (_, _, selected) =
-            parse_args(args(&["--section", "micro_succinct", "--section", "search_report"])).unwrap();
+            parse_args(args(&["--section", "early_termination", "--section", "search_report"])).unwrap();
         assert!(writes_file(&selected, "BENCH_pr7.json") && writes_file(&selected, "BENCH_pr10.json"));
         assert!(!writes_file(&selected, "BENCH_pr9.json") && !enabled(&selected, "concurrency"));
         for bad in [&["--section", "micro"][..], &["--section"], &["--runs", "0"], &["--scale", "x"], &["--out"]] {

@@ -114,7 +114,7 @@ impl From<IoError> for CollectionError {
 /// `open` reads and validates only the manifest; each segment is loaded on
 /// first use (thread-safe, at most once) and re-validated against its
 /// manifest entry — byte checksum first, then the node/element/text counts
-/// and succinct backend tags after decoding.
+/// after decoding.
 pub struct Collection {
     dir: PathBuf,
     manifest: Manifest,
@@ -180,8 +180,6 @@ impl Collection {
                 num_nodes: stats.num_nodes as u64,
                 num_elements: stats.num_elements as u64,
                 num_texts: stats.num_texts as u64,
-                rank_tag: index.options().succinct.rank.tag(),
-                sequence_tag: index.options().succinct.sequence.tag(),
             });
             let slot = OnceLock::new();
             let _ = slot.set(Arc::new(index));
@@ -295,12 +293,6 @@ impl Collection {
                 ),
             ));
         }
-        let options = index.options();
-        if options.succinct.rank.tag() != entry.rank_tag
-            || options.succinct.sequence.tag() != entry.sequence_tag
-        {
-            return Err(self.segment_error(doc, "segment backends differ from the manifest tags"));
-        }
         Ok(Arc::new(index))
     }
 }
@@ -354,17 +346,6 @@ impl Verify for Collection {
                             entry.num_nodes,
                             entry.num_elements,
                             entry.num_texts
-                        )
-                    },
-                );
-                ctx.check(
-                    "collection-backend-mismatch",
-                    index.options().succinct.rank.tag() == entry.rank_tag
-                        && index.options().succinct.sequence.tag() == entry.sequence_tag,
-                    || {
-                        format!(
-                            "doc {doc} ({}): segment backends differ from the manifest tags",
-                            entry.name
                         )
                     },
                 );

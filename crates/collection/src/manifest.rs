@@ -3,9 +3,9 @@
 //! A collection is a directory holding one manifest plus one `.sxsi`
 //! segment file per document.  The manifest is the unit of identity: it
 //! names every segment, pins each segment's byte checksum, and records
-//! enough per-document metadata (node/element/text counts, succinct
-//! backend tags) that structural drift between the manifest and a segment
-//! is detectable without trusting either side.
+//! enough per-document metadata (node/element/text counts) that structural
+//! drift between the manifest and a segment is detectable without trusting
+//! either side.
 //!
 //! # Layout
 //!
@@ -22,16 +22,14 @@
 //! I/O error, a bit flip with a checksum mismatch, a manifest from a
 //! different format version with a version error — always a structured
 //! [`IoError`], never a panic.  Every structural invariant (dense DocIds,
-//! unique names, sane segment file names, decodable backend tags, totals
-//! matching the per-document sums) is re-validated while decoding.
+//! unique names, sane segment file names, totals matching the per-document
+//! sums) is re-validated while decoding.
 
 use std::io::{Read, Write};
 
-use sxsi::{RankBackend, SequenceBackend};
 use sxsi_io::{
-    corrupt, read_section, read_string, read_u32, read_u64, read_u8, read_usize, write_end,
-    write_section, write_str, write_u32, write_u64, write_u8, write_usize, IoError, ReadFrom,
-    WriteInto,
+    corrupt, read_section, read_string, read_u32, read_u64, read_usize, write_end, write_section,
+    write_str, write_u32, write_u64, write_usize, IoError, ReadFrom, WriteInto,
 };
 use sxsi_verify::{Verify, VerifyContext, VerifyDepth};
 
@@ -40,8 +38,8 @@ pub const COLLECTION_MAGIC: [u8; 8] = *b"SXSICOL\0";
 
 /// Current manifest format version.  Bumped on any incompatible layout
 /// change; readers reject manifests from other versions with
-/// [`IoError::UnsupportedVersion`].
-pub const COLLECTION_FORMAT_VERSION: u32 = 1;
+/// [`IoError::UnsupportedVersion`] (`docs/format.md` lists the versions).
+pub const COLLECTION_FORMAT_VERSION: u32 = 2;
 
 const SECTION_DOCS: u8 = 1;
 const SECTION_TOTALS: u8 = 2;
@@ -66,10 +64,6 @@ pub struct DocEntry {
     pub num_elements: u64,
     /// Text count the segment must report after loading.
     pub num_texts: u64,
-    /// Rank backend tag the segment's options must carry.
-    pub rank_tag: u8,
-    /// Sequence backend tag the segment's options must carry.
-    pub sequence_tag: u8,
 }
 
 /// A decoded `.sxsic` manifest: the document table plus collection-wide
@@ -112,9 +106,7 @@ fn write_doc_entry<W: Write + ?Sized>(w: &mut W, entry: &DocEntry) -> std::io::R
     write_u64(w, entry.checksum)?;
     write_u64(w, entry.num_nodes)?;
     write_u64(w, entry.num_elements)?;
-    write_u64(w, entry.num_texts)?;
-    write_u8(w, entry.rank_tag)?;
-    write_u8(w, entry.sequence_tag)
+    write_u64(w, entry.num_texts)
 }
 
 fn read_doc_entry<R: Read + ?Sized>(r: &mut R) -> Result<DocEntry, IoError> {
@@ -126,8 +118,6 @@ fn read_doc_entry<R: Read + ?Sized>(r: &mut R) -> Result<DocEntry, IoError> {
         num_nodes: read_u64(r)?,
         num_elements: read_u64(r)?,
         num_texts: read_u64(r)?,
-        rank_tag: read_u8(r)?,
-        sequence_tag: read_u8(r)?,
     })
 }
 
@@ -232,15 +222,6 @@ impl Manifest {
                     entry.num_elements, entry.num_texts, entry.num_nodes
                 ));
             }
-            if RankBackend::from_tag(entry.rank_tag).is_err() {
-                return Some(format!("doc {i} has unknown rank backend tag {}", entry.rank_tag));
-            }
-            if SequenceBackend::from_tag(entry.sequence_tag).is_err() {
-                return Some(format!(
-                    "doc {i} has unknown sequence backend tag {}",
-                    entry.sequence_tag
-                ));
-            }
             if self.docs[..i].iter().any(|prev| prev.name == entry.name) {
                 return Some(format!("duplicate doc name {:?}", entry.name));
             }
@@ -286,14 +267,6 @@ impl Verify for Manifest {
             || "segment file names must be sane and unique".into(),
         );
         ctx.check(
-            "collection-backend-tag",
-            self.docs.iter().all(|d| {
-                RankBackend::from_tag(d.rank_tag).is_ok()
-                    && SequenceBackend::from_tag(d.sequence_tag).is_ok()
-            }),
-            || "a doc entry carries an unknown succinct backend tag".into(),
-        );
-        ctx.check(
             "collection-doc-counts",
             self.docs.iter().all(|d| d.num_elements <= d.num_nodes && d.num_texts <= d.num_nodes),
             || "a doc entry declares more elements or texts than nodes".into(),
@@ -322,8 +295,6 @@ mod tests {
             num_nodes: 10 + id,
             num_elements: 4 + id,
             num_texts: 3,
-            rank_tag: RankBackend::default().tag(),
-            sequence_tag: SequenceBackend::default().tag(),
         }
     }
 
@@ -360,12 +331,19 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = manifest().to_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            Manifest::from_bytes(&bytes),
-            Err(IoError::UnsupportedVersion { found: 99, supported: COLLECTION_FORMAT_VERSION })
-        ));
+        // Version 1 is the superseded layout with per-doc backend tags.
+        for version in [1u32, 99] {
+            let mut bytes = manifest().to_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    Manifest::from_bytes(&bytes),
+                    Err(IoError::UnsupportedVersion { found, supported: COLLECTION_FORMAT_VERSION })
+                        if found == version
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
@@ -397,7 +375,6 @@ mod tests {
             ("collection-docid-density", |m| m.docs[2].id = 7),
             ("collection-doc-name", |m| m.docs[1].name = "alpha".into()),
             ("collection-segment-name", |m| m.docs[0].segment = "../escape.sxsi".into()),
-            ("collection-backend-tag", |m| m.docs[1].rank_tag = 0xEE),
             ("collection-doc-counts", |m| m.docs[0].num_elements = m.docs[0].num_nodes + 1),
             ("collection-total-elements", |m| m.total_elements += 1),
             ("collection-total-texts", |m| m.total_texts += 1),

@@ -1,6 +1,6 @@
 //! The `.sxsi` on-disk index container.
 //!
-//! An index is built once (XML parse, suffix array, BWT, wavelet trees,
+//! An index is built once (XML parse, suffix array, BWT, wavelet matrix,
 //! balanced parentheses — the expensive part) and then persisted so any
 //! number of worker processes can load it and answer queries immediately.
 //! This module defines the container layout and implements the
@@ -32,10 +32,9 @@ use std::path::Path;
 
 use sxsi_io::{
     corrupt, read_bool, read_section, read_u32, read_u8, read_usize, write_bool,
-    write_section, write_u32, write_u8, write_usize, write_end, END_SECTION,
+    write_section, write_u32, write_usize, write_end, END_SECTION,
 };
 use sxsi_verify::VerifyDepth;
-use sxsi_succinct::{RankBackend, SequenceBackend, SuccinctOptions};
 use sxsi_text::TextCollection;
 use sxsi_tree::XmlTree;
 use sxsi_xpath::eval::EvalOptions;
@@ -55,8 +54,10 @@ pub const MAGIC: [u8; 8] = *b"SXSIIDX\0";
 /// backend tags (interleaved rank bitmaps, wavelet-matrix sequences) to the
 /// options section and to every backend-dispatched structure; version 3
 /// dropped the tag sequence's backend byte (its occurrence index is always
-/// one sarray per tag, rebuilt on load).
-pub const FORMAT_VERSION: u32 = 3;
+/// one sarray per tag, rebuilt on load); version 4 dropped every backend
+/// tag again — two in the options section, one on each of the three rank
+/// bitmaps and one on the BWT — because each role has one structure.
+pub const FORMAT_VERSION: u32 = 4;
 
 const SECTION_OPTIONS: u8 = 1;
 const SECTION_TREE: u8 = 2;
@@ -84,9 +85,7 @@ impl WriteInto for SxsiOptions {
         self.text.write_into(w)?;
         write_eval_options(w, &self.eval)?;
         write_bool(w, self.keep_whitespace_text)?;
-        write_bool(w, self.force_top_down)?;
-        write_u8(w, self.succinct.rank.tag())?;
-        write_u8(w, self.succinct.sequence.tag())
+        write_bool(w, self.force_top_down)
     }
 }
 
@@ -97,10 +96,6 @@ impl ReadFrom for SxsiOptions {
             eval: read_eval_options(r)?,
             keep_whitespace_text: read_bool(r)?,
             force_top_down: read_bool(r)?,
-            succinct: SuccinctOptions {
-                rank: RankBackend::from_tag(read_u8(r)?)?,
-                sequence: SequenceBackend::from_tag(read_u8(r)?)?,
-            },
         })
     }
 }
@@ -285,9 +280,6 @@ pub struct ContainerScan {
     pub version: u32,
     /// Per-section framing facts, in file order.
     pub sections: Vec<SectionInfo>,
-    /// Succinct backends recorded in the options section, when its payload
-    /// decoded under the current format.
-    pub backends: Option<SuccinctOptions>,
     /// Whether the end marker was present with nothing after it.
     pub clean_end: bool,
 }
@@ -316,7 +308,6 @@ pub fn scan_container(r: &mut (impl Read + ?Sized)) -> Result<ContainerScan, IoE
     }
     let version = read_u32(r)?;
     let mut sections = Vec::new();
-    let mut backends = None;
     let mut clean_end = false;
     while let Ok(tag) = read_u8(r) {
         if tag == END_SECTION {
@@ -328,12 +319,9 @@ pub fn scan_container(r: &mut (impl Read + ?Sized)) -> Result<ContainerScan, IoE
         let payload = sxsi_io::read_byte_vec(r, length)?;
         let stored = sxsi_io::read_u64(r)?;
         let checksum_ok = fnv1a64(&payload) == stored;
-        if tag == SECTION_OPTIONS && checksum_ok && version == FORMAT_VERSION {
-            backends = SxsiOptions::from_bytes(&payload).ok().map(|o| o.succinct);
-        }
         sections.push(SectionInfo { tag, name: section_name(tag), length: length as u64, checksum_ok });
     }
-    Ok(ContainerScan { version, sections, backends, clean_end })
+    Ok(ContainerScan { version, sections, clean_end })
 }
 
 /// [`scan_container`] over a buffered file reader.
@@ -418,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_reports_sections_and_backends() {
+    fn scan_reports_sections() {
         let bytes = index().to_bytes();
         let scan = scan_container(&mut &bytes[..]).unwrap();
         assert_eq!(scan.version, FORMAT_VERSION);
@@ -427,7 +415,6 @@ mod tests {
             vec!["options", "tree", "texts", "meta"]
         );
         assert!(scan.sections.iter().all(|s| s.checksum_ok));
-        assert_eq!(scan.backends, Some(SuccinctOptions::default()));
         assert!(scan.clean_end);
     }
 

@@ -64,7 +64,6 @@ pub use sxsi_verify::{Verify, VerifyDepth, VerifyIssue, VerifyReport};
 pub use query::{NodeCursor, Prepared, QueryMode, QueryOptions, ResultSet};
 pub use sxsi_search::{FtMode, FtQuery, PreparedFt, SearchHit};
 pub use serialize::{serialize_subtree, string_value, subtree_to_string};
-pub use sxsi_succinct::{RankBackend, SequenceBackend, SuccinctOptions};
 pub use sxsi_text::{TextId, TextPredicate};
 pub use sxsi_tree::{NodeId, TagId, TreeError};
 pub use sxsi_xpath::eval::EvalStats;
@@ -137,11 +136,6 @@ pub struct SxsiOptions {
     pub keep_whitespace_text: bool,
     /// Never use the bottom-up strategy, even when a query is eligible.
     pub force_top_down: bool,
-    /// Succinct primitive backends for every bitmap and symbol sequence of
-    /// the index: interleaved rank + wavelet matrix by default,
-    /// [`SuccinctOptions::classic`] for the original two-level/pointer-tree
-    /// structures.
-    pub succinct: SuccinctOptions,
 }
 
 /// Which evaluation strategy answered a query (the paper's Figure 14
@@ -266,25 +260,14 @@ impl SxsiIndex {
 
     /// Parses `xml` and builds the index.
     pub fn build_from_xml_with_options(xml: &[u8], options: SxsiOptions) -> Result<Self, BuildError> {
-        let doc_options = DocumentOptions {
-            keep_whitespace_text: options.keep_whitespace_text,
-            succinct: options.succinct,
-        };
+        let doc_options = DocumentOptions { keep_whitespace_text: options.keep_whitespace_text };
         let doc = parse_document_with_options(xml, &doc_options).map_err(BuildError::Parse)?;
         Ok(Self::from_parsed_document(doc, options))
     }
 
     /// Builds the index from an already-parsed document model.
-    ///
-    /// Note: `options.succinct` governs the *text* side here; the tree
-    /// backends were fixed when `doc` was parsed (see
-    /// [`sxsi_xml::DocumentOptions`]).
     pub fn from_parsed_document(doc: ParsedDocument, options: SxsiOptions) -> Self {
-        let texts = TextCollection::with_options_and_backends(
-            &doc.text_slices(),
-            options.text.clone(),
-            options.succinct,
-        );
+        let texts = TextCollection::with_options(&doc.text_slices(), options.text.clone());
         Self { tree: doc.tree, texts, options, num_elements: doc.num_elements }
     }
 
@@ -506,24 +489,11 @@ impl SxsiIndex {
 
 impl Verify for SxsiIndex {
     /// Cross-section checks: the tree, the text collection and the recorded
-    /// options must describe the same document, built with the same
-    /// succinct backends.  Component invariants are checked recursively.
+    /// options must describe the same document.  Component invariants are
+    /// checked recursively.
     fn verify_into(&self, depth: VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         ctx.enter("tree", |ctx| self.tree.verify_into(depth, ctx));
         ctx.enter("texts", |ctx| self.texts.verify_into(depth, ctx));
-        ctx.check(
-            "options-backend-mismatch",
-            self.tree.backends() == self.options.succinct.rank
-                && self.texts.fm_index().backends() == self.options.succinct,
-            || {
-                format!(
-                    "options record {:?}, tree uses {:?}, text index uses {:?}",
-                    self.options.succinct,
-                    self.tree.backends(),
-                    self.texts.fm_index().backends()
-                )
-            },
-        );
         ctx.check(
             "options-text-mismatch",
             self.options.text.sample_rate == self.texts.fm_index().sample_rate()
@@ -821,10 +791,6 @@ mod tests {
         let mut drifted = index();
         drifted.num_elements += 1;
         assert!(drifted.verify(VerifyDepth::Quick).has_code("element-count"));
-
-        let mut wrong_backend = index();
-        wrong_backend.options.succinct = SuccinctOptions::classic();
-        assert!(wrong_backend.verify(VerifyDepth::Quick).has_code("options-backend-mismatch"));
 
         let mut wrong_rate = index();
         wrong_rate.options.text.sample_rate += 1;

@@ -832,14 +832,6 @@ fn cmd_info(args: &[String]) -> ExitCode {
         "  options: sample_rate={} plain_text={} scan_cutoff={}",
         options.text.sample_rate, options.text.keep_plain_text, options.text.scan_cutoff
     );
-    let backends = options.succinct;
-    println!(
-        "  backends: rank={} (tag {}) sequence={} (tag {})",
-        backends.rank.name(),
-        backends.rank.tag(),
-        backends.sequence.name(),
-        backends.sequence.tag()
-    );
     // Per-section framing status straight from the file, independent of the
     // load above (a section the loader rebuilt fine can still be reported).
     match sxsi::scan_container_file(path) {
@@ -889,16 +881,13 @@ fn cmd_info_collection(path: &str) -> ExitCode {
     println!("  fingerprint:    {:016x}", collection.fingerprint());
     for entry in &manifest.docs {
         println!(
-            "  doc {}: {} segment={} nodes={} elements={} texts={} \
-             rank_tag={} sequence_tag={} checksum={:016x}",
+            "  doc {}: {} segment={} nodes={} elements={} texts={} checksum={:016x}",
             entry.id,
             entry.name,
             entry.segment,
             entry.num_nodes,
             entry.num_elements,
             entry.num_texts,
-            entry.rank_tag,
-            entry.sequence_tag,
             entry.checksum
         );
     }

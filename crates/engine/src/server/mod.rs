@@ -1129,17 +1129,11 @@ impl ServerInner {
                         stats.plain_text_bytes,
                         stats.total_bytes()
                     );
-                    let backends = index.options().succinct;
                     let report = index.verify(sxsi::VerifyDepth::Quick);
                     let _ = writeln!(
                         out,
-                        "index-backends id={} rank={} rank_tag={} sequence={} sequence_tag={} \
-                         verify={} verify_checks={}",
+                        "index-verify id={} verify={} verify_checks={}",
                         named.id,
-                        backends.rank.name(),
-                        backends.rank.tag(),
-                        backends.sequence.name(),
-                        backends.sequence.tag(),
                         if report.is_ok() {
                             "ok".to_string()
                         } else {

@@ -290,8 +290,8 @@ pub fn container_input(rng: &mut FuzzRng) -> Vec<u8> {
 }
 
 /// A small but representative manifest: three documents with distinct
-/// names, segments, counts and backend tags, so every decoder field and
-/// invariant check sees non-degenerate data.
+/// names, segments and counts, so every decoder field and invariant check
+/// sees non-degenerate data.
 fn seed_manifest_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -300,7 +300,7 @@ fn seed_manifest_bytes() -> &'static [u8] {
 }
 
 /// A structurally valid manifest with `num_docs` documents; `salt`
-/// varies names, counts and backend tags so grown inputs differ.
+/// varies names and counts so grown inputs differ.
 fn valid_manifest(num_docs: u64, salt: u64) -> Manifest {
     let docs = (0..num_docs)
         .map(|id| DocEntry {
@@ -311,8 +311,6 @@ fn valid_manifest(num_docs: u64, salt: u64) -> Manifest {
             num_nodes: 10 + id + (salt % 7),
             num_elements: 6 + id,
             num_texts: 4 + (salt % 3),
-            rank_tag: (salt % 2) as u8,
-            sequence_tag: ((salt >> 1) % 2) as u8,
         })
         .collect::<Vec<_>>();
     Manifest {

@@ -4,34 +4,25 @@
 //! text and tree indexes are made of:
 //!
 //! * [`BitVec`] — a growable plain bitvector used as a construction buffer.
-//! * [`RsBitVector`] — a static bitvector with constant-time `rank` and
-//!   near-constant-time `select` (the workhorse behind the balanced
-//!   parentheses sequence, wavelet tree nodes, leaf maps and sampling
-//!   bitmaps).
+//! * [`InterleavedRsBitVector`] — a static bitvector with `O(1)` `rank` and
+//!   near-constant `select` whose counters sit inline with the bit words
+//!   (one 64-byte cache line = counters + 384 payload bits), so `rank` is a
+//!   single cache-line fetch.  It backs the balanced parentheses, the
+//!   text-leaf map, the FM-index sampling bitmap and the wavelet-matrix
+//!   levels.
+//! * [`RsBitVector`] — the classical two-level rank directory, kept as the
+//!   upper-bits bitmap of [`EliasFano`].
 //! * [`EliasFano`] — a compressed monotone integer sequence with fast
 //!   `select`/successor queries; this plays the role of the
 //!   Okanohara–Sadakane *sarray* used for the per-tag occurrence rows.
 //! * [`IntVector`] — a fixed-width packed integer array (the `Tag` sequence,
 //!   sample arrays, …).
-//! * [`wavelet::HuffmanWaveletTree`] — a Huffman-shaped wavelet tree over a
-//!   byte alphabet, the sequence representation used for the BWT inside the
+//! * [`WaveletMatrix`] — a pointer-free wavelet matrix with one flat bitmap
+//!   per level, the sequence representation used for the BWT inside the
 //!   FM-index.
-//! * [`wavelet::BalancedWaveletTree`] — a balanced wavelet tree over an
-//!   arbitrary `u32` alphabet, used for the word-based text index.
-//!
-//! PR 7 adds a second generation of hot-path primitives, selected per index
-//! through [`SuccinctOptions`] (they are the defaults):
-//!
-//! * [`InterleavedRsBitVector`] — rank counters stored inline with the bit
-//!   words (one 64-byte cache line = one counter + 448 payload bits), so
-//!   `rank` is a single cache-line fetch.
-//! * [`wavelet::WaveletMatrix`] — a pointer-free wavelet matrix with one
-//!   flat bitmap per level, replacing per-node boundary chasing with one
-//!   interleaved rank per level.
-//! * [`RankBitmap`] — the enum the tree/text crates hold so either rank
-//!   layout can answer their calls.
-//! * [`oracle`] — the differential-testing harness that pins every variant
-//!   against a naive reference and against each other.
+//! * [`oracle`] — the differential-testing harness that pins every
+//!   structure against a naive reference (and the two bitvectors against
+//!   each other).
 //!
 //! All structures are immutable after construction and are designed for the
 //! access patterns of the SXSI query engine: heavy `rank`/`select` traffic
@@ -55,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod backend;
 pub mod bits;
 pub mod bitvec;
 pub mod eliasfano;
@@ -65,13 +55,12 @@ pub mod oracle;
 pub mod rsbitvec;
 pub mod wavelet;
 
-pub use backend::{RankBackend, RankBitmap, SequenceBackend, SuccinctOptions};
 pub use bitvec::BitVec;
 pub use eliasfano::{EliasFano, EliasFanoBuilder};
 pub use interleaved::InterleavedRsBitVector;
 pub use intvec::IntVector;
 pub use rsbitvec::RsBitVector;
-pub use wavelet::{BalancedWaveletTree, HuffmanWaveletTree, WaveletMatrix};
+pub use wavelet::WaveletMatrix;
 
 /// Number of heap bytes used by a slice of `T`, ignoring allocation slack.
 pub(crate) fn slice_bytes<T>(s: &[T]) -> usize {

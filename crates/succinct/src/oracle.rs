@@ -21,7 +21,7 @@
 
 use crate::interleaved::InterleavedRsBitVector;
 use crate::wavelet::SequenceIndex;
-use crate::{BitVec, RankBitmap, RsBitVector};
+use crate::{BitVec, RsBitVector};
 
 /// Minimal rank/select interface the differential driver checks.
 ///
@@ -94,24 +94,6 @@ impl RankSelect for InterleavedRsBitVector {
     }
     fn select0(&self, k: usize) -> Option<usize> {
         InterleavedRsBitVector::select0(self, k)
-    }
-}
-
-impl RankSelect for RankBitmap {
-    fn len(&self) -> usize {
-        RankBitmap::len(self)
-    }
-    fn get(&self, i: usize) -> bool {
-        RankBitmap::get(self, i)
-    }
-    fn rank1(&self, i: usize) -> usize {
-        RankBitmap::rank1(self, i)
-    }
-    fn select1(&self, k: usize) -> Option<usize> {
-        RankBitmap::select1(self, k)
-    }
-    fn select0(&self, k: usize) -> Option<usize> {
-        RankBitmap::select0(self, k)
     }
 }
 

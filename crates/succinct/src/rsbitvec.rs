@@ -8,8 +8,9 @@
 //! is then two array reads plus one masked popcount.  `select` uses a sampled
 //! position array (one sample every 8192 ones/zeros) to narrow down the
 //! superblock, then scans words; this is the "darray-light" strategy that is
-//! near-constant time in practice on the dense bitmaps SXSI manipulates
-//! (parentheses, leaf maps, wavelet tree levels).
+//! near-constant time in practice.  In the index it is the upper-bits
+//! bitmap of [`crate::EliasFano`]; every other bitmap is a
+//! [`crate::InterleavedRsBitVector`].
 
 use crate::bits::{ceil_div, select0_in_word, select_in_word};
 use crate::{BitVec, SpaceUsage};

@@ -7,8 +7,7 @@
 //! bits on level `l`.  Symbols whose level-`l` bit is 0 are stably moved to
 //! the front for level `l + 1`; the per-node boundaries disappear, so each
 //! level costs exactly one rank on one bitmap — fewer cache misses and no
-//! pointer arithmetic than the node-per-symbol layout of
-//! [`super::BalancedWaveletTree`].
+//! pointer arithmetic than a node-per-symbol wavelet tree.
 //!
 //! Construction uses ping-pong buffers: two `Vec<u64>`s are swapped per
 //! level, each pass writing the zero-bit symbols to the front and the
@@ -396,24 +395,6 @@ mod tests {
         let seq: Vec<u64> = (0..1000).map(|i| if i % 50 == 0 { (i / 50) as u64 % 20 } else { 0 }).collect();
         let wm = WaveletMatrix::new(&seq, 20);
         check_sequence_index(&seq, &wm);
-    }
-
-    #[test]
-    fn matches_balanced_wavelet_tree() {
-        use crate::wavelet::BalancedWaveletTree;
-        let seq32: Vec<u32> = (0..3000).map(|i| ((i * 2654435761usize) % 97) as u32).collect();
-        let seq64: Vec<u64> = seq32.iter().map(|&v| v as u64).collect();
-        let wt = BalancedWaveletTree::new(&seq32, 97);
-        let wm = WaveletMatrix::new(&seq64, 97);
-        for i in 0..seq32.len() {
-            assert_eq!(wm.access_sym(i), wt.access(i) as u64, "access({i})");
-        }
-        for sym in 0..97u32 {
-            assert_eq!(wm.rank_sym(sym as u64, seq32.len()), wt.rank(sym, seq32.len()), "count({sym})");
-            for k in 1..=wt.rank(sym, seq32.len()) {
-                assert_eq!(wm.select_sym(sym as u64, k), wt.select(sym, k), "select({sym}, {k})");
-            }
-        }
     }
 
     #[test]

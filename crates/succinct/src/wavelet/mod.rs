@@ -1,22 +1,18 @@
-//! Wavelet trees: sequence representations with `access`, `rank` and
+//! Wavelet structures: sequence representations with `access`, `rank` and
 //! `select` over general alphabets.
 //!
-//! The FM-index of Section 3 needs `rank_c(T^bwt, i)` for byte symbols; SXSI
-//! uses a **Huffman-shaped** wavelet tree with plain bitmaps (Claude &
-//! Navarro, SPIRE 2008), which makes the expected query cost proportional to
-//! the zero-order entropy of the sequence rather than `log σ`.  The
-//! word-based text index uses a **balanced** wavelet tree over word
-//! identifiers (a `u32` alphabet).
+//! The FM-index of Section 3 needs `rank_c(T^bwt, i)` for byte symbols.  The
+//! paper uses a Huffman-shaped wavelet tree; this crate keeps one structure
+//! for the role, the pointer-free [`WaveletMatrix`] (fixed `log σ` levels of
+//! single-cache-line ranks), which measured faster on the BWT (see
+//! `ARCHITECTURE.md`).
 
-mod balanced;
-mod huffman;
 mod matrix;
 
-pub use balanced::BalancedWaveletTree;
-pub use huffman::HuffmanWaveletTree;
 pub use matrix::WaveletMatrix;
 
-/// Common query interface of the wavelet trees in this module.
+/// Query interface of a symbol sequence: implemented by [`WaveletMatrix`]
+/// and by the naive references the [`crate::oracle`] drivers compare it to.
 pub trait SequenceIndex<Sym: Copy + Eq> {
     /// Length of the indexed sequence.
     fn len(&self) -> usize;

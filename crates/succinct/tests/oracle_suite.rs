@@ -10,10 +10,7 @@ use sxsi_succinct::oracle::{
     oracle_cases, NaiveBitVector, OracleRng,
 };
 use sxsi_succinct::wavelet::SequenceIndex;
-use sxsi_succinct::{
-    BalancedWaveletTree, BitVec, EliasFano, HuffmanWaveletTree, InterleavedRsBitVector, RankBackend,
-    RankBitmap, RsBitVector, WaveletMatrix,
-};
+use sxsi_succinct::{BitVec, EliasFano, InterleavedRsBitVector, RsBitVector, WaveletMatrix};
 use sxsi_io::{ReadFrom, WriteInto};
 
 /// SplitMix64: the same deterministic generator the datagen crate uses.
@@ -191,66 +188,6 @@ fn eliasfano_sarray_edges_match_naive() {
     }
 }
 
-fn check_wavelet<Sym: Copy + Eq + std::fmt::Debug, S: SequenceIndex<Sym>>(seq: &[Sym], wt: &S, alphabet: &[Sym]) {
-    assert_eq!(wt.len(), seq.len());
-    for (i, &s) in seq.iter().enumerate() {
-        assert_eq!(wt.access(i), s, "access({i})");
-    }
-    for &sym in alphabet {
-        let mut seen = 0usize;
-        for (i, &s) in seq.iter().enumerate() {
-            assert_eq!(wt.rank(sym, i), seen, "rank({i})");
-            if s == sym {
-                seen += 1;
-                assert_eq!(wt.select(sym, seen), Some(i), "select({seen})");
-            }
-        }
-        assert_eq!(wt.rank(sym, seq.len()), seen, "full rank");
-        assert_eq!(wt.select(sym, seen + 1), None, "select past end");
-        assert_eq!(wt.select(sym, 0), None, "select(0)");
-    }
-}
-
-#[test]
-fn huffman_wavelet_matches_naive() {
-    let mut rng = Rng::new(0x33F_5EED);
-    // Skewed distribution: symbol 0 dominates, exercising deep Huffman leaves.
-    for &len in &[0usize, 1, 100, 2000] {
-        let seq: Vec<u8> = (0..len)
-            .map(|_| {
-                if rng.chance(3, 4) {
-                    0
-                } else {
-                    rng.below(250) as u8
-                }
-            })
-            .collect();
-        let wt = HuffmanWaveletTree::new(&seq);
-        let mut alphabet: Vec<u8> = seq.clone();
-        alphabet.sort_unstable();
-        alphabet.dedup();
-        alphabet.push(251); // a symbol that never occurs
-        check_wavelet(&seq, &wt, &alphabet);
-    }
-}
-
-#[test]
-fn balanced_wavelet_matches_naive() {
-    let mut rng = Rng::new(0xBA1_5EED);
-    for &(len, sigma) in &[(0usize, 4u32), (1, 1), (300, 3), (1500, 257), (800, 70_000)] {
-        let seq: Vec<u32> = (0..len).map(|_| rng.below(sigma as u64) as u32).collect();
-        let wt = BalancedWaveletTree::new(&seq, sigma);
-        let mut alphabet: Vec<u32> = seq.clone();
-        alphabet.sort_unstable();
-        alphabet.dedup();
-        if sigma > 1 {
-            alphabet.push(sigma - 1); // possibly-absent top symbol
-            alphabet.dedup();
-        }
-        check_wavelet(&seq, &wt, &alphabet);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // PR 7: differential oracle harness over every rank/select variant
 // ---------------------------------------------------------------------------
@@ -263,20 +200,6 @@ fn balanced_wavelet_matches_naive() {
 fn all_rank_variants_agree_on_structured_corpora() {
     for (label, bits) in bit_corpora(oracle_cases(2)) {
         check_all_rank_variants(&label, &bits);
-    }
-}
-
-/// The `RankBitmap` dispatch enum answers identically to whichever backend
-/// it wraps, for both backends, on the adversarial corpora.
-#[test]
-fn rank_bitmap_dispatch_matches_backends() {
-    for (label, bits) in bit_corpora(1) {
-        let bv: BitVec = bits.iter().copied().collect();
-        let naive = NaiveBitVector(bits.clone());
-        for backend in [RankBackend::Classic, RankBackend::Interleaved] {
-            let bm = RankBitmap::build(&bv, backend);
-            check_rank_select_equivalence(&format!("{label}/{}", backend.name()), &bm, &naive);
-        }
     }
 }
 
@@ -303,10 +226,10 @@ fn random_cases_cross_check_all_variants() {
     }
 }
 
-/// Wavelet matrix vs balanced wavelet tree vs a naive scan, over byte-like
-/// and wide alphabets, through the generic sequence-equivalence driver.
+/// Wavelet matrix vs a naive scan, over byte-like and wide alphabets,
+/// through the generic sequence-equivalence driver.
 #[test]
-fn wavelet_matrix_agrees_with_pointer_tree() {
+fn wavelet_matrix_matches_naive() {
     struct NaiveSeq(Vec<u64>);
     impl SequenceIndex<u64> for NaiveSeq {
         fn len(&self) -> usize {
@@ -331,23 +254,6 @@ fn wavelet_matrix_agrees_with_pointer_tree() {
             })
         }
     }
-    /// Adapter: the balanced tree speaks u32, the matrix u64.
-    struct BalancedAsU64(BalancedWaveletTree);
-    impl SequenceIndex<u64> for BalancedAsU64 {
-        fn len(&self) -> usize {
-            SequenceIndex::len(&self.0)
-        }
-        fn access(&self, i: usize) -> u64 {
-            self.0.access(i) as u64
-        }
-        fn rank(&self, sym: u64, i: usize) -> usize {
-            u32::try_from(sym).map(|s| self.0.rank(s, i)).unwrap_or(0)
-        }
-        fn select(&self, sym: u64, k: usize) -> Option<usize> {
-            u32::try_from(sym).ok().and_then(|s| self.0.select(s, k))
-        }
-    }
-
     let mut rng = OracleRng::new(0x3A7_0AC1E);
     let cases = oracle_cases(2);
     for case in 0..cases {
@@ -362,11 +268,6 @@ fn wavelet_matrix_agrees_with_pointer_tree() {
             let wm = WaveletMatrix::new(&seq, sigma);
             let naive = NaiveSeq(seq.clone());
             check_sequence_equivalence(&label, &alphabet, &wm, &naive);
-            if sigma <= u32::MAX as u64 {
-                let seq32: Vec<u32> = seq.iter().map(|&v| v as u32).collect();
-                let wt = BalancedAsU64(BalancedWaveletTree::new(&seq32, sigma as u32));
-                check_sequence_equivalence(&format!("{label}/vs-balanced"), &alphabet, &wm, &wt);
-            }
         }
     }
 }
@@ -527,18 +428,5 @@ fn wavelet_matrix_bit_flips_error_or_stay_consistent() {
                 }
             }
         }
-    }
-}
-
-/// Round-trips across backends: a serialized `RankBitmap` re-opens with the
-/// same backend and identical answers, for both backends.
-#[test]
-fn rank_bitmap_roundtrip_across_backends() {
-    let bv: BitVec = (0..2000).map(|i| i % 13 == 5).collect();
-    for backend in [RankBackend::Classic, RankBackend::Interleaved] {
-        let bm = RankBitmap::build(&bv, backend);
-        let back = RankBitmap::from_bytes(&bm.to_bytes()).unwrap();
-        assert_eq!(back.backend(), backend);
-        check_rank_select_equivalence(&format!("roundtrip/{}", backend.name()), &bm, &back);
     }
 }

@@ -7,8 +7,7 @@
 //! runtime.
 
 use sxsi_succinct::{
-    BalancedWaveletTree, BitVec, EliasFano, HuffmanWaveletTree, InterleavedRsBitVector, IntVector,
-    RankBitmap, RsBitVector, WaveletMatrix,
+    BitVec, EliasFano, InterleavedRsBitVector, IntVector, RsBitVector, WaveletMatrix,
 };
 
 fn require_send_sync<T: Send + Sync>() {}
@@ -18,10 +17,7 @@ fn succinct_structures_are_send_and_sync() {
     require_send_sync::<BitVec>();
     require_send_sync::<RsBitVector>();
     require_send_sync::<InterleavedRsBitVector>();
-    require_send_sync::<RankBitmap>();
     require_send_sync::<EliasFano>();
     require_send_sync::<IntVector>();
-    require_send_sync::<HuffmanWaveletTree>();
-    require_send_sync::<BalancedWaveletTree>();
     require_send_sync::<WaveletMatrix>();
 }

@@ -112,21 +112,8 @@ impl TextCollection {
 
     /// Builds the collection index.
     pub fn with_options<S: AsRef<[u8]>>(texts: &[S], options: TextCollectionOptions) -> Self {
-        Self::with_options_and_backends(texts, options, sxsi_succinct::SuccinctOptions::default())
-    }
-
-    /// Builds the collection index with an explicit choice of succinct
-    /// backends (rank layout + wavelet representation for the BWT).  The
-    /// backend choice is deliberately *not* part of
-    /// [`TextCollectionOptions`] so its serialized encoding stays stable;
-    /// the top-level index options carry it instead.
-    pub fn with_options_and_backends<S: AsRef<[u8]>>(
-        texts: &[S],
-        options: TextCollectionOptions,
-        backends: sxsi_succinct::SuccinctOptions,
-    ) -> Self {
         let bwt = build_collection_bwt(texts);
-        let fm = FmIndex::new_with_backends(&bwt.bwt, &bwt.sa, options.sample_rate, backends);
+        let fm = FmIndex::new(&bwt.bwt, &bwt.sa, options.sample_rate);
         let starts_vals: Vec<u64> = bwt.starts.iter().map(|&s| s as u64).collect();
         let starts = EliasFano::new(&starts_vals, bwt.len.max(1) as u64);
         let plain = options.keep_plain_text.then(|| PlainTexts::new(texts));

@@ -1,9 +1,10 @@
 //! The FM-index: backward search, LF-mapping and position location over the
 //! BWT of the text collection (Section 3.1 of the paper).
 //!
-//! The BWT is stored in a Huffman-shaped wavelet tree with plain bitmaps —
-//! the practical trade-off the paper selects — plus the `C` array of
-//! cumulative symbol counts, a sampling bitmap `Bs` marking rows whose text
+//! The BWT is stored in a wavelet matrix over the byte alphabet (eight
+//! levels, one single-cache-line rank each; the paper uses a Huffman-shaped
+//! wavelet tree, which measured slower here — see `ARCHITECTURE.md`), plus
+//! the `C` array of cumulative symbol counts, a sampling bitmap `Bs` marking rows whose text
 //! position is a multiple of the sampling step `l`, and the corresponding
 //! samples array `Ps`.  Locating an occurrence walks backwards with `LF`
 //! until it hits a sample (at most `l` steps) or an end-marker, in which case
@@ -11,14 +12,11 @@
 //! in [`crate::collection::TextCollection`], which owns `Doc`).
 
 use sxsi_io::{
-    corrupt, read_u8, read_usize, read_usize_vec, write_u8, write_usize, write_usize_slice, IoError,
-    ReadFrom, WriteInto,
+    corrupt, read_usize, read_usize_vec, write_usize, write_usize_slice, IoError, ReadFrom,
+    WriteInto,
 };
 use sxsi_succinct::wavelet::SequenceIndex;
-use sxsi_succinct::{
-    BitVec, HuffmanWaveletTree, IntVector, RankBitmap, SequenceBackend, SpaceUsage, SuccinctOptions,
-    WaveletMatrix,
-};
+use sxsi_succinct::{BitVec, InterleavedRsBitVector, IntVector, SpaceUsage, WaveletMatrix};
 
 /// Default sampling step for locate queries (the paper uses 64 in Table II
 /// and 4 in Table III).
@@ -47,128 +45,18 @@ impl RowRange {
     }
 }
 
-/// The BWT symbol sequence behind a build-time sequence-backend choice:
-/// Huffman-shaped wavelet tree (expected `H0` depth per query) or wavelet
-/// matrix (fixed `log σ = 8` levels of single-cache-line ranks).
-#[derive(Debug, Clone)]
-pub enum BwtSequence {
-    /// Huffman-shaped wavelet tree over the byte alphabet.
-    Huffman(HuffmanWaveletTree),
-    /// Pointer-free wavelet matrix over the byte alphabet.
-    Matrix(WaveletMatrix),
-}
-
-impl BwtSequence {
-    /// Builds the sequence with the layout selected by `backend`.
-    pub fn build(bytes: &[u8], backend: SequenceBackend) -> Self {
-        match backend {
-            SequenceBackend::Pointer => BwtSequence::Huffman(HuffmanWaveletTree::new(bytes)),
-            SequenceBackend::Matrix => {
-                let syms: Vec<u64> = bytes.iter().map(|&b| b as u64).collect();
-                BwtSequence::Matrix(WaveletMatrix::new(&syms, 256))
-            }
-        }
-    }
-
-    /// The backend this sequence was built with.
-    pub fn backend(&self) -> SequenceBackend {
-        match self {
-            BwtSequence::Huffman(_) => SequenceBackend::Pointer,
-            BwtSequence::Matrix(_) => SequenceBackend::Matrix,
-        }
-    }
-
-    /// Number of symbols.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            BwtSequence::Huffman(wt) => SequenceIndex::len(wt),
-            BwtSequence::Matrix(wm) => SequenceIndex::len(wm),
-        }
-    }
-
-    /// True if the sequence is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Symbol at position `i`.  `O(H0)` / `O(log σ)` depending on backend.
-    #[inline]
-    pub fn access(&self, i: usize) -> u8 {
-        match self {
-            BwtSequence::Huffman(wt) => wt.access(i),
-            BwtSequence::Matrix(wm) => wm.access_sym(i) as u8,
-        }
-    }
-
-    /// Occurrences of byte `b` in `[0, i)`.
-    #[inline]
-    pub fn rank(&self, b: u8, i: usize) -> usize {
-        match self {
-            BwtSequence::Huffman(wt) => wt.rank(b, i),
-            BwtSequence::Matrix(wm) => wm.rank_sym(b as u64, i),
-        }
-    }
-
-    /// Total occurrences of byte `b`.
-    #[inline]
-    pub fn count(&self, b: u8) -> usize {
-        match self {
-            BwtSequence::Huffman(wt) => wt.count(b),
-            BwtSequence::Matrix(wm) => wm.count(b as u64),
-        }
-    }
-
-    /// Heap bytes used.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            BwtSequence::Huffman(wt) => wt.size_bytes(),
-            BwtSequence::Matrix(wm) => wm.size_bytes(),
-        }
-    }
-}
-
-impl WriteInto for BwtSequence {
-    /// Encoding: one sequence-backend tag byte, then the backend's own
-    /// encoding.
-    fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_u8(w, self.backend().tag())?;
-        match self {
-            BwtSequence::Huffman(wt) => wt.write_into(w),
-            BwtSequence::Matrix(wm) => wm.write_into(w),
-        }
-    }
-}
-
-impl ReadFrom for BwtSequence {
-    fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        match SequenceBackend::from_tag(read_u8(r)?)? {
-            SequenceBackend::Pointer => Ok(BwtSequence::Huffman(HuffmanWaveletTree::read_from(r)?)),
-            SequenceBackend::Matrix => {
-                let wm = WaveletMatrix::read_from(r)?;
-                if wm.alphabet_size() != 256 {
-                    return Err(corrupt(format!(
-                        "BWT wavelet matrix has alphabet size {}, expected 256",
-                        wm.alphabet_size()
-                    )));
-                }
-                Ok(BwtSequence::Matrix(wm))
-            }
-        }
-    }
-}
-
 /// FM-index over the collection BWT (end-markers rendered as byte 0).
 #[derive(Debug, Clone)]
 pub struct FmIndex {
-    bwt: BwtSequence,
+    /// The BWT as a wavelet matrix over the byte alphabet (`alphabet_size`
+    /// 256, so every symbol descends exactly eight levels).
+    bwt: WaveletMatrix,
     /// `c[s]` = number of symbols strictly smaller than `s` in the text,
     /// with one extra slot so `c[s + 1] - c[s]` is the count of `s`.
     c: Vec<usize>,
     len: usize,
     /// Marks rows whose suffix position is a multiple of `sample_rate`.
-    sampled: RankBitmap,
+    sampled: InterleavedRsBitVector,
     /// Global text position for each sampled row, in row order.
     samples: IntVector,
     sample_rate: usize,
@@ -202,21 +90,11 @@ impl FmIndex {
     /// `sample_rate` controls the locate time/space trade-off: every text
     /// position that is a multiple of it is sampled.
     pub fn new(bwt_bytes: &[u8], sa: &[usize], sample_rate: usize) -> Self {
-        Self::new_with_backends(bwt_bytes, sa, sample_rate, SuccinctOptions::default())
-    }
-
-    /// Builds the index with an explicit choice of succinct backends (see
-    /// [`SuccinctOptions`]); [`FmIndex::new`] uses the defaults.
-    pub fn new_with_backends(
-        bwt_bytes: &[u8],
-        sa: &[usize],
-        sample_rate: usize,
-        backends: SuccinctOptions,
-    ) -> Self {
         assert!(sample_rate >= 1, "sample rate must be positive");
         assert_eq!(bwt_bytes.len(), sa.len());
         let len = bwt_bytes.len();
-        let bwt = BwtSequence::build(bwt_bytes, backends.sequence);
+        let syms: Vec<u64> = bwt_bytes.iter().map(|&b| b as u64).collect();
+        let bwt = WaveletMatrix::new(&syms, 256);
         let mut c = vec![0usize; 257];
         for &b in bwt_bytes {
             c[b as usize + 1] += 1;
@@ -231,7 +109,7 @@ impl FmIndex {
                 sampled_bits.set(row, true);
             }
         }
-        let sampled = RankBitmap::build(&sampled_bits, backends.rank);
+        let sampled = InterleavedRsBitVector::new(&sampled_bits);
         for (row, &pos) in sa.iter().enumerate() {
             if sampled_bits.get(row) {
                 debug_assert_eq!(sample_values.len(), sampled.rank1(row));
@@ -240,11 +118,6 @@ impl FmIndex {
         }
         let samples = IntVector::from_values(&sample_values);
         Self { bwt, c, len, sampled, samples, sample_rate }
-    }
-
-    /// The succinct backends this index was built with.
-    pub fn backends(&self) -> SuccinctOptions {
-        SuccinctOptions { rank: self.sampled.backend(), sequence: self.bwt.backend() }
     }
 
     /// Length of the indexed text (terminators included).
@@ -274,7 +147,7 @@ impl FmIndex {
     /// Number of occurrences of `b` in `bwt[0, i)`.
     #[inline]
     pub fn occ(&self, b: u8, i: usize) -> usize {
-        self.bwt.rank(b, i)
+        self.bwt.rank_sym(b as u64, i)
     }
 
     /// The `C` array value for `b`: number of text symbols strictly smaller.
@@ -286,15 +159,15 @@ impl FmIndex {
     /// BWT symbol at `row`.
     #[inline]
     pub fn bwt_symbol(&self, row: usize) -> u8 {
-        self.bwt.access(row)
+        self.bwt.access_sym(row) as u8
     }
 
     /// The LF-mapping: the row of the suffix starting one position earlier.
     #[inline]
     pub fn lf(&self, row: usize) -> usize {
         debug_assert!(row < self.len, "LF-mapping of row {row} in a {}-row index", self.len);
-        let b = self.bwt.access(row);
-        let mapped = self.c[b as usize] + self.bwt.rank(b, row);
+        let b = self.bwt_symbol(row);
+        let mapped = self.c[b as usize] + self.occ(b, row);
         // In range whenever the C array agrees with the BWT's symbol counts
         // (the verifier's `fm-c-counts` invariant).
         debug_assert!(mapped < self.len, "LF-mapping left the index: {row} -> {mapped}");
@@ -306,8 +179,8 @@ impl FmIndex {
     #[inline]
     pub fn backward_step(&self, range: RowRange, b: u8) -> RowRange {
         RowRange {
-            start: self.c[b as usize] + self.bwt.rank(b, range.start),
-            end: self.c[b as usize] + self.bwt.rank(b, range.end),
+            start: self.c[b as usize] + self.occ(b, range.start),
+            end: self.c[b as usize] + self.occ(b, range.end),
         }
     }
 
@@ -354,12 +227,12 @@ impl FmIndex {
                 let position = self.samples.get(self.sampled.rank1(row)) as usize;
                 return LocateOutcome::Sample { position, steps };
             }
-            let b = self.bwt.access(row);
+            let b = self.bwt_symbol(row);
             if b == 0 {
-                let dollar_rank = self.bwt.rank(0, row);
+                let dollar_rank = self.occ(0, row);
                 return LocateOutcome::EndMarker { dollar_rank, steps };
             }
-            row = self.c[b as usize] + self.bwt.rank(b, row);
+            row = self.c[b as usize] + self.occ(b, row);
             steps += 1;
             // Every `sample_rate`-th text position is sampled (the
             // verifier's `fm-sample-rate` invariant), so the walk must hit
@@ -377,12 +250,12 @@ impl FmIndex {
     pub fn extract_backwards(&self, mut row: usize, max_len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(max_len);
         for _ in 0..max_len {
-            let b = self.bwt.access(row);
+            let b = self.bwt_symbol(row);
             out.push(b);
             if b == 0 {
                 break;
             }
-            row = self.c[b as usize] + self.bwt.rank(b, row);
+            row = self.c[b as usize] + self.occ(b, row);
         }
         out
     }
@@ -423,22 +296,6 @@ impl FmIndex {
     }
 }
 
-impl sxsi_verify::Verify for BwtSequence {
-    /// Dispatches to the backend's own invariants, adding the byte-alphabet
-    /// bound the matrix layout relies on.
-    fn verify_into(&self, depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
-        match self {
-            BwtSequence::Huffman(wt) => ctx.enter("huffman", |ctx| wt.verify_into(depth, ctx)),
-            BwtSequence::Matrix(wm) => ctx.enter("matrix", |ctx| {
-                ctx.check("bwt-alphabet", wm.alphabet_size() == 256, || {
-                    format!("BWT wavelet matrix covers alphabet {}, expected 256", wm.alphabet_size())
-                });
-                wm.verify_into(depth, ctx);
-            }),
-        }
-    }
-}
-
 impl sxsi_verify::Verify for FmIndex {
     /// Structural checks mirroring (and exceeding) what `read_from`
     /// validates: C-array shape and agreement with the BWT's per-symbol
@@ -461,7 +318,12 @@ impl sxsi_verify::Verify for FmIndex {
                 && self.c.windows(2).all(|w| w[0] <= w[1]),
             || "C array is not a cumulative count over the text".into(),
         );
-        ctx.enter("bwt", |ctx| self.bwt.verify_into(depth, ctx));
+        ctx.enter("bwt", |ctx| {
+            ctx.check("bwt-alphabet", self.bwt.alphabet_size() == 256, || {
+                format!("BWT wavelet matrix covers alphabet {}, expected 256", self.bwt.alphabet_size())
+            });
+            self.bwt.verify_into(depth, ctx);
+        });
         ctx.enter("sampled", |ctx| self.sampled.verify_into(depth, ctx));
         ctx.enter("samples", |ctx| self.samples.verify_into(depth, ctx));
         ctx.check("fm-sampled-len", self.sampled.len() == self.len, || {
@@ -473,7 +335,7 @@ impl sxsi_verify::Verify for FmIndex {
         if ctx.issue_count() > issues_before {
             return;
         }
-        let bad_sym = (0usize..256).find(|&b| self.c[b + 1] - self.c[b] != self.bwt.count(b as u8));
+        let bad_sym = (0usize..256).find(|&b| self.c[b + 1] - self.c[b] != self.bwt.count(b as u64));
         ctx.check("fm-c-counts", bad_sym.is_none(), || {
             format!("C array disagrees with the BWT on symbol {}", bad_sym.unwrap_or_default())
         });
@@ -506,7 +368,13 @@ impl ReadFrom for FmIndex {
         if sample_rate == 0 {
             return Err(corrupt("FM-index sample rate must be positive"));
         }
-        let bwt = BwtSequence::read_from(r)?;
+        let bwt = WaveletMatrix::read_from(r)?;
+        if bwt.alphabet_size() != 256 {
+            return Err(corrupt(format!(
+                "BWT wavelet matrix has alphabet size {}, expected 256",
+                bwt.alphabet_size()
+            )));
+        }
         if bwt.len() != len {
             return Err(corrupt(format!("FM-index BWT holds {} symbols, expected {len}", bwt.len())));
         }
@@ -520,11 +388,11 @@ impl ReadFrom for FmIndex {
         // The C array must agree with the BWT's per-symbol counts, otherwise
         // backward search would silently return wrong ranges.
         for b in 0u16..256 {
-            if c[b as usize + 1] - c[b as usize] != bwt.count(b as u8) {
+            if c[b as usize + 1] - c[b as usize] != bwt.count(b as u64) {
                 return Err(corrupt(format!("FM-index C array disagrees with the BWT on symbol {b}")));
             }
         }
-        let sampled = RankBitmap::read_from(r)?;
+        let sampled = InterleavedRsBitVector::read_from(r)?;
         if sampled.len() != len {
             return Err(corrupt(format!(
                 "FM-index sampling bitmap covers {} rows, expected {len}",
@@ -571,21 +439,21 @@ mod tests {
 
     #[test]
     fn bwt_sequence_serialization_roundtrip_and_truncation() {
-        let data = b"annb\0aa\0";
-        for backend in [SequenceBackend::Pointer, SequenceBackend::Matrix] {
-            let seq = BwtSequence::build(data, backend);
-            let bytes = seq.to_bytes();
-            let back = BwtSequence::from_bytes(&bytes).expect("roundtrip");
-            assert_eq!(back.backend(), backend);
-            for (i, &b) in data.iter().enumerate() {
-                assert_eq!(back.access(i), b, "byte {i}");
-            }
-            // Truncated input must fail structurally, never panic.
-            assert!(BwtSequence::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-            assert!(BwtSequence::from_bytes(&bytes[..1]).is_err());
+        let (fm, _) = build(&["annb", "aa"], 2);
+        let bytes = fm.to_bytes();
+        let back = FmIndex::from_bytes(&bytes).expect("roundtrip");
+        for row in 0..fm.len() {
+            assert_eq!(back.bwt_symbol(row), fm.bwt_symbol(row), "row {row}");
         }
-        // An unknown backend tag byte is rejected up front.
-        assert!(BwtSequence::from_bytes(&[0xff]).is_err());
+        // Truncated input must fail structurally, never panic.
+        assert!(FmIndex::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        // The matrix's alphabet follows `len` and `sample_rate`, after its
+        // own `len`.  255 still needs eight levels, so only the byte-alphabet
+        // check can reject it.
+        let mut forged = bytes.clone();
+        forged[24..32].copy_from_slice(&255u64.to_le_bytes());
+        let err = FmIndex::from_bytes(&forged).unwrap_err();
+        assert!(err.to_string().contains("alphabet size 255"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::error::TreeError;
 use sxsi_io::{IoError, ReadFrom, WriteInto};
-use sxsi_succinct::{BitVec, RankBackend, RankBitmap, SpaceUsage};
+use sxsi_succinct::{BitVec, InterleavedRsBitVector, SpaceUsage};
 
 /// Bits per block of the min/max directory.
 const BLOCK_BITS: usize = 512;
@@ -26,7 +26,7 @@ const SUPER_FACTOR: usize = 64;
 /// An *open* parenthesis is stored as bit `1`, a *close* parenthesis as `0`.
 #[derive(Debug, Clone)]
 pub struct BalancedParens {
-    bits: RankBitmap,
+    bits: InterleavedRsBitVector,
     /// Minimum excess `E(k)` for `k` in `(block_start, block_end]`.
     block_min: Vec<i64>,
     /// Maximum excess over the same range.
@@ -51,24 +51,13 @@ impl BalancedParens {
     /// such as `)(` that the navigation operations could otherwise trip
     /// over), so malformed input can never panic a serving process.
     pub fn try_new(parens: &BitVec) -> Result<Self, TreeError> {
-        Self::try_new_with_backend(parens, RankBackend::default())
-    }
-
-    /// Like [`BalancedParens::try_new`], but picks the rank/select backend
-    /// (classic two-level vs. cache-line interleaved) for the bitmap.
-    pub fn try_new_with_backend(parens: &BitVec, backend: RankBackend) -> Result<Self, TreeError> {
-        Self::try_from_bits(RankBitmap::build(parens, backend))
-    }
-
-    /// Rank/select backend the parenthesis bitmap is stored with.
-    pub fn backend(&self) -> RankBackend {
-        self.bits.backend()
+        Self::try_from_bits(InterleavedRsBitVector::new(parens))
     }
 
     /// Builds the directories over an already-frozen bitmap, validating
     /// balance.  This is the reconstruction path used when loading a
     /// persisted index.
-    pub fn try_from_bits(bits: RankBitmap) -> Result<Self, TreeError> {
+    fn try_from_bits(bits: InterleavedRsBitVector) -> Result<Self, TreeError> {
         let len = bits.len();
         let n_blocks = len.div_ceil(BLOCK_BITS).max(1);
         let mut block_min = vec![i64::MAX; n_blocks];
@@ -381,7 +370,7 @@ impl WriteInto for BalancedParens {
 
 impl ReadFrom for BalancedParens {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let bits = RankBitmap::read_from(r)?;
+        let bits = InterleavedRsBitVector::read_from(r)?;
         Self::try_from_bits(bits).map_err(|e| sxsi_io::corrupt(e.to_string()))
     }
 }
@@ -616,7 +605,7 @@ mod tests {
         // Craft a serialized form of an unbalanced sequence by serializing
         // the raw bitmap of "(()" directly.
         let bits: BitVec = "(()".chars().map(|c| c == '(').collect();
-        let rs = RankBitmap::build(&bits, RankBackend::default());
+        let rs = InterleavedRsBitVector::new(&bits);
         let err = BalancedParens::from_bytes(&rs.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("not balanced"), "{err}");
     }

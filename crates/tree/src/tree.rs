@@ -19,7 +19,7 @@ use crate::bp::BalancedParens;
 use crate::error::TreeError;
 use crate::tags::{reserved, TagId, TagRegistry, TagSequence};
 use sxsi_io::{corrupt, read_usize, write_usize, IoError, ReadFrom, WriteInto};
-use sxsi_succinct::{BitVec, RankBackend, RankBitmap, SpaceUsage};
+use sxsi_succinct::{BitVec, InterleavedRsBitVector, SpaceUsage};
 
 /// A tree node: the position of its opening parenthesis in `Par`.
 pub type NodeId = usize;
@@ -113,7 +113,7 @@ pub struct XmlTree {
     registry: TagRegistry,
     /// Marks opening parenthesis positions of nodes that carry a text
     /// (the `#` and `%` leaves of the model).
-    text_leaves: RankBitmap,
+    text_leaves: InterleavedRsBitVector,
     child_table: TagTable,
     desc_table: TagTable,
     foll_sibling_table: TagTable,
@@ -491,12 +491,6 @@ impl XmlTree {
         (reserved::NAMES.len()..self.num_tags()).map(|t| self.tags.count(t as TagId)).sum()
     }
 
-    /// The rank/select backend the parenthesis and text-leaf bitmaps are
-    /// stored with (the tag index has a single representation).
-    pub fn backends(&self) -> RankBackend {
-        self.bp.backend()
-    }
-
     /// Recomputes the four relative tag-position tables from the parenthesis
     /// and tag sequences, mirroring the builder's bookkeeping.  Callers must
     /// have verified code pairing first (out-of-range or unmatched codes
@@ -576,9 +570,6 @@ impl sxsi_verify::Verify for XmlTree {
         });
         ctx.check("tree-registry-count", self.registry.len() == num_tags, || {
             format!("registry holds {} names for {num_tags} tag codes", self.registry.len())
-        });
-        ctx.check("tree-backend", self.text_leaves.backend() == self.bp.backend(), || {
-            "text-leaf bitmap and parenthesis bitmap use different rank backends".to_string()
         });
         let tables_ok = [
             &self.child_table,
@@ -683,7 +674,7 @@ impl ReadFrom for XmlTree {
             )));
         }
         let tags = TagSequence::from_packed(codes, num_tags).map_err(|e| corrupt(e.to_string()))?;
-        let text_leaves = RankBitmap::read_from(r)?;
+        let text_leaves = InterleavedRsBitVector::read_from(r)?;
         let child_table = TagTable::read_from(r)?;
         let desc_table = TagTable::read_from(r)?;
         let foll_sibling_table = TagTable::read_from(r)?;
@@ -896,13 +887,7 @@ impl XmlTreeBuilder {
     /// structured [`TreeError`] instead of panicking when elements are still
     /// open or the recorded structure is not balanced, so malformed input
     /// can never panic a serving process.
-    pub fn try_finish(self) -> Result<XmlTree, TreeError> {
-        self.try_finish_with(RankBackend::default())
-    }
-
-    /// Like [`XmlTreeBuilder::try_finish`], but selects the rank/select
-    /// backend of the parenthesis and text-leaf bitmaps.
-    pub fn try_finish_with(mut self, backend: RankBackend) -> Result<XmlTree, TreeError> {
+    pub fn try_finish(mut self) -> Result<XmlTree, TreeError> {
         if self.stack.len() != 1 {
             return Err(TreeError::UnclosedElements { open: self.stack.len().saturating_sub(1) });
         }
@@ -923,9 +908,9 @@ impl XmlTreeBuilder {
                 }
             })
             .collect();
-        let bp = BalancedParens::try_new_with_backend(&self.parens, backend)?;
+        let bp = BalancedParens::try_new(&self.parens)?;
         let tags = TagSequence::try_new(&codes, num_tags)?;
-        let text_leaves = RankBitmap::build(&self.text_leaves, backend);
+        let text_leaves = InterleavedRsBitVector::new(&self.text_leaves);
 
         let mut child_table = TagTable::new(num_tags);
         for (p, c) in &self.child_pairs {
@@ -1341,7 +1326,7 @@ mod tests {
             for i in 0..t.text_leaves.len() {
                 bv.push(t.text_leaves.get(i) || i == 1);
             }
-            t.text_leaves = RankBitmap::build(&bv, t.bp.backend());
+            t.text_leaves = InterleavedRsBitVector::new(&bv);
             let report = t.verify(VerifyDepth::Deep);
             assert!(report.has_code("tree-text-leaf"), "{report}");
         }

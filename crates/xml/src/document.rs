@@ -16,22 +16,16 @@
 //! of texts, ready to be handed to the text index.
 
 use crate::parser::{Event, ParseError, Parser};
-use sxsi_succinct::SuccinctOptions;
 use sxsi_tree::{XmlTree, XmlTreeBuilder};
 
 /// Options controlling model construction.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DocumentOptions {
     /// Keep character-data runs that consist solely of whitespace.  The paper
     /// keeps them (they are part of the document); benchmarks usually drop
     /// them to focus on meaningful text.  Default: `false`.
     pub keep_whitespace_text: bool,
-    /// Succinct backends used for the tree's bitmaps and tag-occurrence
-    /// index.  Default: the interleaved-rank / wavelet-matrix pair.
-    pub succinct: SuccinctOptions,
 }
-
 
 /// The parsed document: tree structure plus texts in document order.
 #[derive(Debug, Clone)]
@@ -139,7 +133,7 @@ pub fn parse_document_with_options(
     // The event loop above already rejects mismatched and unclosed tags, so
     // this cannot fail on parser output — but routing through `try_finish`
     // guarantees that no input, however malformed, can panic the process.
-    let tree = builder.try_finish_with(options.succinct.rank).map_err(|e| ParseError {
+    let tree = builder.try_finish().map_err(|e| ParseError {
         position: parser.position(),
         message: format!("malformed tree structure: {e}"),
     })?;
@@ -176,7 +170,7 @@ mod tests {
 
     #[test]
     fn figure1_with_whitespace_kept() {
-        let opts = DocumentOptions { keep_whitespace_text: true, ..DocumentOptions::default() };
+        let opts = DocumentOptions { keep_whitespace_text: true };
         let doc = parse_document_with_options(FIGURE1.as_bytes(), &opts).unwrap();
         // The paper notes seven whitespace-only texts in this document.
         assert_eq!(doc.texts.len(), 13);

@@ -1,20 +1,12 @@
 //! Cross-engine equivalence on a grid of corpora, seeds and generic queries:
 //! the SXSI automaton engine, the bottom-up strategy and the naive evaluator
-//! must always select the same nodes — and, since PR 7, the old (classic
-//! rank / pointer wavelet tree) and new (interleaved rank / wavelet matrix)
-//! succinct primitives must answer every benchmark query byte-identically.
+//! must always select the same nodes.
 
-use std::collections::HashSet;
-
-use sxsi::{Strategy, SuccinctOptions, SxsiIndex, SxsiOptions};
+use sxsi::{SxsiIndex, SxsiOptions};
 use sxsi_baseline::{NaiveEvaluator, StreamingCounter};
-use sxsi_datagen::{bio, medline, treebank, wiki, xmark};
-use sxsi_datagen::{BioConfig, MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig};
-use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
+use sxsi_datagen::{bio, medline, xmark};
+use sxsi_datagen::{BioConfig, MedlineConfig, XMarkConfig};
 use sxsi_xpath::parse_query;
-use sxsi_xpath::{
-    MEDLINE_QUERIES, ORDERED_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES,
-};
 
 const GENERIC_QUERIES: &[&str] = &[
     "//*",
@@ -78,118 +70,6 @@ fn streaming_counter_matches_indexed_counts() {
     ] {
         let streamed = StreamingCounter::count_descendant_path(xml.as_bytes(), &path).unwrap();
         assert_eq!(index.count(query).unwrap() as usize, streamed, "query {query}");
-    }
-}
-
-/// The benchmark queries that target `corpus`: its paper set plus its
-/// O01–O20 ordered/reverse-axis queries, as `(id, xpath)` pairs.
-fn corpus_queries(corpus: &str) -> Vec<(String, String)> {
-    let paper: &[sxsi_xpath::NamedQuery] = match corpus {
-        "xmark" => XMARK_QUERIES,
-        "treebank" => TREEBANK_QUERIES,
-        "medline" => MEDLINE_QUERIES,
-        "wiki" => &[],
-        other => panic!("unknown corpus {other}"),
-    };
-    let words: &[sxsi_xpath::NamedQuery] = match corpus {
-        // The word queries W01–W05 run on medline, W06–W10 on wiki.
-        "medline" => &WORD_QUERIES[..5],
-        "wiki" => &WORD_QUERIES[5..],
-        _ => &[],
-    };
-    paper
-        .iter()
-        .chain(words)
-        .map(|q| (q.id.to_string(), q.xpath.to_string()))
-        .chain(
-            ORDERED_QUERIES
-                .iter()
-                .filter(|q| q.corpus == corpus)
-                .map(|q| (q.id.to_string(), q.xpath.to_string())),
-        )
-        .collect()
-}
-
-/// Every benchmark query must produce byte-identical output on an index
-/// built with the classic primitives and one built with the PR 7
-/// interleaved-rank / wavelet-matrix primitives: same counts, same node
-/// sets, same serialized XML, same strategy choice — sequentially and
-/// through the parallel [`BatchExecutor`].
-#[test]
-fn old_and_new_succinct_primitives_answer_identically() {
-    let corpora = [
-        ("xmark", xmark::generate(&XMarkConfig { scale: 0.05, seed: 21 })),
-        ("treebank", treebank::generate(&TreebankConfig { num_sentences: 200, seed: 21 })),
-        ("medline", medline::generate(&MedlineConfig { num_citations: 120, seed: 21 })),
-        ("wiki", wiki::generate(&WikiConfig { num_pages: 80, seed: 21 })),
-    ];
-    let mut strategies_seen = HashSet::new();
-    for (corpus, xml) in corpora {
-        let classic = SxsiIndex::build_from_xml_with_options(
-            xml.as_bytes(),
-            SxsiOptions { succinct: SuccinctOptions::classic(), ..Default::default() },
-        )
-        .expect("classic index builds");
-        let modern = SxsiIndex::build_from_xml(xml.as_bytes()).expect("default index builds");
-        assert_eq!(modern.options().succinct, SuccinctOptions::default());
-
-        let queries = corpus_queries(corpus);
-        assert!(!queries.is_empty(), "{corpus} has no benchmark queries");
-        for (id, xpath) in &queries {
-            let stmt_classic = classic.prepare(xpath).expect("prepares on classic");
-            let stmt_modern = modern.prepare(xpath).expect("prepares on modern");
-            assert_eq!(
-                stmt_classic.strategy(),
-                stmt_modern.strategy(),
-                "{corpus} {id} strategy diverged across primitive variants"
-            );
-            strategies_seen.insert(stmt_modern.strategy());
-            assert_eq!(
-                classic.count(xpath).unwrap(),
-                modern.count(xpath).unwrap(),
-                "{corpus} {id} count diverged across primitive variants"
-            );
-            assert_eq!(
-                classic.materialize(xpath).unwrap(),
-                modern.materialize(xpath).unwrap(),
-                "{corpus} {id} node set diverged across primitive variants"
-            );
-            // Serialization reads texts back through the FM-index: the
-            // output must be byte-identical too.
-            assert_eq!(
-                classic.serialize(xpath).unwrap(),
-                modern.serialize(xpath).unwrap(),
-                "{corpus} {id} serialized output diverged across primitive variants"
-            );
-        }
-
-        // The parallel executor agrees with itself across variants.
-        let specs: Vec<QuerySpec> = queries
-            .iter()
-            .flat_map(|(id, xpath)| {
-                [
-                    QuerySpec::count(format!("{id}/count"), xpath),
-                    QuerySpec::nodes(format!("{id}/nodes"), xpath),
-                ]
-            })
-            .collect();
-        let classic_batch =
-            QueryBatch::compile(&classic, specs.clone()).expect("batch compiles on classic");
-        let modern_batch =
-            QueryBatch::compile(&modern, specs).expect("batch compiles on modern");
-        let classic_results = BatchExecutor::new(2).run(&classic, &classic_batch);
-        let modern_results = BatchExecutor::new(2).run(&modern, &modern_batch);
-        for (c, m) in classic_results.iter().zip(&modern_results) {
-            assert_eq!(c.id, m.id);
-            assert_eq!(c.strategy, m.strategy, "{corpus} {} batch strategy diverged", c.id);
-            assert_eq!(c.result.count(), m.result.count(), "{corpus} {} batch count diverged", c.id);
-            assert_eq!(c.result.nodes(), m.result.nodes(), "{corpus} {} batch nodes diverged", c.id);
-        }
-    }
-    // The query grid must have exercised every evaluation strategy, so the
-    // equivalence claim covers the top-down, bottom-up and direct paths.
-    for strategy in [Strategy::TopDown, Strategy::BottomUp, Strategy::Direct] {
-        assert!(strategies_seen.contains(&strategy), "no query exercised {strategy:?}");
     }
 }
 

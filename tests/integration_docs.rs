@@ -253,7 +253,7 @@ fn guide_step6_collection_walkthrough_is_present() {
     }
     // The format doc keeps the manifest section the guide links to.
     let format = std::fs::read_to_string(repo_root().join("docs/format.md")).unwrap();
-    for marker in ["SXSICOL\\0", "COLLECTION_FORMAT_VERSION", "rank_tag", "collection-*"] {
+    for marker in ["SXSICOL\\0", "COLLECTION_FORMAT_VERSION", "num_texts", "collection-*"] {
         assert!(format.contains(marker), "format.md manifest section lost its {marker:?} marker");
     }
 }

@@ -8,7 +8,7 @@
 //! through the parallel [`BatchExecutor`] — and corrupt, truncated or
 //! version-mismatched files must fail with structured errors, never panics.
 
-use sxsi::{IoError, ReadFrom, SuccinctOptions, SxsiIndex, SxsiOptions, WriteInto};
+use sxsi::{IoError, ReadFrom, SxsiIndex, WriteInto};
 use sxsi_datagen::{medline, treebank, wiki, xmark};
 use sxsi_datagen::{MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig};
 use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
@@ -18,20 +18,7 @@ use sxsi_xpath::{MEDLINE_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES}
 /// Builds, saves to an in-memory buffer, reloads, and checks that every
 /// query answers identically on both indexes.
 fn assert_roundtrip_equivalence(corpus: &str, xml: &str, queries: &[NamedQuery]) {
-    assert_roundtrip_equivalence_with(corpus, xml, queries, SxsiOptions::default());
-}
-
-/// [`assert_roundtrip_equivalence`] with explicit build options, so both
-/// succinct backend families (classic and interleaved/wavelet-matrix) go
-/// through the same save → load → query gauntlet.
-fn assert_roundtrip_equivalence_with(
-    corpus: &str,
-    xml: &str,
-    queries: &[NamedQuery],
-    options: SxsiOptions,
-) {
-    let built =
-        SxsiIndex::build_from_xml_with_options(xml.as_bytes(), options).expect("index builds");
+    let built = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds");
     let bytes = built.to_bytes();
     let loaded = SxsiIndex::from_bytes(&bytes).expect("index loads");
     assert_eq!(loaded.stats(), built.stats(), "{corpus} stats diverged");
@@ -100,39 +87,6 @@ fn wiki_word_queries_survive_reload() {
 }
 
 #[test]
-fn classic_backends_survive_reload() {
-    // The pre-PR7 structures stay a first-class citizen of the container
-    // format: an index built on classic rank bitmaps and pointer wavelet
-    // trees must reload and answer identically.
-    let xml = xmark::generate(&XMarkConfig { scale: 0.04, seed: 11 });
-    let options = SxsiOptions { succinct: SuccinctOptions::classic(), ..Default::default() };
-    assert_roundtrip_equivalence_with("xmark-classic", &xml, XMARK_QUERIES, options);
-}
-
-#[test]
-fn reloaded_backend_choice_is_preserved() {
-    // The backend tags travel with the container: a classic index reloads
-    // classic, a default index reloads interleaved/matrix, and both answer
-    // the same counts.
-    let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 7 });
-    let classic = SxsiIndex::build_from_xml_with_options(
-        xml.as_bytes(),
-        SxsiOptions { succinct: SuccinctOptions::classic(), ..Default::default() },
-    )
-    .expect("classic index builds");
-    let modern = SxsiIndex::build_from_xml(xml.as_bytes()).expect("default index builds");
-    let classic_loaded = SxsiIndex::from_bytes(&classic.to_bytes()).expect("classic loads");
-    let modern_loaded = SxsiIndex::from_bytes(&modern.to_bytes()).expect("default loads");
-    assert_eq!(classic_loaded.options().succinct, SuccinctOptions::classic());
-    assert_eq!(modern_loaded.options().succinct, SuccinctOptions::default());
-    for q in &XMARK_QUERIES[..8] {
-        let expected = modern.count(q.xpath).unwrap();
-        assert_eq!(classic_loaded.count(q.xpath).unwrap(), expected, "{}", q.id);
-        assert_eq!(modern_loaded.count(q.xpath).unwrap(), expected, "{}", q.id);
-    }
-}
-
-#[test]
 fn file_roundtrip_through_the_filesystem() {
     let xml = xmark::generate(&XMarkConfig { scale: 0.02, seed: 3 });
     let built = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds");
@@ -184,9 +138,10 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
         Err(IoError::UnsupportedVersion { found: 99, .. })
     ));
 
-    // The superseded layouts — version 1, and version 2 whose tag sequence
-    // led with a backend byte — are rejected up front the same way.
-    for superseded in [1u32, 2] {
+    // The superseded layouts — version 1, version 2 whose tag sequence led
+    // with a backend byte, and version 3 whose options, rank bitmaps and BWT
+    // carried succinct backend tags — are rejected up front the same way.
+    for superseded in [1u32, 2, 3] {
         let mut outdated = bytes.clone();
         outdated[8..12].copy_from_slice(&superseded.to_le_bytes());
         assert!(matches!(
@@ -225,7 +180,7 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
 // that saved mismatched sections), which only `SxsiIndex::verify` can see.
 // ---------------------------------------------------------------------------
 
-/// Section tags of the v2 container layout (mirrors the writer in
+/// Section tags of the container layout (mirrors the writer in
 /// `sxsi::io`; the parser below asserts the names so drift is caught).
 const TAG_OPTIONS: u8 = 1;
 const TAG_TREE: u8 = 2;
@@ -334,16 +289,6 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
             "element-count",
         ),
         (
-            "options record the wrong succinct backends",
-            Box::new(|c: &mut Container| {
-                let options = c.payload_mut(TAG_OPTIONS);
-                let len = options.len();
-                options[len - 2] = 0; // rank: classic
-                options[len - 1] = 0; // sequence: pointer
-            }),
-            "options-backend-mismatch",
-        ),
-        (
             "options record the wrong sample rate",
             Box::new(|c: &mut Container| {
                 let options = c.payload_mut(TAG_OPTIONS);
@@ -411,13 +356,13 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
             Box::new(move |c: &mut Container| {
                 let tree = c.payload_mut(TAG_TREE);
                 // The leaf bitmap's words sit right before the four jump
-                // tables; its length equals the BP length (first u64 after
-                // the BP backend tag).  The load path checks the leaf
+                // tables; its length equals the BP length (the first u64
+                // of the tree payload).  The load path checks the leaf
                 // *count* against the text collection and that leaves sit
                 // on opening parentheses, so the mutation must preserve
                 // both: clear one real leaf bit and set position 0 — the
                 // root's opening parenthesis, which is never a text leaf.
-                let bp_len = u64::from_le_bytes(tree[1..9].try_into().unwrap()) as usize;
+                let bp_len = u64::from_le_bytes(tree[..8].try_into().unwrap()) as usize;
                 let words_end = tree.len() - 4 * table;
                 let words_start = words_end - bp_len.div_ceil(64) * 8;
                 let at = (words_start..words_end)
