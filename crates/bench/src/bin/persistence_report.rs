@@ -2,7 +2,7 @@
 //!
 //! Measures the cold-start story the persistence tentpole exists for: for
 //! each corpus (XMark, Treebank, Medline), the time to *rebuild* the index
-//! from XML (parse + suffix array + BWT + wavelet matrix + BP) versus the
+//! from XML (parse + suffix array + BWT + wavelet tree + BP) versus the
 //! time to *load* it from a `.sxsi` file, verifying on the way that the
 //! loaded index answers every paper query for that corpus identically.
 //! Writes `BENCH_pr3.json` at the repository root.

@@ -1,6 +1,6 @@
 //! The `.sxsi` on-disk index container.
 //!
-//! An index is built once (XML parse, suffix array, BWT, wavelet matrix,
+//! An index is built once (XML parse, suffix array, BWT, wavelet tree,
 //! balanced parentheses — the expensive part) and then persisted so any
 //! number of worker processes can load it and answer queries immediately.
 //! This module defines the container layout and implements the
@@ -56,8 +56,11 @@ pub const MAGIC: [u8; 8] = *b"SXSIIDX\0";
 /// dropped the tag sequence's backend byte (its occurrence index is always
 /// one sarray per tag, rebuilt on load); version 4 dropped every backend
 /// tag again — two in the options section, one on each of the three rank
-/// bitmaps and one on the BWT — because each role has one structure.
-pub const FORMAT_VERSION: u32 = 4;
+/// bitmaps and one on the BWT — because each role has one structure;
+/// version 5 stores the BWT as a Huffman-shaped wavelet tree (a shape byte,
+/// 256 code lengths, one bitmap per code level) instead of an eight-level
+/// wavelet matrix.
+pub const FORMAT_VERSION: u32 = 5;
 
 const SECTION_OPTIONS: u8 = 1;
 const SECTION_TREE: u8 = 2;

@@ -825,6 +825,14 @@ fn cmd_info(args: &[String]) -> ExitCode {
     println!("  tags:         {}", stats.num_tags);
     println!("  tree index:   {} bytes", stats.tree_bytes);
     println!("  text index:   {} bytes", stats.text_index_bytes);
+    let space = index.texts().index_space();
+    let symbols = index.texts().total_len();
+    let bits_per_symbol = if symbols == 0 { 0.0 } else { space.bwt as f64 * 8.0 / symbols as f64 };
+    println!("    BWT:             {} bytes ({bits_per_symbol:.2} bits/symbol over {symbols} symbols)", space.bwt);
+    println!("    sampling bitmap: {} bytes", space.sampled);
+    println!("    samples:         {} bytes", space.samples);
+    println!("    Doc:             {} bytes", space.doc);
+    println!("    starts:          {} bytes", space.starts);
     println!("  plain texts:  {} bytes", stats.plain_text_bytes);
     println!("  total memory: {} bytes", stats.total_bytes());
     let options = index.options();

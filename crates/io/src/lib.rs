@@ -2,7 +2,7 @@
 //!
 //! SXSI's value proposition is *build once, query at memory speed*: the
 //! compressed index is constructed in one expensive pass (suffix array, BWT,
-//! wavelet matrix, balanced parentheses) and then serves queries without ever
+//! wavelet tree, balanced parentheses) and then serves queries without ever
 //! touching the original XML again.  This crate supplies the on-disk half of
 //! that story: a small, dependency-free serialization layer every index
 //! structure implements, so a built [`SxsiIndex`](../sxsi/struct.SxsiIndex.html)

@@ -194,6 +194,19 @@ impl InterleavedRsBitVector {
         (self.word(i / 64) >> (i % 64)) & 1 == 1
     }
 
+    /// The eight bits at positions `i..i + 8`, bit `k` of the result
+    /// holding position `i + k`; `i + 8` may equal `len()`.
+    #[inline]
+    pub fn byte_at(&self, i: usize) -> u8 {
+        debug_assert!(i + 8 <= self.len, "byte at {i} out of range (len {})", self.len);
+        let (w, offset) = (i / 64, i % 64);
+        let mut bits = self.word(w) >> offset;
+        if offset > 56 {
+            bits |= self.word(w + 1) << (64 - offset);
+        }
+        bits as u8
+    }
+
     /// Number of ones in positions `[0, i)`; `i` may equal `len()`.
     ///
     /// `O(1)` with exactly one popcount: the absolute counter, the packed
@@ -503,6 +516,10 @@ mod tests {
             assert_eq!(rs.rank1(i), ones, "rank1({i})");
             assert_eq!(rs.rank0(i), i - ones, "rank0({i})");
             assert_eq!(rs.get(i), b, "get({i})");
+            if let Some(window) = bits.get(i..i + 8) {
+                let expected = window.iter().rev().fold(0u8, |acc, &bit| acc << 1 | bit as u8);
+                assert_eq!(rs.byte_at(i), expected, "byte_at({i})");
+            }
             if b {
                 ones += 1;
                 assert_eq!(rs.select1(ones), Some(i), "select1({ones})");

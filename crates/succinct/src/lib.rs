@@ -8,7 +8,7 @@
 //!   near-constant `select` whose counters sit inline with the bit words
 //!   (one 64-byte cache line = counters + 384 payload bits), so `rank` is a
 //!   single cache-line fetch.  It backs the balanced parentheses, the
-//!   text-leaf map, the FM-index sampling bitmap and the wavelet-matrix
+//!   text-leaf map, the FM-index sampling bitmap and the wavelet-tree
 //!   levels.
 //! * [`RsBitVector`] — the classical two-level rank directory, kept as the
 //!   upper-bits bitmap of [`EliasFano`].
@@ -17,9 +17,9 @@
 //!   Okanohara–Sadakane *sarray* used for the per-tag occurrence rows.
 //! * [`IntVector`] — a fixed-width packed integer array (the `Tag` sequence,
 //!   sample arrays, …).
-//! * [`WaveletMatrix`] — a pointer-free wavelet matrix with one flat bitmap
-//!   per level, the sequence representation used for the BWT inside the
-//!   FM-index.
+//! * [`HuffmanWavelet`] — a Huffman-shaped wavelet tree over bytes, stored
+//!   level-wise without pointers (about `n·H₀` bits), the sequence
+//!   representation used for the BWT inside the FM-index.
 //! * [`oracle`] — the differential-testing harness that pins every
 //!   structure against a naive reference (and the two bitvectors against
 //!   each other).
@@ -60,7 +60,7 @@ pub use eliasfano::{EliasFano, EliasFanoBuilder};
 pub use interleaved::InterleavedRsBitVector;
 pub use intvec::IntVector;
 pub use rsbitvec::RsBitVector;
-pub use wavelet::WaveletMatrix;
+pub use wavelet::HuffmanWavelet;
 
 /// Number of heap bytes used by a slice of `T`, ignoring allocation slack.
 pub(crate) fn slice_bytes<T>(s: &[T]) -> usize {

@@ -1,17 +1,16 @@
 //! Wavelet structures: sequence representations with `access`, `rank` and
-//! `select` over general alphabets.
+//! `select`.
 //!
-//! The FM-index of Section 3 needs `rank_c(T^bwt, i)` for byte symbols.  The
-//! paper uses a Huffman-shaped wavelet tree; this crate keeps one structure
-//! for the role, the pointer-free [`WaveletMatrix`] (fixed `log σ` levels of
-//! single-cache-line ranks), which measured faster on the BWT (see
-//! `ARCHITECTURE.md`).
+//! The FM-index of Section 3 needs `rank_c(T^bwt, i)` for byte symbols.
+//! Like the paper, this crate keeps the BWT in a Huffman-shaped wavelet
+//! tree, [`HuffmanWavelet`]: about `n·H₀` bits, stored level-wise without
+//! pointers so each code bit costs one single-cache-line rank.
 
-mod matrix;
+mod huffman;
 
-pub use matrix::WaveletMatrix;
+pub use huffman::{HuffmanWavelet, MAX_CODE_LEN};
 
-/// Query interface of a symbol sequence: implemented by [`WaveletMatrix`]
+/// Query interface of a symbol sequence: implemented by [`HuffmanWavelet`]
 /// and by the naive references the [`crate::oracle`] drivers compare it to.
 pub trait SequenceIndex<Sym: Copy + Eq> {
     /// Length of the indexed sequence.

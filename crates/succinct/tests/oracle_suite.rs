@@ -10,7 +10,7 @@ use sxsi_succinct::oracle::{
     oracle_cases, NaiveBitVector, OracleRng,
 };
 use sxsi_succinct::wavelet::SequenceIndex;
-use sxsi_succinct::{BitVec, EliasFano, InterleavedRsBitVector, RsBitVector, WaveletMatrix};
+use sxsi_succinct::{BitVec, EliasFano, HuffmanWavelet, InterleavedRsBitVector, RsBitVector};
 use sxsi_io::{ReadFrom, WriteInto};
 
 /// SplitMix64: the same deterministic generator the datagen crate uses.
@@ -226,49 +226,95 @@ fn random_cases_cross_check_all_variants() {
     }
 }
 
-/// Wavelet matrix vs a naive scan, over byte-like and wide alphabets,
-/// through the generic sequence-equivalence driver.
-#[test]
-fn wavelet_matrix_matches_naive() {
-    struct NaiveSeq(Vec<u64>);
-    impl SequenceIndex<u64> for NaiveSeq {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn access(&self, i: usize) -> u64 {
-            self.0[i]
-        }
-        fn rank(&self, sym: u64, i: usize) -> usize {
-            self.0[..i].iter().filter(|&&s| s == sym).count()
-        }
-        fn select(&self, sym: u64, k: usize) -> Option<usize> {
-            if k == 0 {
-                return None;
-            }
-            let mut seen = 0;
-            self.0.iter().position(|&s| {
-                if s == sym {
-                    seen += 1;
-                }
-                s == sym && seen == k
-            })
-        }
+/// The naive sequence reference: every query is a linear scan.
+struct NaiveSeq(Vec<u8>);
+
+impl SequenceIndex<u8> for NaiveSeq {
+    fn len(&self) -> usize {
+        self.0.len()
     }
-    let mut rng = OracleRng::new(0x3A7_0AC1E);
-    let cases = oracle_cases(2);
-    for case in 0..cases {
-        for &(len, sigma) in &[(0usize, 4u64), (1, 1), (300, 3), (777, 11), (1500, 256), (900, 1000)] {
-            let seq: Vec<u64> = (0..len).map(|_| rng.below(sigma)).collect();
-            let mut alphabet: Vec<u64> = seq.clone();
-            alphabet.sort_unstable();
-            alphabet.dedup();
-            alphabet.push(sigma - 1); // possibly absent
-            alphabet.dedup();
-            let label = format!("wm-case-{case}/{len}x{sigma}");
-            let wm = WaveletMatrix::new(&seq, sigma);
-            let naive = NaiveSeq(seq.clone());
-            check_sequence_equivalence(&label, &alphabet, &wm, &naive);
+    fn access(&self, i: usize) -> u8 {
+        self.0[i]
+    }
+    fn rank(&self, sym: u8, i: usize) -> usize {
+        self.0[..i].iter().filter(|&&s| s == sym).count()
+    }
+    fn select(&self, sym: u8, k: usize) -> Option<usize> {
+        if k == 0 {
+            return None;
         }
+        let mut seen = 0;
+        self.0.iter().position(|&s| {
+            if s == sym {
+                seen += 1;
+            }
+            s == sym && seen == k
+        })
+    }
+}
+
+/// Builds the Huffman wavelet tree over `seq` and checks every `access`,
+/// `rank` and `select` against [`NaiveSeq`], for each present byte plus one
+/// absent byte.
+fn check_against_naive(label: &str, seq: &[u8]) -> HuffmanWavelet {
+    let mut alphabet = seq.to_vec();
+    alphabet.sort_unstable();
+    alphabet.dedup();
+    if let Some(absent) = (0..=255u8).find(|b| !alphabet.contains(b)) {
+        alphabet.push(absent);
+    }
+    let wt = HuffmanWavelet::new(seq);
+    check_sequence_equivalence(label, &alphabet, &wt, &NaiveSeq(seq.to_vec()));
+    wt
+}
+
+/// Huffman wavelet tree vs a naive scan on the shapes that matter: no
+/// symbol, one, two and all 256 distinct symbols, Zipf-skewed bytes (the
+/// BWT-of-text case) and uniformly random bytes (the eight-level worst
+/// case), through the generic sequence-equivalence driver.
+#[test]
+fn huffman_wavelet_matches_naive() {
+    let mut rng = OracleRng::new(0x3A7_0AC1E);
+    check_against_naive("empty", &[]);
+    check_against_naive("one-symbol", &[b'q'; 700]);
+    let all: Vec<u8> = (0..=255u8).chain((0..500).map(|i| (i * 89 % 256) as u8)).collect();
+    check_against_naive("all-256", &all);
+    // Zipf over the byte alphabet: weight of rank r is proportional to 1/(r+1).
+    let zipf_cdf: Vec<u64> = (0..256u64)
+        .scan(0, |acc, r| {
+            *acc += 1_000_000 / (r + 1);
+            Some(*acc)
+        })
+        .collect();
+    for case in 0..oracle_cases(2) {
+        let two: Vec<u8> = (0..900).map(|_| if rng.chance(1, 5) { b'x' } else { b'y' }).collect();
+        check_against_naive(&format!("two-symbols-{case}"), &two);
+        let zipf: Vec<u8> = (0..1500)
+            .map(|_| {
+                let u = rng.below(*zipf_cdf.last().unwrap());
+                zipf_cdf.iter().position(|&c| u < c).unwrap() as u8
+            })
+            .collect();
+        let wt = check_against_naive(&format!("zipf-{case}"), &zipf);
+        assert!(wt.level_bits() < 7 * zipf.len(), "zipf-{case}: a skewed alphabet must beat 8 bits/symbol");
+        let uniform: Vec<u8> = (0..1000).map(|_| rng.below(256) as u8).collect();
+        let wt = check_against_naive(&format!("uniform-{case}"), &uniform);
+        assert!(wt.level_count() <= 12, "uniform-{case}: {} levels", wt.level_count());
+    }
+}
+
+/// Level lengths on the interleaved 384-bit block edge: the root level
+/// (two symbols) and a deeper level (a one-bit byte plus two two-bit bytes
+/// whose node holds exactly `n` bits).
+#[test]
+fn huffman_wavelet_levels_straddle_block_edges() {
+    for n in [383usize, 384, 385] {
+        let root: Vec<u8> = (0..n).map(|i| if i % 3 == 0 { b'a' } else { b'b' }).collect();
+        check_against_naive(&format!("root-level/{n}"), &root);
+        let mut deep: Vec<u8> = (0..n).map(|i| if i % 2 == 0 { b'b' } else { b'c' }).collect();
+        deep.extend(std::iter::repeat(b'a').take(2 * n));
+        let wt = check_against_naive(&format!("second-level/{n}"), &deep);
+        assert_eq!((wt.code_len(b'a'), wt.code_len(b'b'), wt.level_bits()), (1, 2, 3 * n + n));
     }
 }
 
@@ -338,9 +384,9 @@ fn interleaved_corpus() -> InterleavedRsBitVector {
     InterleavedRsBitVector::new(&bv)
 }
 
-fn matrix_corpus() -> WaveletMatrix {
-    let seq: Vec<u64> = (0..600).map(|i| ((i * 131) % 41) as u64).collect();
-    WaveletMatrix::new(&seq, 41)
+fn wavelet_corpus() -> HuffmanWavelet {
+    let seq: Vec<u8> = (0..400).map(|i| ((i * 131) % 13 + (i % 3) * 50) as u8).collect();
+    HuffmanWavelet::new(&seq)
 }
 
 /// Every-byte truncation: no prefix of a valid encoding decodes.
@@ -350,9 +396,9 @@ fn new_structures_reject_every_truncation() {
     for cut in 0..bytes.len() {
         assert!(InterleavedRsBitVector::from_bytes(&bytes[..cut]).is_err(), "interleaved cut {cut}");
     }
-    let bytes = matrix_corpus().to_bytes();
+    let bytes = wavelet_corpus().to_bytes();
     for cut in 0..bytes.len() {
-        assert!(WaveletMatrix::from_bytes(&bytes[..cut]).is_err(), "matrix cut {cut}");
+        assert!(HuffmanWavelet::from_bytes(&bytes[..cut]).is_err(), "wavelet cut {cut}");
     }
 }
 
@@ -381,51 +427,37 @@ fn interleaved_bit_flips_error_or_stay_consistent() {
     }
 }
 
-/// Same sweep for the wavelet matrix: any decodable mutation must stay
-/// internally consistent (`access`/`rank`/`select` mutually agree).
+/// Same sweep for the Huffman wavelet tree: any decodable mutation must
+/// stay internally consistent (`access`/`rank`/`select` mutually agree).
+/// Flips in the code lengths must be refused by the completeness check;
+/// flips in a level either break a level length or re-route symbols.
 #[test]
-fn wavelet_matrix_bit_flips_error_or_stay_consistent() {
-    let wm = matrix_corpus();
-    let bytes = wm.to_bytes();
-    // The encoding is ~level_count * n/8 bytes; sweep a deterministic
-    // subset of bytes (every 7th) with all 8 bit positions to keep the
-    // test fast while still crossing every field boundary.
-    for byte in (0..bytes.len()).step_by(7).chain([1, 7, 8, 9, 15, 16, 17]) {
+fn huffman_wavelet_bit_flips_error_or_stay_consistent() {
+    let wt = wavelet_corpus();
+    let bytes = wt.to_bytes();
+    // Length and shape, all 256 code lengths, then every 7th level byte
+    // with all 8 bit positions, crossing every field boundary.
+    for byte in (0..9 + 256).chain((9 + 256..bytes.len()).step_by(7)) {
         for bit in 0..8 {
             let mut flipped = bytes.clone();
             flipped[byte] ^= 1 << bit;
-            if let Ok(decoded) = WaveletMatrix::from_bytes(&flipped) {
-                // Rebuild the sequence via access and verify rank/select
-                // against it.
-                let seq: Vec<u64> = (0..SequenceIndex::len(&decoded))
-                    .map(|i| decoded.access_sym(i))
-                    .collect();
-                let mut alphabet: Vec<u64> = seq.clone();
-                alphabet.sort_unstable();
-                alphabet.dedup();
-                // A flipped level bit can make `access` spell a symbol
-                // outside the declared alphabet; `rank`/`select` guard those
-                // to 0/`None` by contract, so check that and then restrict
-                // the mutual-consistency sweep to in-alphabet symbols.
-                for &sym in alphabet.iter().filter(|&&s| s >= decoded.alphabet_size()) {
-                    assert_eq!(decoded.rank_sym(sym, seq.len()), 0, "flip {byte}:{bit} oob rank({sym})");
-                    assert_eq!(decoded.select_sym(sym, 1), None, "flip {byte}:{bit} oob select({sym})");
-                }
-                alphabet.retain(|&s| s < decoded.alphabet_size());
-                for &sym in &alphabet {
-                    let mut seen = 0usize;
-                    for (i, &s) in seq.iter().enumerate() {
-                        assert_eq!(decoded.rank_sym(sym, i), seen, "flip {byte}:{bit} rank({sym},{i})");
-                        if s == sym {
-                            seen += 1;
-                            assert_eq!(
-                                decoded.select_sym(sym, seen),
-                                Some(i),
-                                "flip {byte}:{bit} select({sym},{seen})"
-                            );
-                        }
+            let Ok(decoded) = HuffmanWavelet::from_bytes(&flipped) else { continue };
+            assert!((9..9 + 256).all(|b| flipped[b] == bytes[b]), "flip {byte}:{bit} changed the code yet decoded");
+            let seq: Vec<u8> = (0..SequenceIndex::len(&decoded)).map(|i| decoded.access(i)).collect();
+            let mut alphabet = seq.clone();
+            alphabet.sort_unstable();
+            alphabet.dedup();
+            alphabet.push(255); // absent from the corpus
+            for &sym in &alphabet {
+                let mut seen = 0usize;
+                for (i, &s) in seq.iter().enumerate() {
+                    assert_eq!(decoded.rank(sym, i), seen, "flip {byte}:{bit} rank({sym},{i})");
+                    if s == sym {
+                        seen += 1;
+                        assert_eq!(decoded.select(sym, seen), Some(i), "flip {byte}:{bit} select({sym},{seen})");
                     }
                 }
+                assert_eq!(decoded.count(sym), seen, "flip {byte}:{bit} count({sym})");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! runtime.
 
 use sxsi_succinct::{
-    BitVec, EliasFano, InterleavedRsBitVector, IntVector, RsBitVector, WaveletMatrix,
+    BitVec, EliasFano, HuffmanWavelet, InterleavedRsBitVector, IntVector, RsBitVector,
 };
 
 fn require_send_sync<T: Send + Sync>() {}
@@ -19,5 +19,5 @@ fn succinct_structures_are_send_and_sync() {
     require_send_sync::<InterleavedRsBitVector>();
     require_send_sync::<EliasFano>();
     require_send_sync::<IntVector>();
-    require_send_sync::<WaveletMatrix>();
+    require_send_sync::<HuffmanWavelet>();
 }

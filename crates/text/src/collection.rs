@@ -88,6 +88,29 @@ impl Default for TextCollectionOptions {
     }
 }
 
+/// Heap bytes of each component of a [`TextCollection`]'s index, the
+/// optional plain store excluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TextIndexSpace {
+    /// The BWT: its wavelet tree and the `C` array.
+    pub bwt: usize,
+    /// The locate sampling bitmap.
+    pub sampled: usize,
+    /// The locate samples.
+    pub samples: usize,
+    /// The `Doc` array.
+    pub doc: usize,
+    /// The text start offsets.
+    pub starts: usize,
+}
+
+impl TextIndexSpace {
+    /// Sum of the components: [`TextCollection::index_size_bytes`].
+    pub fn total(&self) -> usize {
+        self.bwt + self.sampled + self.samples + self.doc + self.starts
+    }
+}
+
 /// Self-indexed text collection: FM-index + `Doc` + text boundaries
 /// (+ optional plain copy).
 #[derive(Debug, Clone)]
@@ -151,8 +174,20 @@ impl TextCollection {
     /// Heap size in bytes (FM-index + Doc + boundaries), excluding the
     /// optional plain store.
     pub fn index_size_bytes(&self) -> usize {
+        self.index_space().total()
+    }
+
+    /// [`TextCollection::index_size_bytes`] broken down by component.
+    pub fn index_space(&self) -> TextIndexSpace {
         use sxsi_succinct::SpaceUsage;
-        self.fm.size_bytes() + self.doc.len() * 4 + self.starts.size_bytes()
+        let (bwt, sampled, samples) = self.fm.size_parts();
+        TextIndexSpace {
+            bwt,
+            sampled,
+            samples,
+            doc: std::mem::size_of_val(&self.doc[..]),
+            starts: self.starts.size_bytes(),
+        }
     }
 
     /// Heap size in bytes including the optional plain store.

@@ -1,10 +1,10 @@
 //! The FM-index: backward search, LF-mapping and position location over the
 //! BWT of the text collection (Section 3.1 of the paper).
 //!
-//! The BWT is stored in a wavelet matrix over the byte alphabet (eight
-//! levels, one single-cache-line rank each; the paper uses a Huffman-shaped
-//! wavelet tree, which measured slower here — see `ARCHITECTURE.md`), plus
-//! the `C` array of cumulative symbol counts, a sampling bitmap `Bs` marking rows whose text
+//! The BWT is stored, as in the paper, in a Huffman-shaped wavelet tree over
+//! the byte alphabet (about `n·H₀` bits; one single-cache-line rank per code
+//! bit, 4–5 on average for XML text), plus the `C` array of cumulative
+//! symbol counts, a sampling bitmap `Bs` marking rows whose text
 //! position is a multiple of the sampling step `l`, and the corresponding
 //! samples array `Ps`.  Locating an occurrence walks backwards with `LF`
 //! until it hits a sample (at most `l` steps) or an end-marker, in which case
@@ -15,8 +15,7 @@ use sxsi_io::{
     corrupt, read_usize, read_usize_vec, write_usize, write_usize_slice, IoError, ReadFrom,
     WriteInto,
 };
-use sxsi_succinct::wavelet::SequenceIndex;
-use sxsi_succinct::{BitVec, InterleavedRsBitVector, IntVector, SpaceUsage, WaveletMatrix};
+use sxsi_succinct::{BitVec, HuffmanWavelet, InterleavedRsBitVector, IntVector, SpaceUsage};
 
 /// Default sampling step for locate queries (the paper uses 64 in Table II
 /// and 4 in Table III).
@@ -48,9 +47,8 @@ impl RowRange {
 /// FM-index over the collection BWT (end-markers rendered as byte 0).
 #[derive(Debug, Clone)]
 pub struct FmIndex {
-    /// The BWT as a wavelet matrix over the byte alphabet (`alphabet_size`
-    /// 256, so every symbol descends exactly eight levels).
-    bwt: WaveletMatrix,
+    /// The BWT as a Huffman-shaped wavelet tree over the byte alphabet.
+    bwt: HuffmanWavelet,
     /// `c[s]` = number of symbols strictly smaller than `s` in the text,
     /// with one extra slot so `c[s + 1] - c[s]` is the count of `s`.
     c: Vec<usize>,
@@ -93,8 +91,7 @@ impl FmIndex {
         assert!(sample_rate >= 1, "sample rate must be positive");
         assert_eq!(bwt_bytes.len(), sa.len());
         let len = bwt_bytes.len();
-        let syms: Vec<u64> = bwt_bytes.iter().map(|&b| b as u64).collect();
-        let bwt = WaveletMatrix::new(&syms, 256);
+        let bwt = HuffmanWavelet::new(bwt_bytes);
         let mut c = vec![0usize; 257];
         for &b in bwt_bytes {
             c[b as usize + 1] += 1;
@@ -147,7 +144,7 @@ impl FmIndex {
     /// Number of occurrences of `b` in `bwt[0, i)`.
     #[inline]
     pub fn occ(&self, b: u8, i: usize) -> usize {
-        self.bwt.rank_sym(b as u64, i)
+        self.bwt.rank(b, i)
     }
 
     /// The `C` array value for `b`: number of text symbols strictly smaller.
@@ -159,7 +156,7 @@ impl FmIndex {
     /// BWT symbol at `row`.
     #[inline]
     pub fn bwt_symbol(&self, row: usize) -> u8 {
-        self.bwt.access_sym(row) as u8
+        self.bwt.access(row)
     }
 
     /// The LF-mapping: the row of the suffix starting one position earlier.
@@ -262,10 +259,18 @@ impl FmIndex {
 
     /// Heap size of the index in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.bwt.size_bytes()
-            + self.c.len() * std::mem::size_of::<usize>()
-            + self.sampled.size_bytes()
-            + self.samples.size_bytes()
+        let (bwt, sampled, samples) = self.size_parts();
+        bwt + sampled + samples
+    }
+
+    /// Heap bytes of the BWT (wavelet tree and `C` array), of the sampling
+    /// bitmap and of the samples; they sum to [`FmIndex::size_bytes`].
+    pub fn size_parts(&self) -> (usize, usize, usize) {
+        (
+            self.bwt.size_bytes() + std::mem::size_of_val(&self.c[..]),
+            self.sampled.size_bytes(),
+            self.samples.size_bytes(),
+        )
     }
 }
 
@@ -318,12 +323,7 @@ impl sxsi_verify::Verify for FmIndex {
                 && self.c.windows(2).all(|w| w[0] <= w[1]),
             || "C array is not a cumulative count over the text".into(),
         );
-        ctx.enter("bwt", |ctx| {
-            ctx.check("bwt-alphabet", self.bwt.alphabet_size() == 256, || {
-                format!("BWT wavelet matrix covers alphabet {}, expected 256", self.bwt.alphabet_size())
-            });
-            self.bwt.verify_into(depth, ctx);
-        });
+        ctx.enter("bwt", |ctx| self.bwt.verify_into(depth, ctx));
         ctx.enter("sampled", |ctx| self.sampled.verify_into(depth, ctx));
         ctx.enter("samples", |ctx| self.samples.verify_into(depth, ctx));
         ctx.check("fm-sampled-len", self.sampled.len() == self.len, || {
@@ -335,7 +335,7 @@ impl sxsi_verify::Verify for FmIndex {
         if ctx.issue_count() > issues_before {
             return;
         }
-        let bad_sym = (0usize..256).find(|&b| self.c[b + 1] - self.c[b] != self.bwt.count(b as u64));
+        let bad_sym = (0usize..256).find(|&b| self.c[b + 1] - self.c[b] != self.bwt.count(b as u8));
         ctx.check("fm-c-counts", bad_sym.is_none(), || {
             format!("C array disagrees with the BWT on symbol {}", bad_sym.unwrap_or_default())
         });
@@ -368,13 +368,7 @@ impl ReadFrom for FmIndex {
         if sample_rate == 0 {
             return Err(corrupt("FM-index sample rate must be positive"));
         }
-        let bwt = WaveletMatrix::read_from(r)?;
-        if bwt.alphabet_size() != 256 {
-            return Err(corrupt(format!(
-                "BWT wavelet matrix has alphabet size {}, expected 256",
-                bwt.alphabet_size()
-            )));
-        }
+        let bwt = HuffmanWavelet::read_from(r)?;
         if bwt.len() != len {
             return Err(corrupt(format!("FM-index BWT holds {} symbols, expected {len}", bwt.len())));
         }
@@ -388,7 +382,7 @@ impl ReadFrom for FmIndex {
         // The C array must agree with the BWT's per-symbol counts, otherwise
         // backward search would silently return wrong ranges.
         for b in 0u16..256 {
-            if c[b as usize + 1] - c[b as usize] != bwt.count(b as u64) {
+            if c[b as usize + 1] - c[b as usize] != bwt.count(b as u8) {
                 return Err(corrupt(format!("FM-index C array disagrees with the BWT on symbol {b}")));
             }
         }
@@ -447,13 +441,15 @@ mod tests {
         }
         // Truncated input must fail structurally, never panic.
         assert!(FmIndex::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        // The matrix's alphabet follows `len` and `sample_rate`, after its
-        // own `len`.  255 still needs eight levels, so only the byte-alphabet
-        // check can reject it.
+        // The tree's 256 code lengths follow `len`, `sample_rate`, its own
+        // `len` and its shape byte.  Giving the absent byte `z` a code
+        // breaks the Kraft equality, so the loader must refuse the code
+        // before reading any level.
+        assert_eq!(bytes[24], 2, "four distinct BWT symbols need a coded tree");
         let mut forged = bytes.clone();
-        forged[24..32].copy_from_slice(&255u64.to_le_bytes());
+        forged[25 + b'z' as usize] = 1;
         let err = FmIndex::from_bytes(&forged).unwrap_err();
-        assert!(err.to_string().contains("alphabet size 255"), "{err}");
+        assert!(err.to_string().contains("complete prefix code"), "{err}");
     }
 
     #[test]

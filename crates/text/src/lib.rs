@@ -23,6 +23,6 @@ pub mod fmindex;
 pub mod plain;
 pub mod suffix;
 
-pub use collection::{TextCollection, TextCollectionOptions, TextPredicate};
+pub use collection::{TextCollection, TextCollectionOptions, TextIndexSpace, TextPredicate};
 pub use fmindex::{FmIndex, RowRange};
 pub use plain::{PlainTexts, TextId};

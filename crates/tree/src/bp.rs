@@ -8,18 +8,151 @@
 //! a target excess value.  We use the practical block-based range-min-max
 //! scheme (Arroyuelo, Cánovas, Navarro & Sadakane, ALENEX 2010): the
 //! parenthesis bitmap is cut into 512-bit blocks; each block stores the
-//! minimum and maximum prefix excess reached inside it, with a second
-//! superblock level so long searches skip whole regions.  Excess at an
-//! arbitrary position is computed in constant time from `rank`.
+//! minimum prefix excess reached inside it, with a second superblock level
+//! so long searches skip whole regions.  Excess at an arbitrary position is
+//! computed in constant time from `rank`.
+//!
+//! No maximum is kept: every search starts strictly above its target and
+//! the excess moves in ±1 steps, so a region whose minimum is at or below
+//! the target must contain it.  Inside a block the scan moves a byte at a
+//! time through three 256-entry tables (excess change, minimum forward and
+//! minimum backward prefix excess of each byte) and only the byte that
+//! reaches the target is read bit by bit.
 
 use crate::error::TreeError;
 use sxsi_io::{IoError, ReadFrom, WriteInto};
 use sxsi_succinct::{BitVec, InterleavedRsBitVector, SpaceUsage};
 
-/// Bits per block of the min/max directory.
+/// Bits per block of the min directory.
 const BLOCK_BITS: usize = 512;
 /// Blocks per superblock.
 const SUPER_FACTOR: usize = 64;
+
+/// Excess tables of the 256 bytes, bit `k` of a byte being parenthesis `k`
+/// (least significant first, as the bitmap stores them).
+struct ByteExcess {
+    /// Excess change over the whole byte.
+    total: [i8; 256],
+    /// Minimum of the excess after the first `t` bits, `t` in `1..=8`.
+    fwd_min: [i8; 256],
+    /// Minimum of the excess before the last `t` bits relative to the end,
+    /// `t` in `1..=8`.
+    bwd_min: [i8; 256],
+}
+
+const fn byte_excess() -> ByteExcess {
+    let mut tables = ByteExcess { total: [0; 256], fwd_min: [0; 256], bwd_min: [0; 256] };
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut fwd, mut fwd_min) = (0i8, i8::MAX);
+        let (mut bwd, mut bwd_min) = (0i8, i8::MAX);
+        let mut k = 0;
+        while k < 8 {
+            fwd += step((byte >> k) & 1 == 1) as i8;
+            bwd -= step((byte >> (7 - k)) & 1 == 1) as i8;
+            if fwd < fwd_min {
+                fwd_min = fwd;
+            }
+            if bwd < bwd_min {
+                bwd_min = bwd;
+            }
+            k += 1;
+        }
+        tables.total[byte] = fwd;
+        tables.fwd_min[byte] = fwd_min;
+        tables.bwd_min[byte] = bwd_min;
+        byte += 1;
+    }
+    tables
+}
+
+static BYTE_EXCESS: ByteExcess = byte_excess();
+
+/// Excess step of a parenthesis: +1 for an open, -1 for a close.
+#[inline]
+const fn step(open: bool) -> i64 {
+    if open {
+        1
+    } else {
+        -1
+    }
+}
+
+/// Smallest `j` at or after the starting `j` and below `hi` with
+/// `E(j + 1) == target`, given `excess == E(j)` and `excess >= target` on
+/// entry.
+fn fwd_scan(bits: &InterleavedRsBitVector, mut j: usize, hi: usize, mut excess: i64, target: i64) -> Option<usize> {
+    while j + 8 <= hi {
+        let byte = bits.byte_at(j);
+        if excess + BYTE_EXCESS.fwd_min[byte as usize] as i64 <= target {
+            let mut e = excess;
+            for k in 0..8 {
+                e += step((byte >> k) & 1 == 1);
+                if e == target {
+                    return Some(j + k);
+                }
+            }
+        }
+        excess += BYTE_EXCESS.total[byte as usize] as i64;
+        j += 8;
+    }
+    while j < hi {
+        excess += step(bits.get(j));
+        if excess == target {
+            return Some(j);
+        }
+        j += 1;
+    }
+    None
+}
+
+/// Largest `k` in `[lo, hi]` with `E(k) == target`, given `excess == E(hi)`
+/// and `excess >= target`.
+fn bwd_scan(bits: &InterleavedRsBitVector, lo: usize, mut k: usize, mut excess: i64, target: i64) -> Option<usize> {
+    if excess == target {
+        return Some(k);
+    }
+    while k >= lo + 8 {
+        let byte = bits.byte_at(k - 8);
+        if excess + BYTE_EXCESS.bwd_min[byte as usize] as i64 <= target {
+            let mut e = excess;
+            for t in (0..8).rev() {
+                e -= step((byte >> t) & 1 == 1);
+                if e == target {
+                    return Some(k - 8 + t);
+                }
+            }
+        }
+        excess -= BYTE_EXCESS.total[byte as usize] as i64;
+        k -= 8;
+    }
+    while k > lo {
+        k -= 1;
+        excess -= step(bits.get(k));
+        if excess == target {
+            return Some(k);
+        }
+    }
+    None
+}
+
+/// Sweeps the excess over `[lo, hi)` from `excess == E(lo)`: returns
+/// `E(hi)` and the minimum of `E(lo + 1 ..= hi)` (`i64::MAX` if empty).
+fn sweep(bits: &InterleavedRsBitVector, lo: usize, hi: usize, mut excess: i64) -> (i64, i64) {
+    let mut min = i64::MAX;
+    let mut j = lo;
+    while j + 8 <= hi {
+        let byte = bits.byte_at(j) as usize;
+        min = min.min(excess + BYTE_EXCESS.fwd_min[byte] as i64);
+        excess += BYTE_EXCESS.total[byte] as i64;
+        j += 8;
+    }
+    for j in j..hi {
+        excess += step(bits.get(j));
+        min = min.min(excess);
+    }
+    (excess, min)
+}
 
 /// Balanced parentheses sequence with navigation support.
 ///
@@ -29,10 +162,8 @@ pub struct BalancedParens {
     bits: InterleavedRsBitVector,
     /// Minimum excess `E(k)` for `k` in `(block_start, block_end]`.
     block_min: Vec<i64>,
-    /// Maximum excess over the same range.
-    block_max: Vec<i64>,
+    /// Minimum over the blocks of each superblock.
     super_min: Vec<i64>,
-    super_max: Vec<i64>,
 }
 
 impl BalancedParens {
@@ -61,37 +192,24 @@ impl BalancedParens {
         let len = bits.len();
         let n_blocks = len.div_ceil(BLOCK_BITS).max(1);
         let mut block_min = vec![i64::MAX; n_blocks];
-        let mut block_max = vec![i64::MIN; n_blocks];
         let mut excess: i64 = 0;
         let mut first_dip: Option<usize> = None;
-        for b in 0..n_blocks {
+        for (b, min) in block_min.iter_mut().enumerate() {
             let lo = b * BLOCK_BITS;
             let hi = ((b + 1) * BLOCK_BITS).min(len);
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            for p in lo..hi {
-                excess += if bits.get(p) { 1 } else { -1 };
-                if excess < 0 && first_dip.is_none() {
-                    first_dip = Some(p);
-                }
-                min = min.min(excess);
-                max = max.max(excess);
+            let (end, block) = sweep(&bits, lo, hi, excess);
+            if block < 0 && first_dip.is_none() {
+                // Not yet negative at `lo`, so the first dip reaches -1.
+                first_dip = fwd_scan(&bits, lo, hi, excess, -1);
             }
-            block_min[b] = min;
-            block_max[b] = max;
+            *min = block;
+            excess = end;
         }
         if len > 0 && (excess != 0 || first_dip.is_some()) {
             return Err(TreeError::Unbalanced { position: first_dip, final_excess: excess });
         }
-        let n_super = n_blocks.div_ceil(SUPER_FACTOR);
-        let mut super_min = vec![i64::MAX; n_super];
-        let mut super_max = vec![i64::MIN; n_super];
-        for b in 0..n_blocks {
-            let s = b / SUPER_FACTOR;
-            super_min[s] = super_min[s].min(block_min[b]);
-            super_max[s] = super_max[s].max(block_max[b]);
-        }
-        Ok(Self { bits, block_min, block_max, super_min, super_max })
+        let super_min = block_min.chunks(SUPER_FACTOR).map(|c| c.iter().copied().min().unwrap_or(i64::MAX)).collect();
+        Ok(Self { bits, block_min, super_min })
     }
 
     /// Number of parentheses (twice the number of tree nodes).
@@ -172,119 +290,74 @@ impl BalancedParens {
     pub fn size_bytes(&self) -> usize {
         self.bits.size_bytes()
             + std::mem::size_of_val(&self.block_min[..])
-            + std::mem::size_of_val(&self.block_max[..])
             + std::mem::size_of_val(&self.super_min[..])
-            + std::mem::size_of_val(&self.super_max[..])
     }
 
-    /// Smallest `j >= from` with `E(j + 1) == target`.
+    /// Smallest `j >= from` with `E(j + 1) == target`, for a `target` no
+    /// greater than `E(from)`.
     fn fwd_excess(&self, from: usize, target: i64) -> Option<usize> {
         let len = self.len();
         if from >= len {
             return None;
         }
-        let start_block = from / BLOCK_BITS;
         // 1. Scan the remainder of the starting block.
-        let mut excess = self.excess(from);
+        let start_block = from / BLOCK_BITS;
         let hi = ((start_block + 1) * BLOCK_BITS).min(len);
-        for j in from..hi {
-            excess += if self.bits.get(j) { 1 } else { -1 };
-            if excess == target {
-                return Some(j);
-            }
+        if let Some(j) = fwd_scan(&self.bits, from, hi, self.excess(from), target) {
+            return Some(j);
         }
-        // 2. Skip blocks using the directories.
+        // 2. Every excess so far exceeds the target, so the first block
+        //    whose minimum reaches it holds the answer.
         let n_blocks = self.block_min.len();
         let mut b = start_block + 1;
         while b < n_blocks {
-            if b % SUPER_FACTOR == 0 {
-                // Try to skip a whole superblock.
-                let s = b / SUPER_FACTOR;
-                if !(self.super_min[s] <= target && target <= self.super_max[s]) {
-                    b = (s + 1) * SUPER_FACTOR;
-                    continue;
-                }
+            if b % SUPER_FACTOR == 0 && self.super_min[b / SUPER_FACTOR] > target {
+                b += SUPER_FACTOR;
+                continue;
             }
-            if self.block_min[b] <= target && target <= self.block_max[b] {
-                // The block contains the target excess: scan it.
+            if self.block_min[b] <= target {
                 let lo = b * BLOCK_BITS;
-                let hi = ((b + 1) * BLOCK_BITS).min(len);
-                let mut excess = self.excess(lo);
-                for j in lo..hi {
-                    excess += if self.bits.get(j) { 1 } else { -1 };
-                    if excess == target {
-                        return Some(j);
-                    }
-                }
-                unreachable!("block min/max said the target excess was inside");
+                return fwd_scan(&self.bits, lo, (lo + BLOCK_BITS).min(len), self.excess(lo), target);
             }
             b += 1;
         }
         None
     }
 
-    /// Largest `k < from` with `E(k) == target`.
+    /// Largest `k < from` with `E(k) == target`, for a `target` below
+    /// `E(from)`.
     ///
     /// The search visits, in decreasing order of position: the excess values
-    /// in `(lo_start, from)` (the partial starting block), then the values in
-    /// `(lo_b, hi_b]` for every earlier block `b` — exactly the ranges the
-    /// block min/max directories summarise — and finally position 0, whose
+    /// at `[lo_start, from)` (the starting block), then the values at
+    /// `[lo_b, hi_b]` of the latest earlier block `b` whose directory range
+    /// `(lo_b, hi_b]` reaches the target, and finally position 0, whose
     /// excess is always 0.
     fn bwd_excess(&self, from: usize, target: i64) -> Option<usize> {
         if from == 0 {
             return None;
         }
-        let start_block = from / BLOCK_BITS;
-        let lo_start = start_block * BLOCK_BITS;
-        // 1. Scan `(lo_start, from)` backwards.
-        let mut excess = self.excess(from);
-        let mut k = from;
-        while k > lo_start + 1 {
-            k -= 1;
-            excess += if self.bits.get(k) { -1 } else { 1 };
-            if excess == target {
-                return Some(k);
+        // 1. Scan `[lo_start, from)` backwards.
+        let start_block = (from - 1) / BLOCK_BITS;
+        let excess = self.excess(from) - step(self.bits.get(from - 1));
+        if let Some(k) = bwd_scan(&self.bits, start_block * BLOCK_BITS, from - 1, excess, target) {
+            return Some(k);
+        }
+        // 2. Walk earlier blocks backwards using the directories.
+        let mut b = start_block;
+        while b > 0 {
+            b -= 1;
+            if (b + 1) % SUPER_FACTOR == 0 && self.super_min[b / SUPER_FACTOR] > target {
+                // Entering a superblock from its top: skip all of it.
+                b -= SUPER_FACTOR - 1;
+                continue;
+            }
+            if self.block_min[b] <= target {
+                let lo = b * BLOCK_BITS;
+                let hi = lo + BLOCK_BITS;
+                return bwd_scan(&self.bits, lo, hi, self.excess(hi), target);
             }
         }
-        // 2. Walk earlier blocks backwards using the directories; block `b`
-        //    covers the excess values at positions `(lo_b, hi_b]`.
-        if start_block > 0 {
-            let mut b = start_block - 1;
-            loop {
-                if (b + 1) % SUPER_FACTOR == 0 {
-                    // Entering a fresh superblock from its top: maybe skip it.
-                    let s = b / SUPER_FACTOR;
-                    if !(self.super_min[s] <= target && target <= self.super_max[s]) {
-                        if s == 0 {
-                            break;
-                        }
-                        b = s * SUPER_FACTOR - 1;
-                        continue;
-                    }
-                }
-                if self.block_min[b] <= target && target <= self.block_max[b] {
-                    let lo = b * BLOCK_BITS;
-                    let hi = ((b + 1) * BLOCK_BITS).min(self.len());
-                    let mut excess = self.excess(hi);
-                    if hi < from && excess == target {
-                        return Some(hi);
-                    }
-                    let mut k = hi;
-                    while k > lo + 1 {
-                        k -= 1;
-                        excess += if self.bits.get(k) { -1 } else { 1 };
-                        if excess == target {
-                            return Some(k);
-                        }
-                    }
-                }
-                if b == 0 {
-                    break;
-                }
-                b -= 1;
-            }
-        }
-        // 3. Position 0 (excess 0) is not covered by any block range.
+        // 3. Position 0 (excess 0) lies in no block's directory range.
         (target == 0).then_some(0)
     }
 }
@@ -299,17 +372,12 @@ impl sxsi_verify::Verify for BalancedParens {
         let n_super = n_blocks.div_ceil(SUPER_FACTOR);
         ctx.check(
             "bp-directory-shape",
-            self.block_min.len() == n_blocks
-                && self.block_max.len() == n_blocks
-                && self.super_min.len() == n_super
-                && self.super_max.len() == n_super,
+            self.block_min.len() == n_blocks && self.super_min.len() == n_super,
             || {
                 format!(
-                    "directories hold {}/{} block and {}/{} super entries, expected {n_blocks} and {n_super}",
+                    "directories hold {} block and {} super entries, expected {n_blocks} and {n_super}",
                     self.block_min.len(),
-                    self.block_max.len(),
-                    self.super_min.len(),
-                    self.super_max.len()
+                    self.super_min.len()
                 )
             },
         );
@@ -317,44 +385,34 @@ impl sxsi_verify::Verify for BalancedParens {
             return;
         }
 
-        // Recompute the per-block min/max prefix excess and the balance
+        // Recompute the per-block minimum prefix excess and the balance
         // invariant in one sweep (this is what `try_from_bits` validates,
         // re-checked here against in-memory drift).
         let mut excess: i64 = 0;
         let mut dipped = false;
-        let mut block_ok = true;
-        let mut first_bad_block = 0usize;
-        for b in 0..n_blocks {
+        let mut first_bad_block = None;
+        for (b, &stored) in self.block_min.iter().enumerate() {
             let lo = b * BLOCK_BITS;
-            let hi = ((b + 1) * BLOCK_BITS).min(len);
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            for p in lo..hi {
-                excess += if self.bits.get(p) { 1 } else { -1 };
-                dipped |= excess < 0;
-                min = min.min(excess);
-                max = max.max(excess);
+            let (end, min) = sweep(&self.bits, lo, ((b + 1) * BLOCK_BITS).min(len), excess);
+            dipped |= min < 0;
+            if stored != min && first_bad_block.is_none() {
+                first_bad_block = Some(b);
             }
-            if block_ok && (self.block_min[b] != min || self.block_max[b] != max) {
-                block_ok = false;
-                first_bad_block = b;
-            }
+            excess = end;
         }
         ctx.check("bp-balance", len == 0 || (excess == 0 && !dipped), || {
             format!("sequence unbalanced: final excess {excess}, dipped below zero: {dipped}")
         });
-        ctx.check("bp-block-minmax", block_ok, || {
-            format!("block {first_bad_block} min/max disagrees with a recompute from the bitmap")
+        ctx.check("bp-block-min", first_bad_block.is_none(), || {
+            format!("block {} minimum disagrees with a recompute from the bitmap", first_bad_block.unwrap_or_default())
         });
-        let super_ok = (0..n_super).all(|s| {
-            let lo = s * SUPER_FACTOR;
-            let hi = ((s + 1) * SUPER_FACTOR).min(n_blocks);
-            let min = self.block_min[lo..hi].iter().copied().min().unwrap_or(i64::MAX);
-            let max = self.block_max[lo..hi].iter().copied().max().unwrap_or(i64::MIN);
-            self.super_min[s] == min && self.super_max[s] == max
-        });
-        ctx.check("bp-super-minmax", super_ok, || {
-            "superblock min/max directory disagrees with the block directory".to_string()
+        let super_ok = self
+            .block_min
+            .chunks(SUPER_FACTOR)
+            .zip(&self.super_min)
+            .all(|(blocks, &stored)| blocks.iter().copied().min() == Some(stored));
+        ctx.check("bp-super-min", super_ok, || {
+            "superblock minimum directory disagrees with the block directory".to_string()
         });
     }
 }
@@ -580,21 +638,21 @@ mod tests {
             let mut b = sample();
             b.block_min[1] -= 1;
             let report = b.verify(VerifyDepth::Quick);
-            assert!(report.has_code("bp-block-minmax"), "{report}");
+            assert!(report.has_code("bp-block-min"), "{report}");
         }
 
         #[test]
         fn corrupt_super_directory_is_caught() {
             let mut b = sample();
-            b.super_max[0] += 1;
+            b.super_min[0] -= 1;
             let report = b.verify(VerifyDepth::Quick);
-            assert!(report.has_code("bp-super-minmax"), "{report}");
+            assert!(report.has_code("bp-super-min"), "{report}");
         }
 
         #[test]
         fn wrong_directory_shape_is_caught() {
             let mut b = sample();
-            b.block_max.push(0);
+            b.block_min.push(0);
             let report = b.verify(VerifyDepth::Quick);
             assert!(report.has_code("bp-directory-shape"), "{report}");
         }

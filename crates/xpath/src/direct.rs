@@ -313,7 +313,7 @@ impl<'a> DirectEvaluator<'a> {
                 // node's parenthesis range; the iterative scan (unlike a
                 // per-level recursion) cannot overflow the stack on deeply
                 // nested documents.
-                self.scan_range(node + 1, tree.close(node), usize::MAX, test, cap, &mut out);
+                self.scan_range(node + 1, tree.close(node), None, test, cap, &mut out);
             }
             Axis::SelfAxis => {
                 if self.matches(node, test) {
@@ -399,19 +399,12 @@ impl<'a> DirectEvaluator<'a> {
                 }
             }
             Axis::Following => {
-                self.scan_range(
-                    self.following_start(node),
-                    usize::MAX,
-                    usize::MAX,
-                    test,
-                    cap,
-                    &mut out,
-                );
+                self.scan_range(self.following_start(node), usize::MAX, None, test, cap, &mut out);
             }
             Axis::Preceding => {
                 // Nodes whose subtree closes before `node` opens; ancestors
                 // close later and are therefore excluded automatically.
-                self.scan_range(1, node, node, test, None, &mut out);
+                self.scan_range(1, node, Some(node), test, None, &mut out);
                 out.reverse();
             }
         }
@@ -434,11 +427,11 @@ impl<'a> DirectEvaluator<'a> {
             Axis::Following => {
                 let from =
                     context.iter().map(|&x| self.following_start(x)).min().expect("non-empty");
-                self.scan_range(from, usize::MAX, usize::MAX, test, cap, &mut out);
+                self.scan_range(from, usize::MAX, None, test, cap, &mut out);
             }
             Axis::Preceding => {
                 let max_open = *context.last().expect("non-empty");
-                self.scan_range(1, max_open, max_open, test, None, &mut out);
+                self.scan_range(1, max_open, Some(max_open), test, None, &mut out);
             }
             _ => unreachable!("union evaluation only covers following/preceding"),
         }
@@ -465,14 +458,15 @@ impl<'a> DirectEvaluator<'a> {
     }
 
     /// Collects, in document order, every node whose opening parenthesis
-    /// lies in `[from, to)` and whose subtree closes before `close_before`,
-    /// skipping attribute-encoding subtrees.  An optional `cap` stops the
-    /// scan once that many nodes were collected into `out` (total).
+    /// lies in `[from, to)` and whose subtree closes before `close_before`
+    /// (if given), skipping attribute-encoding subtrees.  An optional `cap`
+    /// stops the scan once that many nodes were collected into `out`
+    /// (total).
     fn scan_range(
         &self,
         from: usize,
         to: usize,
-        close_before: usize,
+        close_before: Option<usize>,
         test: &ResolvedTest,
         cap: Option<usize>,
         out: &mut Vec<NodeId>,
@@ -492,7 +486,7 @@ impl<'a> DirectEvaluator<'a> {
                 pos = tree.close(pos) + 1;
                 continue;
             }
-            if tree.close(pos) < close_before && self.matches(pos, test) {
+            if close_before.map_or(true, |bound| tree.close(pos) < bound) && self.matches(pos, test) {
                 out.push(pos);
             }
             pos += 1;

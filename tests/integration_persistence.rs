@@ -139,9 +139,10 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
     ));
 
     // The superseded layouts — version 1, version 2 whose tag sequence led
-    // with a backend byte, and version 3 whose options, rank bitmaps and BWT
-    // carried succinct backend tags — are rejected up front the same way.
-    for superseded in [1u32, 2, 3] {
+    // with a backend byte, version 3 whose options, rank bitmaps and BWT
+    // carried succinct backend tags, and version 4 whose BWT was a wavelet
+    // matrix — are rejected up front the same way.
+    for superseded in [1u32, 2, 3, 4] {
         let mut outdated = bytes.clone();
         outdated[8..12].copy_from_slice(&superseded.to_le_bytes());
         assert!(matches!(
