@@ -1,11 +1,13 @@
-//! Shared infrastructure for the benchmark harness.
+//! Shared infrastructure for the paper-figure bench targets.
 //!
 //! Every bench target reproduces one table or figure of the paper's
-//! evaluation section (see `DESIGN.md` for the index).  Since the absolute
-//! hardware and corpus sizes differ from the paper's testbed, the harness
-//! reports its own measurements in the same row/series layout so the *shape*
-//! of each result (who wins, by how much, where the cross-overs are) can be
-//! compared directly; `EXPERIMENTS.md` records that comparison.
+//! evaluation section (the table in `ARCHITECTURE.md` maps each to its
+//! code).  Since the absolute hardware and corpus sizes differ from the
+//! paper's testbed, the harness reports its own measurements in the same
+//! row/series layout so the *shape* of each result (who wins, by how much,
+//! where the cross-overs are) can be compared directly.  Measured,
+//! comparable performance numbers come from the stand-alone `perfbench`
+//! package instead.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -13,7 +15,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use sxsi::{SxsiIndex, SxsiOptions};
+use sxsi::SxsiIndex;
 use sxsi_datagen::{medline, treebank, wiki, xmark, MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig};
 use sxsi_engine::{BatchExecutor, QueryBatch};
 
@@ -24,20 +26,7 @@ pub fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Median wall-clock milliseconds over `runs` executions of `f`.
-pub fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Prints a usage error for a report binary and exits with status 2 — a
+/// Prints a usage error for a helper binary and exits with status 2 — a
 /// benchmark driver must never panic on a typo'd flag (a panic looks like a
 /// crash to CI and hides the usage text).
 pub fn usage_error(program: &str, message: &str, usage: &str) -> ! {
@@ -121,13 +110,7 @@ pub fn wiki_index() -> &'static SxsiIndex {
     INDEX.get_or_init(|| SxsiIndex::build_from_xml(wiki_xml().as_bytes()).expect("index builds"))
 }
 
-/// Builds an index with specific options (used by the ablation figure).
-pub fn build_index(xml: &str, options: SxsiOptions) -> SxsiIndex {
-    SxsiIndex::build_from_xml_with_options(xml.as_bytes(), options).expect("index builds")
-}
-
-/// The shared measurement protocol of the concurrency experiments
-/// (`concurrency_throughput` bench and the `report` binary): one warm-up
+/// The measurement protocol of the `concurrency_throughput` bench: one warm-up
 /// run, then `runs` timed executions of the whole batch.  Returns the
 /// median wall time in nanoseconds and the derived queries/sec.
 pub fn measure_batch_qps(

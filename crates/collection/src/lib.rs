@@ -233,15 +233,21 @@ impl Collection {
     /// use.  Concurrent callers race benignly: the first loaded index
     /// wins, later ones are dropped.
     pub fn segment(&self, doc: DocId) -> Result<Arc<SxsiIndex>, CollectionError> {
+        self.segment_ref(doc).map(Arc::clone)
+    }
+
+    /// [`Collection::segment`], borrowed from the collection instead of
+    /// shared: the index lives as long as the collection does.
+    pub fn segment_ref(&self, doc: DocId) -> Result<&Arc<SxsiIndex>, CollectionError> {
         let slot = self.segments.get(doc).ok_or(CollectionError::UnknownDoc {
             doc,
             docs: self.manifest.num_docs(),
         })?;
         if let Some(index) = slot.get() {
-            return Ok(index.clone());
+            return Ok(index);
         }
         let loaded = self.load_segment(doc)?;
-        Ok(slot.get_or_init(|| loaded).clone())
+        Ok(slot.get_or_init(|| loaded))
     }
 
     /// The index of `doc` if its segment is already in memory.

@@ -51,25 +51,21 @@
 //! * `5` — `verify` loaded the index but found invariant violations; each
 //!   is printed as an `error code=… path=… detail=…` line
 
+use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sxsi::{FtMode, FtQuery, QueryError, QueryOptions, SxsiIndex, SxsiOptions, Verify, VerifyDepth};
+use sxsi::{FtMode, FtQuery, QueryOptions, SxsiIndex, SxsiOptions, Verify, VerifyDepth};
 use sxsi_collection::{is_collection_path, verify_collection_file, Collection};
-use sxsi_engine::collection::{
-    render_collection_result, CollectionExecutor, CollectionQueryError,
-};
-use sxsi_engine::search::{
-    query_display, render_search_outcome, search_collection, search_index,
-};
-use sxsi_engine::server::client::{exit_code_for, Client};
-use sxsi_engine::server::protocol::Response;
+use sxsi_engine::search::{query_display, render_search_outcome, search_target};
+use sxsi_engine::server::client::{exit_code_for, Client, ClientError};
+use sxsi_engine::server::protocol::{ErrorCode, Response};
 use sxsi_engine::server::{
-    render_batch_result, Listener, OutputKind, ServeOptions, ServedIndex, Server,
+    prepare_error, render_result, Listener, OutputKind, ServeOptions, ServedIndex, Server,
 };
-use sxsi_engine::{BatchError, BatchExecutor, QueryBatch, QuerySpec};
+use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec, Target};
 
 const USAGE: &str = "\
 usage:
@@ -185,22 +181,15 @@ fn fail(message: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Reports a query that failed to prepare.  Parse errors are ordinary
-/// runtime failures (exit 1); queries that parse but compile to a shape the
-/// engine does not support exit with the distinct code 3 and a structured
-/// stderr line, so callers can tell "fix the query" apart from "engine
-/// limitation".
-fn fail_prepare(err: BatchError) -> ExitCode {
-    match &err.error {
-        QueryError::Compile(e) => {
-            eprintln!(
-                "sxsi: error=unsupported-query query='{}' detail='{}'",
-                err.id, e
-            );
-            ExitCode::from(3)
-        }
-        _ => fail(err),
-    }
+/// Reports a structured error (a daemon error frame, or a batch that
+/// failed to prepare in-process — the two print alike) and maps it onto
+/// the exit taxonomy: queries that parse but compile to a shape the engine
+/// does not support exit with the distinct code 3 and an
+/// `error=unsupported-query` line, so callers can tell "fix the query"
+/// apart from "engine limitation"; everything else exits 1.
+fn fail_with((code, message): (ErrorCode, String)) -> ExitCode {
+    eprintln!("sxsi: error={code} {message}");
+    ExitCode::from(exit_code_for(code) as u8)
 }
 
 /// Prints usage plus the XPath fragment summary.  The summary is generated
@@ -219,8 +208,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("build") => cmd_build(&args[1..]),
         Some("build-collection") => cmd_build_collection(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("exists") => cmd_exists(&args[1..]),
+        Some("query") => cmd_query(&args[1..], false),
+        Some("exists") => cmd_query(&args[1..], true),
         Some("search") => cmd_search(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
@@ -239,7 +228,9 @@ fn parse_number(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u
         .ok_or_else(|| format!("{flag} expects a positive integer"))
 }
 
-fn cmd_build(args: &[String]) -> ExitCode {
+/// Splits `build`/`build-collection` arguments into the build options
+/// and the positional paths.
+fn parse_build_args(args: &[String]) -> Result<(SxsiOptions, Vec<&String>), ExitCode> {
     let mut options = SxsiOptions::default();
     let mut paths: Vec<&String> = Vec::new();
     let mut it = args.iter();
@@ -247,20 +238,39 @@ fn cmd_build(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--sample-rate" => match parse_number(&mut it, "--sample-rate") {
                 Ok(n) if n > 0 => options.text.sample_rate = n,
-                Ok(_) | Err(_) => return usage_error("--sample-rate expects a positive integer"),
+                Ok(_) | Err(_) => {
+                    return Err(usage_error("--sample-rate expects a positive integer"))
+                }
             },
             "--scan-cutoff" => match parse_number(&mut it, "--scan-cutoff") {
                 Ok(n) => options.text.scan_cutoff = n,
-                Err(e) => return usage_error(&e),
+                Err(e) => return Err(usage_error(&e)),
             },
             "--no-plain-text" => options.text.keep_plain_text = false,
             "--keep-whitespace" => options.keep_whitespace_text = true,
             flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
+                return Err(usage_error(&format!("unknown option '{flag}'")))
             }
             _ => paths.push(arg),
         }
     }
+    Ok((options, paths))
+}
+
+/// The file stem of `path`: a collection's document name, a served
+/// index's default id, and a single index's search-hit label.
+fn file_stem(path: &str) -> String {
+    std::path::Path::new(path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+fn cmd_build(args: &[String]) -> ExitCode {
+    let (options, paths) = match parse_build_args(args) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
     let [input, output] = paths[..] else {
         return usage_error("build expects <input.xml> and <output.sxsi>");
     };
@@ -305,27 +315,10 @@ fn cmd_build(args: &[String]) -> ExitCode {
 /// as-is.  Document names are the input file stems, in argument order
 /// (which fixes DocId order and therefore global document order).
 fn cmd_build_collection(args: &[String]) -> ExitCode {
-    let mut options = SxsiOptions::default();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--sample-rate" => match parse_number(&mut it, "--sample-rate") {
-                Ok(n) if n > 0 => options.text.sample_rate = n,
-                Ok(_) | Err(_) => return usage_error("--sample-rate expects a positive integer"),
-            },
-            "--scan-cutoff" => match parse_number(&mut it, "--scan-cutoff") {
-                Ok(n) => options.text.scan_cutoff = n,
-                Err(e) => return usage_error(&e),
-            },
-            "--no-plain-text" => options.text.keep_plain_text = false,
-            "--keep-whitespace" => options.keep_whitespace_text = true,
-            flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
-            }
-            _ => paths.push(arg),
-        }
-    }
+    let (options, paths) = match parse_build_args(args) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
+    };
     let Some((output, inputs)) = paths.split_first() else {
         return usage_error("build-collection expects <output.sxsic> and at least one document");
     };
@@ -336,10 +329,7 @@ fn cmd_build_collection(args: &[String]) -> ExitCode {
     let start = Instant::now();
     let mut docs: Vec<(String, SxsiIndex)> = Vec::new();
     for input in inputs {
-        let name = std::path::Path::new(input.as_str())
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
+        let name = file_stem(input);
         let index = if input.ends_with(".sxsi") {
             match SxsiIndex::load_from_file(input) {
                 Ok(index) => index,
@@ -385,82 +375,17 @@ fn cmd_build_collection(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Reports a collection query that failed to prepare, mirroring
-/// [`fail_prepare`]'s exit-code taxonomy (compile errors exit 3 with the
-/// structured `unsupported-query` line).
-fn fail_collection_prepare(id: &str, err: CollectionQueryError) -> ExitCode {
-    match err.query_error() {
-        Some(QueryError::Compile(e)) => {
-            eprintln!("sxsi: error=unsupported-query query='{id}' detail='{e}'");
-            ExitCode::from(3)
-        }
-        _ => fail(err),
-    }
-}
-
-/// Runs a query batch against a `.sxsic` collection and prints each
-/// result exactly as the daemon renders it (`doc-name:preorder` node
-/// qualification).  Shared by `query --collection` and
-/// `exists --collection`; for `exists`, exit 4 when any query matched
-/// nothing, mirroring the single-index subcommand.
-fn run_collection_queries(
-    path: &str,
-    specs: &[(String, String)],
-    options: QueryOptions,
-    output: OutputKind,
-    threads: usize,
-) -> ExitCode {
-    let start = Instant::now();
-    let collection = match Collection::open(path) {
-        Ok(collection) => collection,
-        Err(e) => return fail(format_args!("cannot load {path}: {e}")),
-    };
-    eprintln!(
-        "loaded {path} ({} docs, manifest only) in {:.2?}",
-        collection.num_docs(),
-        start.elapsed()
-    );
-
-    let executor = CollectionExecutor::new(threads);
-    let start = Instant::now();
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
-    let mut rendered = String::new();
-    let mut all_found = true;
-    let mut pipe_closed = false;
-    for (id, xpath) in specs {
-        let result = match executor.run(&collection, xpath, &options) {
-            Ok(result) => result,
-            Err(e) => return fail_collection_prepare(id, e),
-        };
-        all_found &= result.exists();
-        if pipe_closed {
-            continue;
-        }
-        rendered.clear();
-        render_collection_result(&collection, id, &result, output, &mut rendered);
-        match check_stdout_write(out.write_all(rendered.as_bytes())) {
-            WriteOutcome::Written => {}
-            WriteOutcome::PipeClosed => pipe_closed = true,
-            WriteOutcome::Failed(code) => return code,
-        }
-    }
-    if !pipe_closed {
-        if let WriteOutcome::Failed(code) = check_stdout_write(out.flush()) {
-            return code;
-        }
-    }
-    eprintln!(
-        "ran {} queries across {} docs in {:.2?} on {threads} thread(s)",
-        specs.len(),
-        collection.num_docs(),
-        start.elapsed()
-    );
-    if output == OutputKind::Exists && !all_found {
-        ExitCode::from(4)
+/// Opens the target of `query`, `exists`, `search` and `serve`: a `.sxsic`
+/// collection (manifest only — segments load on first use) when the path
+/// ends in `.sxsic` or `collection` is set, a single `.sxsi` index
+/// otherwise.
+fn open_target(path: &str, collection: bool) -> Result<ServedIndex, ExitCode> {
+    let cannot = |e: &dyn std::fmt::Display| fail(format_args!("cannot load {path}: {e}"));
+    Ok(if collection || is_collection_path(path) {
+        ServedIndex::Collection(Arc::new(Collection::open(path).map_err(|e| cannot(&e))?))
     } else {
-        ExitCode::SUCCESS
-    }
+        ServedIndex::Single(Arc::new(SxsiIndex::load_from_file(path).map_err(|e| cannot(&e))?))
+    })
 }
 
 /// Reads a batch file for `--queries-file`: one query per line, either
@@ -484,9 +409,14 @@ fn read_queries_file(file: &str) -> Result<Vec<(String, String)>, ExitCode> {
         .collect())
 }
 
-fn cmd_query(args: &[String]) -> ExitCode {
-    let mut materialize = false;
-    let mut serialize = false;
+/// `sxsi query` and `sxsi exists` over an index or a collection: the
+/// whole batch prepares before anything runs (a query that does not
+/// prepare fails the batch with nothing printed), then each answer prints
+/// exactly as the daemon renders it.  `exists` answers existence only,
+/// stopping at the first match, and exits 4 when any query matched
+/// nothing.
+fn cmd_query(args: &[String], exists: bool) -> ExitCode {
+    let mut output = if exists { OutputKind::Exists } else { OutputKind::Count };
     let mut collection = false;
     let mut queries_file: Option<&String> = None;
     let mut threads = 1usize;
@@ -496,10 +426,15 @@ fn cmd_query(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--materialize" => materialize = true,
-            "--serialize" => serialize = true,
+            // `--serialize` wins over `--materialize` in either order.
+            "--materialize" if !exists => {
+                if output == OutputKind::Count {
+                    output = OutputKind::Nodes;
+                }
+            }
+            "--serialize" if !exists => output = OutputKind::Serialize,
             "--collection" => collection = true,
-            "--queries-file" => match it.next() {
+            "--queries-file" if !exists => match it.next() {
                 Some(file) => queries_file = Some(file),
                 None => return usage_error("--queries-file expects a path"),
             },
@@ -507,11 +442,11 @@ fn cmd_query(args: &[String]) -> ExitCode {
                 Ok(n) if n > 0 => threads = n,
                 Ok(_) | Err(_) => return usage_error("--threads expects a positive integer"),
             },
-            "--limit" => match parse_number(&mut it, "--limit") {
+            "--limit" if !exists => match parse_number(&mut it, "--limit") {
                 Ok(n) => limit = Some(n as u64),
                 Err(e) => return usage_error(&e),
             },
-            "--offset" => match parse_number(&mut it, "--offset") {
+            "--offset" if !exists => match parse_number(&mut it, "--offset") {
                 Ok(n) => offset = n as u64,
                 Err(e) => return usage_error(&e),
             },
@@ -521,8 +456,11 @@ fn cmd_query(args: &[String]) -> ExitCode {
             _ => positional.push(arg),
         }
     }
+    let command = if exists { "exists" } else { "query" };
     let Some((path, queries)) = positional.split_first() else {
-        return usage_error("query expects <index.sxsi> and at least one XPath expression");
+        return usage_error(&format!(
+            "{command} expects <index.sxsi> and at least one XPath expression"
+        ));
     };
     let mut batch_specs: Vec<(String, String)> =
         queries.iter().map(|q| (q.to_string(), q.to_string())).collect();
@@ -543,163 +481,64 @@ fn cmd_query(args: &[String]) -> ExitCode {
         batch_specs.extend(loaded);
     }
     if batch_specs.is_empty() {
-        return usage_error("query expects at least one XPath expression");
+        return usage_error(&format!("{command} expects at least one XPath expression"));
     }
 
-    let mut options = if materialize || serialize {
-        QueryOptions::nodes()
-    } else {
-        QueryOptions::count()
-    };
-    options.limit = limit;
-    options.offset = offset;
-    let output = if serialize {
-        OutputKind::Serialize
-    } else if materialize {
-        OutputKind::Nodes
-    } else {
-        OutputKind::Count
-    };
-    if collection || is_collection_path(path.as_str()) {
-        return run_collection_queries(path, &batch_specs, options, output, threads);
-    }
+    let options = QueryOptions { mode: output.query_mode(), limit, offset, ..Default::default() };
 
     let start = Instant::now();
-    let index = match SxsiIndex::load_from_file(path) {
-        Ok(index) => index,
-        Err(e) => return fail(format_args!("cannot load {path}: {e}")),
+    let target = match open_target(path, collection) {
+        Ok(target) => target,
+        Err(code) => return code,
     };
-    let load_time = start.elapsed();
-    eprintln!("loaded {path} in {load_time:.2?}");
+    eprintln!("loaded {path} in {:.2?}", start.elapsed());
 
     let specs: Vec<QuerySpec> = batch_specs
-        .iter()
-        .map(|(id, xpath)| QuerySpec::new(id.as_str(), xpath.as_str(), options))
+        .into_iter()
+        .map(|(id, xpath)| QuerySpec::new(id, xpath, options))
         .collect();
-    let batch = match QueryBatch::compile(&index, specs) {
+    let batch = match QueryBatch::prepare(&target, specs) {
         Ok(batch) => batch,
-        Err(e) => return fail_prepare(e),
+        Err(e) => return fail_with(prepare_error(e)),
     };
     let start = Instant::now();
-    let results = BatchExecutor::new(threads).run(&index, &batch);
+    let results = match BatchExecutor::new(threads).answer(&target, &batch) {
+        Ok(results) => results,
+        Err(e) => return fail(e),
+    };
     let query_time = start.elapsed();
 
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
     let mut rendered = String::new();
-    for result in &results {
-        rendered.clear();
-        render_batch_result(&index, result, output, &mut rendered);
-        match check_stdout_write(out.write_all(rendered.as_bytes())) {
-            WriteOutcome::Written => {}
-            WriteOutcome::PipeClosed => return ExitCode::SUCCESS,
-            WriteOutcome::Failed(code) => return code,
-        }
+    for (spec, result) in batch.specs().zip(&results) {
+        render_result(&target, &spec.id, result, output, &mut rendered);
     }
-    match check_stdout_write(out.flush()) {
-        WriteOutcome::Written => {}
-        WriteOutcome::PipeClosed => return ExitCode::SUCCESS,
-        WriteOutcome::Failed(code) => return code,
+    // A closed pipe stops the printing, not the answer: `exists` still
+    // reports through its exit code.
+    if let Err(code) = print_stdout(rendered.as_bytes()) {
+        return code;
     }
-    eprintln!("ran {} queries in {query_time:.2?} on {threads} thread(s)", results.len());
-    ExitCode::SUCCESS
+    eprintln!(
+        "ran {} queries across {} docs in {query_time:.2?} on {threads} thread(s)",
+        results.len(),
+        target.num_docs()
+    );
+    if exists && !results.iter().all(|r| r.exists()) {
+        ExitCode::from(4)
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
-/// How a stdout write went.  A closed downstream pipe
+/// Writes `bytes` to stdout.  A closed downstream pipe
 /// (`sxsi query … | head`) is normal usage, not a failure: printing
 /// stops but the process exits cleanly.
-enum WriteOutcome {
-    Written,
-    PipeClosed,
-    Failed(ExitCode),
-}
-
-fn check_stdout_write(result: io::Result<()>) -> WriteOutcome {
-    match result {
-        Ok(()) => WriteOutcome::Written,
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => WriteOutcome::PipeClosed,
-        Err(e) => WriteOutcome::Failed(fail(format_args!("cannot write to stdout: {e}"))),
-    }
-}
-
-/// `sxsi exists`: existence-only evaluation with early termination.  Exit
-/// code 0 when every query matched, 4 when at least one did not.
-fn cmd_exists(args: &[String]) -> ExitCode {
-    let mut threads = 1usize;
-    let mut collection = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--collection" => collection = true,
-            "--threads" => match parse_number(&mut it, "--threads") {
-                Ok(n) if n > 0 => threads = n,
-                Ok(_) | Err(_) => return usage_error("--threads expects a positive integer"),
-            },
-            flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
-            }
-            _ => positional.push(arg),
+fn print_stdout(bytes: &[u8]) -> Result<(), ExitCode> {
+    let mut out = io::stdout().lock();
+    match out.write_all(bytes).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            Err(fail(format_args!("cannot write to stdout: {e}")))
         }
-    }
-    let Some((path, queries)) = positional.split_first() else {
-        return usage_error("exists expects <index.sxsi> and at least one XPath expression");
-    };
-    if queries.is_empty() {
-        return usage_error("exists expects at least one XPath expression");
-    }
-    if collection || is_collection_path(path.as_str()) {
-        let specs: Vec<(String, String)> =
-            queries.iter().map(|q| (q.to_string(), q.to_string())).collect();
-        return run_collection_queries(
-            path,
-            &specs,
-            QueryOptions::exists(),
-            OutputKind::Exists,
-            threads,
-        );
-    }
-
-    let index = match SxsiIndex::load_from_file(path) {
-        Ok(index) => index,
-        Err(e) => return fail(format_args!("cannot load {path}: {e}")),
-    };
-    let specs: Vec<QuerySpec> =
-        queries.iter().map(|q| QuerySpec::exists(q.as_str(), q.as_str())).collect();
-    let batch = match QueryBatch::compile(&index, specs) {
-        Ok(batch) => batch,
-        Err(e) => return fail_prepare(e),
-    };
-    let results = BatchExecutor::new(threads).run(&index, &batch);
-    let mut all_found = true;
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
-    let mut rendered = String::new();
-    let mut pipe_closed = false;
-    for result in &results {
-        all_found &= result.result.exists();
-        if pipe_closed {
-            continue;
-        }
-        rendered.clear();
-        render_batch_result(&index, result, OutputKind::Exists, &mut rendered);
-        match check_stdout_write(out.write_all(rendered.as_bytes())) {
-            WriteOutcome::Written => {}
-            // The exit code carries the answer even when the reader
-            // hung up, so keep evaluating `all_found`.
-            WriteOutcome::PipeClosed => pipe_closed = true,
-            WriteOutcome::Failed(code) => return code,
-        }
-    }
-    if !pipe_closed {
-        if let WriteOutcome::Failed(code) = check_stdout_write(out.flush()) {
-            return code;
-        }
-    }
-    if all_found {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(4)
+        _ => Ok(()),
     }
 }
 
@@ -749,48 +588,26 @@ fn cmd_search(args: &[String]) -> ExitCode {
     let id = query_display(&query);
 
     let start = Instant::now();
-    let outcome = if collection || is_collection_path(path.as_str()) {
-        let col = match Collection::open(path) {
-            Ok(col) => col,
-            Err(e) => return fail(format_args!("cannot load {path}: {e}")),
-        };
-        eprintln!("loaded {path} ({} docs) in {:.2?}", col.num_docs(), start.elapsed());
-        let start = Instant::now();
-        let outcome =
-            match search_collection(&BatchExecutor::new(threads), &col, &query, limit) {
-                Ok(outcome) => outcome,
-                Err(e) => return fail(e),
-            };
-        eprintln!(
-            "searched {} docs in {:.2?} on {threads} thread(s)",
-            col.num_docs(),
-            start.elapsed()
-        );
-        outcome
-    } else {
-        let index = match SxsiIndex::load_from_file(path) {
-            Ok(index) => index,
-            Err(e) => return fail(format_args!("cannot load {path}: {e}")),
-        };
-        eprintln!("loaded {path} in {:.2?}", start.elapsed());
-        let doc = std::path::Path::new(path.as_str())
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let start = Instant::now();
-        let outcome = search_index(&index, &doc, &query, limit);
-        eprintln!("searched in {:.2?}", start.elapsed());
-        outcome
+    let target = match open_target(path, collection) {
+        Ok(target) => target,
+        Err(code) => return code,
     };
+    eprintln!("loaded {path} in {:.2?}", start.elapsed());
+    let start = Instant::now();
+    let executor = BatchExecutor::new(threads);
+    let outcome = match search_target(&executor, &target, &file_stem(path), &query, limit) {
+        Ok(outcome) => outcome,
+        Err(e) => return fail(e),
+    };
+    eprintln!(
+        "searched {} docs in {:.2?} on {threads} thread(s)",
+        target.num_docs(),
+        start.elapsed()
+    );
 
     let mut rendered = String::new();
     render_search_outcome(&id, &outcome, &mut rendered);
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
-    match check_stdout_write(out.write_all(rendered.as_bytes()).and_then(|()| out.flush())) {
-        WriteOutcome::Failed(code) => code,
-        _ => ExitCode::SUCCESS,
-    }
+    print_stdout(rendered.as_bytes()).err().unwrap_or(ExitCode::SUCCESS)
 }
 
 fn cmd_info(args: &[String]) -> ExitCode {
@@ -1038,40 +855,24 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         // file stem as the id.
         let (id, path) = match spec.split_once('=') {
             Some((id, path)) => (id.to_string(), path),
-            None => {
-                let stem = std::path::Path::new(spec.as_str())
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                (stem, spec.as_str())
-            }
+            None => (file_stem(spec), spec.as_str()),
         };
         let start = Instant::now();
-        if is_collection_path(path) {
-            // A collection served as one warm logical index: every
-            // segment is loaded (and checksum-validated) up front so
-            // queries never pay a lazy load.
-            let collection = match Collection::open(path) {
-                Ok(collection) => collection,
-                Err(e) => return fail(format_args!("cannot load {path}: {e}")),
-            };
-            if let Err(e) = collection.load_all() {
-                return fail(format_args!("cannot load {path}: {e}"));
-            }
-            eprintln!(
-                "loaded {path} as '{id}' ({} docs) in {:.2?}",
-                collection.num_docs(),
-                start.elapsed()
-            );
-            indexes.push((id, ServedIndex::Collection(Arc::new(collection))));
-        } else {
-            let index = match SxsiIndex::load_from_file(path) {
-                Ok(index) => index,
-                Err(e) => return fail(format_args!("cannot load {path}: {e}")),
-            };
-            eprintln!("loaded {path} as '{id}' in {:.2?}", start.elapsed());
-            indexes.push((id, ServedIndex::Single(Arc::new(index))));
+        let target = match open_target(path, false) {
+            Ok(target) => target,
+            Err(code) => return code,
+        };
+        // Served warm: every segment of a collection is loaded (and
+        // checksum-validated) up front so queries never pay a lazy load.
+        if let Err(e) = (0..target.num_docs()).try_for_each(|doc| target.doc_index(doc).map(drop)) {
+            return fail(format_args!("cannot load {path}: {e}"));
         }
+        eprintln!(
+            "loaded {path} as '{id}' ({} docs) in {:.2?}",
+            target.num_docs(),
+            start.elapsed()
+        );
+        indexes.push((id, target));
     }
 
     let server = match Server::new_served(indexes, options) {
@@ -1153,9 +954,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
         Err(e) => return fail(e),
     };
     match op {
-        "query" => client_query(&mut client, &rest, false),
-        "exists" => client_query(&mut client, &rest, true),
-        "search" => client_search(&mut client, &rest),
+        "query" | "exists" | "search" => client_request(&mut client, &rest, op),
         "stats" => client_body(client.stats()),
         "info" => client_body(client.info()),
         "ping" => match client.ping() {
@@ -1176,32 +975,24 @@ fn cmd_client(args: &[String]) -> ExitCode {
     }
 }
 
-fn client_body(body: Result<String, sxsi_engine::server::client::ClientError>) -> ExitCode {
+fn client_body(body: Result<String, ClientError>) -> ExitCode {
     match body {
-        Ok(body) => {
-            let stdout = io::stdout();
-            let mut out = io::BufWriter::new(stdout.lock());
-            match check_stdout_write(out.write_all(body.as_bytes()).and_then(|()| out.flush())) {
-                WriteOutcome::Failed(code) => code,
-                _ => ExitCode::SUCCESS,
-            }
-        }
+        Ok(body) => print_stdout(body.as_bytes()).err().unwrap_or(ExitCode::SUCCESS),
         Err(e) => fail(e),
     }
 }
 
-/// The `query` and `exists` client ops.  The printed body is exactly
-/// what the in-process subcommand would print; error frames map back to
-/// the CLI exit-code taxonomy (`unsupported-query` → 3), and `exists`
-/// keeps its "4 when any query matched nothing" contract via the
-/// response's `all_found=` detail.
-fn client_query(client: &mut Client, args: &[&String], exists: bool) -> ExitCode {
-    let mut index_id: Option<&String> = None;
-    let mut materialize = false;
-    let mut serialize = false;
+/// The `query`, `exists` and `search` client ops.  The printed body is
+/// exactly what the in-process subcommand would print for the same served
+/// target (the shared renderers guarantee it, search scores included).
+fn client_request(client: &mut Client, args: &[&String], op: &str) -> ExitCode {
+    let (exists, search) = (op == "exists", op == "search");
+    let mut index_id: Option<&str> = None;
+    let mut output = if exists { OutputKind::Exists } else { OutputKind::Count };
+    let mut mode = "all";
     let mut limit: Option<u64> = None;
     let mut offset = 0u64;
-    let mut xpaths: Vec<&str> = Vec::new();
+    let mut entries: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -1209,41 +1000,48 @@ fn client_query(client: &mut Client, args: &[&String], exists: bool) -> ExitCode
                 Some(id) => index_id = Some(id),
                 None => return usage_error("--index expects an index id"),
             },
-            "--materialize" if !exists => materialize = true,
-            "--serialize" if !exists => serialize = true,
+            "--materialize" if op == "query" => {
+                if output == OutputKind::Count {
+                    output = OutputKind::Nodes;
+                }
+            }
+            "--serialize" if op == "query" => output = OutputKind::Serialize,
+            "--mode" if search => match it.next().map(|m| m.as_str()) {
+                Some(m @ ("all" | "any" | "phrase")) => mode = m,
+                _ => return usage_error("--mode expects all, any or phrase"),
+            },
             "--limit" if !exists => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => limit = Some(n),
                 None => return usage_error("--limit expects a non-negative integer"),
             },
-            "--offset" if !exists => match it.next().and_then(|v| v.parse::<u64>().ok()) {
+            "--offset" if op == "query" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => offset = n,
                 None => return usage_error("--offset expects a non-negative integer"),
             },
             flag if flag.starts_with("--") => {
                 return usage_error(&format!("unknown option '{flag}'"))
             }
-            _ => xpaths.push(arg.as_str()),
+            _ => entries.push(arg.as_str()),
         }
     }
-    if xpaths.is_empty() {
-        return usage_error("expected at least one XPath expression");
+    if entries.is_empty() {
+        return usage_error(if search {
+            "expected at least one search term"
+        } else {
+            "expected at least one XPath expression"
+        });
     }
-    let output = if exists {
-        OutputKind::Exists
-    } else if serialize {
-        OutputKind::Serialize
-    } else if materialize {
-        OutputKind::Nodes
+    let response = if search {
+        client.search(index_id, mode, limit, &entries)
     } else {
-        OutputKind::Count
+        client.query(index_id, output, limit, offset, &entries)
     };
-    match client.query(index_id.map(String::as_str), output, limit, offset, &xpaths) {
+    // Error frames map back to the CLI exit taxonomy
+    // (`unsupported-query` → 3), and `exists` keeps its "4 when any query
+    // matched nothing" contract via the response's `all_found=` detail.
+    match response {
         Ok(Response::Ok { detail, body }) => {
-            let stdout = io::stdout();
-            let mut out = io::BufWriter::new(stdout.lock());
-            if let WriteOutcome::Failed(code) =
-                check_stdout_write(out.write_all(body.as_bytes()).and_then(|()| out.flush()))
-            {
+            if let Err(code) = print_stdout(body.as_bytes()) {
                 return code;
             }
             eprintln!("server: {detail}");
@@ -1252,62 +1050,7 @@ fn client_query(client: &mut Client, args: &[&String], exists: bool) -> ExitCode
             }
             ExitCode::SUCCESS
         }
-        Ok(Response::Err { code, message }) => {
-            eprintln!("sxsi: error={code} {message}");
-            ExitCode::from(exit_code_for(code) as u8)
-        }
-        Err(e) => fail(e),
-    }
-}
-
-/// The `search` client op.  The printed body is exactly what the
-/// in-process `sxsi search` subcommand would print for the same served
-/// index (the shared renderer guarantees it, score precision included).
-fn client_search(client: &mut Client, args: &[&String]) -> ExitCode {
-    let mut index_id: Option<&String> = None;
-    let mut mode = "all";
-    let mut limit: Option<u64> = None;
-    let mut terms: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--index" => match it.next() {
-                Some(id) => index_id = Some(id),
-                None => return usage_error("--index expects an index id"),
-            },
-            "--mode" => match it.next().map(|m| m.as_str()) {
-                Some(m @ ("all" | "any" | "phrase")) => mode = m,
-                _ => return usage_error("--mode expects all, any or phrase"),
-            },
-            "--limit" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => limit = Some(n),
-                None => return usage_error("--limit expects a non-negative integer"),
-            },
-            flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
-            }
-            _ => terms.push(arg.as_str()),
-        }
-    }
-    if terms.is_empty() {
-        return usage_error("expected at least one search term");
-    }
-    match client.search(index_id.map(String::as_str), mode, limit, &terms) {
-        Ok(Response::Ok { detail, body }) => {
-            let stdout = io::stdout();
-            let mut out = io::BufWriter::new(stdout.lock());
-            if let WriteOutcome::Failed(code) =
-                check_stdout_write(out.write_all(body.as_bytes()).and_then(|()| out.flush()))
-            {
-                return code;
-            }
-            eprintln!("server: {detail}");
-            ExitCode::SUCCESS
-        }
-        Ok(Response::Err { code, message }) => {
-            eprintln!("sxsi: error={code} {message}");
-            ExitCode::from(exit_code_for(code) as u8)
-        }
+        Ok(Response::Err { code, message }) => fail_with((code, message)),
         Err(e) => fail(e),
     }
 }
@@ -1327,8 +1070,8 @@ fn cmd_queries(args: &[String]) -> ExitCode {
             flag => return usage_error(&format!("unknown option '{flag}'")),
         }
     }
-    let terminator = if print0 { b'\0' } else { b'\n' };
-    let mut records: Vec<String> = Vec::new();
+    let terminator = if print0 { '\0' } else { '\n' };
+    let mut records = String::new();
     if set == "paper" {
         for group in [
             sxsi_xpath::XMARK_QUERIES,
@@ -1336,26 +1079,14 @@ fn cmd_queries(args: &[String]) -> ExitCode {
             sxsi_xpath::MEDLINE_QUERIES,
             sxsi_xpath::WORD_QUERIES,
         ] {
-            records.extend(group.iter().map(|q| format!("{}\t{}", q.id, q.xpath)));
+            for q in group {
+                let _ = write!(records, "{}\t{}{terminator}", q.id, q.xpath);
+            }
         }
     } else {
-        records.extend(
-            sxsi_xpath::ORDERED_QUERIES
-                .iter()
-                .map(|q| format!("{}\t{}\t{}", q.id, q.corpus, q.xpath)),
-        );
+        for q in sxsi_xpath::ORDERED_QUERIES {
+            let _ = write!(records, "{}\t{}\t{}{terminator}", q.id, q.corpus, q.xpath);
+        }
     }
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
-    let written: io::Result<()> = records
-        .iter()
-        .try_for_each(|record| {
-            out.write_all(record.as_bytes())?;
-            out.write_all(&[terminator])
-        })
-        .and_then(|()| out.flush());
-    match check_stdout_write(written) {
-        WriteOutcome::Failed(code) => code,
-        _ => ExitCode::SUCCESS,
-    }
+    print_stdout(records.as_bytes()).err().unwrap_or(ExitCode::SUCCESS)
 }

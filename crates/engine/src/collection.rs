@@ -1,16 +1,17 @@
-//! Sharded query execution over a multi-document [`Collection`].
+//! Sharded query execution over a multi-document [`Collection`]: the
+//! merge step of the one query path, plus its sequential reference.
 //!
-//! A [`CollectionExecutor`] fans one XPath query across every document of
-//! a collection on the [`BatchExecutor`] thread pool: each shard lazily
-//! loads its segment, prepares the query against *its own* index (tag
+//! [`crate::BatchExecutor::answer`] fans a batch across every document:
+//! each shard prepares the query against *its own* index (tag
 //! identifiers are per-document, so a prepared statement never crosses
-//! segments), and runs with the [`QueryOptions::per_shard`] pushdown —
+//! segments) and runs with the [`QueryOptions::per_shard`] pushdown —
 //! existence probes stop at the first match per document, windowed
 //! materializations stop at the global window end per document.  The
 //! per-document document-ordered prefixes are then merged doc-major
 //! ([`sxsi_collection::merge_window`]) into one DocId-qualified window
 //! with an exact truncation flag, and the per-shard [`EvalStats`] are
-//! summed into one aggregate report.
+//! summed into one aggregate report.  [`CollectionExecutor::run`] is that
+//! path for one query.
 //!
 //! [`CollectionExecutor::run_sequential`] is the one-thread reference
 //! path with stronger early termination: it walks documents in DocId
@@ -19,17 +20,17 @@
 //! the differential suite pins it result-identical to the parallel path.
 
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use sxsi::{EvalStats, NodeId, QueryError, QueryMode, QueryOptions, ResultSet};
 use sxsi_collection::{
     merge_window, Collection, CollectionError, DocId, DocNode, DocNodeCursor, DocNodes,
 };
 
-use crate::server::OutputKind;
-use crate::BatchExecutor;
+use crate::{prepare_on, BatchExecutor, QueryBatch, QuerySpec};
 
-/// A collection query that could not run: either a segment failed to
-/// load, or the query failed to prepare against one document's index.
+/// A query that could not run: either a segment failed to load, or the
+/// query failed to prepare against one document's index.
 #[derive(Debug)]
 pub enum CollectionQueryError {
     /// A segment could not be loaded or validated.
@@ -38,8 +39,9 @@ pub enum CollectionQueryError {
     Prepare {
         /// The document the preparation failed on.
         doc: DocId,
-        /// The document's name from the manifest.
-        name: String,
+        /// The document's name from the manifest (`None` on a single
+        /// index).
+        name: Option<String>,
         /// The underlying parse/compile error.
         error: QueryError,
     },
@@ -49,9 +51,10 @@ impl fmt::Display for CollectionQueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CollectionQueryError::Load(e) => write!(f, "{e}"),
-            CollectionQueryError::Prepare { doc, name, error } => {
+            CollectionQueryError::Prepare { doc, name: Some(name), error } => {
                 write!(f, "prepare against doc {doc} ({name}): {error}")
             }
+            CollectionQueryError::Prepare { name: None, error, .. } => write!(f, "{error}"),
         }
     }
 }
@@ -69,24 +72,24 @@ impl CollectionQueryError {
     }
 }
 
-/// One document's contribution to a collection query: the shard-local
-/// [`ResultSet`] (strategy, stats, truncation flag included), tagged with
-/// its DocId.
+/// One document's contribution to a query: the shard-local [`ResultSet`]
+/// (strategy, stats, truncation flag included), tagged with its DocId.
 #[derive(Debug, Clone)]
 pub struct DocRun {
     /// The document this run evaluated.
     pub doc: DocId,
     /// The shard-local result, produced under the per-shard pushdown
     /// options (an existence probe, for sequential runs past a full
-    /// window).
+    /// window; the request's own options on a one-document target).
     pub result: ResultSet,
+    /// Wall-clock time of the [`sxsi::Prepared::run`] call alone.
+    pub elapsed: Duration,
 }
 
-/// The merged outcome of one collection query: global payload plus the
-/// per-document runs it was assembled from.
+/// The merged answer to one query: global payload plus the per-document
+/// runs it was assembled from.
 #[derive(Debug, Clone)]
 pub struct CollectionResult {
-    mode: QueryMode,
     runs: Vec<DocRun>,
     nodes: Vec<DocNode>,
     exists: bool,
@@ -132,9 +135,9 @@ impl CollectionResult {
         self.stats
     }
 
-    /// The mode the query ran in.
-    pub fn mode(&self) -> QueryMode {
-        self.mode
+    /// The per-document runs' evaluation time, summed.
+    pub fn elapsed(&self) -> Duration {
+        self.runs.iter().map(|r| r.elapsed).sum()
     }
 
     /// The per-document runs this result was merged from, in DocId order.
@@ -143,6 +146,21 @@ impl CollectionResult {
     /// trailing entries to existence probes.
     pub fn runs(&self) -> &[DocRun] {
         &self.runs
+    }
+
+    /// The answer of a run made under the request's own options — a
+    /// one-document target's, where there is nothing to merge.
+    pub(crate) fn from_run(run: DocRun) -> Self {
+        let result = &run.result;
+        let nodes = result.nodes().unwrap_or(&[]);
+        CollectionResult {
+            nodes: nodes.iter().map(|&node| DocNode { doc: run.doc, node }).collect(),
+            exists: result.exists(),
+            count: result.count(),
+            truncated: result.truncated(),
+            stats: result.stats(),
+            runs: vec![run],
+        }
     }
 }
 
@@ -181,35 +199,21 @@ impl CollectionExecutor {
         Self { executor: BatchExecutor::new(threads) }
     }
 
-    /// An executor sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        Self { executor: BatchExecutor::with_available_parallelism() }
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.executor.threads()
-    }
-
     /// Runs `xpath` across every document in parallel and merges the
-    /// shard results.  Results are identical at every thread count and
-    /// identical to [`CollectionExecutor::run_sequential`].
+    /// shard results — a one-query batch through
+    /// [`BatchExecutor::answer`].  Results are identical at every thread
+    /// count and identical to [`CollectionExecutor::run_sequential`].
     pub fn run(
         &self,
         collection: &Collection,
         xpath: &str,
         options: &QueryOptions,
     ) -> Result<CollectionResult, CollectionQueryError> {
-        let shard_options = options.per_shard();
-        let outcomes = self.executor.run_jobs(collection.num_docs(), |doc| {
-            let result = run_shard(collection, doc, xpath, &shard_options)?;
-            Ok::<DocRun, CollectionQueryError>(DocRun { doc, result })
-        });
-        let mut runs = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            runs.push(outcome?);
-        }
-        Ok(finish(options, runs, None))
+        let spec = QuerySpec::new(xpath, xpath, *options);
+        let batch = QueryBatch::prepare(collection, vec![spec]).map_err(|e| e.error)?;
+        let mut answers =
+            self.executor.answer(collection, &batch).map_err(CollectionQueryError::Load)?;
+        Ok(answers.remove(0))
     }
 
     /// Runs `xpath` across the documents in DocId order on the calling
@@ -224,31 +228,28 @@ impl CollectionExecutor {
     ) -> Result<CollectionResult, CollectionQueryError> {
         let shard_options = options.per_shard();
         let mut runs = Vec::new();
+        let mut window_overflows = false;
         match options.mode {
             QueryMode::Exists => {
                 for doc in 0..collection.num_docs() {
-                    let result = run_shard(collection, doc, xpath, &shard_options)?;
-                    let found = result.exists();
-                    runs.push(DocRun { doc, result });
+                    let run = run_shard(collection, doc, xpath, &shard_options)?;
+                    let found = run.result.exists();
+                    runs.push(run);
                     if found {
                         break;
                     }
                 }
-                Ok(finish(options, runs, None))
             }
             QueryMode::Count => {
                 for doc in 0..collection.num_docs() {
-                    let result = run_shard(collection, doc, xpath, &shard_options)?;
-                    runs.push(DocRun { doc, result });
+                    runs.push(run_shard(collection, doc, xpath, &shard_options)?);
                 }
-                Ok(finish(options, runs, None))
             }
             QueryMode::Nodes => {
                 // The global window is [offset, end); `produced` counts the
                 // concatenated stream positions already covered by runs.
                 let end = options.limit.map(|l| l.saturating_add(options.offset));
                 let mut produced = 0u64;
-                let mut window_overflows = false;
                 for doc in 0..collection.num_docs() {
                     match end {
                         Some(end) if produced >= end => {
@@ -261,9 +262,9 @@ impl CollectionExecutor {
                                 offset: 0,
                                 collect_stats: options.collect_stats,
                             };
-                            let result = run_shard(collection, doc, xpath, &probe)?;
-                            let found = result.exists();
-                            runs.push(DocRun { doc, result });
+                            let run = run_shard(collection, doc, xpath, &probe)?;
+                            let found = run.result.exists();
+                            runs.push(run);
                             if found {
                                 window_overflows = true;
                                 break;
@@ -277,10 +278,10 @@ impl CollectionExecutor {
                                 limit: end.map(|e| e - produced),
                                 ..shard_options
                             };
-                            let result = run_shard(collection, doc, xpath, &doc_options)?;
-                            produced += result.nodes().map_or(0, |n| n.len() as u64);
-                            let truncated = result.truncated();
-                            runs.push(DocRun { doc, result });
+                            let run = run_shard(collection, doc, xpath, &doc_options)?;
+                            produced += run.result.nodes().map_or(0, |n| n.len() as u64);
+                            let truncated = run.result.truncated();
+                            runs.push(run);
                             if truncated {
                                 // The cap cut this document, so the merged
                                 // stream provably extends past the window.
@@ -290,33 +291,41 @@ impl CollectionExecutor {
                         }
                     }
                 }
-                Ok(finish(options, runs, Some(window_overflows)))
             }
         }
+        Ok(finish(options, runs, Some(window_overflows)))
     }
 }
 
-/// Loads one shard's segment and runs the query on it.
+/// Loads one shard's segment, prepares the query on it and runs it.
 fn run_shard(
     collection: &Collection,
     doc: DocId,
     xpath: &str,
     options: &QueryOptions,
-) -> Result<ResultSet, CollectionQueryError> {
-    let index = collection.segment(doc).map_err(CollectionQueryError::Load)?;
-    let prepared = index.prepare(xpath).map_err(|error| CollectionQueryError::Prepare {
-        doc,
-        name: collection.doc_name(doc).to_string(),
-        error,
-    })?;
-    Ok(prepared.run(&index, options))
+) -> Result<DocRun, CollectionQueryError> {
+    let (index, prepared) = prepare_on(collection, doc, xpath)?;
+    let start = Instant::now();
+    let result = prepared.run(index, options);
+    Ok(DocRun { doc, result, elapsed: start.elapsed() })
 }
 
 /// Merges per-shard runs into the global result under the original
-/// (pre-pushdown) options.  `known_overflow` short-circuits the merge's
-/// truncation reasoning for the sequential path, whose adaptive caps
-/// don't satisfy the uniform-prefix contract [`merge_window`] asserts.
-fn finish(options: &QueryOptions, runs: Vec<DocRun>, known_overflow: Option<bool>) -> CollectionResult {
+/// (pre-pushdown) options.  `known_overflow` is `Some` exactly on the
+/// sequential path: it short-circuits the merge's truncation reasoning,
+/// since adaptive caps don't satisfy the uniform-prefix contract
+/// [`merge_window`] asserts.  A lone run of the parallel path was made
+/// under the request's own options and is the answer as it stands.
+pub(crate) fn finish(
+    options: &QueryOptions,
+    mut runs: Vec<DocRun>,
+    known_overflow: Option<bool>,
+) -> CollectionResult {
+    if known_overflow.is_none() && runs.len() == 1 {
+        if let Some(run) = runs.pop() {
+            return CollectionResult::from_run(run);
+        }
+    }
     let stats = options.collect_stats.then(|| {
         let mut total = EvalStats::default();
         for run in &runs {
@@ -389,89 +398,14 @@ fn finish(options: &QueryOptions, runs: Vec<DocRun>, known_overflow: Option<bool
         QueryMode::Count => count > 0,
         QueryMode::Nodes => !nodes.is_empty(),
     };
-    CollectionResult { mode: options.mode, runs, nodes, exists, count, truncated, stats }
-}
-
-/// Renders a collection query result in the daemon's line protocol —
-/// shared verbatim by `sxsi query --collection` and the `sxsi serve`
-/// collection path, so client output can be byte-diffed against the CLI.
-///
-/// The formats mirror [`crate::server::render_batch_result`], with nodes
-/// qualified as `doc-name:preorder`.
-pub fn render_collection_result(
-    collection: &Collection,
-    id: &str,
-    result: &CollectionResult,
-    output: OutputKind,
-    out: &mut String,
-) {
-    use fmt::Write;
-    let more = if result.truncated() { " (more results exist)" } else { "" };
-    match output {
-        OutputKind::Exists => {
-            let _ = writeln!(out, "{id}: {}", result.exists());
-        }
-        OutputKind::Count => {
-            let _ = writeln!(out, "{id}: {}{more}", result.count());
-        }
-        OutputKind::Nodes => {
-            let rendered: Vec<String> = result
-                .nodes()
-                .iter()
-                .map(|dn| {
-                    let preorder = segment_preorder(collection, dn);
-                    format!("{}:{preorder}", collection.doc_name(dn.doc))
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "{id}: {} nodes [{}]{more}",
-                result.nodes().len(),
-                rendered.join(", ")
-            );
-        }
-        OutputKind::Serialize => {
-            let _ = writeln!(out, "{id}:{more}");
-            for dn in result.nodes() {
-                match collection.segment(dn.doc) {
-                    Ok(index) => {
-                        let _ = writeln!(out, "{}", index.get_subtree(dn.node));
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "<!-- doc {}: {e} -->", dn.doc);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The preorder number of a merged node within its own document, or the
-/// raw NodeId when the segment cannot be loaded (display paths only —
-/// the nodes were just produced from that segment, so this is theoretical).
-fn segment_preorder(collection: &Collection, dn: &DocNode) -> usize {
-    match collection.segment(dn.doc) {
-        Ok(index) => index.tree().preorder(dn.node),
-        Err(_) => dn.node,
-    }
-}
-
-/// Sums aggregate per-document index statistics for `info`-style listings.
-pub fn collection_stats_line(collection: &Collection) -> String {
-    let manifest = collection.manifest();
-    let nodes: u64 = manifest.docs.iter().map(|d| d.num_nodes).sum();
-    format!(
-        "docs={} nodes={nodes} elements={} texts={}",
-        manifest.num_docs(),
-        manifest.total_elements,
-        manifest.total_texts
-    )
+    CollectionResult { runs, nodes, exists, count, truncated, stats }
 }
 
 #[allow(clippy::items_after_test_module)] // lint:allow-file exempt — test module is last
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::OutputKind;
     use std::path::PathBuf;
     use sxsi::SxsiIndex;
 
@@ -603,13 +537,13 @@ mod tests {
             .run(&col, "//b", &QueryOptions::nodes().with_limit(2))
             .unwrap();
         let mut out = String::new();
-        render_collection_result(&col, "//b", &result, OutputKind::Nodes, &mut out);
+        crate::server::render_result(&col, "//b", &result, OutputKind::Nodes, &mut out);
         assert!(out.starts_with("//b: 2 nodes [alpha:"), "{out}");
         assert!(out.trim_end().ends_with("(more results exist)"), "{out}");
 
         let mut count_out = String::new();
         let count = CollectionExecutor::new(2).run(&col, "//b", &QueryOptions::count()).unwrap();
-        render_collection_result(&col, "//b", &count, OutputKind::Count, &mut count_out);
+        crate::server::render_result(&col, "//b", &count, OutputKind::Count, &mut count_out);
         assert_eq!(count_out, "//b: 5\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }

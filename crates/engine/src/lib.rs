@@ -1,16 +1,16 @@
-//! Parallel batch query execution over one shared [`SxsiIndex`].
+//! Parallel query execution over one shared [`SxsiIndex`] or a
+//! multi-document [`Collection`] — through one path.
 //!
 //! The SXSI index is immutable after construction: every structure on the
-//! read path (balanced parentheses, tag sequences, FM-index, automata) is
-//! `Send + Sync`, and all per-query mutable state lives inside the
-//! evaluator each run creates locally.  This crate exploits that shape: a
-//! [`QueryBatch`] prepares a set of XPath queries once — each distinct
-//! query string is compiled to a single shared [`Prepared`] statement, even
-//! when it appears many times in the batch — and a [`BatchExecutor`] fans
-//! the prepared queries out across a configurable `std::thread` pool, every
-//! worker evaluating against the same shared index.  Results are identical
-//! to sequential evaluation — parallelism is across queries, never within
-//! one.
+//! read path is `Send + Sync`, and all per-query mutable state lives inside
+//! the evaluator each run creates locally.  Every [`Target`] — a single
+//! index is a one-document collection — answers through one pipeline:
+//! a [`QueryBatch`] **prepares** each *distinct* query string once per
+//! document; a [`BatchExecutor`] **fans out** one job per (query,
+//! document) pair across a `std::thread` pool and **merges** each query's
+//! runs into one [`CollectionResult`]; [`server::render_result`]
+//! **renders** it the way the CLI and the daemon both answer.
+//! Parallelism is across jobs, never within one.
 //!
 //! Each [`QuerySpec`] carries its own [`QueryOptions`], so a batch can mix
 //! existence probes, counts, and `limit`/`offset` windows; the early
@@ -61,7 +61,64 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sxsi::{Prepared, QueryError, QueryOptions, ResultSet, SxsiIndex, Strategy};
+use sxsi::{Prepared, QueryOptions, ResultSet, SxsiIndex, Strategy};
+use sxsi_collection::{Collection, CollectionError, DocId};
+
+use crate::collection::{finish, CollectionQueryError, CollectionResult, DocRun};
+
+/// What the one query path needs from whatever it runs on.  A single
+/// [`SxsiIndex`] is a one-document target without labels; a
+/// [`Collection`] (and a served [`server::ServedIndex`]) labels every
+/// document with its manifest name.
+pub trait Target: Sync {
+    /// Number of documents (`1` for a single index).
+    fn num_docs(&self) -> usize;
+
+    /// The index of document `doc`, loading its segment on first use.
+    fn doc_index(&self, doc: DocId) -> Result<&SxsiIndex, CollectionError>;
+
+    /// The display label of document `doc`, or `None` on a single index,
+    /// whose nodes render as bare preorder numbers.
+    fn doc_label(&self, _doc: DocId) -> Option<&str> {
+        None
+    }
+
+    /// The identity folded into the daemon's result-cache keys: `0` for a
+    /// single index (its slot already identifies it), the manifest
+    /// fingerprint for a collection — so cached bodies are keyed to the
+    /// exact manifest they were computed from.
+    fn fingerprint(&self) -> u64 {
+        0
+    }
+}
+
+impl Target for SxsiIndex {
+    fn num_docs(&self) -> usize {
+        1
+    }
+
+    fn doc_index(&self, _doc: DocId) -> Result<&SxsiIndex, CollectionError> {
+        Ok(self)
+    }
+}
+
+impl Target for Collection {
+    fn num_docs(&self) -> usize {
+        Collection::num_docs(self)
+    }
+
+    fn doc_index(&self, doc: DocId) -> Result<&SxsiIndex, CollectionError> {
+        self.segment_ref(doc).map(|index| &**index)
+    }
+
+    fn doc_label(&self, doc: DocId) -> Option<&str> {
+        Some(self.doc_name(doc))
+    }
+
+    fn fingerprint(&self) -> u64 {
+        Collection::fingerprint(self)
+    }
+}
 
 /// One query of a batch: an identifier (echoed back on the result), the
 /// XPath expression and the run options.
@@ -97,13 +154,14 @@ impl QuerySpec {
     }
 }
 
-/// A query that failed to parse or compile, with its position in the batch.
+/// A query that failed to prepare, identified by its batch id.
 #[derive(Debug)]
 pub struct BatchError {
     /// The identifier of the offending [`QuerySpec`].
     pub id: String,
-    /// The underlying parse/compile error.
-    pub error: QueryError,
+    /// What failed: a segment load, or the parse/compile against one
+    /// document.
+    pub error: CollectionQueryError,
 }
 
 impl fmt::Display for BatchError {
@@ -118,25 +176,55 @@ impl std::error::Error for BatchError {
     }
 }
 
-/// One entry of a batch: the spec plus the shared [`Prepared`] statement —
-/// the same strategy choice sequential execution makes, made once per
-/// *distinct* query string.
-struct BatchQuery {
-    spec: QuerySpec,
-    prepared: Arc<Prepared>,
+/// One query's prepared statements, one per document of the target they
+/// were prepared against, in DocId order.
+pub(crate) type Plans = Arc<[Prepared]>;
+
+/// Prepares `xpath` against every document of `target` (through
+/// [`SxsiIndex::prepare`], so each strategy choice is exactly the one
+/// sequential execution makes), failing on the first document it does not
+/// prepare against.
+pub(crate) fn prepare_plans<T: Target + ?Sized>(
+    target: &T,
+    xpath: &str,
+) -> Result<Plans, CollectionQueryError> {
+    (0..target.num_docs()).map(|doc| prepare_on(target, doc, xpath).map(|(_, p)| p)).collect()
 }
 
-/// A set of queries prepared against one index, ready to be executed (any
-/// number of times) by a [`BatchExecutor`].
+/// Loads document `doc` of `target` and prepares `xpath` against it.
+pub(crate) fn prepare_on<'t, T: Target + ?Sized>(
+    target: &'t T,
+    doc: DocId,
+    xpath: &str,
+) -> Result<(&'t SxsiIndex, Prepared), CollectionQueryError> {
+    let index = target.doc_index(doc).map_err(CollectionQueryError::Load)?;
+    let prepared = index.prepare(xpath).map_err(|error| CollectionQueryError::Prepare {
+        doc,
+        name: target.doc_label(doc).map(str::to_string),
+        error,
+    })?;
+    Ok((index, prepared))
+}
+
+/// One entry of a batch: the spec plus its shared per-document
+/// statements — the same strategy choices sequential execution makes,
+/// made once per *distinct* query string.
+struct BatchQuery {
+    spec: QuerySpec,
+    plans: Plans,
+}
+
+/// A set of queries prepared against one target, ready to be executed
+/// (any number of times) by a [`BatchExecutor`].
 ///
 /// Identical XPath strings are compiled once: all their specs share one
-/// [`Prepared`] handle, so a batch of a thousand repetitions of one query
-/// pays one parse/plan/compile.
+/// set of [`Prepared`] statements, so a batch of a thousand repetitions of
+/// one query pays one parse/plan/compile per document.
 ///
-/// Compilation is tied to the index it was performed against: tag
-/// identifiers baked into the plans are only meaningful for that document.
-/// Running a batch against a different index is a logic error (it cannot
-/// crash, but the answers would be meaningless).
+/// Compilation is tied to the target it was performed against: tag
+/// identifiers baked into the plans are only meaningful for those
+/// documents.  Running a batch against a different target is a logic
+/// error (the answers would be meaningless).
 ///
 /// ```
 /// use sxsi::SxsiIndex;
@@ -167,30 +255,45 @@ impl fmt::Debug for QueryBatch {
 }
 
 impl QueryBatch {
-    /// Parses, plans and compiles every *distinct* query string against
-    /// `index` (through [`SxsiIndex::prepare`], so the strategy choice is
-    /// exactly the one sequential execution makes); repeated strings share
-    /// one [`Prepared`] handle.
-    ///
-    /// Fails on the first malformed query, identifying it by its `id`.
+    /// [`QueryBatch::prepare`] against a single index.
     pub fn compile(index: &SxsiIndex, specs: Vec<QuerySpec>) -> Result<Self, BatchError> {
-        let mut prepared_by_xpath: HashMap<String, Arc<Prepared>> = HashMap::new();
+        Self::prepare(index, specs)
+    }
+
+    /// Parses, plans and compiles every *distinct* query string against
+    /// every document of `target`; repeated strings share one set of
+    /// statements.
+    ///
+    /// Fails on the first query that does not prepare, identifying it by
+    /// its `id` — before anything runs.
+    pub fn prepare<T: Target + ?Sized>(
+        target: &T,
+        specs: Vec<QuerySpec>,
+    ) -> Result<Self, BatchError> {
+        Self::prepare_with(specs, |xpath| prepare_plans(target, xpath))
+    }
+
+    /// [`QueryBatch::prepare`] with the statements of each distinct query
+    /// string taken from `plans` — the daemon's plan cache.
+    pub(crate) fn prepare_with(
+        specs: Vec<QuerySpec>,
+        mut plans: impl FnMut(&str) -> Result<Plans, CollectionQueryError>,
+    ) -> Result<Self, BatchError> {
+        let mut plans_by_xpath: HashMap<String, Plans> = HashMap::new();
         let mut queries = Vec::with_capacity(specs.len());
         for spec in specs {
-            let prepared = match prepared_by_xpath.get(&spec.xpath) {
+            let plans = match plans_by_xpath.get(&spec.xpath) {
                 Some(shared) => Arc::clone(shared),
                 None => {
-                    let prepared = index
-                        .prepare(&spec.xpath)
-                        .map(Arc::new)
+                    let prepared = plans(&spec.xpath)
                         .map_err(|error| BatchError { id: spec.id.clone(), error })?;
-                    prepared_by_xpath.insert(spec.xpath.clone(), Arc::clone(&prepared));
+                    plans_by_xpath.insert(spec.xpath.clone(), Arc::clone(&prepared));
                     prepared
                 }
             };
-            queries.push(BatchQuery { spec, prepared });
+            queries.push(BatchQuery { spec, plans });
         }
-        Ok(Self { queries, num_distinct: prepared_by_xpath.len() })
+        Ok(Self { queries, num_distinct: plans_by_xpath.len() })
     }
 
     /// Number of queries in the batch.
@@ -204,7 +307,7 @@ impl QueryBatch {
     }
 
     /// Number of *distinct* query strings the batch compiled (each backed
-    /// by one shared [`Prepared`] statement).
+    /// by one shared set of [`Prepared`] statements).
     pub fn num_distinct(&self) -> usize {
         self.num_distinct
     }
@@ -213,31 +316,9 @@ impl QueryBatch {
     pub fn specs(&self) -> impl Iterator<Item = &QuerySpec> {
         self.queries.iter().map(|q| &q.spec)
     }
-
-    /// Assembles a batch from already-prepared statements, bypassing
-    /// compilation — the path a plan cache takes (see
-    /// [`server::Server`]): specs whose `Prepared` handle survived in
-    /// the cache are batched without re-paying parse/plan/compile.
-    ///
-    /// Each pair couples one spec with the statement to run it on; as
-    /// with [`QueryBatch::compile`], a statement is only meaningful for
-    /// the index it was prepared against.
-    pub fn from_prepared(queries: Vec<(QuerySpec, Arc<Prepared>)>) -> Self {
-        let num_distinct = {
-            let mut seen = std::collections::HashSet::new();
-            queries.iter().filter(|(spec, _)| seen.insert(spec.xpath.as_str())).count()
-        };
-        Self {
-            queries: queries
-                .into_iter()
-                .map(|(spec, prepared)| BatchQuery { spec, prepared })
-                .collect(),
-            num_distinct,
-        }
-    }
 }
 
-/// The result of one batch query.
+/// The result of one batch query on a single index.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// The identifier of the originating [`QuerySpec`].
@@ -255,9 +336,9 @@ pub struct BatchResult {
 }
 
 /// Fans a [`QueryBatch`] out across a pool of `std::thread` workers sharing
-/// one immutable index.
+/// one immutable target.
 ///
-/// Work distribution is dynamic: workers claim the next unstarted query
+/// Work distribution is dynamic: workers claim the next unstarted job
 /// through an atomic cursor, so a batch mixing cheap and expensive queries
 /// stays balanced.  Results are returned in batch order regardless of
 /// completion order.
@@ -303,26 +384,75 @@ impl BatchExecutor {
         self.threads
     }
 
-    /// Runs every query of `batch` against `index`, returning one result per
-    /// query in batch order.
-    ///
-    /// The index is borrowed for the duration of the call; callers holding
-    /// an `Arc<SxsiIndex>` pass `&arc` (auto-deref).  With one worker the
-    /// pool is bypassed and the batch runs on the calling thread.
+    /// Runs every query of `batch` against a single `index`, returning one
+    /// result per query in batch order — [`BatchExecutor::answer`] on a
+    /// one-document target, whose one run per query is the result.
     ///
     /// Workers are spawned afresh on every call (`std::thread::scope`), so
     /// each run pays roughly tens of microseconds per worker in spawn/join
-    /// overhead; batches should be large enough to amortize that.  For
-    /// very small batches of cheap queries, fewer threads (or `new(1)`)
-    /// can be faster than a wide pool.
+    /// overhead; batches should be large enough to amortize that.  With
+    /// one worker the pool is bypassed and the batch runs on the calling
+    /// thread.
     pub fn run(&self, index: &SxsiIndex, batch: &QueryBatch) -> Vec<BatchResult> {
-        self.run_jobs(batch.len(), |i| run_one(index, &batch.queries[i]))
+        let runs = self.fan_out(index, batch).expect("a single index has no segment to load");
+        batch
+            .queries
+            .iter()
+            .zip(runs)
+            .flat_map(|(query, runs)| {
+                runs.into_iter().map(|run| BatchResult {
+                    id: query.spec.id.clone(),
+                    strategy: run.result.strategy(),
+                    result: run.result,
+                    elapsed: run.elapsed,
+                })
+            })
+            .collect()
+    }
+
+    /// Runs every query of `batch` against every document of `target` and
+    /// merges each query's runs into one answer, in batch order — the
+    /// fan-out and merge of the one query path.  Results are identical at
+    /// every thread count.
+    ///
+    /// On two or more documents each run uses the
+    /// [`QueryOptions::per_shard`] pushdown and the merge windows the
+    /// doc-major concatenation; a one-document target runs the request's
+    /// own options, so its work and statistics are exactly those of a
+    /// direct [`Prepared::run`].
+    pub fn answer<T: Target + ?Sized>(
+        &self,
+        target: &T,
+        batch: &QueryBatch,
+    ) -> Result<Vec<CollectionResult>, CollectionError> {
+        let runs = self.fan_out(target, batch)?;
+        let merged = batch.queries.iter().zip(runs);
+        Ok(merged.map(|(query, runs)| finish(&query.spec.options, runs, None)).collect())
+    }
+
+    /// One job per (query, document) pair; returns each query's runs in
+    /// DocId order.
+    fn fan_out<T: Target + ?Sized>(
+        &self,
+        target: &T,
+        batch: &QueryBatch,
+    ) -> Result<Vec<Vec<DocRun>>, CollectionError> {
+        let docs = target.num_docs();
+        let jobs = self.run_jobs(batch.len() * docs, |job| {
+            let (query, doc) = (&batch.queries[job / docs], job % docs);
+            let options =
+                if docs > 1 { query.spec.options.per_shard() } else { query.spec.options };
+            let index = target.doc_index(doc)?;
+            let start = Instant::now();
+            let result = query.plans[doc].run(index, &options);
+            Ok(DocRun { doc, result, elapsed: start.elapsed() })
+        });
+        let mut jobs = jobs.into_iter();
+        (0..batch.len()).map(|_| jobs.by_ref().take(docs).collect()).collect()
     }
 
     /// The pool's generic fan-out: runs `count` jobs, each identified by
-    /// its index, and returns their results in job order.  This is the
-    /// engine shared by [`BatchExecutor::run`] (one job per batch query)
-    /// and the collection executor (one job per document shard); work
+    /// its index, and returns their results in job order.  Work
     /// distribution is dynamic via an atomic claim cursor, and with one
     /// effective worker the jobs run on the calling thread.
     pub(crate) fn run_jobs<R, F>(&self, count: usize, job: F) -> Vec<R>
@@ -364,16 +494,6 @@ impl BatchExecutor {
         });
         slots.into_iter().map(|r| r.expect("every job was claimed by a worker")).collect()
     }
-}
-
-/// Evaluates one prepared query; this is the only code a worker thread
-/// runs, and all mutable state (the evaluator inside [`Prepared::run`]) is
-/// allocated locally.
-fn run_one(index: &SxsiIndex, query: &BatchQuery) -> BatchResult {
-    let start = Instant::now();
-    let result = query.prepared.run(index, &query.spec.options);
-    let elapsed = start.elapsed();
-    BatchResult { id: query.spec.id.clone(), strategy: query.prepared.strategy(), result, elapsed }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Ranked keyword (`ft:`) search execution: single-index search,
-//! sharded collection fan-out, and the one renderer shared by `sxsi
-//! search` and the daemon's `search` command — so client output can be
+//! Ranked keyword (`ft:`) search execution: one shard fan-out over any
+//! [`Target`] (a single index is one shard), and the one renderer shared
+//! by `sxsi search` and the daemon's `search` command — so client output can be
 //! byte-diffed against the CLI, scores included (they print with fixed
 //! three-decimal precision for exactly that reason).
 //!
@@ -12,16 +12,15 @@
 
 use std::fmt::Write as _;
 
-use sxsi::{FtQuery, SxsiIndex};
-use sxsi_collection::Collection;
+use sxsi::FtQuery;
+use sxsi_collection::{Collection, CollectionError};
 
-use crate::collection::CollectionQueryError;
-use crate::BatchExecutor;
+use crate::{BatchExecutor, Target};
 
 /// One ranked search hit, qualified for display: the owning document's
-/// name (for single indexes, whatever label the caller serves the index
-/// under), the node's preorder number within its document, and the
-/// tf·idf-style score.
+/// name (for a single index, whatever label the caller serves it under),
+/// the node's preorder number within its document, and the tf·idf-style
+/// score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedHit {
     /// Display name of the document the hit belongs to.
@@ -55,55 +54,31 @@ pub fn query_display(query: &FtQuery) -> String {
     format!("ft:{}({})", query.mode.as_str(), terms.join(", "))
 }
 
-/// Ranked search over one single index, its hits labelled `doc`.
-pub fn search_index(
-    index: &SxsiIndex,
-    doc: &str,
-    query: &FtQuery,
-    limit: Option<usize>,
-) -> SearchOutcome {
-    let hits = index.search(query);
-    let total = hits.len();
-    let mut ranked: Vec<RankedHit> = hits
-        .iter()
-        .map(|h| RankedHit {
-            doc: doc.to_string(),
-            preorder: index.tree().preorder(h.node),
-            score: h.score,
-        })
-        .collect();
-    let truncated = limit.is_some_and(|l| ranked.len() > l);
-    if let Some(l) = limit {
-        ranked.truncate(l);
-    }
-    SearchOutcome { hits: ranked, truncated, total }
-}
-
-/// Ranked search across every document of a collection, one shard per
+/// Ranked search across every document of `target`, one shard per
 /// document on the batch pool, merged into one globally ranked list.
+/// Hits carry their document's label, or `label` on an unlabelled
+/// (single-index) target.
 ///
 /// Results are identical at every thread count: each shard searches its
 /// own segment (term statistics are per-document, like the per-document
 /// prepared statements of the query path), and the merge is a stable
 /// sort by score over the DocId-ordered concatenation.
-pub fn search_collection(
+pub fn search_target<T: Target + ?Sized>(
     executor: &BatchExecutor,
-    collection: &Collection,
+    target: &T,
+    label: &str,
     query: &FtQuery,
     limit: Option<usize>,
-) -> Result<SearchOutcome, CollectionQueryError> {
-    let outcomes = executor.run_jobs(collection.num_docs(), |doc| {
-        let index = collection.segment(doc).map_err(CollectionQueryError::Load)?;
-        let hits = index.search(query);
-        let ranked: Vec<RankedHit> = hits
-            .iter()
-            .map(|h| RankedHit {
-                doc: collection.doc_name(doc).to_string(),
-                preorder: index.tree().preorder(h.node),
-                score: h.score,
-            })
-            .collect();
-        Ok::<Vec<RankedHit>, CollectionQueryError>(ranked)
+) -> Result<SearchOutcome, CollectionError> {
+    let outcomes = executor.run_jobs(target.num_docs(), |doc| {
+        let index = target.doc_index(doc)?;
+        let doc_label = target.doc_label(doc).unwrap_or(label);
+        let hits = index.search(query).into_iter().map(|h| RankedHit {
+            doc: doc_label.to_string(),
+            preorder: index.tree().preorder(h.node),
+            score: h.score,
+        });
+        Ok::<Vec<RankedHit>, CollectionError>(hits.collect())
     });
     let mut all = Vec::new();
     for outcome in outcomes {
@@ -119,6 +94,17 @@ pub fn search_collection(
         all.truncate(l);
     }
     Ok(SearchOutcome { hits: all, truncated, total })
+}
+
+/// [`search_target`] over a collection, whose hits all carry document
+/// names.
+pub fn search_collection(
+    executor: &BatchExecutor,
+    collection: &Collection,
+    query: &FtQuery,
+    limit: Option<usize>,
+) -> Result<SearchOutcome, CollectionError> {
+    search_target(executor, collection, "", query, limit)
 }
 
 /// Renders a search outcome in the line format of the query path
@@ -137,7 +123,7 @@ pub fn render_search_outcome(id: &str, outcome: &SearchOutcome, out: &mut String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sxsi::FtMode;
+    use sxsi::{FtMode, SxsiIndex};
 
     const DOC: &str = r#"<site>
   <item><name>rare drum</name><note>a rare loud drum indeed</note></item>
@@ -152,14 +138,14 @@ mod tests {
     fn single_index_search_ranks_and_truncates() {
         let idx = index();
         let query = FtQuery::new(FtMode::All, &["rare"]);
-        let full = search_index(&idx, "doc", &query, None);
+        let full = search_target(&BatchExecutor::new(1), &idx, "doc", &query, None).unwrap();
         assert!(full.hits.len() >= 2, "{full:?}");
         assert!(!full.truncated);
         assert_eq!(full.total, full.hits.len());
         for pair in full.hits.windows(2) {
             assert!(pair[0].score >= pair[1].score, "{full:?}");
         }
-        let capped = search_index(&idx, "doc", &query, Some(1));
+        let capped = search_target(&BatchExecutor::new(1), &idx, "doc", &query, Some(1)).unwrap();
         assert_eq!(capped.hits, full.hits[..1].to_vec());
         assert!(capped.truncated);
         assert_eq!(capped.total, full.total);
@@ -169,7 +155,7 @@ mod tests {
     fn rendering_is_stable() {
         let idx = index();
         let query = FtQuery::new(FtMode::Phrase, &["rare loud drum"]);
-        let outcome = search_index(&idx, "doc", &query, None);
+        let outcome = search_target(&BatchExecutor::new(1), &idx, "doc", &query, None).unwrap();
         let mut out = String::new();
         render_search_outcome(&query_display(&query), &outcome, &mut out);
         assert!(out.starts_with("ft:phrase(\"rare\", \"loud\", \"drum\"): 1 hits [doc:"), "{out}");
@@ -183,7 +169,7 @@ mod tests {
     fn no_match_renders_empty_list() {
         let idx = index();
         let query = FtQuery::new(FtMode::All, &["zzzmissing"]);
-        let outcome = search_index(&idx, "doc", &query, Some(5));
+        let outcome = search_target(&BatchExecutor::new(1), &idx, "doc", &query, Some(5)).unwrap();
         assert!(outcome.hits.is_empty());
         assert!(!outcome.truncated);
         let mut out = String::new();

@@ -1,13 +1,13 @@
 //! A small, dependency-free LRU cache with hit/miss/eviction counters.
 //!
-//! The daemon keeps two of these (compiled-plan cache and result cache;
-//! see [`super::Server`]).  Capacities are small — the fxi-style default
-//! is 128 entries — so the implementation favors simplicity and
-//! auditability over asymptotics: entries live in a `HashMap` stamped
-//! with a monotonic use counter, and eviction scans for the least
-//! recently used entry (`O(capacity)` on insert-when-full, `O(1)`
-//! otherwise).  True LRU semantics: both hits and inserts refresh the
-//! stamp.
+//! The daemon keeps three of these (compiled-plan, query-result and
+//! search-result caches; see [`super::Server`]).  Capacities are small —
+//! the fxi-style default is 128 entries — so the implementation favors
+//! simplicity and auditability over asymptotics: entries live in a
+//! `HashMap` stamped with a monotonic use counter, and eviction scans for
+//! the least recently used entry (`O(capacity)` on insert-when-full,
+//! `O(1)` otherwise).  True LRU semantics: both hits and inserts refresh
+//! the stamp.
 //!
 //! The cache is not internally synchronized; the server wraps it in a
 //! `Mutex`.  Counters are part of the cache (not the metrics sink) so a

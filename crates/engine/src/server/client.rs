@@ -96,7 +96,6 @@ impl Write for ClientConn {
 /// the client.
 pub struct Client {
     conn: ClientConn,
-    server: String,
 }
 
 impl Client {
@@ -120,16 +119,11 @@ impl Client {
         let hello = format!("hello {PROTOCOL_VERSION}");
         write_frame(&mut conn, hello.as_bytes()).map_err(FrameError::Io)?;
         match Self::read_response_on(&mut conn)? {
-            Response::Ok { detail, .. } => Ok(Client { conn, server: detail }),
+            Response::Ok { .. } => Ok(Client { conn }),
             Response::Err { code, message } => {
                 Err(ClientError::Protocol(format!("handshake rejected ({code}): {message}")))
             }
         }
-    }
-
-    /// The server's handshake banner (e.g. `sxsi-serve 1 indexes=1`).
-    pub fn server_banner(&self) -> &str {
-        &self.server
     }
 
     /// Sends one raw request payload and reads the response frame.
@@ -155,25 +149,8 @@ impl Client {
         offset: u64,
         xpaths: &[&str],
     ) -> Result<Response, ClientError> {
-        let mut payload = String::from("query");
-        if let Some(index) = index {
-            payload.push_str(" index=");
-            payload.push_str(index);
-        }
-        payload.push_str(" output=");
-        payload.push_str(output.as_str());
-        payload.push_str(" limit=");
-        match limit {
-            Some(n) => payload.push_str(&n.to_string()),
-            None => payload.push_str("none"),
-        }
-        payload.push_str(" offset=");
-        payload.push_str(&offset.to_string());
-        for xpath in xpaths {
-            payload.push('\n');
-            payload.push_str(&escape_query(xpath));
-        }
-        self.request(payload.as_bytes())
+        let args = format!("output={} offset={offset}", output.as_str());
+        self.send("query", index, limit, &args, xpaths)
     }
 
     /// Runs a ranked keyword search, returning the server's response.
@@ -186,21 +163,29 @@ impl Client {
         limit: Option<u64>,
         terms: &[&str],
     ) -> Result<Response, ClientError> {
-        let mut payload = String::from("search");
+        self.send("search", index, limit, &format!("mode={mode}"), terms)
+    }
+
+    /// Sends the request shape `query` and `search` share: the command,
+    /// its arguments, then one escaped entry per body line.
+    fn send(
+        &mut self,
+        command: &str,
+        index: Option<&str>,
+        limit: Option<u64>,
+        args: &str,
+        entries: &[&str],
+    ) -> Result<Response, ClientError> {
+        let mut payload = command.to_string();
         if let Some(index) = index {
             payload.push_str(" index=");
             payload.push_str(index);
         }
-        payload.push_str(" mode=");
-        payload.push_str(mode);
-        payload.push_str(" limit=");
-        match limit {
-            Some(n) => payload.push_str(&n.to_string()),
-            None => payload.push_str("none"),
-        }
-        for term in terms {
+        let limit = limit.map_or_else(|| "none".to_string(), |n| n.to_string());
+        payload.push_str(&format!(" {args} limit={limit}"));
+        for entry in entries {
             payload.push('\n');
-            payload.push_str(&escape_query(term));
+            payload.push_str(&escape_query(entry));
         }
         self.request(payload.as_bytes())
     }

@@ -1,20 +1,26 @@
 //! The `sxsi serve` daemon: a long-lived process that loads `.sxsi`
-//! indexes once, keeps them warm behind `Arc`, and answers XPath
-//! queries over a length-prefixed framed protocol on a TCP or Unix
-//! socket — so callers stop paying process startup plus a full index
-//! load per query (the paper's headline latency is index-resident).
+//! indexes and `.sxsic` collections once, keeps them warm behind `Arc`,
+//! and answers XPath queries and keyword searches over a length-prefixed
+//! framed protocol on a TCP or Unix socket — so callers stop paying
+//! process startup plus a full index load per query (the paper's headline
+//! latency is index-resident).
 //!
 //! Architecture (one connection = one thread; all shared state is the
-//! immutable indexes plus three synchronized sinks):
+//! immutable targets plus four synchronized sinks).  Every target, single
+//! index or collection, answers through the same path as the CLI:
 //!
 //! ```text
 //!  clients ──frames──▶ accept loop ──▶ handler thread per connection
 //!                                        │  hello → command loop
 //!                                        ▼
-//!                 ┌── plan cache (LRU: query string → Arc<Prepared>)
-//!                 ├── result cache (LRU: (index, query, options, output)
-//!                 │                       → rendered body)
-//!                 ├── BatchExecutor fan-out for the cache misses
+//!                 ┌── result cache (LRU: (index, fingerprint, query,
+//!                 │                  options, output) → rendered body)
+//!                 ├── plan cache (LRU: (index, query) → one prepared
+//!                 │                statement per document)
+//!                 ├── BatchExecutor fan-out for the cache misses: one
+//!                 │   job per (query, document), merged per query
+//!                 ├── search cache (LRU: (index, fingerprint, search)
+//!                 │                  → rendered body)
 //!                 └── metrics sink (latency/visited histograms, counters)
 //! ```
 //!
@@ -41,13 +47,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sxsi::{Prepared, QueryError, QueryMode, QueryOptions, SxsiIndex};
-use sxsi_collection::Collection;
+use sxsi::{FtMode, FtQuery, QueryError, QueryMode, QueryOptions, SxsiIndex};
+use sxsi_collection::{Collection, CollectionError, DocId};
 
-use crate::collection::{render_collection_result, CollectionExecutor, CollectionQueryError};
-use crate::search::{query_display, render_search_outcome, search_collection, search_index};
-use crate::{BatchExecutor, BatchResult, QueryBatch, QuerySpec};
-use sxsi::{FtMode, FtQuery};
+use crate::collection::{CollectionResult, DocRun};
+use crate::search::{query_display, render_search_outcome, search_target};
+use crate::{
+    prepare_plans, BatchError, BatchExecutor, BatchResult, Plans, QueryBatch, QuerySpec, Target,
+};
 use cache::LruCache;
 use metrics::Metrics;
 use protocol::{
@@ -103,42 +110,75 @@ impl OutputKind {
     }
 }
 
-/// Renders one batch result the way the `sxsi` CLI prints it — the
+/// Renders one query's answer the way the `sxsi` CLI prints it — the
 /// single formatting implementation shared by `sxsi query`/`sxsi
-/// exists` and the daemon, so the two can never diverge byte-wise.
+/// exists` and the daemon, for every target, so the two can never
+/// diverge byte-wise.  Nodes print as `label:preorder` on a labelled
+/// target (a collection: the document's name) and as a bare `preorder`
+/// on a single index.
+pub fn render_result<T: Target + ?Sized>(
+    target: &T,
+    id: &str,
+    result: &CollectionResult,
+    output: OutputKind,
+    out: &mut String,
+) {
+    let more = if result.truncated() { " (more results exist)" } else { "" };
+    match output {
+        OutputKind::Exists => {
+            let _ = writeln!(out, "{id}: {}", result.exists());
+        }
+        OutputKind::Count => {
+            let _ = writeln!(out, "{id}: {}{more}", result.count());
+        }
+        OutputKind::Nodes => {
+            let rendered: Vec<String> = result
+                .nodes()
+                .iter()
+                .map(|dn| {
+                    // The nodes were just produced from their segment, so
+                    // it is loaded; the raw NodeId is a display fallback.
+                    let preorder = target
+                        .doc_index(dn.doc)
+                        .map_or(dn.node, |index| index.tree().preorder(dn.node));
+                    match target.doc_label(dn.doc) {
+                        Some(label) => format!("{label}:{preorder}"),
+                        None => preorder.to_string(),
+                    }
+                })
+                .collect();
+            let _ = writeln!(
+                out,
+                "{id}: {} nodes [{}]{more}",
+                result.nodes().len(),
+                rendered.join(", ")
+            );
+        }
+        OutputKind::Serialize => {
+            let _ = writeln!(out, "{id}:{more}");
+            for dn in result.nodes() {
+                match target.doc_index(dn.doc) {
+                    Ok(index) => {
+                        let _ = writeln!(out, "{}", index.get_subtree(dn.node));
+                    }
+                    Err(e) => {
+                        let _ = writeln!(out, "<!-- doc {}: {e} -->", dn.doc);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`render_result`] for one [`BatchExecutor::run`] result on `index`.
 pub fn render_batch_result(
     index: &SxsiIndex,
     result: &BatchResult,
     output: OutputKind,
     out: &mut String,
 ) {
-    let more = if result.result.truncated() { " (more results exist)" } else { "" };
-    match output {
-        OutputKind::Exists => {
-            let _ = writeln!(out, "{}: {}", result.id, result.result.exists());
-        }
-        OutputKind::Count => {
-            let _ = writeln!(out, "{}: {}{more}", result.id, result.result.count());
-        }
-        OutputKind::Nodes => {
-            let nodes = result.result.nodes().unwrap_or(&[]);
-            let preorders: Vec<String> =
-                nodes.iter().map(|&n| index.tree().preorder(n).to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{}: {} nodes [{}]{more}",
-                result.id,
-                nodes.len(),
-                preorders.join(", ")
-            );
-        }
-        OutputKind::Serialize => {
-            let _ = writeln!(out, "{}:{more}", result.id);
-            for &node in result.result.nodes().unwrap_or(&[]) {
-                let _ = writeln!(out, "{}", index.get_subtree(node));
-            }
-        }
-    }
+    let run = DocRun { doc: 0, result: result.result.clone(), elapsed: result.elapsed };
+    render_result(index, &result.id, &CollectionResult::from_run(run), output, out);
 }
 
 /// Configuration of a [`Server`].
@@ -147,7 +187,8 @@ pub struct ServeOptions {
     /// Worker threads for each request's [`BatchExecutor`] fan-out;
     /// `0` means the machine's available parallelism.
     pub threads: usize,
-    /// Capacity of the compiled-plan LRU (query string → `Prepared`).
+    /// Capacity of the compiled-plan LRU (`(index, query)` → one
+    /// `Prepared` per document).
     pub plan_cache_capacity: usize,
     /// Capacity of the result LRU (`(index, query, options, output)` →
     /// rendered body).
@@ -351,15 +392,97 @@ impl Read for PollingReader<'_> {
     }
 }
 
-/// What a server id resolves to: one warm index, or a whole collection
-/// served as one logical index (queries fan out across its documents and
-/// come back merged, DocId-qualified).
+/// What a server id (or a CLI path) resolves to: one warm index, or a
+/// whole collection served as one logical index (queries fan out across
+/// its documents and come back merged, DocId-qualified).  Both answer
+/// through the one query path as a [`Target`]; this impl block is the
+/// only place the two kinds are told apart.
 #[derive(Clone)]
 pub enum ServedIndex {
-    /// A single `.sxsi` index.
+    /// A single `.sxsi` index: one unlabelled document.
     Single(Arc<SxsiIndex>),
     /// A multi-document `.sxsic` collection.
     Collection(Arc<Collection>),
+}
+
+impl ServedIndex {
+    fn target(&self) -> &dyn Target {
+        match self {
+            ServedIndex::Single(index) => &**index,
+            ServedIndex::Collection(collection) => &**collection,
+        }
+    }
+
+    /// Appends the `info` lines describing this target, served as `id`.
+    fn describe(&self, id: &str, out: &mut String) {
+        match self {
+            ServedIndex::Single(index) => {
+                let stats = index.stats();
+                let _ = writeln!(
+                    out,
+                    "index id={id} nodes={} elements={} texts={} tags={} tree_bytes={} \
+                     text_index_bytes={} plain_text_bytes={} total_bytes={}",
+                    stats.num_nodes,
+                    stats.num_elements,
+                    stats.num_texts,
+                    stats.num_tags,
+                    stats.tree_bytes,
+                    stats.text_index_bytes,
+                    stats.plain_text_bytes,
+                    stats.total_bytes()
+                );
+                let report = index.verify(sxsi::VerifyDepth::Quick);
+                let _ = writeln!(
+                    out,
+                    "index-verify id={id} verify={} verify_checks={}",
+                    if report.is_ok() {
+                        "ok".to_string()
+                    } else {
+                        format!("{}-issues", report.issues.len())
+                    },
+                    report.checks_run
+                );
+            }
+            ServedIndex::Collection(collection) => {
+                let manifest = collection.manifest();
+                let nodes: u64 = manifest.docs.iter().map(|d| d.num_nodes).sum();
+                let _ = writeln!(
+                    out,
+                    "index id={id} kind=collection docs={} nodes={nodes} elements={} \
+                     texts={} fingerprint={:016x}",
+                    manifest.num_docs(),
+                    manifest.total_elements,
+                    manifest.total_texts,
+                    collection.fingerprint()
+                );
+                for entry in &manifest.docs {
+                    let _ = writeln!(
+                        out,
+                        "collection-doc id={id} doc={} name={} segment={} nodes={}",
+                        entry.id, entry.name, entry.segment, entry.num_nodes
+                    );
+                }
+            }
+        }
+    }
+}
+
+impl Target for ServedIndex {
+    fn num_docs(&self) -> usize {
+        self.target().num_docs()
+    }
+
+    fn doc_index(&self, doc: DocId) -> Result<&SxsiIndex, CollectionError> {
+        self.target().doc_index(doc)
+    }
+
+    fn doc_label(&self, doc: DocId) -> Option<&str> {
+        self.target().doc_label(doc)
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.target().fingerprint()
+    }
 }
 
 struct NamedIndex {
@@ -368,10 +491,8 @@ struct NamedIndex {
 }
 
 type PlanKey = (usize, String);
-/// The `u64` is the served identity folded into result-cache keys: `0`
-/// for a single index (the slot already identifies it), the manifest
-/// fingerprint for a collection — so cached bodies are keyed to the
-/// exact manifest they were computed from.
+/// The `u64` is the target's [`Target::fingerprint`], so cached bodies
+/// are keyed to the exact manifest they were computed from.
 type ResultKey = (usize, u64, String, QueryOptions, OutputKind);
 /// Keyword-search results cache in their own LRU (same slot/fingerprint
 /// scheme, canonical request string as the query component) rather than
@@ -384,14 +505,14 @@ struct ServerInner {
     indexes: Vec<NamedIndex>,
     options: ServeOptions,
     executor: BatchExecutor,
-    plan_cache: Mutex<LruCache<PlanKey, Arc<Prepared>>>,
+    plan_cache: Mutex<LruCache<PlanKey, Plans>>,
     result_cache: Mutex<LruCache<ResultKey, Arc<str>>>,
     search_cache: Mutex<LruCache<SearchKey, Arc<str>>>,
     metrics: Metrics,
     shutdown: AtomicBool,
 }
 
-/// A warm-index query daemon.  Construct with [`Server::new`], then run
+/// A warm-index query daemon.  Construct with [`Server::new_served`], then run
 /// [`Server::serve`] on a bound [`Listener`]; `serve` returns after a
 /// graceful shutdown (the `shutdown` protocol command or
 /// [`Server::shutdown`]) once every in-flight connection has drained.
@@ -404,28 +525,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Creates a server over the given `(id, index)` pairs.
-    ///
-    /// Fails if no index is given or two share an id.  The indexes stay
-    /// warm behind `Arc` for the server's lifetime; queries address
-    /// them by id (`index=<id>`), defaulting to the only index when
-    /// exactly one is loaded.
-    pub fn new(
-        indexes: Vec<(String, Arc<SxsiIndex>)>,
-        options: ServeOptions,
-    ) -> Result<Server, String> {
-        Server::new_served(
-            indexes
-                .into_iter()
-                .map(|(id, index)| (id, ServedIndex::Single(index)))
-                .collect(),
-            options,
-        )
-    }
-
     /// Creates a server over a mix of single indexes and collections —
     /// a collection is addressed by one id and answers as one logical
     /// index, with nodes qualified as `doc-name:preorder`.
+    ///
+    /// Fails if no index is given or two share an id.  The targets stay
+    /// warm behind `Arc` for the server's lifetime; queries address
+    /// them by id (`index=<id>`), defaulting to the only target when
+    /// exactly one is loaded.
     pub fn new_served(
         indexes: Vec<(String, ServedIndex)>,
         options: ServeOptions,
@@ -532,6 +639,15 @@ impl Server {
 
 /// An error a command handler reports back as an `error code=…` frame.
 type CommandError = (ErrorCode, String);
+
+/// A parsed `query`/`search` request: the addressed target, the window
+/// limit and the unescaped body lines.
+struct Request<'s> {
+    slot: usize,
+    named: &'s NamedIndex,
+    limit: Option<u64>,
+    entries: Vec<String>,
+}
 
 impl ServerInner {
     fn handle_connection(self: Arc<Self>, mut conn: Conn) {
@@ -666,26 +782,74 @@ impl ServerInner {
         }
     }
 
-    fn resolve_index(&self, id: Option<&str>) -> Result<usize, CommandError> {
+    /// The slot and target a request addresses.
+    fn resolve_index(&self, id: Option<&str>) -> Result<(usize, &NamedIndex), CommandError> {
         match id {
-            Some(id) => self
-                .indexes
-                .iter()
-                .position(|n| n.id == id)
-                .ok_or_else(|| {
-                    let loaded: Vec<&str> =
-                        self.indexes.iter().map(|n| n.id.as_str()).collect();
+            Some(id) => {
+                self.indexes.iter().enumerate().find(|(_, n)| n.id == id).ok_or_else(|| {
+                    let loaded: Vec<&str> = self.indexes.iter().map(|n| n.id.as_str()).collect();
                     (
                         ErrorCode::UnknownIndex,
                         format!("no index '{id}' (loaded: {})", loaded.join(", ")),
                     )
-                }),
-            None if self.indexes.len() == 1 => Ok(0),
-            None => Err((
-                ErrorCode::BadArgument,
-                format!("index=<id> is required with {} indexes loaded", self.indexes.len()),
-            )),
+                })
+            }
+            None => match self.indexes.as_slice() {
+                [only] => Ok((0, only)),
+                _ => Err((
+                    ErrorCode::BadArgument,
+                    format!("index=<id> is required with {} indexes loaded", self.indexes.len()),
+                )),
+            },
         }
+    }
+
+    /// Parses the request shape `query` and `search` share: `key=value`
+    /// arguments — `index=` and `limit=` here, the command's own keys
+    /// through `own` (which reports whether it took the key) — then one
+    /// escaped `noun` per non-empty body line, at least one.
+    fn parse_request<'a>(
+        &self,
+        (command, noun): (&str, &str),
+        args: impl Iterator<Item = &'a str>,
+        rest: &str,
+        mut own: impl FnMut(&'a str, &'a str) -> Result<bool, CommandError>,
+    ) -> Result<Request<'_>, CommandError> {
+        let mut index_id: Option<&str> = None;
+        let mut limit: Option<u64> = None;
+        for arg in args {
+            let (key, value) = arg.split_once('=').ok_or_else(|| {
+                (ErrorCode::BadArgument, format!("malformed argument '{arg}' (expected key=value)"))
+            })?;
+            match key {
+                "index" => index_id = Some(value),
+                "limit" if value == "none" => limit = None,
+                "limit" => {
+                    limit = Some(value.parse().map_err(|_| {
+                        (ErrorCode::BadArgument, format!("bad limit '{value}'"))
+                    })?);
+                }
+                other => {
+                    if !own(key, value)? {
+                        return Err((
+                            ErrorCode::BadArgument,
+                            format!("unknown {command} argument '{other}'"),
+                        ));
+                    }
+                }
+            }
+        }
+        let (slot, named) = self.resolve_index(index_id)?;
+        let mut entries = Vec::new();
+        for line in rest.lines().filter(|line| !line.is_empty()) {
+            entries.push(unescape_query(line).ok_or_else(|| {
+                (ErrorCode::BadArgument, format!("malformed {noun} encoding '{line}'"))
+            })?);
+        }
+        if entries.is_empty() {
+            return Err((ErrorCode::BadArgument, format!("{command} needs at least one {noun}")));
+        }
+        Ok(Request { slot, named, limit, entries })
     }
 
     fn handle_query<'a>(
@@ -693,88 +857,46 @@ impl ServerInner {
         args: impl Iterator<Item = &'a str>,
         rest: &str,
     ) -> Result<(String, String), CommandError> {
-        let mut index_id: Option<&str> = None;
         let mut output = OutputKind::Count;
-        let mut limit: Option<u64> = None;
         let mut offset: u64 = 0;
-        for arg in args {
-            let (key, value) = arg.split_once('=').ok_or_else(|| {
-                (ErrorCode::BadArgument, format!("malformed argument '{arg}' (expected key=value)"))
-            })?;
+        let request = self.parse_request(("query", "expression"), args, rest, |key, value| {
             match key {
-                "index" => index_id = Some(value),
                 "output" => {
                     output = OutputKind::parse(value).ok_or_else(|| {
                         (ErrorCode::BadArgument, format!("unknown output kind '{value}'"))
                     })?;
-                }
-                "limit" => {
-                    limit = if value == "none" {
-                        None
-                    } else {
-                        Some(value.parse().map_err(|_| {
-                            (ErrorCode::BadArgument, format!("bad limit '{value}'"))
-                        })?)
-                    };
                 }
                 "offset" => {
                     offset = value.parse().map_err(|_| {
                         (ErrorCode::BadArgument, format!("bad offset '{value}'"))
                     })?;
                 }
-                other => {
-                    return Err((
-                        ErrorCode::BadArgument,
-                        format!("unknown query argument '{other}'"),
-                    ))
-                }
+                _ => return Ok(false),
             }
-        }
-        let slot = self.resolve_index(index_id)?;
-
-        let mut xpaths = Vec::new();
-        for line in rest.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let xpath = unescape_query(line).ok_or_else(|| {
-                (ErrorCode::BadArgument, format!("malformed query encoding '{line}'"))
-            })?;
-            xpaths.push(xpath);
-        }
-        if xpaths.is_empty() {
-            return Err((ErrorCode::BadArgument, "query needs at least one expression".into()));
-        }
-
+            Ok(true)
+        })?;
         let options = QueryOptions {
             mode: output.query_mode(),
-            limit,
+            limit: request.limit,
             offset,
             // Always collected: the visited-node histogram feeds on it.
             collect_stats: true,
         };
-
-        // lint:allow(index: resolve_index returned a valid position)
-        match &self.indexes[slot].served {
-            ServedIndex::Single(index) => {
-                self.answer_single(slot, &Arc::clone(index), xpaths, options, output)
-            }
-            ServedIndex::Collection(collection) => {
-                self.answer_collection(slot, &Arc::clone(collection), xpaths, options, output)
-            }
-        }
+        self.answer(request.slot, &request.named.served, &request.entries, options, output)
     }
 
-    /// Answers a query batch against one single index: result-cache
-    /// lookups, plan-cached compilation, executor fan-out.
-    fn answer_single(
+    /// Answers a query batch against one target: result-cache lookups,
+    /// then the one query path for the misses — plan-cached preparation,
+    /// executor fan-out over every (query, document) pair, merge, render.
+    fn answer(
         &self,
         slot: usize,
-        index: &SxsiIndex,
-        xpaths: Vec<String>,
+        target: &ServedIndex,
+        xpaths: &[String],
         options: QueryOptions,
         output: OutputKind,
     ) -> Result<(String, String), CommandError> {
+        let fingerprint = target.fingerprint();
         // Phase 1: result-cache lookups, preserving request order.
         // Duplicate expressions within one request share a single
         // execution but are rendered once per occurrence, matching the
@@ -785,100 +907,7 @@ impl ServerInner {
         {
             // lint:allow(panic: poisoning means another worker already panicked)
             let mut result_cache = self.result_cache.lock().expect("result cache poisoned");
-            for xpath in &xpaths {
-                if bodies.contains_key(xpath.as_str()) || misses.contains(&xpath.as_str()) {
-                    continue;
-                }
-                let key: ResultKey = (slot, 0, xpath.clone(), options, output);
-                match result_cache.get(&key) {
-                    Some(body) => {
-                        self.metrics.record_cached_query();
-                        bodies.insert(xpath.as_str(), Arc::clone(body));
-                    }
-                    None => misses.push(xpath.as_str()),
-                }
-            }
-        }
-        let cache_hits = bodies.len();
-
-        // Phase 2: prepare the misses through the plan cache (compile
-        // errors reject the whole request, like the CLI's batch
-        // compile), fan them out across the executor, render, insert.
-        if !misses.is_empty() {
-            let mut prepared_misses: Vec<(QuerySpec, Arc<Prepared>)> = Vec::new();
-            for &xpath in &misses {
-                let prepared = self.prepare_cached(slot, index, xpath)?;
-                prepared_misses
-                    .push((QuerySpec::new(xpath, xpath, options), prepared));
-            }
-            let batch = QueryBatch::from_prepared(prepared_misses);
-            let results = self.executor.run(index, &batch);
-            // lint:allow(panic: poisoning means another worker already panicked)
-            let mut result_cache = self.result_cache.lock().expect("result cache poisoned");
-            for result in &results {
-                let mut rendered = String::new();
-                render_batch_result(index, result, output, &mut rendered);
-                let visited = result.result.stats().map(|s| s.visited_nodes);
-                self.metrics.record_executed_query(result.elapsed, visited);
-                let body: Arc<str> = Arc::from(rendered);
-                result_cache
-                    .insert((slot, 0, result.id.clone(), options, output), Arc::clone(&body));
-                let Some(miss) = misses.iter().copied().find(|&m| m == result.id) else {
-                    // Executor results always echo a requested id; if that
-                    // ever breaks, answer with a structured server bug
-                    // instead of panicking the worker.
-                    return Err((
-                        ErrorCode::Internal,
-                        format!("executor returned unknown result id '{}'", escape_query(&result.id)),
-                    ));
-                };
-                bodies.insert(miss, body);
-            }
-        }
-
-        // Phase 3: assemble the body in request order.
-        let mut body = String::new();
-        let mut all_found = true;
-        for xpath in &xpaths {
-            let Some(rendered) = bodies.get(xpath.as_str()) else {
-                return Err((
-                    ErrorCode::Internal,
-                    format!("no rendered body for query '{}'", escape_query(xpath)),
-                ));
-            };
-            if output == OutputKind::Exists && rendered.trim_end().ends_with("false") {
-                all_found = false;
-            }
-            body.push_str(rendered);
-        }
-        let mut detail = format!("queries={} cache_hits={cache_hits}", xpaths.len());
-        if output == OutputKind::Exists {
-            let _ = write!(detail, " all_found={all_found}");
-        }
-        Ok((detail, body))
-    }
-
-    /// Answers a query batch against a collection served as one logical
-    /// index.  The result cache applies (keyed by the manifest
-    /// fingerprint); the plan cache does not — a `Prepared` is only
-    /// valid for the index it was compiled against, so collections
-    /// prepare per document inside the fan-out.
-    fn answer_collection(
-        &self,
-        slot: usize,
-        collection: &Arc<Collection>,
-        xpaths: Vec<String>,
-        options: QueryOptions,
-        output: OutputKind,
-    ) -> Result<(String, String), CommandError> {
-        let fingerprint = collection.fingerprint();
-        let mut bodies: std::collections::HashMap<&str, Arc<str>> =
-            std::collections::HashMap::new();
-        let mut misses: Vec<&str> = Vec::new();
-        {
-            // lint:allow(panic: poisoning means another worker already panicked)
-            let mut result_cache = self.result_cache.lock().expect("result cache poisoned");
-            for xpath in &xpaths {
+            for xpath in xpaths {
                 if bodies.contains_key(xpath.as_str()) || misses.contains(&xpath.as_str()) {
                     continue;
                 }
@@ -894,38 +923,33 @@ impl ServerInner {
         }
         let cache_hits = bodies.len();
 
-        let executor = CollectionExecutor::new(self.executor.threads());
-        for &xpath in &misses {
-            let start = Instant::now();
-            let result = executor.run(collection, xpath, &options).map_err(|e| match e {
-                CollectionQueryError::Prepare { error: QueryError::Compile(detail), .. } => (
-                    ErrorCode::UnsupportedQuery,
-                    format!("query='{}' detail='{detail}'", escape_query(xpath)),
-                ),
-                CollectionQueryError::Prepare { error, .. } => (
-                    ErrorCode::ParseError,
-                    format!("query='{}' detail='{error}'", escape_query(xpath)),
-                ),
-                CollectionQueryError::Load(e) => {
-                    (ErrorCode::Internal, format!("collection segment failure: {e}"))
-                }
-            })?;
-            let elapsed = start.elapsed();
-            let mut rendered = String::new();
-            render_collection_result(collection, xpath, &result, output, &mut rendered);
-            let visited = result.stats().map(|s| s.visited_nodes);
-            self.metrics.record_executed_query(elapsed, visited);
-            let body: Arc<str> = Arc::from(rendered);
-            self.result_cache
-                .lock()
-                .expect("result cache poisoned") // lint:allow(panic: poisoning means another worker already panicked)
-                .insert((slot, fingerprint, xpath.to_string(), options, output), Arc::clone(&body));
-            bodies.insert(xpath, body);
+        // Phase 2: prepare the misses through the plan cache (a prepare
+        // error rejects the whole request before anything runs, like the
+        // CLI's batch), fan them out, render, insert.
+        if !misses.is_empty() {
+            let specs = misses.iter().map(|&xpath| QuerySpec::new(xpath, xpath, options)).collect();
+            let batch = QueryBatch::prepare_with(specs, |xpath| self.plans(slot, target, xpath))
+                .map_err(prepare_error)?;
+            let results = self.executor.answer(target, &batch).map_err(segment_error)?;
+            for (&xpath, result) in misses.iter().zip(&results) {
+                let mut rendered = String::new();
+                render_result(target, xpath, result, output, &mut rendered);
+                let visited = result.stats().map(|s| s.visited_nodes);
+                self.metrics.record_executed_query(result.elapsed(), visited);
+                let body: Arc<str> = Arc::from(rendered);
+                let key = (slot, fingerprint, xpath.to_string(), options, output);
+                self.result_cache
+                    .lock()
+                    .expect("result cache poisoned") // lint:allow(panic: poisoning means another worker already panicked)
+                    .insert(key, Arc::clone(&body));
+                bodies.insert(xpath, body);
+            }
         }
 
+        // Phase 3: assemble the body in request order.
         let mut body = String::new();
         let mut all_found = true;
-        for xpath in &xpaths {
+        for xpath in xpaths {
             let Some(rendered) = bodies.get(xpath.as_str()) else {
                 return Err((
                     ErrorCode::Internal,
@@ -954,55 +978,21 @@ impl ServerInner {
         args: impl Iterator<Item = &'a str>,
         rest: &str,
     ) -> Result<(String, String), CommandError> {
-        let mut index_id: Option<&str> = None;
         let mut mode = FtMode::All;
-        let mut limit: Option<usize> = None;
-        for arg in args {
-            let (key, value) = arg.split_once('=').ok_or_else(|| {
-                (ErrorCode::BadArgument, format!("malformed argument '{arg}' (expected key=value)"))
-            })?;
-            match key {
-                "index" => index_id = Some(value),
-                "mode" => {
-                    mode = FtMode::parse(value).ok_or_else(|| {
-                        (
-                            ErrorCode::BadArgument,
-                            format!("unknown search mode '{value}' (expected all, any or phrase)"),
-                        )
-                    })?;
+        let Request { slot, named, limit, entries: terms } =
+            self.parse_request(("search", "term"), args, rest, |key, value| {
+                if key != "mode" {
+                    return Ok(false);
                 }
-                "limit" => {
-                    limit = if value == "none" {
-                        None
-                    } else {
-                        Some(value.parse().map_err(|_| {
-                            (ErrorCode::BadArgument, format!("bad limit '{value}'"))
-                        })?)
-                    };
-                }
-                other => {
-                    return Err((
+                mode = FtMode::parse(value).ok_or_else(|| {
+                    (
                         ErrorCode::BadArgument,
-                        format!("unknown search argument '{other}'"),
-                    ))
-                }
-            }
-        }
-        let slot = self.resolve_index(index_id)?;
-
-        let mut terms = Vec::new();
-        for line in rest.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let term = unescape_query(line).ok_or_else(|| {
-                (ErrorCode::BadArgument, format!("malformed term encoding '{line}'"))
+                        format!("unknown search mode '{value}' (expected all, any or phrase)"),
+                    )
+                })?;
+                Ok(true)
             })?;
-            terms.push(term);
-        }
-        if terms.is_empty() {
-            return Err((ErrorCode::BadArgument, "search needs at least one term".into()));
-        }
+        let limit = limit.map(|l| usize::try_from(l).unwrap_or(usize::MAX));
         let query = FtQuery::new(mode, &terms);
         if query.tokens.is_empty() {
             return Err((
@@ -1011,12 +1001,7 @@ impl ServerInner {
             ));
         }
 
-        // lint:allow(index: resolve_index returned a valid position)
-        let named = &self.indexes[slot];
-        let fingerprint = match &named.served {
-            ServedIndex::Single(_) => 0,
-            ServedIndex::Collection(collection) => collection.fingerprint(),
-        };
+        let fingerprint = named.served.fingerprint();
         // Canonical request string: the display form already pins mode and
         // token list; the limit changes the rendered window, so it is part
         // of the key too.
@@ -1031,15 +1016,8 @@ impl ServerInner {
         }
 
         let start = Instant::now();
-        let outcome = match &named.served {
-            ServedIndex::Single(index) => search_index(index, &named.id, &query, limit),
-            ServedIndex::Collection(collection) => {
-                let executor = BatchExecutor::new(self.executor.threads());
-                search_collection(&executor, collection, &query, limit).map_err(|e| {
-                    (ErrorCode::Internal, format!("collection segment failure: {e}"))
-                })?
-            }
-        };
+        let outcome = search_target(&self.executor, &named.served, &named.id, &query, limit)
+            .map_err(segment_error)?;
         let elapsed = start.elapsed();
         let mut rendered = String::new();
         render_search_outcome(&id, &outcome, &mut rendered);
@@ -1054,41 +1032,26 @@ impl ServerInner {
         Ok((format!("terms={} cache_hits=0", query.tokens.len()), body.to_string()))
     }
 
-    /// Looks a query up in the plan cache, preparing and inserting on a
-    /// miss.  Compilation happens outside the lock (it can be slow); a
-    /// racing duplicate insert is benign.
-    fn prepare_cached(
+    /// Looks a query's per-document statements up in the plan cache,
+    /// preparing and inserting on a miss.  Compilation happens outside
+    /// the lock (it can be slow); a racing duplicate insert is benign.
+    fn plans(
         &self,
         slot: usize,
-        index: &SxsiIndex,
+        target: &ServedIndex,
         xpath: &str,
-    ) -> Result<Arc<Prepared>, CommandError> {
+    ) -> Result<Plans, crate::collection::CollectionQueryError> {
         let key: PlanKey = (slot, xpath.to_string());
         // lint:allow(panic: poisoning means another worker already panicked)
-        if let Some(prepared) = self.plan_cache.lock().expect("plan cache poisoned").get(&key) {
-            return Ok(Arc::clone(prepared));
+        if let Some(plans) = self.plan_cache.lock().expect("plan cache poisoned").get(&key) {
+            return Ok(Arc::clone(plans));
         }
-        let prepared = match index.prepare(xpath) {
-            Ok(prepared) => Arc::new(prepared),
-            Err(QueryError::Compile(e)) => {
-                // The CLI's exit-3 taxonomy, as a structured frame.
-                return Err((
-                    ErrorCode::UnsupportedQuery,
-                    format!("query='{}' detail='{e}'", escape_query(xpath)),
-                ));
-            }
-            Err(e) => {
-                return Err((
-                    ErrorCode::ParseError,
-                    format!("query='{}' detail='{e}'", escape_query(xpath)),
-                ));
-            }
-        };
+        let plans = prepare_plans(target, xpath)?;
         self.plan_cache
             .lock()
             .expect("plan cache poisoned") // lint:allow(panic: poisoning means another worker already panicked)
-            .insert(key, Arc::clone(&prepared));
-        Ok(prepared)
+            .insert(key, Arc::clone(&plans));
+        Ok(plans)
     }
 
     fn render_stats(&self) -> String {
@@ -1112,61 +1075,32 @@ impl ServerInner {
             self.indexes.len()
         );
         for named in &self.indexes {
-            match &named.served {
-                ServedIndex::Single(index) => {
-                    let stats = index.stats();
-                    let _ = writeln!(
-                        out,
-                        "index id={} nodes={} elements={} texts={} tags={} tree_bytes={} \
-                         text_index_bytes={} plain_text_bytes={} total_bytes={}",
-                        named.id,
-                        stats.num_nodes,
-                        stats.num_elements,
-                        stats.num_texts,
-                        stats.num_tags,
-                        stats.tree_bytes,
-                        stats.text_index_bytes,
-                        stats.plain_text_bytes,
-                        stats.total_bytes()
-                    );
-                    let report = index.verify(sxsi::VerifyDepth::Quick);
-                    let _ = writeln!(
-                        out,
-                        "index-verify id={} verify={} verify_checks={}",
-                        named.id,
-                        if report.is_ok() {
-                            "ok".to_string()
-                        } else {
-                            format!("{}-issues", report.issues.len())
-                        },
-                        report.checks_run
-                    );
-                }
-                ServedIndex::Collection(collection) => {
-                    let manifest = collection.manifest();
-                    let nodes: u64 = manifest.docs.iter().map(|d| d.num_nodes).sum();
-                    let _ = writeln!(
-                        out,
-                        "index id={} kind=collection docs={} nodes={nodes} elements={} \
-                         texts={} fingerprint={:016x}",
-                        named.id,
-                        manifest.num_docs(),
-                        manifest.total_elements,
-                        manifest.total_texts,
-                        collection.fingerprint()
-                    );
-                    for entry in &manifest.docs {
-                        let _ = writeln!(
-                            out,
-                            "collection-doc id={} doc={} name={} segment={} nodes={}",
-                            named.id, entry.id, entry.name, entry.segment, entry.num_nodes
-                        );
-                    }
-                }
-            }
+            named.served.describe(&named.id, &mut out);
         }
         out
     }
+}
+
+/// Maps a batch's prepare failure onto the structured error taxonomy the
+/// daemon answers with and the CLI prints: compile errors are
+/// `unsupported-query` (exit 3), parse errors `parse-error`, segment
+/// loads `internal`.
+pub fn prepare_error(e: BatchError) -> (ErrorCode, String) {
+    match e.error.query_error() {
+        Some(QueryError::Compile(detail)) => (
+            ErrorCode::UnsupportedQuery,
+            format!("query='{}' detail='{detail}'", escape_query(&e.id)),
+        ),
+        Some(error) => {
+            (ErrorCode::ParseError, format!("query='{}' detail='{error}'", escape_query(&e.id)))
+        }
+        None => segment_error(e.error),
+    }
+}
+
+/// A collection segment that failed to load mid-request.
+fn segment_error(e: impl std::fmt::Display) -> CommandError {
+    (ErrorCode::Internal, format!("collection segment failure: {e}"))
 }
 
 /// Appends one cache's `<name>_*` counter lines to a `stats` body.

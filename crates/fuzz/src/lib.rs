@@ -36,7 +36,7 @@ use sxsi_collection::{DocEntry, Manifest};
 use sxsi_engine::server::protocol::{
     read_frame, unescape_query, ErrorCode, Response, MAX_REQUEST_FRAME,
 };
-use sxsi_engine::server::{ServeOptions, Server};
+use sxsi_engine::server::{ServeOptions, ServedIndex, Server};
 
 /// Deterministic xorshift64* generator (the same construction as the
 /// offline proptest shim's `TestRng`): tiny, seedable and plenty for
@@ -225,7 +225,7 @@ fn seed_server() -> &'static Server {
             SxsiIndex::build_from_xml(SEED_XML).expect("the built-in seed document must parse"),
         );
         let options = ServeOptions { threads: 1, ..ServeOptions::default() };
-        Server::new(vec![("fuzz".to_string(), index)], options)
+        Server::new_served(vec![("fuzz".to_string(), ServedIndex::Single(index))], options)
             .expect("one uniquely named index must be accepted")
     })
 }

@@ -137,8 +137,9 @@ pub struct CorpusQuery {
 /// corpora.  The leading `//s/ancestor::t` and `//s/parent::t` shapes
 /// (O01, O02, O08, O09, O13, O14, O19) are rewritten to the forward
 /// automaton fragment by `crate::rewrite`; the rest run on the ordered
-/// direct evaluator — `BENCH_pr4.json` records the strategy actually
-/// chosen for each.
+/// direct evaluator — `Prepared::strategy` reports the one actually
+/// chosen for each, and `tests/integration_collection.rs` checks that
+/// the query sets exercise all three.
 pub const ORDERED_QUERIES: &[CorpusQuery] = &[
     // XMark.
     CorpusQuery { id: "O01", corpus: "xmark", xpath: "//keyword/ancestor::item" },

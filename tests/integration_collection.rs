@@ -7,23 +7,27 @@
 //!
 //! Also pinned here: the per-shard early-termination criterion (summed
 //! visited-node counters strictly lower for `exists`/first-1 than full
-//! materialization on at least 50 of the 63 queries), the `sxsi verify
-//! --deep` exit-5 contract on every seeded manifest/segment corruption
-//! class, the distinct structured CLI error codes, and byte-equivalence
-//! of CLI collection output with the in-process renderer.
+//! materialization on at least 50 of the 63 queries), that a single index
+//! and a one-document collection of the same document answer alike (the
+//! one query path), the `sxsi verify --deep` exit-5 contract on every
+//! seeded manifest/segment corruption class, the distinct structured CLI
+//! error codes, and byte-equivalence of CLI collection output with the
+//! in-process renderer.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sxsi::{QueryOptions, Strategy, SxsiIndex};
 use sxsi_collection::{Collection, DocNode};
 use sxsi_datagen::{
     medline, treebank, wiki, xmark, MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig,
 };
-use sxsi_engine::collection::{render_collection_result, CollectionExecutor};
-use sxsi_engine::server::OutputKind;
+use sxsi_engine::collection::CollectionExecutor;
+use sxsi_engine::server::protocol::{escape_query, Response};
+use sxsi_engine::server::{render_result, OutputKind, ServeOptions, ServedIndex, Server};
+use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
 use sxsi_xpath::{
     MEDLINE_QUERIES, ORDERED_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES,
 };
@@ -31,6 +35,9 @@ use sxsi_xpath::{
 struct SplitCorpus {
     name: &'static str,
     collection: Collection,
+    /// The whole document as a one-document collection (named
+    /// `one-doc`); its only segment doubles as the single index.
+    one_doc: Arc<Collection>,
 }
 
 /// The four corpora of the paper's evaluation, each split per-subtree
@@ -99,7 +106,12 @@ fn split(name: &'static str, xml: &str, dir: &Path) -> SplitCorpus {
     }
     let collection =
         Collection::build(dir.join(format!("{name}.sxsic")), docs).expect("collection builds");
-    SplitCorpus { name, collection }
+    let one_doc = Collection::build(
+        dir.join(format!("{name}-one.sxsic")),
+        vec![("one-doc".to_string(), whole)],
+    )
+    .expect("one-document collection builds");
+    SplitCorpus { name, collection, one_doc: Arc::new(one_doc) }
 }
 
 /// The paper + ordered queries that run on `corpus` (63 across all four).
@@ -224,6 +236,71 @@ fn collection_results_match_concatenated_per_document_runs() {
                     "{} {id} @{threads}t exists",
                     corpus.name
                 );
+            }
+        }
+    }
+}
+
+/// A single index and a one-document collection of the same document
+/// are one target shape: count, exists, truncation, node set and
+/// evaluator statistics agree with each other and with a direct prepared
+/// run, for all 63 queries in every mode, unwindowed and under `limit 2
+/// offset 1` — in process and through the daemon, whose bodies differ
+/// only by the collection's `one-doc:` node labels.
+#[test]
+fn single_index_and_one_document_collection_agree() {
+    let executor = BatchExecutor::new(2);
+    for corpus in corpora() {
+        let one_doc = &corpus.one_doc;
+        let single = one_doc.segment(0).expect("segment loads");
+        let server = Server::new_served(
+            vec![
+                ("single".to_string(), ServedIndex::Single(Arc::clone(&single))),
+                ("one".to_string(), ServedIndex::Collection(Arc::clone(one_doc))),
+            ],
+            ServeOptions { threads: 2, ..ServeOptions::default() },
+        )
+        .expect("server starts");
+        for (id, xpath) in queries_for(corpus.name) {
+            for output in [OutputKind::Count, OutputKind::Nodes, OutputKind::Exists] {
+                for (limit, offset) in [(None, 0), (Some(2), 1)] {
+                    let context = format!("{} {id} {output:?} {limit:?}+{offset}", corpus.name);
+                    let options =
+                        QueryOptions { mode: output.query_mode(), limit, offset, collect_stats: true };
+                    let direct = single.run(xpath, &options).expect("direct run");
+                    let spec = || vec![QuerySpec::new(id, xpath, options)];
+                    let answers = [
+                        executor.answer(&*single, &QueryBatch::prepare(&*single, spec()).unwrap()),
+                        executor.answer(&**one_doc, &QueryBatch::prepare(&**one_doc, spec()).unwrap()),
+                    ];
+                    for answer in answers {
+                        let answer = answer.expect("answers").remove(0);
+                        assert_eq!(answer.count(), direct.count(), "{context}");
+                        assert_eq!(answer.exists(), direct.exists(), "{context}");
+                        assert_eq!(answer.truncated(), direct.truncated(), "{context}");
+                        let nodes: Vec<usize> = answer.nodes().iter().map(|n| n.node).collect();
+                        assert_eq!(nodes, direct.nodes().unwrap_or(&[]), "{context}");
+                        let stats = |s: sxsi::EvalStats| (s.visited_nodes, s.marked_nodes, s.result_nodes);
+                        assert_eq!(
+                            answer.stats().map(stats),
+                            direct.stats().map(stats),
+                            "{context}: a one-document target runs the request's own options"
+                        );
+                    }
+                    let body = |index: &str| {
+                        let limit = limit.map_or_else(|| "none".to_string(), |l| l.to_string());
+                        let payload = format!(
+                            "query index={index} output={} limit={limit} offset={offset}\n{}",
+                            output.as_str(),
+                            escape_query(xpath)
+                        );
+                        match Response::parse(&server.handle_command(payload.as_bytes()).0) {
+                            Some(Response::Ok { body, .. }) => body,
+                            other => panic!("{context}: {other:?}"),
+                        }
+                    };
+                    assert_eq!(body("single"), body("one").replace("one-doc:", ""), "{context}");
+                }
             }
         }
     }
@@ -600,7 +677,7 @@ fn cli_collection_output_matches_in_process_rendering() {
         assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
         let result = executor.run(&collection, "//b", options).expect("in-process run");
         let mut expected = String::new();
-        render_collection_result(&collection, "//b", &result, *output_kind, &mut expected);
+        render_result(&collection, "//b", &result, *output_kind, &mut expected);
         assert_eq!(
             String::from_utf8_lossy(&output.stdout),
             expected,
@@ -612,5 +689,28 @@ fn cli_collection_output_matches_in_process_rendering() {
     assert_eq!(output.status.code(), Some(4), "one query matched nothing");
     let body = String::from_utf8_lossy(&output.stdout);
     assert_eq!(body, "//b: true\n//zzz: false\n");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A batch holding an unsupported query fails before anything runs or
+/// prints, on a collection exactly as on a single index: exit 3 and the
+/// structured `error=unsupported-query` line.
+#[test]
+fn cli_unsupported_query_exits_3_before_printing() {
+    let dir = cli_dir("unsupported");
+    let manifest = build_cli_collection(&dir);
+    let single = dir.join("d1.sxsi");
+    let built = sxsi().arg("build").arg(dir.join("d1.xml")).arg(&single).output().unwrap();
+    assert!(built.status.success(), "{}", String::from_utf8_lossy(&built.stderr));
+    for target in [&manifest, &single] {
+        let output = sxsi().arg("query").arg(target).arg("//b").arg("//a/@id/b").output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(3), "{target:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{target:?}: printed before failing");
+        assert!(
+            stderr.contains("sxsi: error=unsupported-query query='//a/@id/b' detail='"),
+            "{target:?}: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -210,7 +210,7 @@ fn search_doc_examples_parse_and_markers_hold() {
         "top-level `and`-conjuncts of the last step's",
         "case-sensitive and byte-exact",
         "search_cache_*",
-        "BENCH_pr10.json",
+        "search_target",
         "tests/integration_search.rs",
     ] {
         assert!(text.contains(marker), "docs/search.md lost its {marker:?} marker");

@@ -1,6 +1,6 @@
 //! Differential suite for the keyword-search subsystem: on all four
 //! corpora, the FM-index-driven search (`SxsiIndex::search`, the engine's
-//! ranked `search_index`/`search_collection` wrappers) and the `ft:` XPath
+//! ranked `search_target`/`search_collection` fan-out) and the `ft:` XPath
 //! predicates must agree with a from-first-principles oracle — an
 //! independent tokenizer over extracted texts plus a DOM walk that
 //! recomputes containing elements, SLCAs and the ranking formula of
@@ -15,7 +15,7 @@ use sxsi_collection::Collection;
 use sxsi_datagen::{
     medline, treebank, wiki, xmark, MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig,
 };
-use sxsi_engine::search::{search_collection, search_index, RankedHit};
+use sxsi_engine::search::{search_collection, search_target, RankedHit};
 use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
 use sxsi_tree::{reserved, NodeId, XmlTree};
 use sxsi_xpath::parse_query;
@@ -256,11 +256,14 @@ fn search_results_match_dom_walk_oracle_on_all_corpora() {
             nonempty += usize::from(!engine.is_empty());
 
             // A limited window is exactly the prefix of the full run.
-            let full = search_index(&index, corpus, &query, None);
+            let single = |limit| {
+                search_target(&BatchExecutor::new(1), &index, corpus, &query, limit).unwrap()
+            };
+            let full = single(None);
             assert_eq!(full.total, engine.len(), "{context}");
             assert!(!full.truncated, "{context}");
             for limit in [0, 1, 3, engine.len(), engine.len() + 5] {
-                let window = search_index(&index, corpus, &query, Some(limit));
+                let window = single(Some(limit));
                 assert_eq!(
                     window.hits,
                     full.hits[..limit.min(full.hits.len())].to_vec(),

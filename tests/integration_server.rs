@@ -28,7 +28,9 @@ use sxsi_engine::server::protocol::{
     escape_query, read_frame, write_frame, ErrorCode, Response, MAX_RESPONSE_FRAME,
     PROTOCOL_VERSION,
 };
-use sxsi_engine::server::{render_batch_result, Listener, OutputKind, ServeOptions, Server};
+use sxsi_engine::server::{
+    render_batch_result, Listener, OutputKind, ServeOptions, ServedIndex, Server,
+};
 use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
 use sxsi_xpath::{
     CorpusQuery, NamedQuery, MEDLINE_QUERIES, ORDERED_QUERIES, TREEBANK_QUERIES, WORD_QUERIES,
@@ -63,6 +65,11 @@ fn ordered_queries_for(corpus: &str) -> impl Iterator<Item = &'static CorpusQuer
     ORDERED_QUERIES.iter().filter(move |q| q.corpus == corpus)
 }
 
+/// Single indexes as served targets.
+fn singles(indexes: Vec<(String, Arc<SxsiIndex>)>) -> Vec<(String, ServedIndex)> {
+    indexes.into_iter().map(|(id, index)| (id, ServedIndex::Single(index))).collect()
+}
+
 /// Starts a daemon over the given indexes on an ephemeral TCP port.
 /// Returns the handle (for shutdown/metrics), the address, and the
 /// serve-loop thread (joined by [`stop`]).
@@ -72,7 +79,7 @@ fn start(
 ) -> (Server, String, std::thread::JoinHandle<()>) {
     let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
     let addr = listener.local_addr_string();
-    let server = Server::new(indexes, options).unwrap();
+    let server = Server::new_served(singles(indexes), options).unwrap();
     let serve = server.clone();
     let handle = std::thread::spawn(move || serve.serve(listener).unwrap());
     (server, addr, handle)
@@ -412,10 +419,10 @@ fn duplicate_and_invalid_index_ids_are_rejected() {
         ("a".to_string(), Arc::clone(index)),
         ("a".to_string(), Arc::clone(index)),
     ];
-    assert!(Server::new(dup, ServeOptions::default()).is_err());
-    assert!(Server::new(Vec::new(), ServeOptions::default()).is_err());
+    assert!(Server::new_served(singles(dup), ServeOptions::default()).is_err());
+    assert!(Server::new_served(Vec::new(), ServeOptions::default()).is_err());
     let spaced = vec![("has space".to_string(), Arc::clone(index))];
-    assert!(Server::new(spaced, ServeOptions::default()).is_err());
+    assert!(Server::new_served(singles(spaced), ServeOptions::default()).is_err());
 }
 
 // ---------------------------------------------------------------------
@@ -556,7 +563,7 @@ fn info_command_describes_every_index() {
 #[test]
 fn daemon_search_bodies_match_in_process_rendering_and_cache() {
     use sxsi::{FtMode, FtQuery};
-    use sxsi_engine::search::{query_display, render_search_outcome, search_index};
+    use sxsi_engine::search::{query_display, render_search_outcome, search_target};
 
     let (server, addr, handle) = start_all_corpora();
     let mut client = Client::connect_tcp(&addr).unwrap();
@@ -573,7 +580,14 @@ fn daemon_search_bodies_match_in_process_rendering_and_cache() {
             let mut expected = String::new();
             render_search_outcome(
                 &query_display(&query),
-                &search_index(index, corpus, &query, limit.map(|l| l as usize)),
+                &search_target(
+                    &BatchExecutor::new(1),
+                    &**index,
+                    corpus,
+                    &query,
+                    limit.map(|l| l as usize),
+                )
+                .unwrap(),
                 &mut expected,
             );
             match client.search(Some(corpus), mode, limit, terms).unwrap() {
@@ -669,4 +683,64 @@ fn queries_file_skips_indented_comments_and_blank_lines() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small served collection beside a single index, for the tests that
+/// pin the one query path on both target kinds.
+fn collection_and_single(tag: &str, options: ServeOptions) -> (Server, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("sxsi-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let docs = vec![
+        ("d1".to_string(), SxsiIndex::build_from_xml(b"<a><b>one</b><c/></a>").unwrap()),
+        ("d2".to_string(), SxsiIndex::build_from_xml(b"<a><b/><b>two</b></a>").unwrap()),
+    ];
+    let collection = sxsi_collection::Collection::build(dir.join("col.sxsic"), docs).unwrap();
+    let (_, single) = &corpora()[0];
+    let server = Server::new_served(
+        vec![
+            ("col".to_string(), ServedIndex::Collection(Arc::new(collection))),
+            ("single".to_string(), ServedIndex::Single(Arc::clone(single))),
+        ],
+        options,
+    )
+    .unwrap();
+    (server, dir)
+}
+
+/// Collections prepare through the plan cache too: with the result cache
+/// off, a repeated query re-runs but re-uses its per-document plans.
+#[test]
+fn collection_plans_are_served_from_the_plan_cache() {
+    let options = ServeOptions { result_cache_capacity: 0, ..ServeOptions::default() };
+    let (server, dir) = collection_and_single("plans", options);
+    for output in ["count", "nodes"] {
+        let payload = format!("query index=col output={output}\n//b");
+        match Response::parse(&server.handle_command(payload.as_bytes()).0) {
+            Some(Response::Ok { .. }) => {}
+            other => panic!("{output}: {other:?}"),
+        }
+    }
+    let stats = server.render_stats();
+    assert_eq!(stat(&stats, "plan_cache_hits"), 1, "stats:\n{stats}");
+    assert_eq!(stat(&stats, "plan_cache_misses"), 1, "stats:\n{stats}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A query that parses but compiles to an unsupported shape answers
+/// `error code=unsupported-query` on every target kind — the daemon's
+/// form of the CLI's exit 3.
+#[test]
+fn unsupported_queries_answer_unsupported_query_on_every_target_kind() {
+    let (server, dir) = collection_and_single("unsupported", ServeOptions::default());
+    for index in ["col", "single"] {
+        let payload = format!("query index={index}\n//b\n//a/@id/b");
+        let (frame, _) = server.handle_command(payload.as_bytes());
+        assert!(String::from_utf8_lossy(&frame).starts_with("error code=unsupported-query "));
+        match Response::parse(&frame) {
+            Some(Response::Err { code, .. }) => assert_eq!(code, ErrorCode::UnsupportedQuery),
+            other => panic!("{index}: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
