@@ -1,9 +1,9 @@
 //! A growable plain bitvector used as a construction buffer.
 //!
-//! [`BitVec`] is the mutable counterpart of [`crate::RsBitVector`]: the XML
-//! parser and the index builders push bits (parentheses, leaf markers,
-//! wavelet-tree levels) into a `BitVec` and then freeze it into a static
-//! rank/select structure.
+//! [`BitVec`] is the mutable counterpart of
+//! [`crate::InterleavedRsBitVector`]: the XML parser and the index builders
+//! push bits (parentheses, leaf markers, wavelet-tree levels) into a
+//! `BitVec` and then freeze it into the static rank/select structure.
 
 use crate::bits::ceil_div;
 use crate::SpaceUsage;
@@ -98,11 +98,6 @@ impl BitVec {
     /// Underlying words (the last word may contain unused high bits = 0).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Consumes the bitvector returning `(words, len)`.
-    pub fn into_parts(self) -> (Vec<u64>, usize) {
-        (self.words, self.len)
     }
 
     /// Iterator over the bits.

@@ -14,10 +14,12 @@
 //! used by the auxiliary plain-text store (Section 3.4).
 //!
 //! For `m` values in a universe of size `u` the space is
-//! `m * (2 + ceil(log2(u/m)))` bits plus a small select directory.
+//! `m * (2 + ceil(log2(u/m)))` bits plus the rank/select directory of the
+//! upper bits, an [`InterleavedRsBitVector`] like every other bitmap of
+//! the index (its inline headers make the bitmap 8/6 of the raw bits).
 
 use crate::bits::{bits_for, ceil_div};
-use crate::{RsBitVector, SpaceUsage};
+use crate::{InterleavedRsBitVector, SpaceUsage};
 use sxsi_io::{corrupt, read_u32, read_u64, read_u64_vec, read_usize, write_u32, write_u64, write_u64_slice, write_usize, IoError, ReadFrom, WriteInto};
 
 /// Compressed monotone sequence (a.k.a. sparse bit set) with rank/select.
@@ -28,7 +30,7 @@ pub struct EliasFano {
     low_bits: u32,
     /// Upper bits in unary: value `i` contributes a 1 at position
     /// `(values[i] >> low_bits) + i`.
-    upper: RsBitVector,
+    upper: InterleavedRsBitVector,
     len: usize,
     universe: u64,
 }
@@ -108,7 +110,7 @@ impl EliasFanoBuilder {
         EliasFano {
             low: self.low,
             low_bits: self.low_bits,
-            upper: RsBitVector::from_words(self.upper, upper_len),
+            upper: InterleavedRsBitVector::from_words(self.upper, upper_len),
             len: self.len,
             universe: self.universe,
         }
@@ -181,12 +183,12 @@ impl EliasFano {
     /// (the length of the bucket that starts there).
     #[inline]
     fn ones_run(&self, pos: usize) -> usize {
-        let words = self.upper.words();
+        let words = ceil_div(self.upper.len(), 64);
         let mut word = pos / 64;
         let mut offset = pos % 64;
         let mut run = 0;
-        while word < words.len() {
-            let ones = (words[word] >> offset).trailing_ones() as usize;
+        while word < words {
+            let ones = (self.upper.word(word) >> offset).trailing_ones() as usize;
             run += ones;
             if ones < 64 - offset {
                 break;
@@ -262,14 +264,13 @@ impl EliasFano {
     /// Iterator over the stored values of index `k` and up: one `select1`,
     /// then a walk over the set bits of the upper bitmap.
     pub fn iter_from(&self, k: usize) -> impl Iterator<Item = u64> + '_ {
-        let words = self.upper.words();
         let start = if k < self.len { self.upper.select1(k + 1).expect("k < len") } else { 0 };
         let mut word = start / 64;
-        let mut bits = words.get(word).map_or(0, |w| w & (u64::MAX << (start % 64)));
+        let mut bits = self.upper.word(word) & (u64::MAX << (start % 64));
         (k..self.len).map(move |k| {
             while bits == 0 {
                 word += 1;
-                bits = words[word];
+                bits = self.upper.word(word);
             }
             let pos = word * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
@@ -353,7 +354,7 @@ impl ReadFrom for EliasFano {
                 low.len()
             )));
         }
-        let upper = RsBitVector::read_from(r)?;
+        let upper = InterleavedRsBitVector::read_from(r)?;
         if upper.count_ones() != len {
             return Err(corrupt(format!(
                 "EliasFano upper bitmap holds {} ones for {len} values",

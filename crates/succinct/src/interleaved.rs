@@ -1,26 +1,30 @@
-//! Cache-line-interleaved rank/select bitvector.
+//! Cache-line-interleaved rank/select bitvector: the one bitmap type of
+//! the index.
 //!
 //! [`InterleavedRsBitVector`] stores its rank directory *inline* with the bit
 //! data, in the spirit of Vigna's `rank9`: the words are grouped into blocks
 //! of eight `u64`s (one 64-byte cache line) where the first word holds the
 //! absolute number of ones before the block, the second packs the cumulative
-//! in-block counts before each payload word into 12-bit lanes, and the
+//! in-block counts before each payload word into 10-bit lanes, and the
 //! remaining six hold 384 bits of payload.  `rank` therefore touches exactly
 //! one cache line and popcounts exactly one word — absolute counter, lane
 //! extraction and the data word all arrive with a single memory fetch, where
-//! the classical two-array layout of [`crate::RsBitVector`] takes up to three
-//! dependent fetches (superblock counter, word counter, data word).  This is
-//! the "interleaved bitvector" idiom of the practical FM-index/wavelet-matrix
-//! libraries the SXSI paper's speed rests on.
+//! a classical two-array directory (superblock counters, word counters, data
+//! words) takes up to three dependent fetches.  This is the "interleaved
+//! bitvector" idiom of the practical FM-index/wavelet-matrix libraries the
+//! SXSI paper's speed rests on.  It backs the balanced parentheses, the
+//! text-leaf map, the FM-index sampling bitmap, the wavelet-tree levels and
+//! the upper bits of every [`crate::EliasFano`] sarray.
 //!
-//! `select` keeps the sampled-position strategy of the classical layout: one
-//! sample every 8192 ones/zeros narrows the search to a block range, a binary
-//! search over the inline headers finds the block, the packed lanes pick the
-//! word without popcounting, and the broadword
-//! [`crate::bits::select_in_word`] finishes inside the word.
+//! `select` samples one position every 8192 ones/zeros to narrow the search
+//! to a block range, a binary search over the inline headers finds the
+//! block, the packed lanes pick the word without popcounting, and the
+//! broadword [`crate::bits::select_in_word`] finishes inside the word.
 //!
 //! Space: 8/6 of the plain bit data (≈ 33 % overhead) plus the negligible
-//! select samples — traded for the strictly single-fetch `rank`.
+//! select samples — traded for the strictly single-fetch `rank`; the final
+//! block stores only the payload words it needs.  On disk only the bit
+//! length and the plain words are stored.
 
 use crate::bits::{ceil_div, select0_in_word, select_in_word};
 use crate::{BitVec, SpaceUsage};
@@ -40,6 +44,16 @@ const BLOCK_BITS: usize = WORDS_PER_BLOCK * 64;
 const LANE_BITS: usize = 10;
 /// One select sample per this many ones/zeros.
 const SELECT_SAMPLE: usize = 8192;
+
+/// Length of the interleaved storage for `words` payload words: full
+/// blocks, then the final block's headers, its payload words and one zero
+/// word (which `rank1(len)` may read), at most six.  Trimming the final
+/// block keeps a short bitmap — a rare tag's sarray — from paying for a
+/// whole cache line.
+fn data_len(words: usize) -> usize {
+    let full = words.saturating_sub(1) / WORDS_PER_BLOCK;
+    full * STRIDE + HEADER_WORDS + (words - full * WORDS_PER_BLOCK + 1).min(WORDS_PER_BLOCK)
+}
 
 /// Immutable bitvector whose rank counters live inline with the bit words,
 /// making `rank1`/`rank0` a single cache-line fetch and a single popcount
@@ -79,7 +93,7 @@ impl InterleavedRsBitVector {
             }
         }
         let n_blocks = ceil_div(needed.max(1), WORDS_PER_BLOCK);
-        let mut data = vec![0u64; n_blocks * STRIDE];
+        let mut data = vec![0u64; data_len(needed)];
         let mut total: u64 = 0;
         for b in 0..n_blocks {
             data[b * STRIDE] = total;
@@ -160,7 +174,7 @@ impl InterleavedRsBitVector {
     /// Number of blocks (header + payload cache lines).
     #[inline]
     fn n_blocks(&self) -> usize {
-        self.data.len() / STRIDE
+        ceil_div(self.data.len(), STRIDE)
     }
 
     /// Absolute rank1 before block `b` (reading one past the last block
@@ -183,7 +197,7 @@ impl InterleavedRsBitVector {
 
     /// Payload word `w` (0-based over the plain, non-interleaved layout).
     #[inline]
-    fn word(&self, w: usize) -> u64 {
+    pub(crate) fn word(&self, w: usize) -> u64 {
         self.data[(w / WORDS_PER_BLOCK) * STRIDE + HEADER_WORDS + (w % WORDS_PER_BLOCK)]
     }
 
@@ -328,7 +342,7 @@ impl InterleavedRsBitVector {
     }
 
     /// The payload words in plain (non-interleaved) order.
-    pub fn to_plain_words(&self) -> Vec<u64> {
+    fn to_plain_words(&self) -> Vec<u64> {
         let needed = ceil_div(self.len, 64);
         (0..needed).map(|w| self.word(w)).collect()
     }
@@ -341,32 +355,24 @@ impl InterleavedRsBitVector {
 
 impl sxsi_verify::Verify for InterleavedRsBitVector {
     /// Recomputes the inline block headers (absolute counters and packed
-    /// lanes) and the select samples from the payload words.  Like the
-    /// classical layout, the directories are rebuilt on load, so these
-    /// checks guard in-memory drift; all run at `Quick` depth.
+    /// lanes) and the select samples from the payload words.  The
+    /// directories are rebuilt on load, so these checks guard in-memory
+    /// drift; all run at `Quick` depth.
     fn verify_into(&self, _depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         let needed = ceil_div(self.len, 64);
         let n_blocks = ceil_div(needed.max(1), WORDS_PER_BLOCK);
-        ctx.check(
-            "bitvec-block-count",
-            self.data.len() == n_blocks * STRIDE,
-            || {
-                format!(
-                    "{} bits need {} interleaved words, holding {}",
-                    self.len,
-                    n_blocks * STRIDE,
-                    self.data.len()
-                )
-            },
-        );
-        if self.data.len() != n_blocks * STRIDE {
+        ctx.check("bitvec-block-count", self.data.len() == data_len(needed), || {
+            format!("{} bits need {} interleaved words, holding {}", self.len, data_len(needed), self.data.len())
+        });
+        if self.data.len() != data_len(needed) {
             return;
         }
-        // Payload words past the logical length (including the padding words
-        // of the final partial block) must be all zero.
+        // Payload bits past the logical length (including the final block's
+        // zero word) must be all zero.
+        let stored = self.data.len() - n_blocks * HEADER_WORDS;
         let mut trailing_ok = self.len % 64 == 0 || self.word(needed - 1) >> (self.len % 64) == 0;
-        for w in needed..n_blocks * WORDS_PER_BLOCK {
-            trailing_ok &= self.data[(w / WORDS_PER_BLOCK) * STRIDE + HEADER_WORDS + (w % WORDS_PER_BLOCK)] == 0;
+        for w in needed..stored {
+            trailing_ok &= self.word(w) == 0;
         }
         ctx.check("bitvec-trailing-bits", trailing_ok, || {
             format!("non-zero payload bits past the {}-bit length", self.len)
@@ -380,7 +386,7 @@ impl sxsi_verify::Verify for InterleavedRsBitVector {
             let mut in_block = 0u64;
             for w in 0..WORDS_PER_BLOCK {
                 lane_ok &= self.lane(base, w) as u64 == in_block;
-                in_block += self.data[base + HEADER_WORDS + w].count_ones() as u64;
+                in_block += self.data.get(base + HEADER_WORDS + w).map_or(0, |word| word.count_ones() as u64);
             }
             total += in_block;
         }
@@ -431,9 +437,9 @@ impl From<&BitVec> for InterleavedRsBitVector {
 }
 
 impl WriteInto for InterleavedRsBitVector {
-    /// Only the raw bits are stored (in plain word order); the interleaved
-    /// layout and select samples are rebuilt in one linear pass on load, so
-    /// the on-disk encoding is byte-identical to [`crate::RsBitVector`]'s.
+    /// Only the bit length and the raw bits are stored (in plain word
+    /// order); the interleaved layout and select samples are rebuilt in one
+    /// linear pass on load, so the encoding is independent of the directory.
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         write_usize(w, self.len)?;
         sxsi_io::write_u64_slice(w, &self.to_plain_words())
@@ -497,6 +503,10 @@ mod verify_tests {
         let last = rs.data.len() - 1;
         rs.data[last] |= 1u64 << 63; // padding word of the final block
         assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-trailing-bits"));
+
+        let mut rs = sample();
+        rs.select1_samples.push(0);
+        assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-select-sample"));
     }
 }
 
@@ -546,19 +556,26 @@ mod tests {
     #[test]
     fn block_boundary_lengths() {
         // 384-bit block boundaries are this layout's critical geometry, on
-        // top of the word boundaries shared with the classical layout.
-        for n in [
-            1usize, 2, 63, 64, 65, 383, 384, 385, 447, 448, 449, 511, 512, 513, 767, 768, 769,
-            895, 896, 897, 1000,
-        ] {
+        // top of the 64-bit word boundaries.
+        for n in [1usize, 2, 63, 64, 65, 127, 128, 129, 383, 384, 385, 447, 448, 449, 767, 768, 769, 1000] {
             let (rs, bits) = build((0..n).map(|i| i % 7 == 0 || i % 3 == 1));
             check_all(&rs, &bits);
         }
     }
 
     #[test]
+    fn final_block_holds_only_the_words_it_needs() {
+        // Headers, the payload words and one zero word, at most a full block.
+        for (n, words) in [(0usize, 3usize), (64, 4), (320, 8), (383, 8), (384, 8), (385, 12), (768, 16)] {
+            let (rs, bits) = build((0..n).map(|i| i % 5 == 0));
+            assert_eq!(rs.data.len(), words, "n={n}");
+            check_all(&rs, &bits);
+        }
+    }
+
+    #[test]
     fn all_ones_and_all_zeros() {
-        for n in [383usize, 384, 385, 447, 448, 449, 900] {
+        for n in [383usize, 384, 385, 767, 768, 769, 900] {
             let (rs, bits) = build((0..n).map(|_| true));
             check_all(&rs, &bits);
             let (rs, bits) = build((0..n).map(|_| false));
@@ -592,6 +609,13 @@ mod tests {
     }
 
     #[test]
+    fn iter_ones_collects_positions() {
+        let (rs, bits) = build((0..900).map(|i| i % 13 == 4));
+        let expected: Vec<usize> = bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
+        assert_eq!(rs.iter_ones().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
     fn next_one_works() {
         let (rs, _) = build((0..1000).map(|i| i == 10 || i == 500 || i == 999));
         assert_eq!(rs.next_one(0), Some(10));
@@ -603,7 +627,7 @@ mod tests {
 
     #[test]
     fn serialization_roundtrip_preserves_rank_select() {
-        for n in [0usize, 1, 383, 384, 385, 447, 448, 449, 5000] {
+        for n in [0usize, 1, 383, 384, 385, 767, 768, 769, 5000] {
             let (rs, bits) = build((0..n).map(|i| i % 7 == 0));
             let back = InterleavedRsBitVector::from_bytes(&rs.to_bytes()).unwrap();
             check_all(&back, &bits);
@@ -612,14 +636,15 @@ mod tests {
 
     #[test]
     fn serialization_matches_classic_layout() {
-        // The on-disk encoding is shared with RsBitVector, so either layout
-        // can decode bytes the other wrote.
+        // The body every bitmap of the format has: the bit length, then the
+        // plain (non-interleaved) words as a length-prefixed `u64` slice.
         let bits: BitVec = (0..1000).map(|i| i % 11 == 3).collect();
-        let classic = crate::RsBitVector::new(&bits);
-        let interleaved = InterleavedRsBitVector::new(&bits);
-        assert_eq!(classic.to_bytes(), interleaved.to_bytes());
-        let cross = InterleavedRsBitVector::from_bytes(&classic.to_bytes()).unwrap();
-        assert_eq!(cross.count_ones(), classic.count_ones());
+        let mut expected = Vec::new();
+        write_usize(&mut expected, bits.len()).unwrap();
+        sxsi_io::write_u64_slice(&mut expected, bits.words()).unwrap();
+        assert_eq!(InterleavedRsBitVector::new(&bits).to_bytes(), expected);
+        let back = InterleavedRsBitVector::from_bytes(&expected).unwrap();
+        assert_eq!(back.count_ones(), bits.count_ones());
     }
 
     #[test]
@@ -634,5 +659,30 @@ mod tests {
         let last = dirty.len() - 1;
         dirty[last] |= 0x80;
         assert!(InterleavedRsBitVector::from_bytes(&dirty).is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn rank_select_agree_with_naive(bits in proptest::collection::vec(any::<bool>(), 0..2000)) {
+            let rs = InterleavedRsBitVector::new(&bits.iter().copied().collect());
+            let mut ones = 0usize;
+            for (i, &b) in bits.iter().enumerate() {
+                prop_assert_eq!(rs.rank1(i), ones);
+                if b {
+                    ones += 1;
+                    prop_assert_eq!(rs.select1(ones), Some(i));
+                } else {
+                    prop_assert_eq!(rs.select0(i + 1 - ones), Some(i));
+                }
+            }
+            prop_assert_eq!(rs.count_ones(), ones);
+        }
     }
 }

@@ -8,10 +8,9 @@
 //!   near-constant `select` whose counters sit inline with the bit words
 //!   (one 64-byte cache line = counters + 384 payload bits), so `rank` is a
 //!   single cache-line fetch.  It backs the balanced parentheses, the
-//!   text-leaf map, the FM-index sampling bitmap and the wavelet-tree
-//!   levels.
-//! * [`RsBitVector`] — the classical two-level rank directory, kept as the
-//!   upper-bits bitmap of [`EliasFano`].
+//!   text-leaf map, the FM-index sampling bitmap, the wavelet-tree levels
+//!   and the upper bits of every [`EliasFano`]: it is the crate's one
+//!   rank/select bitvector.
 //! * [`EliasFano`] — a compressed monotone integer sequence with fast
 //!   `select`/successor queries; this plays the role of the
 //!   Okanohara–Sadakane *sarray* used for the per-tag occurrence rows.
@@ -21,8 +20,7 @@
 //!   level-wise without pointers (about `n·H₀` bits), the sequence
 //!   representation used for the BWT inside the FM-index.
 //! * [`oracle`] — the differential-testing harness that pins every
-//!   structure against a naive reference (and the two bitvectors against
-//!   each other).
+//!   structure against a naive reference.
 //!
 //! All structures are immutable after construction and are designed for the
 //! access patterns of the SXSI query engine: heavy `rank`/`select` traffic
@@ -32,13 +30,13 @@
 //! can serve any number of query threads.
 //!
 //! ```
-//! use sxsi_succinct::{BitVec, RsBitVector};
+//! use sxsi_succinct::{BitVec, InterleavedRsBitVector};
 //!
 //! let mut bits = BitVec::new();
 //! for i in 0..100 {
 //!     bits.push(i % 3 == 0);
 //! }
-//! let rs = RsBitVector::new(&bits);
+//! let rs = InterleavedRsBitVector::new(&bits);
 //! assert_eq!(rs.rank1(10), 4);           // ones in [0, 10)
 //! assert_eq!(rs.select1(4), Some(9));    // position of the 4th one (1-based k)
 //! ```
@@ -52,14 +50,12 @@ pub mod eliasfano;
 pub mod interleaved;
 pub mod intvec;
 pub mod oracle;
-pub mod rsbitvec;
 pub mod wavelet;
 
 pub use bitvec::BitVec;
 pub use eliasfano::{EliasFano, EliasFanoBuilder};
 pub use interleaved::InterleavedRsBitVector;
 pub use intvec::IntVector;
-pub use rsbitvec::RsBitVector;
 pub use wavelet::HuffmanWavelet;
 
 /// Number of heap bytes used by a slice of `T`, ignoring allocation slack.

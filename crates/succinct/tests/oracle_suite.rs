@@ -6,11 +6,11 @@
 //! rank/select machinery has to survive.
 
 use sxsi_succinct::oracle::{
-    bit_corpora, check_all_rank_variants, check_rank_select_equivalence, check_sequence_equivalence,
+    bit_corpora, check_rank_select_against_naive, check_rank_select_equivalence, check_sequence_equivalence,
     oracle_cases, NaiveBitVector, OracleRng,
 };
 use sxsi_succinct::wavelet::SequenceIndex;
-use sxsi_succinct::{BitVec, EliasFano, HuffmanWavelet, InterleavedRsBitVector, RsBitVector};
+use sxsi_succinct::{BitVec, EliasFano, HuffmanWavelet, InterleavedRsBitVector};
 use sxsi_io::{ReadFrom, WriteInto};
 
 /// SplitMix64: the same deterministic generator the datagen crate uses.
@@ -42,9 +42,9 @@ fn random_bits(rng: &mut Rng, len: usize, ones_per_1000: u64) -> Vec<bool> {
     (0..len).map(|_| rng.chance(ones_per_1000, 1000)).collect()
 }
 
-fn check_rsbitvec(bits: &[bool]) {
+fn check_rank_select(bits: &[bool]) {
     let bv: BitVec = bits.iter().copied().collect();
-    let rs = RsBitVector::new(&bv);
+    let rs = InterleavedRsBitVector::new(&bv);
     assert_eq!(rs.len(), bits.len());
 
     let total_ones = bits.iter().filter(|&&b| b).count();
@@ -81,11 +81,11 @@ fn check_rsbitvec(bits: &[bool]) {
 fn rsbitvec_matches_naive_across_densities() {
     let mut rng = Rng::new(0xB17_5EED);
     for &density in &[0u64, 1, 50, 500, 950, 1000] {
-        for &len in &[1usize, 63, 64, 65, 511, 512, 1000, 4096, 10_000] {
-            check_rsbitvec(&random_bits(&mut rng, len, density));
+        for &len in &[1usize, 63, 64, 65, 383, 384, 385, 767, 768, 769, 1000, 4096, 10_000] {
+            check_rank_select(&random_bits(&mut rng, len, density));
         }
     }
-    check_rsbitvec(&[]);
+    check_rank_select(&[]);
 }
 
 #[test]
@@ -188,33 +188,58 @@ fn eliasfano_sarray_edges_match_naive() {
     }
 }
 
+/// One bucket — a run of equal high parts, i.e. of ones in the upper
+/// bitmap — longer than a 384-bit block, so `locate`'s run scan and
+/// `iter_from`'s word walk cross block edges.  With about 1000 values in a
+/// 2^20 universe the low part is 10 bits wide: 1000 values below 1024 past
+/// a bucket start share one high part.  Every `iter_from(k)` is checked.
+#[test]
+fn eliasfano_bucket_longer_than_a_block() {
+    let universe = 1u64 << 20;
+    let bucket = 300 * 1024;
+    let before: Vec<u64> = (0..10).map(|i| i * 1000).collect();
+    let after = [900_000u64, 900_001, universe - 1];
+    let cases: Vec<(&str, Vec<u64>)> = vec![
+        ("distinct low parts", before.iter().copied().chain(bucket..bucket + 1000).chain(after).collect()),
+        ("equal values", before.iter().copied().chain(std::iter::repeat(bucket + 7).take(1000)).chain(after).collect()),
+    ];
+    for (label, values) in &cases {
+        let mut probes = sarray_edge_probes(values, universe);
+        probes.extend([bucket - 1, bucket, bucket + 500, bucket + 1023, bucket + 1024]);
+        check_sarray_probes(label, values, universe, &probes);
+        let ef = EliasFano::new(values, universe);
+        for k in 0..=values.len() {
+            assert!(ef.iter_from(k).eq(values[k..].iter().copied()), "{label}: iter_from({k})");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// PR 7: differential oracle harness over every rank/select variant
+// Differential oracle harness for the rank/select bitvector
 // ---------------------------------------------------------------------------
 
-/// The full differential matrix: every structured corpus (all-zero, all-one,
-/// alternating, runs, random densities at every directory-boundary size) is
-/// run through classic-vs-naive, interleaved-vs-naive and
-/// interleaved-vs-classic.  `SXSI_ORACLE_CASES` scales the random corpora.
+/// Every structured corpus (all-zero, all-one, alternating, runs, random
+/// densities at every directory-boundary size) through interleaved-vs-naive.
+/// `SXSI_ORACLE_CASES` scales the random corpora.
 #[test]
 fn all_rank_variants_agree_on_structured_corpora() {
     for (label, bits) in bit_corpora(oracle_cases(2)) {
-        check_all_rank_variants(&label, &bits);
+        check_rank_select_against_naive(&label, &bits);
     }
 }
 
 /// Deterministic proptest-style random cases driven by the shared SplitMix64
 /// generator: random lengths (biased toward directory boundaries) and random
-/// densities, cross-checking all variants.
+/// densities, against the naive reference.
 #[test]
 fn random_cases_cross_check_all_variants() {
     let mut rng = OracleRng::new(0xD1FF_0AC1E);
     let cases = oracle_cases(48);
     for case in 0..cases {
         let len = match rng.below(4) {
-            // Snap near a boundary: word, interleaved block, superblock.
+            // Snap near a boundary: word, one and two 384-bit blocks.
             0 => {
-                let base = [64usize, 448, 512, 896, 1024][rng.below(5) as usize];
+                let base = [64usize, 384, 768][rng.below(3) as usize];
                 let mult = 1 + rng.below(8) as usize;
                 (base * mult + rng.below(3) as usize).saturating_sub(1)
             }
@@ -222,7 +247,7 @@ fn random_cases_cross_check_all_variants() {
         };
         let density = 1 + rng.below(999);
         let bits: Vec<bool> = (0..len).map(|_| rng.chance(density, 1000)).collect();
-        check_all_rank_variants(&format!("random-case-{case}/{len}/{density}"), &bits);
+        check_rank_select_against_naive(&format!("random-case-{case}/{len}/{density}"), &bits);
     }
 }
 
@@ -319,13 +344,13 @@ fn huffman_wavelet_levels_straddle_block_edges() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 7 satellite: RsBitVector edge geometry pinned explicitly
+// Rank/select bitvector edge geometry pinned explicitly
 // ---------------------------------------------------------------------------
 
 /// Rank/select on the empty bitvector: every query is total and `None`/0.
 #[test]
 fn rsbitvec_edge_empty() {
-    let rs = RsBitVector::new(&BitVec::new());
+    let rs = InterleavedRsBitVector::new(&BitVec::new());
     assert_eq!(rs.len(), 0);
     assert!(rs.is_empty());
     assert_eq!(rs.rank1(0), 0);
@@ -337,14 +362,14 @@ fn rsbitvec_edge_empty() {
     assert_eq!(rs.count_ones(), 0);
 }
 
-/// Lengths straddling the 64-bit word and 512-bit superblock boundaries,
+/// Lengths straddling the 64-bit word and 384-bit block boundaries,
 /// all-zeros and all-ones, with select of the *last* one/zero and the first
 /// out-of-range k pinned at every length.
 #[test]
 fn rsbitvec_edge_boundary_geometry() {
-    for n in [1usize, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025] {
+    for n in [1usize, 63, 64, 65, 383, 384, 385, 767, 768, 769, 1023, 1024, 1025] {
         // All ones.
-        let ones = RsBitVector::new(&BitVec::filled(n, true));
+        let ones = InterleavedRsBitVector::new(&BitVec::filled(n, true));
         assert_eq!(ones.count_ones(), n, "n={n}");
         assert_eq!(ones.rank1(n), n);
         assert_eq!(ones.select1(1), Some(0));
@@ -353,7 +378,7 @@ fn rsbitvec_edge_boundary_geometry() {
         assert_eq!(ones.select0(1), None, "no zeros, n={n}");
 
         // All zeros.
-        let zeros = RsBitVector::new(&BitVec::filled(n, false));
+        let zeros = InterleavedRsBitVector::new(&BitVec::filled(n, false));
         assert_eq!(zeros.count_ones(), 0);
         assert_eq!(zeros.rank0(n), n);
         assert_eq!(zeros.select0(1), Some(0));
@@ -364,7 +389,7 @@ fn rsbitvec_edge_boundary_geometry() {
         // Single one at the very last position.
         let mut bv = BitVec::filled(n, false);
         bv.set(n - 1, true);
-        let last = RsBitVector::new(&bv);
+        let last = InterleavedRsBitVector::new(&bv);
         assert_eq!(last.select1(1), Some(n - 1), "lone trailing 1, n={n}");
         assert_eq!(last.rank1(n), 1);
         assert_eq!(last.rank1(n - 1), 0);
@@ -376,7 +401,7 @@ fn rsbitvec_edge_boundary_geometry() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 7 satellite: persistence sweeps for the new structures
+// Persistence sweeps
 // ---------------------------------------------------------------------------
 
 fn interleaved_corpus() -> InterleavedRsBitVector {

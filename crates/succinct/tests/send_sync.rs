@@ -6,16 +6,13 @@
 //! assertions are checked by the compiler; the test body is empty at
 //! runtime.
 
-use sxsi_succinct::{
-    BitVec, EliasFano, HuffmanWavelet, InterleavedRsBitVector, IntVector, RsBitVector,
-};
+use sxsi_succinct::{BitVec, EliasFano, HuffmanWavelet, InterleavedRsBitVector, IntVector};
 
 fn require_send_sync<T: Send + Sync>() {}
 
 #[test]
 fn succinct_structures_are_send_and_sync() {
     require_send_sync::<BitVec>();
-    require_send_sync::<RsBitVector>();
     require_send_sync::<InterleavedRsBitVector>();
     require_send_sync::<EliasFano>();
     require_send_sync::<IntVector>();

@@ -190,11 +190,6 @@ impl TextCollection {
         }
     }
 
-    /// Heap size in bytes including the optional plain store.
-    pub fn total_size_bytes(&self) -> usize {
-        self.index_size_bytes() + self.plain.as_ref().map_or(0, |p| p.size_bytes())
-    }
-
     // ------------------------------------------------------------------
     // Position arithmetic
     // ------------------------------------------------------------------

@@ -147,12 +147,6 @@ impl FmIndex {
         self.bwt.rank(b, i)
     }
 
-    /// The `C` array value for `b`: number of text symbols strictly smaller.
-    #[inline]
-    pub fn c_array(&self, b: u8) -> usize {
-        self.c[b as usize]
-    }
-
     /// BWT symbol at `row`.
     #[inline]
     pub fn bwt_symbol(&self, row: usize) -> u8 {
@@ -239,22 +233,6 @@ impl FmIndex {
                 "locate walk ran {steps} steps past the sampling guarantee"
             );
         }
-    }
-
-    /// Extracts `max_len` symbols of the suffix whose row in `F` is `row`,
-    /// reading backwards from the end of the text via LF.  Mainly used by
-    /// tests; the collection module provides the efficient per-text extract.
-    pub fn extract_backwards(&self, mut row: usize, max_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(max_len);
-        for _ in 0..max_len {
-            let b = self.bwt_symbol(row);
-            out.push(b);
-            if b == 0 {
-                break;
-            }
-            row = self.c[b as usize] + self.occ(b, row);
-        }
-        out
     }
 
     /// Heap size of the index in bytes.

@@ -236,12 +236,6 @@ impl BalancedParens {
         self.bits.rank1(i)
     }
 
-    /// Number of closing parentheses in `[0, i)`.
-    #[inline]
-    pub fn rank_close(&self, i: usize) -> usize {
-        self.bits.rank0(i)
-    }
-
     /// Position of the `k`-th (1-based) opening parenthesis.
     #[inline]
     pub fn select_open(&self, k: usize) -> Option<usize> {

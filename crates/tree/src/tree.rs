@@ -460,11 +460,6 @@ impl XmlTree {
             .collect()
     }
 
-    /// Global preorder identifier of the node holding text `d`.
-    pub fn xml_id_of_text(&self, d: usize) -> Option<usize> {
-        self.node_of_text(d).map(|x| self.preorder(x))
-    }
-
     // ------------------------------------------------------------------
     // Relative tag-position tables (Section 5.5.6)
     // ------------------------------------------------------------------

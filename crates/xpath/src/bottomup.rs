@@ -14,7 +14,8 @@
 //! hit corresponds exactly to the target's string value (the "single text
 //! node / PCDATA" condition of Section 6.6).
 
-use crate::ast::{Axis, NodeTest, Predicate, Query};
+use crate::ast::{Axis, NodeTest, Predicate, Query, Step};
+use crate::direct::ResolvedTest;
 use sxsi_text::{TextCollection, TextId, TextPredicate};
 use sxsi_tree::{reserved, NodeId, XmlTree};
 
@@ -32,11 +33,18 @@ pub struct BottomUpOutcome {
     pub visited: u64,
 }
 
-/// One upward-verified step: the connecting axis and the node test.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One upward-verified step: the connecting axis and the node test,
+/// resolved against the plan's document once.
+#[derive(Debug, Clone)]
 struct PlanStep {
     axis: Axis,
-    test: NodeTest,
+    test: ResolvedTest,
+}
+
+impl PlanStep {
+    fn new(step: &Step, tree: &XmlTree) -> Self {
+        Self { axis: step.axis, test: ResolvedTest::resolve(tree, &step.test) }
+    }
 }
 
 /// A query decomposed for bottom-up evaluation.
@@ -89,10 +97,10 @@ impl BottomUpPlan {
             }
             _ => return None,
         }
-        let (filter_steps, predicate) = Self::decompose_filter(&pivot.predicates[0])?;
+        let (filter_steps, predicate) = Self::decompose_filter(&pivot.predicates[0], tree)?;
         // Verify the text-predicate target is a single-text value.
         let target_test =
-            filter_steps.last().map(|s| &s.test).unwrap_or(&pivot.test);
+            filter_steps.last().map_or(ResolvedTest::resolve(tree, &pivot.test), |s| s.test);
         if !Self::target_is_single_text(target_test, tree) {
             return None;
         }
@@ -115,14 +123,8 @@ impl BottomUpPlan {
                 _ => seen_descendant = true,
             }
         }
-        let main_steps = steps[..=pivot_idx]
-            .iter()
-            .map(|s| PlanStep { axis: s.axis, test: s.test.clone() })
-            .collect();
-        let trailing: Vec<PlanStep> = steps[pivot_idx + 1..]
-            .iter()
-            .map(|s| PlanStep { axis: s.axis, test: s.test.clone() })
-            .collect();
+        let main_steps = steps[..=pivot_idx].iter().map(|s| PlanStep::new(s, tree)).collect();
+        let trailing: Vec<PlanStep> = steps[pivot_idx + 1..].iter().map(|s| PlanStep::new(s, tree)).collect();
         if trailing.iter().any(|s| !matches!(s.axis, Axis::Child | Axis::Descendant | Axis::DescendantOrSelf)) {
             return None;
         }
@@ -130,7 +132,7 @@ impl BottomUpPlan {
     }
 
     /// Splits the pivot's predicate into (filter path steps, text predicate).
-    fn decompose_filter(pred: &Predicate) -> Option<(Vec<PlanStep>, TextPredicate)> {
+    fn decompose_filter(pred: &Predicate, tree: &XmlTree) -> Option<(Vec<PlanStep>, TextPredicate)> {
         match pred {
             Predicate::TextCompare { path, op } => {
                 if path.absolute {
@@ -143,7 +145,7 @@ impl BottomUpPlan {
                     {
                         return None;
                     }
-                    out.push(PlanStep { axis: s.axis, test: s.test.clone() });
+                    out.push(PlanStep::new(s, tree));
                 }
                 Some((out, op.clone()))
             }
@@ -171,7 +173,7 @@ impl BottomUpPlan {
                     } else if !s.predicates.is_empty() {
                         return None;
                     }
-                    out.push(PlanStep { axis: s.axis, test: s.test.clone() });
+                    out.push(PlanStep::new(s, tree));
                 }
                 Some((out, predicate?))
             }
@@ -181,18 +183,13 @@ impl BottomUpPlan {
 
     /// The predicate's target must be a text node or an element whose
     /// children are text only, so its string value is a single text.
-    fn target_is_single_text(test: &NodeTest, tree: &XmlTree) -> bool {
+    fn target_is_single_text(test: ResolvedTest, tree: &XmlTree) -> bool {
         match test {
-            NodeTest::Text => true,
-            NodeTest::Name(name) => match tree.tag_id(name) {
-                Some(tag) => {
-                    (0..tree.num_tags() as u32).all(|c| {
-                        c == reserved::TEXT
-                            || !tree.tag_relation_possible(tag, c, sxsi_tree::TagRelation::Child)
-                    })
-                }
-                None => true, // the tag does not occur: zero results either way
-            },
+            ResolvedTest::Text => true,
+            ResolvedTest::Name(Some(tag)) => (0..tree.num_tags() as u32).all(|c| {
+                c == reserved::TEXT || !tree.tag_relation_possible(tag, c, sxsi_tree::TagRelation::Child)
+            }),
+            ResolvedTest::Name(None) => true, // the tag does not occur: zero results either way
             _ => false,
         }
     }
@@ -313,11 +310,7 @@ impl BottomUpPlan {
     fn verify_upward(&self, tree: &XmlTree, leaf: NodeId, visited: &mut u64) -> Option<NodeId> {
         // The target node: the text leaf itself for a text() target, its
         // parent element otherwise.
-        let target_is_text = self
-            .filter_steps
-            .last()
-            .map(|s| matches!(s.test, NodeTest::Text))
-            .unwrap_or_else(|| matches!(self.main_steps.last().expect("non-empty").test, NodeTest::Text));
+        let target_is_text = matches!(self.target_test(), ResolvedTest::Text);
         *visited += 1;
         let mut current = if target_is_text {
             if tree.tag(leaf) != reserved::TEXT {
@@ -332,7 +325,9 @@ impl BottomUpPlan {
             }
             let parent = tree.parent(leaf)?;
             *visited += 1;
-            current_must_match(tree, parent, self.target_test())?;
+            if !self.target_test().matches(tree, parent) {
+                return None;
+            }
             parent
         };
         // Chain of steps above the target, bottom-up, paired with the axis
@@ -349,7 +344,9 @@ impl BottomUpPlan {
                 Axis::Child => {
                     let parent = tree.parent(current)?;
                     *visited += 1;
-                    current_must_match(tree, parent, &above.test)?;
+                    if !above.test.matches(tree, parent) {
+                        return None;
+                    }
                     parent
                 }
                 _ => {
@@ -357,7 +354,7 @@ impl BottomUpPlan {
                     let mut anc = tree.parent(current)?;
                     loop {
                         *visited += 1;
-                        if node_matches(tree, anc, &above.test) {
+                        if above.test.matches(tree, anc) {
                             break;
                         }
                         anc = tree.parent(anc)?;
@@ -386,11 +383,8 @@ impl BottomUpPlan {
         pivot
     }
 
-    fn target_test(&self) -> &NodeTest {
-        self.filter_steps
-            .last()
-            .map(|s| &s.test)
-            .unwrap_or_else(|| &self.main_steps.last().expect("non-empty").test)
+    fn target_test(&self) -> &ResolvedTest {
+        &self.filter_steps.last().or(self.main_steps.last()).expect("non-empty").test
     }
 
     /// Evaluates the trailing steps downward from a verified pivot.
@@ -411,27 +405,26 @@ impl BottomUpPlan {
             Axis::Child => {
                 for c in tree.children(node) {
                     *visited += 1;
-                    if node_matches(tree, c, &step.test) {
+                    if step.test.matches(tree, c) {
                         self.apply_trailing(tree, c, idx + 1, out, visited);
                     }
                 }
             }
             _ => {
                 // Descendants: iterate matching nodes within the subtree.
-                match &step.test {
-                    NodeTest::Name(name) => {
-                        if let Some(tag) = tree.tag_id(name) {
-                            for c in tree.tag_nodes_in_range(tag, node + 1, tree.close(node)) {
-                                *visited += 1;
-                                self.apply_trailing(tree, c, idx + 1, out, visited);
-                            }
+                match step.test {
+                    ResolvedTest::Name(Some(tag)) => {
+                        for c in tree.tag_nodes_in_range(tag, node + 1, tree.close(node)) {
+                            *visited += 1;
+                            self.apply_trailing(tree, c, idx + 1, out, visited);
                         }
                     }
+                    ResolvedTest::Name(None) => {}
                     _ => {
                         let mut stack: Vec<NodeId> = tree.children(node).collect();
                         while let Some(c) = stack.pop() {
                             *visited += 1;
-                            if node_matches(tree, c, &step.test) {
+                            if step.test.matches(tree, c) {
                                 self.apply_trailing(tree, c, idx + 1, out, visited);
                             }
                             stack.extend(tree.children(c));
@@ -441,27 +434,6 @@ impl BottomUpPlan {
             }
         }
     }
-}
-
-fn node_matches(tree: &XmlTree, node: NodeId, test: &NodeTest) -> bool {
-    let tag = tree.tag(node);
-    match test {
-        NodeTest::Wildcard => {
-            tag != reserved::ROOT
-                && tag != reserved::TEXT
-                && tag != reserved::ATTRIBUTES
-                && tag != reserved::ATTRIBUTE_VALUE
-        }
-        NodeTest::Name(name) => tree.tag_id(name) == Some(tag),
-        NodeTest::Text => tag == reserved::TEXT,
-        NodeTest::Node => {
-            tag != reserved::ROOT && tag != reserved::ATTRIBUTES && tag != reserved::ATTRIBUTE_VALUE
-        }
-    }
-}
-
-fn current_must_match(tree: &XmlTree, node: NodeId, test: &NodeTest) -> Option<()> {
-    node_matches(tree, node, test).then_some(())
 }
 
 #[cfg(test)]

@@ -72,7 +72,10 @@ pub struct DirectEvaluator<'a> {
 
 /// A node test with the tag name resolved to its id once per step, so the
 /// document-scale scans compare ids instead of hashing strings per node.
-enum ResolvedTest {
+/// The one node-test matcher of the indexed evaluators (direct and
+/// bottom-up).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ResolvedTest {
     /// A name test; `None` when the name does not occur in the document.
     Name(Option<sxsi_tree::TagId>),
     /// `*`
@@ -81,6 +84,39 @@ enum ResolvedTest {
     Text,
     /// `node()`
     Node,
+}
+
+impl ResolvedTest {
+    /// Resolves a node test against `tree`'s tag registry.
+    pub(crate) fn resolve(tree: &XmlTree, test: &NodeTest) -> Self {
+        match test {
+            NodeTest::Wildcard => Self::Wildcard,
+            NodeTest::Name(name) => Self::Name(tree.tag_id(name)),
+            NodeTest::Text => Self::Text,
+            NodeTest::Node => Self::Node,
+        }
+    }
+
+    /// Whether `node` passes the test: `*` is any element, `node()` any
+    /// node but the root and the attribute containers.
+    pub(crate) fn matches(&self, tree: &XmlTree, node: NodeId) -> bool {
+        let tag = tree.tag(node);
+        match self {
+            Self::Wildcard => {
+                tag != reserved::ROOT
+                    && tag != reserved::TEXT
+                    && tag != reserved::ATTRIBUTES
+                    && tag != reserved::ATTRIBUTE_VALUE
+            }
+            Self::Name(id) => *id == Some(tag),
+            Self::Text => tag == reserved::TEXT,
+            Self::Node => {
+                tag != reserved::ROOT
+                    && tag != reserved::ATTRIBUTES
+                    && tag != reserved::ATTRIBUTE_VALUE
+            }
+        }
+    }
 }
 
 impl<'a> DirectEvaluator<'a> {
@@ -291,8 +327,7 @@ impl<'a> DirectEvaluator<'a> {
         // Resolve the tag name against the registry once — the loops below
         // visit up to the whole document, and a per-node HashMap lookup of
         // a constant name would dominate the scans.
-        let test = self.resolve(&step.test);
-        let test = &test;
+        let test = &ResolvedTest::resolve(tree, &step.test);
         let mut out = Vec::new();
         match axis {
             Axis::Child => {
@@ -421,7 +456,7 @@ impl<'a> DirectEvaluator<'a> {
         test: &NodeTest,
         cap: Option<usize>,
     ) -> Vec<NodeId> {
-        let test = &self.resolve(test);
+        let test = &ResolvedTest::resolve(self.tree, test);
         let mut out = Vec::new();
         match axis {
             Axis::Following => {
@@ -504,35 +539,10 @@ impl<'a> DirectEvaluator<'a> {
         }
     }
 
-    /// Resolves a node test against the document's tag registry so the
-    /// evaluation loops compare tag ids instead of hashing names.
-    fn resolve(&self, test: &NodeTest) -> ResolvedTest {
-        match test {
-            NodeTest::Wildcard => ResolvedTest::Wildcard,
-            NodeTest::Name(name) => ResolvedTest::Name(self.tree.tag_id(name)),
-            NodeTest::Text => ResolvedTest::Text,
-            NodeTest::Node => ResolvedTest::Node,
-        }
-    }
-
+    /// Counts a candidate test, then applies it.
     fn matches(&self, node: NodeId, test: &ResolvedTest) -> bool {
         self.visited.fetch_add(1, Ordering::Relaxed);
-        let tag = self.tree.tag(node);
-        match test {
-            ResolvedTest::Wildcard => {
-                tag != reserved::ROOT
-                    && tag != reserved::TEXT
-                    && tag != reserved::ATTRIBUTES
-                    && tag != reserved::ATTRIBUTE_VALUE
-            }
-            ResolvedTest::Name(id) => *id == Some(tag),
-            ResolvedTest::Text => tag == reserved::TEXT,
-            ResolvedTest::Node => {
-                tag != reserved::ROOT
-                    && tag != reserved::ATTRIBUTES
-                    && tag != reserved::ATTRIBUTE_VALUE
-            }
-        }
+        test.matches(self.tree, node)
     }
 
     // -----------------------------------------------------------------

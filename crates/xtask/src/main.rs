@@ -2,12 +2,14 @@
 //!
 //! ```text
 //! xtask lint [--root PATH]       run the analysis gate (exit 1 on findings)
+//! xtask lines [--root PATH]      print non-test / test lines per crate
 //! xtask corrupt <in> <out>       write a semantically corrupted index copy
 //! ```
 //!
 //! The `lint` gate enforces invariants `rustc` cannot see, by scanning
-//! source text (non-test code only — everything after the first
-//! `#[cfg(test)]` marker in a file is exempt):
+//! source text (non-test code only — everything from the first line that
+//! *starts* with `#[cfg(test)]` on is exempt; a mention of the marker
+//! inside a comment or indented code does not cut):
 //!
 //! * **panic** — no `.unwrap()` / `.expect(…)` / `panic!` family macros on
 //!   the untrusted-input files (parser, container reader, protocol
@@ -29,6 +31,11 @@
 //! (used by the cursor-invariant XML parser for the `index` family).
 //! The reason is mandatory: an annotation without a rationale is itself
 //! reported.  See `docs/verification.md`.
+//!
+//! `lines` counts each workspace crate's `.rs` lines with the same cut:
+//! `src/` (binaries included) before the cut is non-test; the rest of
+//! `src/` and all of `tests/`, `benches/` and `examples/` are test.  The
+//! repository-level `tests/` directory gets a row of its own.
 //!
 //! `corrupt` rewrites a `.sxsi` container so that every checksum still
 //! matches but a cross-section invariant is broken (the meta element
@@ -78,13 +85,18 @@ fn cfg_test_marker() -> String {
     format!("#[cfg{}", "(test)]")
 }
 
-/// The portion of `source` before the first `#[cfg(test)]` marker: lint
-/// families apply to shipped code, not to tests.
+/// The portion of `source` before the first line that starts with a
+/// `#[cfg(test)]` marker: lint families apply to shipped code, not to
+/// tests.  Only a marker at column 0 cuts, so a comment that mentions it
+/// does not exempt the code below.
 fn non_test_prefix(source: &str) -> &str {
-    match source.find(&cfg_test_marker()) {
-        Some(cut) => &source[..cut],
-        None => source,
-    }
+    let marker = cfg_test_marker();
+    let cut = if source.starts_with(&marker) {
+        Some(0)
+    } else {
+        source.find(&format!("\n{marker}")).map(|at| at + 1)
+    };
+    cut.map_or(source, |cut| &source[..cut])
 }
 
 /// True if line `i` (0-based) of `lines` carries or follows a
@@ -260,7 +272,7 @@ fn check_from_tag(file: &str, source: &str, out: &mut Vec<Violation>) {
     let lines: Vec<&str> = code.lines().collect();
     let mut offset = 0usize;
     for (i, line) in lines.iter().enumerate() {
-        if line.contains("fn from_tag") && !allowed(code, &lines, i, "from-tag") {
+        if !is_comment(line) && line.contains("fn from_tag") && !allowed(code, &lines, i, "from-tag") {
             // The decoder body is short; a catch-all within the next 400
             // characters is required.
             let body_end = (offset + line.len() + 400).min(code.len());
@@ -361,7 +373,9 @@ fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
     Ok(out)
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
+/// Parses the `[--root PATH]` option of `lint` and `lines`; defaults to
+/// the workspace root even when invoked from a crate directory.
+fn parse_root(command: &str, args: &[String]) -> Result<PathBuf, ExitCode> {
     let mut root = PathBuf::from(".");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -370,19 +384,26 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 Some(path) => root = PathBuf::from(path),
                 None => {
                     eprintln!("xtask: --root expects a path");
-                    return ExitCode::from(2);
+                    return Err(ExitCode::from(2));
                 }
             },
             other => {
-                eprintln!("xtask: unknown lint option '{other}'");
-                return ExitCode::from(2);
+                eprintln!("xtask: unknown {command} option '{other}'");
+                return Err(ExitCode::from(2));
             }
         }
     }
-    // Default to the workspace root even when invoked from a crate dir.
     if !root.join("crates").is_dir() && Path::new("../../crates").is_dir() {
         root = PathBuf::from("../..");
     }
+    Ok(root)
+}
+
+fn cmd_lint(args: &[String]) -> ExitCode {
+    let root = match parse_root("lint", args) {
+        Ok(root) => root,
+        Err(code) => return code,
+    };
     match run_lint(&root) {
         Ok(violations) if violations.is_empty() => {
             println!("xtask lint: clean");
@@ -394,6 +415,81 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             }
             eprintln!("xtask lint: {} violation(s)", violations.len());
             ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("xtask: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// lines: the tracked per-crate line counts
+// ---------------------------------------------------------------------
+
+/// `(non-test, test)` lines of `files`, paths relative to their crate
+/// (or to the repository for its own `tests/`): `src/` splits at the
+/// `#[cfg(test)]` cut, `tests/`, `benches/` and `examples/` are all test,
+/// anything else (a build script) is non-test.
+fn count_lines(files: &[(String, String)]) -> (usize, usize) {
+    let (mut non_test, mut test) = (0, 0);
+    for (path, source) in files {
+        let total = source.lines().count();
+        if path.starts_with("src/") {
+            let shipped = non_test_prefix(source).lines().count();
+            non_test += shipped;
+            test += total - shipped;
+        } else if ["tests/", "benches/", "examples/"].iter().any(|dir| path.starts_with(dir)) {
+            test += total;
+        } else {
+            non_test += total;
+        }
+    }
+    (non_test, test)
+}
+
+/// The package name in `Cargo.toml`'s `name = "…"` line, if any.
+fn package_name(manifest: &str) -> Option<&str> {
+    manifest.lines().find_map(|line| line.trim().strip_prefix("name = ")?.trim().strip_prefix('"')?.strip_suffix('"'))
+}
+
+/// One `(label, non-test, test)` row per workspace crate, sorted by
+/// label, then one for the repository-level `tests/`.
+fn line_table(root: &Path) -> Result<Vec<(String, usize, usize)>, String> {
+    let crates_dir = root.join("crates");
+    let entries = std::fs::read_dir(&crates_dir).map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
+    let mut rows = Vec::new();
+    for entry in entries {
+        let dir = entry.map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?.path();
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else { continue };
+        let mut files = Vec::new();
+        collect_sources(&dir, ".", &mut files)?;
+        let label = package_name(&manifest).map(str::to_string).unwrap_or_else(|| dir.display().to_string());
+        let (non_test, test) = count_lines(&files);
+        rows.push((label, non_test, test));
+    }
+    rows.sort();
+    let mut files = Vec::new();
+    collect_sources(root, "tests", &mut files)?;
+    let (non_test, test) = count_lines(&files);
+    rows.push(("tests/".to_string(), non_test, test));
+    Ok(rows)
+}
+
+fn cmd_lines(args: &[String]) -> ExitCode {
+    let root = match parse_root("lines", args) {
+        Ok(root) => root,
+        Err(code) => return code,
+    };
+    match line_table(&root) {
+        Ok(rows) => {
+            println!("{:<20} {:>9} {:>9}", "crate", "non-test", "test");
+            for (label, non_test, test) in &rows {
+                println!("{label:<20} {non_test:>9} {test:>9}");
+            }
+            let (non_test, test) = rows.iter().fold((0, 0), |(a, b), (_, n, t)| (a + n, b + t));
+            println!("{:<20} {non_test:>9} {test:>9}", "total");
+            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("xtask: {e}");
@@ -482,9 +578,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(&args[1..]),
+        Some("lines") => cmd_lines(&args[1..]),
         Some("corrupt") => cmd_corrupt(&args[1..]),
         _ => {
-            eprintln!("usage: xtask lint [--root PATH] | xtask corrupt <in.sxsi> <out.sxsi>");
+            eprintln!("usage: xtask lint [--root PATH] | xtask lines [--root PATH] | xtask corrupt <in.sxsi> <out.sxsi>");
             ExitCode::from(2)
         }
     }
@@ -568,6 +665,37 @@ mod tests {
     }
 
     #[test]
+    fn only_a_column_zero_marker_cuts() {
+        let marker = cfg_test_marker();
+        let source = format!(
+            "//! Not `{marker}` here.\nfn f(x: Option<u8>) -> u8 {{\n    x.unwrap()\n}}\n    {marker}\nfn g() {{}}\n{marker}\nmod t {{}}\n"
+        );
+        assert_eq!(non_test_prefix(&source).lines().count(), 6);
+        let hits = lint_one("crates/io/src/lib.rs", &source);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 3);
+        assert_eq!(non_test_prefix(&format!("{marker}\nmod t {{}}\n")), "");
+    }
+
+    #[test]
+    fn lines_split_src_at_the_cut_and_count_test_dirs_as_test() {
+        let marker = cfg_test_marker();
+        let lib = format!("//! `{marker}` in a doc comment\nfn a() {{}}\n{marker}\nmod t {{}}\n");
+        let files: Vec<(String, String)> = [
+            ("src/lib.rs", lib.as_str()),
+            ("src/bin/tool.rs", "fn main() {}\n"),
+            ("tests/t.rs", "#[test]\nfn t() {}\n"),
+            ("benches/b.rs", "fn main() {}\n"),
+            ("examples/e.rs", "fn main() {}\n"),
+        ]
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+        assert_eq!(count_lines(&files), (3, 6));
+        assert_eq!(package_name("[package]\nname = \"sxsi-x\"\n"), Some("sxsi-x"));
+    }
+
+    #[test]
     fn from_tag_without_catch_all_is_caught() {
         let source = "fn from_tag(tag: u8) -> Self {\n    match tag {\n        0 => Self::A,\n        1 => Self::B,\n    }\n}\n";
         let hits = lint_one("x.rs", source);
@@ -576,6 +704,9 @@ mod tests {
 
         let source = "fn from_tag(tag: u8) -> Result<Self, E> {\n    match tag {\n        0 => Ok(Self::A),\n        other => Err(bad(other)),\n    }\n}\n";
         assert!(lint_one("x.rs", source).is_empty());
+
+        // A comment naming the decoder is not a decoder.
+        assert!(lint_one("x.rs", "//! every `fn from_tag` has a catch-all\n").is_empty());
     }
 
     #[test]

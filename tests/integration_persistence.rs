@@ -99,6 +99,17 @@ fn file_roundtrip_through_the_filesystem() {
     }
 }
 
+/// The saved bytes of one fixed document, pinned: a change to any on-disk
+/// body — a bitmap, a sarray, the BWT, a section frame — fails here unless
+/// it comes with a new `FORMAT_VERSION` and new constants.
+#[test]
+fn saved_bytes_of_a_fixed_document_are_pinned() {
+    let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 42 });
+    let bytes = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds").to_bytes();
+    assert_eq!(sxsi::FORMAT_VERSION, 5);
+    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (26_814, 0x98b1_5aca_9352_9846));
+}
+
 #[test]
 fn options_survive_reload() {
     use sxsi::SxsiOptions;
