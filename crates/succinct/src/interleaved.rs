@@ -469,6 +469,33 @@ impl ReadFrom for InterleavedRsBitVector {
 }
 
 #[cfg(test)]
+impl InterleavedRsBitVector {
+    /// Copies of `self` with one in-memory directory field drifted each,
+    /// paired with the verify code that must catch the drift.  `self` must
+    /// span at least three blocks.
+    pub(crate) fn drifted_copies(&self) -> Vec<(Self, &'static str)> {
+        let mut block_rank = self.clone();
+        block_rank.data[2 * STRIDE] += 1; // absolute counter of block 2
+        let mut lane = self.clone();
+        lane.data[2 * STRIDE + 1] += 1; // packed lanes of block 2
+        let mut ones = self.clone();
+        ones.ones += 1;
+        let mut trailing = self.clone();
+        let last = trailing.data.len() - 1;
+        trailing.data[last] |= 1u64 << 63; // padding word of the final block
+        let mut select = self.clone();
+        select.select1_samples.push(0);
+        vec![
+            (block_rank, "bitvec-block-rank"),
+            (lane, "bitvec-lane"),
+            (ones, "bitvec-ones"),
+            (trailing, "bitvec-trailing-bits"),
+            (select, "bitvec-select-sample"),
+        ]
+    }
+}
+
+#[cfg(test)]
 mod verify_tests {
     use super::*;
     use sxsi_verify::{Verify, VerifyDepth};
@@ -487,26 +514,11 @@ mod verify_tests {
 
     #[test]
     fn drifted_headers_are_caught() {
-        let mut rs = sample();
-        rs.data[2 * STRIDE] += 1; // absolute counter of block 2
-        assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-block-rank"));
-
-        let mut rs = sample();
-        rs.data[2 * STRIDE + 1] += 1; // packed lanes of block 2
-        assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-lane"));
-
-        let mut rs = sample();
-        rs.ones += 1;
-        assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-ones"));
-
-        let mut rs = sample();
-        let last = rs.data.len() - 1;
-        rs.data[last] |= 1u64 << 63; // padding word of the final block
-        assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-trailing-bits"));
-
-        let mut rs = sample();
-        rs.select1_samples.push(0);
-        assert!(rs.verify(VerifyDepth::Quick).has_code("bitvec-select-sample"));
+        let drifted = sample().drifted_copies();
+        assert_eq!(drifted.len(), 5);
+        for (rs, code) in drifted {
+            assert!(rs.verify(VerifyDepth::Quick).has_code(code), "{code}");
+        }
     }
 }
 

@@ -50,6 +50,8 @@ pub mod eliasfano;
 pub mod interleaved;
 pub mod intvec;
 pub mod oracle;
+#[cfg(test)]
+mod rsbitvec;
 pub mod wavelet;
 
 pub use bitvec::BitVec;
