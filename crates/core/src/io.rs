@@ -13,33 +13,37 @@
 //! magic      8 bytes   "SXSIIDX\0"
 //! version    u32 LE    FORMAT_VERSION
 //! section*               tagged, length-prefixed, FNV-1a-64 checksummed
-//!   tag      u8        1 = options, 2 = tree, 3 = texts, 4 = meta
+//!   tag      u8        2 = tree, 3 = texts
 //!   length   u64 LE    payload bytes
 //!   payload  ...
 //!   checksum u64 LE    FNV-1a of the payload
 //! end        u8        0
 //! ```
 //!
-//! Sections appear in tag order.  A truncated file fails with an I/O error,
-//! a bit flip with a checksum mismatch, a file from a different format
-//! version with a version error — always a structured [`IoError`], never a
-//! panic and never a silently wrong index (every structural invariant is
-//! re-validated while decoding).
+//! Sections appear in tag order.  Each fact is stored once, in the
+//! structure that uses it: the build options live in the FM-index (its
+//! sample rate) and the text collection (its plain-copy flag), and the
+//! element count is read off the tag sequence.
+//!
+//! A truncated file fails with an I/O error, a bit flip with a checksum
+//! mismatch, a file from a different format version with a version error
+//! — always a structured [`IoError`], never a panic and never a silently
+//! wrong index (every structural invariant is re-validated while
+//! decoding).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use sxsi_io::{
-    corrupt, read_bool, read_section, read_u32, read_u8, read_usize, write_bool,
-    write_section, write_u32, write_usize, write_end, END_SECTION,
+    corrupt, read_section, read_u32, read_u8, read_usize, write_section, write_u32, write_end,
+    END_SECTION,
 };
 use sxsi_verify::VerifyDepth;
 use sxsi_text::TextCollection;
 use sxsi_tree::XmlTree;
-use sxsi_xpath::eval::EvalOptions;
 
-use crate::{SxsiIndex, SxsiOptions};
+use crate::SxsiIndex;
 
 pub use sxsi_io::{fnv1a64, IoError, ReadFrom, WriteInto};
 
@@ -59,55 +63,19 @@ pub const MAGIC: [u8; 8] = *b"SXSIIDX\0";
 /// bitmaps and one on the BWT — because each role has one structure;
 /// version 5 stores the BWT as a Huffman-shaped wavelet tree (a shape byte,
 /// 256 code lengths, one bitmap per code level) instead of an eight-level
-/// wavelet matrix.
-pub const FORMAT_VERSION: u32 = 5;
+/// wavelet matrix; version 6 drops the options section (tag 1), the meta
+/// section (tag 4) and the options, text count and length that opened the
+/// texts body, which now begins with the FM-index.
+pub const FORMAT_VERSION: u32 = 6;
 
-const SECTION_OPTIONS: u8 = 1;
 const SECTION_TREE: u8 = 2;
 const SECTION_TEXTS: u8 = 3;
-const SECTION_META: u8 = 4;
-
-fn write_eval_options<W: Write + ?Sized>(w: &mut W, eval: &EvalOptions) -> std::io::Result<()> {
-    write_bool(w, eval.jumping)?;
-    write_bool(w, eval.memoization)?;
-    write_bool(w, eval.lazy_regions)?;
-    write_bool(w, eval.text_index_predicates)
-}
-
-fn read_eval_options<R: Read + ?Sized>(r: &mut R) -> Result<EvalOptions, IoError> {
-    Ok(EvalOptions {
-        jumping: read_bool(r)?,
-        memoization: read_bool(r)?,
-        lazy_regions: read_bool(r)?,
-        text_index_predicates: read_bool(r)?,
-    })
-}
-
-impl WriteInto for SxsiOptions {
-    fn write_into<W: Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        self.text.write_into(w)?;
-        write_eval_options(w, &self.eval)?;
-        write_bool(w, self.keep_whitespace_text)?;
-        write_bool(w, self.force_top_down)
-    }
-}
-
-impl ReadFrom for SxsiOptions {
-    fn read_from<R: Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        Ok(Self {
-            text: sxsi_text::TextCollectionOptions::read_from(r)?,
-            eval: read_eval_options(r)?,
-            keep_whitespace_text: read_bool(r)?,
-            force_top_down: read_bool(r)?,
-        })
-    }
-}
 
 /// Reads the next section and checks its tag.
 fn expect_section<R: Read + ?Sized>(r: &mut R, tag: u8) -> Result<Vec<u8>, IoError> {
     match read_section(r)? {
         Some((found, payload)) if found == tag => Ok(payload),
-        Some((found, _)) if (SECTION_OPTIONS..=SECTION_META).contains(&found) => {
+        Some((found, _)) if (SECTION_TREE..=SECTION_TEXTS).contains(&found) => {
             Err(corrupt(format!("section {found} out of order, expected {tag}")))
         }
         Some((found, _)) => Err(IoError::UnknownSection { tag: found }),
@@ -119,10 +87,8 @@ impl WriteInto for SxsiIndex {
     fn write_into<W: Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         w.write_all(&MAGIC)?;
         write_u32(w, FORMAT_VERSION)?;
-        write_section(w, SECTION_OPTIONS, |p| self.options.write_into(p))?;
         write_section(w, SECTION_TREE, |p| self.tree.write_into(p))?;
         write_section(w, SECTION_TEXTS, |p| self.texts.write_into(p))?;
-        write_section(w, SECTION_META, |p| write_usize(p, self.num_elements))?;
         write_end(w)
     }
 }
@@ -138,13 +104,10 @@ impl ReadFrom for SxsiIndex {
         if version != FORMAT_VERSION {
             return Err(IoError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
         }
-        let options = SxsiOptions::from_bytes(&expect_section(r, SECTION_OPTIONS)?)?;
         let tree = XmlTree::from_bytes(&expect_section(r, SECTION_TREE)?)?;
         let texts = TextCollection::from_bytes(&expect_section(r, SECTION_TEXTS)?)?;
-        let meta = expect_section(r, SECTION_META)?;
-        let num_elements = read_usize(&mut &meta[..])?;
         if read_section(r)?.is_some() {
-            return Err(corrupt("unexpected section after the meta section"));
+            return Err(corrupt("unexpected section after the texts section"));
         }
         // Cross-section invariants: the tree's text leaves and the text
         // collection must describe the same document.
@@ -155,16 +118,7 @@ impl ReadFrom for SxsiIndex {
                 texts.num_texts()
             )));
         }
-        if num_elements > tree.num_nodes() {
-            return Err(corrupt(format!(
-                "meta declares {num_elements} elements in a tree of {} nodes",
-                tree.num_nodes()
-            )));
-        }
-        if texts.plain().is_some() != options.text.keep_plain_text {
-            return Err(corrupt("plain-text store does not match the recorded options"));
-        }
-        Ok(Self { tree, texts, options, num_elements })
+        Ok(Self { tree, texts })
     }
 }
 
@@ -263,7 +217,7 @@ impl SxsiIndex {
 /// Framing facts of one container section, as reported by [`scan_container`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionInfo {
-    /// Section tag byte (1 = options, 2 = tree, 3 = texts, 4 = meta).
+    /// Section tag byte (2 = tree, 3 = texts).
     pub tag: u8,
     /// Display name for the tag (`"unknown"` for tags outside the format).
     pub name: &'static str,
@@ -290,10 +244,8 @@ pub struct ContainerScan {
 /// Display name for a section tag.
 pub fn section_name(tag: u8) -> &'static str {
     match tag {
-        SECTION_OPTIONS => "options",
         SECTION_TREE => "tree",
         SECTION_TEXTS => "texts",
-        SECTION_META => "meta",
         _ => "unknown",
     }
 }
@@ -367,20 +319,31 @@ mod tests {
         assert_eq!(loaded.serialize("//color").unwrap(), idx.serialize("//color").unwrap());
     }
 
+    /// Index bytes built with `sample_rate` and a plain copy, and the
+    /// payload range of their texts section.
+    fn bytes_and_texts_payload(sample_rate: usize) -> (Vec<u8>, std::ops::Range<usize>) {
+        let mut options = crate::SxsiOptions::default();
+        options.text.sample_rate = sample_rate;
+        let bytes = SxsiIndex::build_from_xml_with_options(DOC.as_bytes(), options)
+            .unwrap()
+            .to_bytes();
+        let scan = scan_container(&mut &bytes[..]).unwrap();
+        let start = 12 + (1 + 8 + scan.sections[0].length as usize + 8) + 1 + 8;
+        (bytes, start..start + scan.sections[1].length as usize)
+    }
+
     #[test]
     fn options_roundtrip() {
-        let mut options = SxsiOptions::default();
+        // What the builder was told survives in the structures it shaped.
+        let mut options = crate::SxsiOptions::default();
         options.text.keep_plain_text = false;
         options.text.sample_rate = 16;
-        options.eval.jumping = false;
-        options.force_top_down = true;
         let idx = SxsiIndex::build_from_xml_with_options(DOC.as_bytes(), options).unwrap();
         let loaded = SxsiIndex::from_bytes(&idx.to_bytes()).unwrap();
-        assert!(!loaded.options().text.keep_plain_text);
-        assert_eq!(loaded.options().text.sample_rate, 16);
-        assert!(!loaded.options().eval.jumping);
-        assert!(loaded.options().force_top_down);
+        assert!(loaded.texts().plain().is_none());
+        assert_eq!(loaded.texts().fm_index().sample_rate(), 16);
         assert_eq!(loaded.count("//stock").unwrap(), 2);
+        assert_eq!(loaded.stats(), idx.stats());
     }
 
     #[test]
@@ -413,10 +376,7 @@ mod tests {
         let bytes = index().to_bytes();
         let scan = scan_container(&mut &bytes[..]).unwrap();
         assert_eq!(scan.version, FORMAT_VERSION);
-        assert_eq!(
-            scan.sections.iter().map(|s| s.name).collect::<Vec<_>>(),
-            vec!["options", "tree", "texts", "meta"]
-        );
+        assert_eq!(scan.sections.iter().map(|s| s.name).collect::<Vec<_>>(), vec!["tree", "texts"]);
         assert!(scan.sections.iter().all(|s| s.checksum_ok));
         assert!(scan.clean_end);
     }
@@ -427,31 +387,34 @@ mod tests {
         // Flip one byte inside the tree payload: the scan must report that
         // section as damaged and still audit the ones after it.
         let scan = scan_container(&mut &bytes[..]).unwrap();
-        let tree_len = scan.sections[1].length as usize;
-        let opts_len = scan.sections[0].length as usize;
-        let tree_payload_start = 12 + (1 + 8 + opts_len + 8) + 1 + 8;
+        let tree_len = scan.sections[0].length as usize;
+        let tree_payload_start = 12 + 1 + 8;
         bytes[tree_payload_start + tree_len / 2] ^= 0x01;
         let damaged = scan_container(&mut &bytes[..]).unwrap();
-        assert!(!damaged.sections[1].checksum_ok);
-        assert!(damaged.sections[2].checksum_ok && damaged.sections[3].checksum_ok);
+        assert!(!damaged.sections[0].checksum_ok);
+        assert!(damaged.sections[1].checksum_ok);
         assert!(damaged.clean_end);
     }
 
     #[test]
     fn paranoid_load_rejects_semantic_corruption() {
-        let mut idx = index();
-        idx.num_elements -= 1;
-        let bytes = idx.to_bytes();
-        // The trusting load accepts the drifted element count (it only
-        // bounds it against the node count) …
+        // Double the FM-index sample rate (the texts body's second word) and
+        // re-checksum the section, as `xtask corrupt` does.
+        let (mut bytes, texts) = bytes_and_texts_payload(4);
+        let rate = texts.start + 8..texts.start + 16;
+        bytes[rate.clone()].copy_from_slice(&8u64.to_le_bytes());
+        let checksum = fnv1a64(&bytes[texts.clone()]).to_le_bytes();
+        bytes[texts.end..texts.end + 8].copy_from_slice(&checksum);
+        // The trusting load accepts the drifted rate (any positive rate is
+        // well-formed) …
         assert!(SxsiIndex::from_bytes(&bytes).is_ok());
         // … the paranoid load rejects it with a structured error.
-        match SxsiIndex::load_verified(&mut &bytes[..], VerifyDepth::Quick) {
-            Err(err) => assert!(err.to_string().contains("element-count"), "{err}"),
-            Ok(_) => panic!("paranoid load accepted a drifted element count"),
+        match SxsiIndex::load_verified(&mut &bytes[..], VerifyDepth::Deep) {
+            Err(err) => assert!(err.to_string().contains("fm-sample-row"), "{err}"),
+            Ok(_) => panic!("paranoid load accepted a drifted sample rate"),
         }
-        let clean = index().to_bytes();
-        assert!(SxsiIndex::load_verified(&mut &clean[..], VerifyDepth::Quick).is_ok());
+        let (clean, _) = bytes_and_texts_payload(4);
+        assert!(SxsiIndex::load_verified(&mut &clean[..], VerifyDepth::Deep).is_ok());
     }
 
     #[test]

@@ -50,7 +50,6 @@ use std::fmt;
 use sxsi_text::{TextCollection, TextCollectionOptions};
 use sxsi_tree::XmlTree;
 use sxsi_xml::{parse_document_with_options, DocumentOptions, ParseError, ParsedDocument};
-use sxsi_xpath::eval::EvalOptions;
 use sxsi_xpath::{
     compile, parse_query, requires_direct, rewrite_to_forward, Automaton, BottomUpPlan,
     CompileError, Predicate, Query, XPathParseError,
@@ -123,19 +122,20 @@ impl From<CompileError> for QueryError {
     }
 }
 
-/// Options controlling index construction and query evaluation.
+/// What the index builder consumes: the text-index space/time trade-offs
+/// and whether whitespace-only texts are kept.
+///
+/// None of it is saved on its own — the structures it shapes carry it (the
+/// FM-index its sample rate, the text collection its optional plain copy,
+/// the tree its text leaves) — so a reloaded index answers exactly like
+/// the one that was built.
 #[derive(Debug, Clone, Default)]
 pub struct SxsiOptions {
-    /// Text-index options (sampling rate, plain-text copy, scan cut-off).
+    /// Text-index options (sampling rate, plain-text copy).
     pub text: TextCollectionOptions,
-    /// Evaluator options (jumping, memoization, lazy regions, text-index
-    /// predicates) — the Figure 12 ablation switches.
-    pub eval: EvalOptions,
     /// Keep whitespace-only text nodes (the paper keeps them; benchmarks
     /// usually drop them).
     pub keep_whitespace_text: bool,
-    /// Never use the bottom-up strategy, even when a query is eligible.
-    pub force_top_down: bool,
 }
 
 /// Which evaluation strategy answered a query (the paper's Figure 14
@@ -241,8 +241,6 @@ impl IndexStats {
 pub struct SxsiIndex {
     tree: XmlTree,
     texts: TextCollection,
-    options: SxsiOptions,
-    num_elements: usize,
 }
 
 impl SxsiIndex {
@@ -267,8 +265,8 @@ impl SxsiIndex {
 
     /// Builds the index from an already-parsed document model.
     pub fn from_parsed_document(doc: ParsedDocument, options: SxsiOptions) -> Self {
-        let texts = TextCollection::with_options(&doc.text_slices(), options.text.clone());
-        Self { tree: doc.tree, texts, options, num_elements: doc.num_elements }
+        let texts = TextCollection::with_options(&doc.text_slices(), options.text);
+        Self { tree: doc.tree, texts }
     }
 
     /// The succinct tree index.
@@ -281,16 +279,16 @@ impl SxsiIndex {
         &self.texts
     }
 
-    /// The options the index was built with.
-    pub fn options(&self) -> &SxsiOptions {
-        &self.options
-    }
-
     /// Space and cardinality statistics.
     pub fn stats(&self) -> IndexStats {
+        // Non-reserved tags label element nodes plus one attribute-name node
+        // per attribute, and every attribute contributes exactly one `%`
+        // value leaf — so the tag sequence pins the element count exactly.
+        // (Saturating: a loaded file's tag sequence is outside input.)
+        let attributes = self.tree.tag_count(sxsi_tree::reserved::ATTRIBUTE_VALUE);
         IndexStats {
             num_nodes: self.tree.num_nodes(),
-            num_elements: self.num_elements,
+            num_elements: self.tree.count_elements().saturating_sub(attributes),
             num_texts: self.tree.num_texts(),
             num_tags: self.tree.num_tags(),
             tree_bytes: self.tree.size_bytes(),
@@ -359,10 +357,8 @@ impl SxsiIndex {
         } else {
             query
         };
-        if !self.options.force_top_down {
-            if let Some(plan) = BottomUpPlan::try_from_query(query, &self.tree) {
-                return Ok(CompiledPlan::BottomUp(plan));
-            }
+        if let Some(plan) = BottomUpPlan::try_from_query(query, &self.tree) {
+            return Ok(CompiledPlan::BottomUp(plan));
         }
         Ok(CompiledPlan::TopDown(compile(query, &self.tree)?))
     }
@@ -488,26 +484,11 @@ impl SxsiIndex {
 }
 
 impl Verify for SxsiIndex {
-    /// Cross-section checks: the tree, the text collection and the recorded
-    /// options must describe the same document.  Component invariants are
-    /// checked recursively.
+    /// Cross-section checks: the tree and the text collection must describe
+    /// the same document.  Component invariants are checked recursively.
     fn verify_into(&self, depth: VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         ctx.enter("tree", |ctx| self.tree.verify_into(depth, ctx));
         ctx.enter("texts", |ctx| self.texts.verify_into(depth, ctx));
-        ctx.check(
-            "options-text-mismatch",
-            self.options.text.sample_rate == self.texts.fm_index().sample_rate()
-                && self.options.text.keep_plain_text == self.texts.plain().is_some(),
-            || {
-                format!(
-                    "options record sample rate {} / plain {}, collection uses {} / {}",
-                    self.options.text.sample_rate,
-                    self.options.text.keep_plain_text,
-                    self.texts.fm_index().sample_rate(),
-                    self.texts.plain().is_some()
-                )
-            },
-        );
         ctx.check("tree-text-count", self.tree.num_texts() == self.texts.num_texts(), || {
             format!(
                 "tree references {} texts, collection holds {}",
@@ -515,22 +496,6 @@ impl Verify for SxsiIndex {
                 self.texts.num_texts()
             )
         });
-        // Non-reserved tags label element nodes plus one attribute-name node
-        // per attribute, and every attribute contributes exactly one `%`
-        // value leaf — so the tag sequence pins the element count exactly.
-        let attributes = self.tree.tag_count(sxsi_tree::reserved::ATTRIBUTE_VALUE);
-        ctx.check(
-            "element-count",
-            self.num_elements + attributes == self.tree.count_elements(),
-            || {
-                format!(
-                    "meta declares {} elements, tag sequence holds {} non-reserved nodes for {} attributes",
-                    self.num_elements,
-                    self.tree.count_elements(),
-                    attributes
-                )
-            },
-        );
     }
 }
 
@@ -614,6 +579,7 @@ fn extract_fulltext(query: &Query) -> Result<(Query, Vec<FtQuery>), CompileError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sxsi_xpath::eval::{EvalOptions, Evaluator};
 
     const DOC: &str = r#"<library>
   <book id="b1" year="2001"><title>Compressed Indexes</title>
@@ -653,15 +619,11 @@ mod tests {
         let result = idx.run(r#"//book[ .//last[ . = "Navarro" ] ]"#, &QueryOptions::count()).unwrap();
         assert_eq!(result.strategy(), Strategy::BottomUp);
         assert_eq!(result.count(), 1);
-        let forced = SxsiIndex::build_from_xml_with_options(
-            DOC.as_bytes(),
-            SxsiOptions { force_top_down: true, ..Default::default() },
-        )
-        .unwrap();
-        let result =
-            forced.run(r#"//book[ .//last[ . = "Navarro" ] ]"#, &QueryOptions::count()).unwrap();
-        assert_eq!(result.strategy(), Strategy::TopDown);
-        assert_eq!(result.count(), 1);
+        let q = idx.parse(r#"//book[ .//last[ . = "Navarro" ] ]"#).unwrap();
+        let automaton = compile(&q, idx.tree()).unwrap();
+        let mut top_down =
+            Evaluator::new(&automaton, idx.tree(), Some(idx.texts()), EvalOptions::default());
+        assert_eq!(top_down.count(), 1);
     }
 
     #[test]
@@ -789,12 +751,8 @@ mod tests {
         assert!(report.checks_run > 30, "only {} checks ran", report.checks_run);
 
         let mut drifted = index();
-        drifted.num_elements += 1;
-        assert!(drifted.verify(VerifyDepth::Quick).has_code("element-count"));
-
-        let mut wrong_rate = index();
-        wrong_rate.options.text.sample_rate += 1;
-        assert!(wrong_rate.verify(VerifyDepth::Quick).has_code("options-text-mismatch"));
+        drifted.texts = TextCollection::new(&["one text"]);
+        assert!(drifted.verify(VerifyDepth::Quick).has_code("tree-text-count"));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 use std::fmt;
 
 use sxsi_tree::NodeId;
-use sxsi_xpath::eval::{EvalStats, Evaluator};
+use sxsi_xpath::eval::{EvalOptions, EvalStats, Evaluator};
 use sxsi_xpath::{DirectEvaluator, DirectRunOptions};
 
 use crate::{CompiledPlan, PreparedFt, QueryError, Strategy, SxsiIndex};
@@ -219,7 +219,7 @@ fn run_plan(plan: &CompiledPlan, index: &SxsiIndex, options: &QueryOptions) -> R
                 automaton,
                 index.tree(),
                 Some(index.texts()),
-                index.options().eval,
+                EvalOptions::default(),
             );
             let (payload, truncated) = match options.mode {
                 QueryMode::Exists => (Payload::Exists(evaluator.exists()), false),

@@ -3,13 +3,13 @@
 //!
 //! ```text
 //! sxsi build   <input.xml> <output.sxsi> [--sample-rate N] [--no-plain-text]
-//!              [--scan-cutoff N] [--keep-whitespace]
+//!              [--keep-whitespace]
 //! sxsi build-collection <output.sxsic> <doc.xml|doc.sxsi> ... [build options]
-//! sxsi query   <index.sxsi|collection.sxsic> [<xpath> ...] [--collection]
+//! sxsi query   <index.sxsi|collection.sxsic> [<xpath> ...]
 //!              [--queries-file FILE] [--materialize] [--serialize]
 //!              [--limit N] [--offset N] [--threads N]
 //! sxsi exists  <index.sxsi|collection.sxsic> <xpath> [<xpath> ...]
-//!              [--collection] [--threads N]
+//!              [--threads N]
 //! sxsi search  <index.sxsi|collection.sxsic> <term> [<term> ...]
 //!              [--mode all|any|phrase] [--limit N] [--threads N]
 //! sxsi info    <index.sxsi|collection.sxsic>
@@ -70,17 +70,16 @@ use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec, Target};
 const USAGE: &str = "\
 usage:
   sxsi build   <input.xml> <output.sxsi> [--sample-rate N] [--no-plain-text]
-               [--scan-cutoff N] [--keep-whitespace]
+               [--keep-whitespace]
   sxsi build-collection <output.sxsic> <doc.xml|doc.sxsi> [<doc> ...]
                [build options]
-  sxsi query   <index.sxsi|collection.sxsic> [<xpath> ...] [--collection]
+  sxsi query   <index.sxsi|collection.sxsic> [<xpath> ...]
                [--queries-file FILE] [--materialize] [--serialize]
                [--limit N] [--offset N] [--threads N]
   sxsi exists  <index.sxsi|collection.sxsic> <xpath> [<xpath> ...]
-               [--collection] [--threads N]
+               [--threads N]
   sxsi search  <index.sxsi|collection.sxsic> <term> [<term> ...]
                [--mode all|any|phrase] [--limit N] [--threads N]
-               [--collection]
   sxsi info    <index.sxsi|collection.sxsic>
   sxsi verify  <index.sxsi|collection.sxsic> [--deep]
   sxsi serve   <[id=]index.sxsi|.sxsic> [<[id=]index> ...]
@@ -128,8 +127,6 @@ build options:
                      locate, larger = smaller index)
   --no-plain-text    drop the plain text copy (smaller index, slower
                      extraction and no scan cut-off)
-  --scan-cutoff N    occurrence count above which contains() scans the plain
-                     text instead of FM-locating (default 50000)
   --keep-whitespace  keep whitespace-only text nodes
 
 query options:
@@ -140,8 +137,6 @@ query options:
   --offset N         skip the first N result nodes (pagination)
   --threads N        worker threads for multi-query batches (default 1);
                      for collections, per-document shard workers
-  --collection       treat the path as a .sxsic collection manifest
-                     (implied when the path ends in .sxsic)
   --queries-file F   append queries from F: one per line, either
                      'id<TAB>xpath' or a bare xpath; blank lines and
                      lines starting with # are skipped
@@ -152,8 +147,6 @@ search options:
                      inside one text node)
   --limit N          print at most the N best-scoring hits
   --threads N        per-document shard workers on collections (default 1)
-  --collection       treat the path as a .sxsic collection manifest
-                     (implied when the path ends in .sxsic)
 
 serve options:
   --socket PATH      listen on a Unix-domain socket (removed on shutdown)
@@ -241,10 +234,6 @@ fn parse_build_args(args: &[String]) -> Result<(SxsiOptions, Vec<&String>), Exit
                 Ok(_) | Err(_) => {
                     return Err(usage_error("--sample-rate expects a positive integer"))
                 }
-            },
-            "--scan-cutoff" => match parse_number(&mut it, "--scan-cutoff") {
-                Ok(n) => options.text.scan_cutoff = n,
-                Err(e) => return Err(usage_error(&e)),
             },
             "--no-plain-text" => options.text.keep_plain_text = false,
             "--keep-whitespace" => options.keep_whitespace_text = true,
@@ -377,11 +366,11 @@ fn cmd_build_collection(args: &[String]) -> ExitCode {
 
 /// Opens the target of `query`, `exists`, `search` and `serve`: a `.sxsic`
 /// collection (manifest only — segments load on first use) when the path
-/// ends in `.sxsic` or `collection` is set, a single `.sxsi` index
-/// otherwise.
-fn open_target(path: &str, collection: bool) -> Result<ServedIndex, ExitCode> {
+/// ends in `.sxsic` or the file opens with the manifest magic, a single
+/// `.sxsi` index otherwise.
+fn open_target(path: &str) -> Result<ServedIndex, ExitCode> {
     let cannot = |e: &dyn std::fmt::Display| fail(format_args!("cannot load {path}: {e}"));
-    Ok(if collection || is_collection_path(path) {
+    Ok(if is_collection_path(path) {
         ServedIndex::Collection(Arc::new(Collection::open(path).map_err(|e| cannot(&e))?))
     } else {
         ServedIndex::Single(Arc::new(SxsiIndex::load_from_file(path).map_err(|e| cannot(&e))?))
@@ -417,7 +406,6 @@ fn read_queries_file(file: &str) -> Result<Vec<(String, String)>, ExitCode> {
 /// nothing.
 fn cmd_query(args: &[String], exists: bool) -> ExitCode {
     let mut output = if exists { OutputKind::Exists } else { OutputKind::Count };
-    let mut collection = false;
     let mut queries_file: Option<&String> = None;
     let mut threads = 1usize;
     let mut limit: Option<u64> = None;
@@ -433,7 +421,6 @@ fn cmd_query(args: &[String], exists: bool) -> ExitCode {
                 }
             }
             "--serialize" if !exists => output = OutputKind::Serialize,
-            "--collection" => collection = true,
             "--queries-file" if !exists => match it.next() {
                 Some(file) => queries_file = Some(file),
                 None => return usage_error("--queries-file expects a path"),
@@ -487,7 +474,7 @@ fn cmd_query(args: &[String], exists: bool) -> ExitCode {
     let options = QueryOptions { mode: output.query_mode(), limit, offset, ..Default::default() };
 
     let start = Instant::now();
-    let target = match open_target(path, collection) {
+    let target = match open_target(path) {
         Ok(target) => target,
         Err(code) => return code,
     };
@@ -551,12 +538,10 @@ fn cmd_search(args: &[String]) -> ExitCode {
     let mut mode = FtMode::All;
     let mut limit: Option<usize> = None;
     let mut threads = 1usize;
-    let mut collection = false;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--collection" => collection = true,
             "--mode" => match it.next().and_then(|v| FtMode::parse(v)) {
                 Some(m) => mode = m,
                 None => return usage_error("--mode expects all, any or phrase"),
@@ -588,7 +573,7 @@ fn cmd_search(args: &[String]) -> ExitCode {
     let id = query_display(&query);
 
     let start = Instant::now();
-    let target = match open_target(path, collection) {
+    let target = match open_target(path) {
         Ok(target) => target,
         Err(code) => return code,
     };
@@ -652,10 +637,10 @@ fn cmd_info(args: &[String]) -> ExitCode {
     println!("    starts:          {} bytes", space.starts);
     println!("  plain texts:  {} bytes", stats.plain_text_bytes);
     println!("  total memory: {} bytes", stats.total_bytes());
-    let options = index.options();
     println!(
-        "  options: sample_rate={} plain_text={} scan_cutoff={}",
-        options.text.sample_rate, options.text.keep_plain_text, options.text.scan_cutoff
+        "  options: sample_rate={} plain_text={}",
+        index.texts().fm_index().sample_rate(),
+        index.texts().plain().is_some()
     );
     // Per-section framing status straight from the file, independent of the
     // load above (a section the loader rebuilt fine can still be reported).
@@ -858,7 +843,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             None => (file_stem(spec), spec.as_str()),
         };
         let start = Instant::now();
-        let target = match open_target(path, false) {
+        let target = match open_target(path) {
             Ok(target) => target,
             Err(code) => return code,
         };

@@ -9,7 +9,7 @@
 //!    (the sectioned reader plus every component `ReadFrom`),
 //! 3. **protocol frames** fed to a running `sxsi serve` daemon (length
 //!    decoding plus command dispatch), and
-//! 4. **`.sxsic` manifest bytes** fed to `sxsi query --collection` /
+//! 4. **`.sxsic` manifest bytes** fed to `sxsi query` /
 //!    `serve` (the collection manifest decoder plus its invariant
 //!    checks).
 //!

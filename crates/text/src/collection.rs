@@ -10,7 +10,7 @@
 use crate::bwt::build_collection_bwt;
 use crate::fmindex::{FmIndex, LocateOutcome, RowRange, DEFAULT_SAMPLE_RATE};
 use crate::plain::{contains_slice, PlainTexts, TextId};
-use sxsi_io::{corrupt, read_bool, read_u32_vec, read_u8, read_usize, write_bool, write_u32_slice, write_u8, write_usize, IoError, ReadFrom, WriteInto};
+use sxsi_io::{corrupt, read_u32_vec, read_u8, write_u32_slice, write_u8, IoError, ReadFrom, WriteInto};
 use sxsi_succinct::EliasFano;
 
 /// A text-predicate as it appears in an XPath filter.
@@ -66,7 +66,12 @@ impl TextPredicate {
     }
 }
 
-/// Options controlling the construction of a [`TextCollection`].
+/// Build-time space/time trade-offs of a [`TextCollection`] (Section 3.4,
+/// Tables II and III).
+///
+/// Neither value is stored on its own: the FM-index records its sampling
+/// step and the collection records whether it kept a plain copy, so a
+/// reloaded collection behaves exactly like the one that was built.
 #[derive(Debug, Clone)]
 pub struct TextCollectionOptions {
     /// Locate sampling step (`l` in the paper; Tables II and III use 64 / 4).
@@ -75,18 +80,18 @@ pub struct TextCollectionOptions {
     /// makes extraction constant-time per symbol and enables the scan-based
     /// evaluation of high-frequency `contains` patterns.
     pub keep_plain_text: bool,
-    /// When a pattern's global occurrence count exceeds this many occurrences
-    /// per text on average, `contains` switches from FM-locate to plain
-    /// scanning (only if the plain text is kept).  Mirrors the cut-off
-    /// discussion of Section 6.3.
-    pub scan_cutoff: usize,
 }
 
 impl Default for TextCollectionOptions {
     fn default() -> Self {
-        Self { sample_rate: DEFAULT_SAMPLE_RATE, keep_plain_text: true, scan_cutoff: 50_000 }
+        Self { sample_rate: DEFAULT_SAMPLE_RATE, keep_plain_text: true }
     }
 }
+
+/// Occurrence count above which `contains` and its variants scan the plain
+/// copy (when one is kept) instead of locating every occurrence through the
+/// FM-index — the cut-off discussion of Section 6.3.
+const SCAN_CUTOFF: usize = 50_000;
 
 /// Heap bytes of each component of a [`TextCollection`]'s index, the
 /// optional plain store excluded.
@@ -121,10 +126,7 @@ pub struct TextCollection {
     doc: Vec<u32>,
     /// Start offsets of each text in the concatenation (terminators counted).
     starts: EliasFano,
-    num_texts: usize,
-    total_len: usize,
     plain: Option<PlainTexts>,
-    options: TextCollectionOptions,
 }
 
 impl TextCollection {
@@ -140,25 +142,17 @@ impl TextCollection {
         let starts_vals: Vec<u64> = bwt.starts.iter().map(|&s| s as u64).collect();
         let starts = EliasFano::new(&starts_vals, bwt.len.max(1) as u64);
         let plain = options.keep_plain_text.then(|| PlainTexts::new(texts));
-        Self {
-            fm,
-            doc: bwt.doc,
-            starts,
-            num_texts: texts.len(),
-            total_len: bwt.len,
-            plain,
-            options,
-        }
+        Self { fm, doc: bwt.doc, starts, plain }
     }
 
-    /// Number of texts (the paper's `d`).
+    /// Number of texts (the paper's `d`): one end-marker each in the BWT.
     pub fn num_texts(&self) -> usize {
-        self.num_texts
+        self.fm.symbol_count(0)
     }
 
     /// Total length of the concatenation, terminators included.
     pub fn total_len(&self) -> usize {
-        self.total_len
+        self.fm.len()
     }
 
     /// The underlying FM-index.
@@ -201,7 +195,7 @@ impl TextCollection {
             .starts
             .get(id + 1)
             .map(|e| e as usize)
-            .unwrap_or(self.total_len);
+            .unwrap_or(self.total_len());
         // Strict monotonicity of the start offsets (the verifier's
         // `text-starts` invariant) keeps this subtraction in range.
         debug_assert!(end > start, "text {id} spans [{start}, {end})");
@@ -210,7 +204,7 @@ impl TextCollection {
 
     /// Converts a global concatenation position into `(text, offset)`.
     pub fn global_to_text(&self, pos: usize) -> (TextId, usize) {
-        debug_assert!(pos < self.total_len);
+        debug_assert!(pos < self.total_len());
         // rank gives the number of starts <= pos ... we need the last start <= pos.
         let (id, start) = self.starts.predecessor(pos as u64 + 1).expect("pos within collection");
         (id, pos - start as usize)
@@ -234,7 +228,7 @@ impl TextCollection {
     /// BWT by walking `LF` from the text's terminator row (`O(log σ)` per
     /// symbol, Section 3.3).
     pub fn get_text(&self, id: TextId) -> Vec<u8> {
-        assert!(id < self.num_texts, "text id {id} out of range");
+        assert!(id < self.num_texts(), "text id {id} out of range");
         if let Some(plain) = &self.plain {
             return plain.text(id).to_vec();
         }
@@ -281,7 +275,7 @@ impl TextCollection {
     /// distinct texts, as used by the XPath `contains` predicate).
     pub fn contains(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
-            return (0..self.num_texts).collect();
+            return (0..self.num_texts()).collect();
         }
         // Decide between FM-locate and plain scan based on the global count
         // (Section 6.3): counting is cheap, so use it as the planner — the
@@ -289,7 +283,7 @@ impl TextCollection {
         // path consumes.
         let range = self.fm.backward_search(pattern);
         if let Some(plain) = &self.plain {
-            if range.len() > self.options.scan_cutoff {
+            if range.len() > SCAN_CUTOFF {
                 return plain.scan_contains(pattern);
             }
         }
@@ -305,18 +299,18 @@ impl TextCollection {
     /// sorting one entry per occurrence.
     pub fn contains_count(&self, pattern: &[u8]) -> usize {
         if pattern.is_empty() {
-            return self.num_texts;
+            return self.num_texts();
         }
         let range = self.fm.backward_search(pattern);
         if range.is_empty() {
             return 0;
         }
         if let Some(plain) = &self.plain {
-            if range.len() > self.options.scan_cutoff {
+            if range.len() > SCAN_CUTOFF {
                 return plain.scan_contains_count(pattern);
             }
         }
-        let mut seen = std::collections::HashSet::with_capacity(range.len().min(self.num_texts));
+        let mut seen = std::collections::HashSet::with_capacity(range.len().min(self.num_texts()));
         for row in range.start..range.end {
             seen.insert(self.locate_row(row).0);
         }
@@ -336,7 +330,7 @@ impl TextCollection {
         }
         let range = self.fm.backward_search(pattern);
         if let Some(plain) = &self.plain {
-            if range.len() > self.options.scan_cutoff {
+            if range.len() > SCAN_CUTOFF {
                 return plain.scan_contains_positions(pattern);
             }
         }
@@ -353,7 +347,7 @@ impl TextCollection {
     /// Identifiers of texts starting with `pattern`.
     pub fn starts_with(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
-            return (0..self.num_texts).collect();
+            return (0..self.num_texts()).collect();
         }
         let range = self.fm.backward_search(pattern);
         self.dollar_rows_to_ids(range)
@@ -362,12 +356,12 @@ impl TextCollection {
     /// Identifiers of texts ending with `pattern`.
     pub fn ends_with(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
-            return (0..self.num_texts).collect();
+            return (0..self.num_texts()).collect();
         }
         // Start the backward search from the terminator block [0, d): row i
         // is the terminator of text i, so surviving rows are occurrences of
         // `pattern` immediately followed by a terminator.
-        let start = RowRange { start: 0, end: self.num_texts };
+        let start = RowRange { start: 0, end: self.num_texts() };
         let range = self.fm.backward_search_from(pattern, start);
         let mut ids: Vec<TextId> = (range.start..range.end).map(|row| self.locate_row(row).0).collect();
         ids.sort_unstable();
@@ -378,9 +372,9 @@ impl TextCollection {
     /// Identifiers of texts exactly equal to `pattern`.
     pub fn equals(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
-            return (0..self.num_texts).filter(|&id| self.text_len(id) == 0).collect();
+            return (0..self.num_texts()).filter(|&id| self.text_len(id) == 0).collect();
         }
-        let start = RowRange { start: 0, end: self.num_texts };
+        let start = RowRange { start: 0, end: self.num_texts() };
         let range = self.fm.backward_search_from(pattern, start);
         self.dollar_rows_to_ids(range)
     }
@@ -457,28 +451,15 @@ impl TextCollection {
     }
 
     /// Assembles a collection from deserialized parts, used by the
-    /// [`ReadFrom`] implementation after cross-validating them.
+    /// [`ReadFrom`] implementation after cross-validating them against the
+    /// FM-index, whose end-markers count the texts.
     fn from_parts(
         fm: FmIndex,
         doc: Vec<u32>,
         starts: EliasFano,
-        num_texts: usize,
-        total_len: usize,
         plain: Option<PlainTexts>,
-        options: TextCollectionOptions,
     ) -> Result<Self, IoError> {
-        if fm.len() != total_len {
-            return Err(corrupt(format!(
-                "FM-index covers {} symbols, collection declares {total_len}",
-                fm.len()
-            )));
-        }
-        if fm.symbol_count(0) != num_texts {
-            return Err(corrupt(format!(
-                "BWT holds {} end-markers for {num_texts} texts",
-                fm.symbol_count(0)
-            )));
-        }
+        let num_texts = fm.symbol_count(0);
         if doc.len() != num_texts {
             return Err(corrupt(format!("Doc array holds {} entries for {num_texts} texts", doc.len())));
         }
@@ -491,19 +472,19 @@ impl TextCollection {
                 starts.len()
             )));
         }
-        if starts.iter().any(|s| s as usize >= total_len.max(1)) {
+        if starts.iter().any(|s| s as usize >= fm.len().max(1)) {
             return Err(corrupt("text start offset lies outside the concatenation"));
         }
         match &plain {
             Some(p) if p.num_texts() != num_texts => {
                 return Err(corrupt(format!(
-                    "plain store holds {} texts, collection declares {num_texts}",
+                    "plain store holds {} texts, the BWT {num_texts}",
                     p.num_texts()
                 )));
             }
             _ => {}
         }
-        Ok(Self { fm, doc, starts, num_texts, total_len, plain, options })
+        Ok(Self { fm, doc, starts, plain })
     }
 
     /// Deep verification: replays every text backwards through the LF
@@ -517,7 +498,7 @@ impl TextCollection {
         let mut doc_mismatch: Option<String> = None;
         let mut plain_mismatch: Option<String> = None;
         let mut walk_broken: Option<String> = None;
-        for id in 0..self.num_texts {
+        for id in 0..self.num_texts() {
             let Some(start) = self.starts.get(id) else {
                 walk_broken.get_or_insert_with(|| format!("start offset of text {id} is unreadable"));
                 continue;
@@ -603,9 +584,9 @@ impl TextCollection {
     }
 
     fn complement(&self, sorted_ids: &[TextId]) -> Vec<TextId> {
-        let mut out = Vec::with_capacity(self.num_texts - sorted_ids.len());
+        let mut out = Vec::with_capacity(self.num_texts() - sorted_ids.len());
         let mut it = sorted_ids.iter().copied().peekable();
-        for id in 0..self.num_texts {
+        for id in 0..self.num_texts() {
             if it.peek() == Some(&id) {
                 it.next();
             } else {
@@ -628,66 +609,48 @@ impl sxsi_verify::Verify for TextCollection {
         if let Some(p) = &self.plain {
             ctx.enter("plain", |ctx| p.verify_into(depth, ctx));
         }
-        ctx.check("text-options-mismatch", self.options.sample_rate == self.fm.sample_rate(), || {
-            format!(
-                "options declare sample rate {}, the FM-index uses {}",
-                self.options.sample_rate,
-                self.fm.sample_rate()
-            )
-        });
+        let (num_texts, total_len) = (self.num_texts(), self.total_len());
         ctx.check(
             "text-count",
-            self.fm.len() == self.total_len
-                && self.fm.symbol_count(0) == self.num_texts
-                && self.doc.len() == self.num_texts
-                && self.starts.len() == self.num_texts,
+            self.doc.len() == num_texts && self.starts.len() == num_texts,
             || {
                 format!(
-                    "{} texts declared; FM covers {} of {} symbols with {} end-markers, Doc holds {}, boundaries hold {}",
-                    self.num_texts,
-                    self.fm.len(),
-                    self.total_len,
-                    self.fm.symbol_count(0),
+                    "the BWT holds {num_texts} end-markers, Doc holds {}, boundaries hold {}",
                     self.doc.len(),
                     self.starts.len()
                 )
             },
         );
-        let bad_doc = self.doc.iter().position(|&d| d as usize >= self.num_texts.max(1));
+        let bad_doc = self.doc.iter().position(|&d| d as usize >= num_texts.max(1));
         ctx.check("text-doc-range", bad_doc.is_none(), || {
             format!(
-                "Doc entry {} references text {} of {}",
+                "Doc entry {} references text {} of {num_texts}",
                 bad_doc.unwrap_or_default(),
                 self.doc.get(bad_doc.unwrap_or_default()).copied().unwrap_or_default(),
-                self.num_texts
             )
         });
-        let starts_ok = self.num_texts == 0
+        let starts_ok = num_texts == 0
             || (self.starts.get(0) == Some(0)
-                && (1..self.num_texts).all(|i| {
+                && (1..num_texts).all(|i| {
                     match (self.starts.get(i - 1), self.starts.get(i)) {
                         (Some(a), Some(b)) => b > a,
                         _ => false,
                     }
                 })
-                && self
-                    .starts
-                    .get(self.num_texts - 1)
-                    .is_some_and(|last| (last as usize) < self.total_len));
+                && self.starts.get(num_texts - 1).is_some_and(|last| (last as usize) < total_len));
         ctx.check("text-starts", starts_ok, || {
             "text start offsets are not strictly increasing from 0 within the concatenation".into()
         });
         if let Some(p) = &self.plain {
             ctx.check(
                 "plain-text-count",
-                p.num_texts() == self.num_texts && p.total_bytes() + self.num_texts == self.total_len,
+                p.num_texts() == num_texts && p.total_bytes() + num_texts == total_len,
                 || {
                     format!(
-                        "plain store holds {} texts / {} bytes, boundaries declare {} texts / {} bytes",
+                        "plain store holds {} texts / {} bytes, the BWT {num_texts} texts / {} bytes",
                         p.num_texts(),
                         p.total_bytes(),
-                        self.num_texts,
-                        self.total_len.saturating_sub(self.num_texts)
+                        total_len.saturating_sub(num_texts)
                     )
                 },
             );
@@ -701,31 +664,8 @@ impl sxsi_verify::Verify for TextCollection {
     }
 }
 
-impl WriteInto for TextCollectionOptions {
-    fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_usize(w, self.sample_rate)?;
-        write_bool(w, self.keep_plain_text)?;
-        write_usize(w, self.scan_cutoff)
-    }
-}
-
-impl ReadFrom for TextCollectionOptions {
-    fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let sample_rate = read_usize(r)?;
-        if sample_rate == 0 {
-            return Err(corrupt("text collection sample rate must be positive"));
-        }
-        let keep_plain_text = read_bool(r)?;
-        let scan_cutoff = read_usize(r)?;
-        Ok(Self { sample_rate, keep_plain_text, scan_cutoff })
-    }
-}
-
 impl WriteInto for TextCollection {
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        self.options.write_into(w)?;
-        write_usize(w, self.num_texts)?;
-        write_usize(w, self.total_len)?;
         self.fm.write_into(w)?;
         write_u32_slice(w, &self.doc)?;
         self.starts.write_into(w)?;
@@ -741,9 +681,6 @@ impl WriteInto for TextCollection {
 
 impl ReadFrom for TextCollection {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let options = TextCollectionOptions::read_from(r)?;
-        let num_texts = read_usize(r)?;
-        let total_len = read_usize(r)?;
         let fm = FmIndex::read_from(r)?;
         let doc = read_u32_vec(r)?;
         let starts = EliasFano::read_from(r)?;
@@ -752,7 +689,7 @@ impl ReadFrom for TextCollection {
             1 => Some(PlainTexts::read_from(r)?),
             other => return Err(corrupt(format!("invalid plain-store flag {other}"))),
         };
-        Self::from_parts(fm, doc, starts, num_texts, total_len, plain, options)
+        Self::from_parts(fm, doc, starts, plain)
     }
 }
 
@@ -767,27 +704,48 @@ mod tests {
     fn collection_no_plain(texts: &[&str]) -> TextCollection {
         TextCollection::with_options(
             texts,
-            TextCollectionOptions { keep_plain_text: false, sample_rate: 4, ..Default::default() },
+            TextCollectionOptions { keep_plain_text: false, sample_rate: 4 },
         )
     }
 
     const PAPER_TEXTS: [&str; 6] = ["pen", "Soon discontinued", "blue", "40", "rubber", "30"];
 
+    /// The locate answer for `pattern`: every occurrence resolved through
+    /// the FM-index, whatever the collection's scan cut-off would choose.
+    fn located(tc: &TextCollection, pattern: &[u8]) -> Vec<(TextId, usize)> {
+        let range = tc.fm_index().backward_search(pattern);
+        let mut out: Vec<_> = (range.start..range.end).map(|row| tc.locate_row(row)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn ids_of(positions: &[(TextId, usize)]) -> Vec<TextId> {
+        let mut ids: Vec<TextId> = positions.iter().map(|&(id, _)| id).collect();
+        ids.dedup();
+        ids
+    }
+
     #[test]
     fn options_serialization_roundtrip_and_truncation() {
-        let opts = TextCollectionOptions { sample_rate: 8, keep_plain_text: false, scan_cutoff: 7 };
-        let bytes = opts.to_bytes();
-        let back = TextCollectionOptions::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(back.sample_rate, 8);
-        assert!(!back.keep_plain_text);
-        assert_eq!(back.scan_cutoff, 7);
+        // The options are not written on their own: the body begins with
+        // the FM-index, which carries the sample rate, and the plain flag
+        // says whether a copy was kept.
+        let options = TextCollectionOptions { sample_rate: 8, keep_plain_text: false };
+        let tc = TextCollection::with_options(&PAPER_TEXTS, options);
+        let bytes = tc.to_bytes();
+        assert_eq!(bytes[..tc.fm.to_bytes().len()], tc.fm.to_bytes()[..]);
+        let back = TextCollection::from_bytes(&bytes).expect("roundtrip");
+        assert_eq!(back.fm_index().sample_rate(), 8);
+        assert!(back.plain().is_none());
         // Truncated input must fail structurally, never panic.
         for cut in 0..bytes.len() {
-            assert!(TextCollectionOptions::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(TextCollection::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        // A zero sample rate is rejected even when framing is intact.
-        let zero = TextCollectionOptions { sample_rate: 0, ..Default::default() }.to_bytes();
-        assert!(TextCollectionOptions::from_bytes(&zero).is_err());
+        // A zero sample rate (the FM-index's second word) is rejected even
+        // when framing is intact.
+        let mut zero = bytes.clone();
+        zero[8..16].copy_from_slice(&0u64.to_le_bytes());
+        assert!(TextCollection::from_bytes(&zero).is_err());
     }
 
     #[test]
@@ -823,34 +781,44 @@ mod tests {
 
     #[test]
     fn scan_cutoff_path_agrees_with_fm_locate() {
-        // Force a tiny cut-off so high-frequency patterns take the plain
-        // scan, and check every contains flavour agrees with the FM path
-        // (cut-off effectively disabled).
+        // Both arms of `contains` on the same collection: the plain scans
+        // against the locate answer built from the FM-index.
         let texts: Vec<String> = (0..60).map(|i| format!("abc abca cabx {}", i % 7)).collect();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-        let scanning = TextCollection::with_options(
-            &refs,
-            TextCollectionOptions { scan_cutoff: 2, ..Default::default() },
-        );
-        let locating = TextCollection::with_options(
-            &refs,
-            TextCollectionOptions { scan_cutoff: usize::MAX, ..Default::default() },
-        );
+        let tc = collection(&refs);
+        let plain = tc.plain().expect("plain copy kept by default");
         for pattern in ["abc", "a", "ca", "x 3", "zzz", "abca"] {
             let p = pattern.as_bytes();
-            assert_eq!(scanning.contains(p), locating.contains(p), "contains {pattern:?}");
-            assert_eq!(
-                scanning.contains_positions(p),
-                locating.contains_positions(p),
-                "positions {pattern:?}"
-            );
-            assert_eq!(
-                scanning.contains_count(p),
-                locating.contains_count(p),
-                "count {pattern:?}"
-            );
-            assert_eq!(scanning.contains_count(p), scanning.contains(p).len());
+            let positions = located(&tc, p);
+            let ids = ids_of(&positions);
+            assert_eq!(plain.scan_contains(p), ids, "contains {pattern:?}");
+            assert_eq!(plain.scan_contains_positions(p), positions, "positions {pattern:?}");
+            assert_eq!(plain.scan_contains_count(p), ids.len(), "count {pattern:?}");
+            assert_eq!(tc.contains(p), ids, "collection contains {pattern:?}");
         }
+    }
+
+    #[test]
+    fn contains_takes_the_scan_arm_above_the_cutoff() {
+        // 1 000 texts of 60 `a`: the pattern `a` occurs 60 000 times, more
+        // than the cut-off, so every contains variant scans the plain copy.
+        let texts = vec!["a".repeat(60); 1_000];
+        let mut tc = TextCollection::new(&texts);
+        let p = b"a";
+        assert!(tc.global_count(p) > SCAN_CUTOFF);
+        let positions = located(&tc, p);
+        let ids = ids_of(&positions);
+        assert_eq!(tc.contains(p), ids);
+        assert_eq!(tc.contains_count(p), ids.len());
+        assert_eq!(tc.contains_positions(p), positions);
+        // Drift one plain byte: the answers now follow the plain copy, not
+        // the FM-index, which proves the scan arm ran.
+        tc.plain.as_mut().expect("plain copy kept by default").corrupt_byte_for_tests(0);
+        let scanned = tc.plain().expect("plain copy kept by default").scan_contains_positions(p);
+        assert_eq!(scanned.len(), positions.len() - 1);
+        assert_eq!(tc.contains_positions(p), scanned);
+        assert_eq!(tc.contains_count(p), ids.len());
+        assert_eq!(tc.contains(p), ids);
     }
 
     #[test]
@@ -969,9 +937,13 @@ mod tests {
         for cut in [0, 5, 17, bytes.len() / 2, bytes.len() - 1] {
             assert!(TextCollection::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        // Declare one text more than the structures hold.
-        let mut wrong = bytes.clone();
-        wrong[17] = 7; // num_texts field (after the 17-byte options block)
+        // A Doc array with one entry more than the BWT has end-markers.
+        let fm_len = tc.fm.to_bytes().len();
+        let mut doc = tc.doc.clone();
+        doc.push(0);
+        let mut wrong = bytes[..fm_len].to_vec();
+        write_u32_slice(&mut wrong, &doc).unwrap();
+        wrong.extend_from_slice(&bytes[fm_len + 8 + 4 * tc.doc.len()..]);
         assert!(TextCollection::from_bytes(&wrong).is_err());
     }
 
@@ -1020,7 +992,7 @@ mod verify_tests {
         for keep_plain in [true, false] {
             let tc = TextCollection::with_options(
                 &PAPER_TEXTS,
-                TextCollectionOptions { sample_rate: 4, keep_plain_text: keep_plain, ..Default::default() },
+                TextCollectionOptions { sample_rate: 4, keep_plain_text: keep_plain },
             );
             let report = tc.verify(VerifyDepth::Deep);
             assert!(report.is_ok(), "keep_plain={keep_plain}: {report}");
@@ -1030,10 +1002,16 @@ mod verify_tests {
 
     #[test]
     fn options_rate_mismatch_is_caught() {
-        let mut tc = sampled_collection();
-        tc.options.sample_rate += 1;
-        let report = tc.verify(VerifyDepth::Quick);
-        assert!(report.has_code("text-options-mismatch"), "{report}");
+        // The sample rate is stored once, in the FM-index (the body's second
+        // word): a drifted copy loads, and with no second copy to compare
+        // against only the deep walk can tell.
+        let mut bytes = sampled_collection().to_bytes();
+        bytes[8..16].copy_from_slice(&8u64.to_le_bytes());
+        let tc = TextCollection::from_bytes(&bytes).expect("a positive rate loads");
+        assert_eq!(tc.fm_index().sample_rate(), 8);
+        assert!(tc.verify(VerifyDepth::Quick).is_ok());
+        let report = tc.verify(VerifyDepth::Deep);
+        assert!(report.has_code("fm-sample-row"), "{report}");
     }
 
     #[test]
@@ -1057,10 +1035,9 @@ mod verify_tests {
     #[test]
     fn drifted_sample_rate_fails_the_deep_walk() {
         let mut tc = sampled_collection();
-        // Keep options and index agreeing (so the quick check passes) while
-        // the bitmap was built for a different rate.
+        // The quick checks pass while the bitmap was built for a different
+        // rate.
         tc.fm.corrupt_sample_rate_for_tests(3);
-        tc.options.sample_rate = 3;
         assert!(tc.verify(VerifyDepth::Quick).is_ok());
         let report = tc.verify(VerifyDepth::Deep);
         assert!(report.has_code("fm-sample-row"), "{report}");

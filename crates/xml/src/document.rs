@@ -34,11 +34,6 @@ pub struct ParsedDocument {
     pub tree: XmlTree,
     /// The texts, in the same order as the tree's text leaves.
     pub texts: Vec<Vec<u8>>,
-    /// Number of element nodes (excluding the synthetic `&`, `#`, `@`, `%`
-    /// model nodes).
-    pub num_elements: usize,
-    /// Number of attributes.
-    pub num_attributes: usize,
 }
 
 impl ParsedDocument {
@@ -62,20 +57,16 @@ pub fn parse_document_with_options(
     let mut builder = XmlTreeBuilder::new();
     let mut texts: Vec<Vec<u8>> = Vec::new();
     let mut open_names: Vec<String> = Vec::new();
-    let mut num_elements = 0usize;
-    let mut num_attributes = 0usize;
 
     loop {
         match parser.next_event()? {
             Event::StartElement { name, attributes, self_closing } => {
-                num_elements += 1;
                 builder.open(&name);
                 if !attributes.is_empty() {
                     builder.open("@");
                     // Ensure we reuse the reserved id for "@": the registry
                     // already knows it, `open` simply looks it up.
                     for (attr_name, value) in &attributes {
-                        num_attributes += 1;
                         builder.open(attr_name);
                         builder.text_leaf(true);
                         texts.push(value.clone().into_bytes());
@@ -138,7 +129,7 @@ pub fn parse_document_with_options(
         message: format!("malformed tree structure: {e}"),
     })?;
     debug_assert_eq!(tree.num_texts(), texts.len(), "text leaves and texts must align");
-    Ok(ParsedDocument { tree, texts, num_elements, num_attributes })
+    Ok(ParsedDocument { tree, texts })
 }
 
 #[cfg(test)]
@@ -164,8 +155,12 @@ mod tests {
         // Texts: pen, blue, 40, "Soon discontinued.", rubber, 30 (whitespace dropped).
         assert_eq!(doc.texts.len(), 6);
         assert_eq!(doc.tree.num_texts(), 6);
-        assert_eq!(doc.num_elements, 6); // parts, part, color, stock, part, stock
-        assert_eq!(doc.num_attributes, 2);
+        // The tree carries the element and attribute counts: one `%` value
+        // per attribute, and one non-reserved node per element or
+        // attribute name.
+        let attributes = doc.tree.tag_count(reserved::ATTRIBUTE_VALUE);
+        assert_eq!(attributes, 2);
+        assert_eq!(doc.tree.count_elements() - attributes, 6); // parts, part, color, stock, part, stock
     }
 
     #[test]

@@ -53,7 +53,10 @@ use crate::table::{Config, ConfigId, NodeConfig, Region, TransitionTable, EMPTY_
 use sxsi_text::{TextCollection, TextId};
 use sxsi_tree::{reserved, NodeId, TagId, TagRelation, XmlTree};
 
-/// Options controlling which optimizations the evaluator uses.
+/// Which optimizations the evaluator uses: the Figure 12 ablation
+/// switches, passed to [`Evaluator::new`].  Every product path (the index's
+/// prepared statements, the CLI, the daemon) runs [`EvalOptions::default`];
+/// only the ablation bench and tests pick another configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
     /// Jump to relevant nodes instead of traversing every node.

@@ -38,9 +38,10 @@
 //! repository-level `tests/` directory gets a row of its own.
 //!
 //! `corrupt` rewrites a `.sxsi` container so that every checksum still
-//! matches but a cross-section invariant is broken (the meta element
-//! count is incremented): the CI `analysis` job feeds the copy to
-//! `sxsi verify` and expects exit code 5.
+//! matches but a structural invariant is broken (the FM-index sample rate
+//! is doubled, which only the deep walk can tell): the CI `analysis` job
+//! feeds the copy to `sxsi verify --deep` and expects exit code 5 and the
+//! code `fm-sample-row`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -503,11 +504,12 @@ fn cmd_lines(args: &[String]) -> ExitCode {
 // ---------------------------------------------------------------------
 
 const SXSI_MAGIC: &[u8; 8] = b"SXSIIDX\0";
-const META_TAG: u8 = 4;
+const TEXTS_TAG: u8 = 3;
 
-/// Increments the meta section's element count in place, recomputing its
-/// checksum so only `sxsi verify` (not the loader) can tell.
-fn corrupt_meta(bytes: &mut [u8]) -> Result<(), String> {
+/// Doubles the FM-index sample rate — the second word of the texts
+/// section, whose body begins with the FM-index — in place, recomputing the
+/// section checksum so only `sxsi verify --deep` (not the loader) can tell.
+fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
     if bytes.len() < 13 || &bytes[..8] != SXSI_MAGIC {
         return Err("not a .sxsi container (bad magic)".to_string());
     }
@@ -517,7 +519,7 @@ fn corrupt_meta(bytes: &mut [u8]) -> Result<(), String> {
             return Err("container ends inside the section list".to_string());
         };
         if tag == 0 {
-            return Err("no meta section found before the end marker".to_string());
+            return Err("no texts section found before the end marker".to_string());
         }
         let len_bytes = bytes
             .get(pos + 1..pos + 9)
@@ -529,21 +531,17 @@ fn corrupt_meta(bytes: &mut [u8]) -> Result<(), String> {
             .checked_add(len)
             .filter(|&end| end + 8 <= bytes.len())
             .ok_or("section payload runs past the end of the file")?;
-        if tag == META_TAG {
-            let count_bytes = bytes
-                .get(payload_start..payload_start + 8)
-                .ok_or("meta section is shorter than one u64")?;
-            let count = u64::from_le_bytes(count_bytes.try_into().unwrap_or_default());
-            let bumped = count.wrapping_add(1).to_le_bytes();
-            bytes
-                .get_mut(payload_start..payload_start + 8)
-                .ok_or("meta section is shorter than one u64")?
-                .copy_from_slice(&bumped);
+        if tag == TEXTS_TAG {
+            let rate = payload_start + 8..payload_start + 16;
+            let rate_bytes = bytes
+                .get(rate.clone())
+                .filter(|_| len >= 16)
+                .ok_or("texts section is shorter than two u64")?;
+            let doubled =
+                u64::from_le_bytes(rate_bytes.try_into().unwrap_or_default()).wrapping_mul(2);
+            bytes[rate].copy_from_slice(&doubled.to_le_bytes());
             let checksum = fnv1a64(&bytes[payload_start..payload_end]).to_le_bytes();
-            bytes
-                .get_mut(payload_end..payload_end + 8)
-                .ok_or("meta checksum is out of bounds")?
-                .copy_from_slice(&checksum);
+            bytes[payload_end..payload_end + 8].copy_from_slice(&checksum);
             return Ok(());
         }
         pos = payload_end + 8;
@@ -562,7 +560,7 @@ fn cmd_corrupt(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = corrupt_meta(&mut bytes) {
+    if let Err(e) = corrupt_sample_rate(&mut bytes) {
         eprintln!("xtask: {input}: {e}");
         return ExitCode::FAILURE;
     }
@@ -570,7 +568,7 @@ fn cmd_corrupt(args: &[String]) -> ExitCode {
         eprintln!("xtask: cannot write {output}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("xtask: wrote semantically corrupted copy to {output} (meta element count +1)");
+    println!("xtask: wrote semantically corrupted copy to {output} (FM-index sample rate doubled)");
     ExitCode::SUCCESS
 }
 
@@ -748,27 +746,29 @@ mod tests {
 
     #[test]
     fn corrupt_meta_recomputes_the_checksum() {
-        // A miniature container: magic, version, one meta section, end.
-        let payload = 7u64.to_le_bytes();
+        // A miniature container: magic, version, one texts section whose
+        // body opens with the FM-index length and sample rate, end.
+        let payload: Vec<u8> = [40u64, 64].iter().flat_map(|w| w.to_le_bytes()).collect();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SXSI_MAGIC);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.push(META_TAG);
+        bytes.extend_from_slice(&6u32.to_le_bytes());
+        bytes.push(TEXTS_TAG);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         bytes.push(0);
 
         let mut corrupted = bytes.clone();
-        corrupt_meta(&mut corrupted).expect("well-formed container must corrupt cleanly");
+        corrupt_sample_rate(&mut corrupted).expect("well-formed container must corrupt cleanly");
         assert_ne!(bytes, corrupted);
-        // Layout: magic(8) version(4) tag(1) length(8) payload(8) checksum(8).
-        let new_payload = &corrupted[21..29];
-        assert_eq!(u64::from_le_bytes(new_payload.try_into().unwrap()), 8);
-        let new_checksum = &corrupted[29..37];
+        // Layout: magic(8) version(4) tag(1) length(8) payload(16) checksum(8).
+        let new_payload = &corrupted[21..37];
+        assert_eq!(u64::from_le_bytes(new_payload[8..].try_into().unwrap()), 128);
+        let new_checksum = &corrupted[37..45];
         assert_eq!(u64::from_le_bytes(new_checksum.try_into().unwrap()), fnv1a64(new_payload));
 
-        assert!(corrupt_meta(&mut b"notmagic".to_vec()).is_err());
-        assert!(corrupt_meta(&mut bytes[..12].to_vec()).is_err());
+        assert!(corrupt_sample_rate(&mut b"notmagic".to_vec()).is_err());
+        assert!(corrupt_sample_rate(&mut bytes[..12].to_vec()).is_err());
+        assert!(corrupt_sample_rate(&mut bytes[..29].to_vec()).is_err());
     }
 }

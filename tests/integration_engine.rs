@@ -2,14 +2,14 @@
 //! evaluator over the paper's structural query sets (X01–X17, T01–T05) on
 //! synthetic XMark- and Treebank-like corpora.
 
-use sxsi::{SxsiIndex, SxsiOptions};
+use sxsi::{CompiledPlan, SxsiIndex};
 use sxsi_baseline::NaiveEvaluator;
 use sxsi_datagen::{
     medline, treebank, wiki, xmark, MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig,
 };
-use sxsi_xpath::eval::EvalOptions;
+use sxsi_xpath::eval::{EvalOptions, Evaluator};
 use sxsi_xpath::{
-    parse_query, MEDLINE_QUERIES, ORDERED_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES,
+    parse_query, Automaton, MEDLINE_QUERIES, ORDERED_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES,
 };
 
 fn check_queries(index: &SxsiIndex, queries: &[sxsi_xpath::NamedQuery]) {
@@ -38,9 +38,20 @@ fn treebank_queries_match_reference() {
     check_queries(&index, TREEBANK_QUERIES);
 }
 
-/// The Figure 12 ablation is a pure performance experiment: every one of
-/// the 63 benchmark queries selects the same nodes on its corpus whichever
-/// evaluator optimizations are switched on.
+/// The automaton a plan runs from the root, if any: a top-down plan's own,
+/// or the top-down residual of a text-first plan.
+fn top_down_automaton(plan: &CompiledPlan) -> Option<&Automaton> {
+    match plan {
+        CompiledPlan::TopDown(automaton) => Some(automaton),
+        CompiledPlan::TextFirst { residual, .. } => top_down_automaton(residual),
+        CompiledPlan::BottomUp(_) | CompiledPlan::Direct(_) => None,
+    }
+}
+
+/// The Figure 12 ablation is a pure performance experiment: every
+/// automaton the planner runs from the root for the 63 benchmark queries
+/// selects the same nodes on its corpus whichever evaluator optimizations
+/// are switched on.
 #[test]
 fn optimization_ablation_preserves_results_on_all_63_queries() {
     let corpora = [
@@ -56,7 +67,7 @@ fn optimization_ablation_preserves_results_on_all_63_queries() {
         EvalOptions { jumping: true, memoization: true, lazy_regions: false, text_index_predicates: true },
         EvalOptions { jumping: true, memoization: false, lazy_regions: true, text_index_predicates: true },
     ];
-    let mut checked = 0;
+    let (mut checked, mut top_down) = (0, 0);
     for (corpus, xml) in &corpora {
         let paper: &[sxsi_xpath::NamedQuery] = match *corpus {
             "xmark" => XMARK_QUERIES,
@@ -76,27 +87,29 @@ fn optimization_ablation_preserves_results_on_all_63_queries() {
             .map(|q| (q.id, q.xpath))
             .chain(ORDERED_QUERIES.iter().filter(|q| q.corpus == *corpus).map(|q| (q.id, q.xpath)))
             .collect();
-        let reference = SxsiIndex::build_from_xml(xml.as_bytes()).expect("builds");
-        for eval in configs {
-            let index = SxsiIndex::build_from_xml_with_options(
-                xml.as_bytes(),
-                SxsiOptions { eval, ..Default::default() },
-            )
-            .expect("builds");
-            for (id, xpath) in &queries {
+        let index = SxsiIndex::build_from_xml(xml.as_bytes()).expect("builds");
+        let naive = NaiveEvaluator::new(index.tree(), index.texts());
+        for (id, xpath) in &queries {
+            let parsed = parse_query(xpath).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let plan = index.compile(&parsed).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let Some(automaton) = top_down_automaton(&plan) else { continue };
+            let run = |eval| Evaluator::new(automaton, index.tree(), Some(index.texts()), eval);
+            let reference = run(EvalOptions::default()).materialize();
+            if let CompiledPlan::TopDown(_) = plan {
+                assert_eq!(reference, naive.evaluate(&parsed), "{id} differs from the naive evaluator");
+            }
+            for eval in configs {
                 assert_eq!(
-                    index.count(xpath).unwrap(),
-                    reference.count(xpath).unwrap(),
+                    run(eval).count(),
+                    reference.len() as u64,
                     "{id} count differs under {eval:?}"
                 );
-                assert_eq!(
-                    index.materialize(xpath).unwrap(),
-                    reference.materialize(xpath).unwrap(),
-                    "{id} nodes differ under {eval:?}"
-                );
+                assert_eq!(run(eval).materialize(), reference, "{id} nodes differ under {eval:?}");
             }
+            top_down += 1;
         }
         checked += queries.len();
     }
     assert_eq!(checked, 63);
+    assert_eq!(top_down, 39, "queries with a top-down automaton");
 }

@@ -106,8 +106,8 @@ fn file_roundtrip_through_the_filesystem() {
 fn saved_bytes_of_a_fixed_document_are_pinned() {
     let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 42 });
     let bytes = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds").to_bytes();
-    assert_eq!(sxsi::FORMAT_VERSION, 5);
-    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (26_814, 0x98b1_5aca_9352_9846));
+    assert_eq!(sxsi::FORMAT_VERSION, 6);
+    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (26_716, 0x338a_3008_5e32_953a));
 }
 
 #[test]
@@ -117,14 +117,14 @@ fn options_survive_reload() {
     let mut options = SxsiOptions::default();
     options.text.keep_plain_text = false;
     options.text.sample_rate = 8;
-    options.force_top_down = true;
     let built =
         SxsiIndex::build_from_xml_with_options(xml.as_bytes(), options).expect("index builds");
     let loaded = SxsiIndex::from_bytes(&built.to_bytes()).expect("index loads");
-    assert!(!loaded.options().text.keep_plain_text);
-    assert_eq!(loaded.options().text.sample_rate, 8);
-    assert!(loaded.options().force_top_down);
+    // The options are not saved on their own; the structures they shaped
+    // carry them.
+    assert_eq!(loaded.texts().fm_index().sample_rate(), 8);
     assert!(loaded.texts().plain().is_none());
+    assert_eq!(loaded.stats(), built.stats());
     for q in &XMARK_QUERIES[..6] {
         assert_eq!(loaded.count(q.xpath).unwrap(), built.count(q.xpath).unwrap(), "{}", q.id);
     }
@@ -151,9 +151,10 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
 
     // The superseded layouts — version 1, version 2 whose tag sequence led
     // with a backend byte, version 3 whose options, rank bitmaps and BWT
-    // carried succinct backend tags, and version 4 whose BWT was a wavelet
-    // matrix — are rejected up front the same way.
-    for superseded in [1u32, 2, 3, 4] {
+    // carried succinct backend tags, version 4 whose BWT was a wavelet
+    // matrix, and version 5 with its options and meta sections — are
+    // rejected up front the same way.
+    for superseded in [1u32, 2, 3, 4, 5] {
         let mut outdated = bytes.clone();
         outdated[8..12].copy_from_slice(&superseded.to_le_bytes());
         assert!(matches!(
@@ -194,10 +195,8 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
 
 /// Section tags of the container layout (mirrors the writer in
 /// `sxsi::io`; the parser below asserts the names so drift is caught).
-const TAG_OPTIONS: u8 = 1;
 const TAG_TREE: u8 = 2;
 const TAG_TEXTS: u8 = 3;
-const TAG_META: u8 = 4;
 
 /// A `.sxsi` container split into mutable section payloads, re-framed
 /// with freshly computed checksums — so every mutation below reaches the
@@ -264,6 +263,14 @@ fn tag_table_size(num_tags: usize) -> usize {
     8 + num_tags * (8 + words * 8)
 }
 
+/// Doubles the FM-index sample rate, the second word of the TEXTS payload:
+/// any positive rate is well-formed, so only the deep walk can tell.
+fn drift_sample_rate(c: &mut Container) {
+    let texts = c.payload_mut(TAG_TEXTS);
+    let rate = u64::from_le_bytes(texts[8..16].try_into().unwrap());
+    texts[8..16].copy_from_slice(&(rate * 2).to_le_bytes());
+}
+
 /// Applies `mutate` to the parsed container of `index` and returns the
 /// re-framed (checksum-valid) bytes.
 fn corrupt_with(index: &sxsi::SxsiIndex, mutate: impl FnOnce(&mut Container)) -> Vec<u8> {
@@ -286,37 +293,27 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
     // Plain-store suffix of the TEXTS payload: the offsets slice (count
     // prefix + `num_texts + 1` entries) trails the raw text bytes.
     let plain_suffix = 8 + (num_texts + 1) * 8;
+    // The TEXTS payload begins with the FM-index; the Doc array (count
+    // prefix + one u32 per text) follows it.
+    let doc_start = built.texts().fm_index().to_bytes().len() + 8;
 
     // Each class: a name (for the failure message), a checksum-valid
     // mutation, and the verifier code that must flag it.
     type Mutation = Box<dyn FnOnce(&mut Container)>;
     let classes: Vec<(&str, Mutation, &str)> = vec![
         (
-            "meta element count drifted",
-            Box::new(|c: &mut Container| {
-                let meta = c.payload_mut(TAG_META);
-                let n = u64::from_le_bytes(meta[..8].try_into().unwrap());
-                meta[..8].copy_from_slice(&(n + 1).to_le_bytes());
-            }),
-            "element-count",
+            "FM-index sample rate drifted",
+            Box::new(|c: &mut Container| drift_sample_rate(c)),
+            "fm-sample-row",
         ),
         (
-            "options record the wrong sample rate",
-            Box::new(|c: &mut Container| {
-                let options = c.payload_mut(TAG_OPTIONS);
-                let rate = u64::from_le_bytes(options[..8].try_into().unwrap());
-                options[..8].copy_from_slice(&(rate * 2).to_le_bytes());
-            }),
-            "options-text-mismatch",
-        ),
-        (
-            "text collection's embedded options disagree with its FM-index",
-            Box::new(|c: &mut Container| {
+            "two Doc entries swapped",
+            Box::new(move |c: &mut Container| {
                 let texts = c.payload_mut(TAG_TEXTS);
-                let rate = u64::from_le_bytes(texts[..8].try_into().unwrap());
-                texts[..8].copy_from_slice(&(rate * 2).to_le_bytes());
+                let (first, second) = texts[doc_start..doc_start + 8].split_at_mut(4);
+                first.swap_with_slice(second);
             }),
-            "text-options-mismatch",
+            "text-doc-mismatch",
         ),
         (
             "plain text store byte no longer matches the BWT",
@@ -413,16 +410,12 @@ fn paranoid_load_rejects_semantic_corruption() {
 
     let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 9 });
     let built = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds");
-    let drifted = corrupt_with(&built, |c| {
-        let meta = c.payload_mut(TAG_META);
-        let n = u64::from_le_bytes(meta[..8].try_into().unwrap());
-        meta[..8].copy_from_slice(&(n + 1).to_le_bytes());
-    });
-    // The plain load accepts the drifted meta; the paranoid load does not.
+    let drifted = corrupt_with(&built, drift_sample_rate);
+    // The plain load accepts the drifted rate; the paranoid load does not.
     assert!(SxsiIndex::from_bytes(&drifted).is_ok());
-    match SxsiIndex::load_verified(&mut &drifted[..], VerifyDepth::Quick) {
-        Err(err) => assert!(err.to_string().contains("element-count"), "{err}"),
-        Ok(_) => panic!("paranoid load accepted a drifted element count"),
+    match SxsiIndex::load_verified(&mut &drifted[..], VerifyDepth::Deep) {
+        Err(err) => assert!(err.to_string().contains("fm-sample-row"), "{err}"),
+        Ok(_) => panic!("paranoid load accepted a drifted sample rate"),
     }
     // The pristine container passes the paranoid load at full depth.
     let pristine = built.to_bytes();

@@ -2,11 +2,12 @@
 //! naive reference, and consistency of the FM-index predicates with plain
 //! scanning over the generated corpora.
 
-use sxsi::{SxsiIndex, SxsiOptions};
+use sxsi::SxsiIndex;
 use sxsi_baseline::NaiveEvaluator;
 use sxsi_datagen::{medline, wiki, MedlineConfig, WikiConfig};
 use sxsi_text::TextPredicate;
-use sxsi_xpath::{parse_query, MEDLINE_QUERIES, WORD_QUERIES};
+use sxsi_xpath::eval::{EvalOptions, Evaluator};
+use sxsi_xpath::{compile, parse_query, MEDLINE_QUERIES, WORD_QUERIES};
 
 #[test]
 fn medline_queries_match_reference() {
@@ -62,19 +63,13 @@ fn fm_index_predicates_agree_with_plain_scans() {
 #[test]
 fn bottom_up_and_top_down_agree() {
     let xml = medline::generate(&MedlineConfig { num_citations: 120, seed: 8 });
-    let default = SxsiIndex::build_from_xml(xml.as_bytes()).expect("builds");
-    let forced = SxsiIndex::build_from_xml_with_options(
-        xml.as_bytes(),
-        SxsiOptions { force_top_down: true, ..Default::default() },
-    )
-    .expect("builds");
+    let index = SxsiIndex::build_from_xml(xml.as_bytes()).expect("builds");
     for q in MEDLINE_QUERIES {
-        assert_eq!(
-            default.count(q.xpath).unwrap(),
-            forced.count(q.xpath).unwrap(),
-            "{} strategy mismatch",
-            q.id
-        );
+        // The planner's answer against the automaton run from the root.
+        let automaton = compile(&parse_query(q.xpath).unwrap(), index.tree()).unwrap();
+        let mut top_down =
+            Evaluator::new(&automaton, index.tree(), Some(index.texts()), EvalOptions::default());
+        assert_eq!(index.count(q.xpath).unwrap(), top_down.count(), "{} strategy mismatch", q.id);
     }
 }
 
@@ -98,8 +93,8 @@ fn text_extraction_roundtrips() {
 /// boundaries — a lone continuation byte, a lead byte without its tail,
 /// the tail of one emoji glued to the head of the next — must never
 /// panic anywhere in the FM-index machinery (backward search over bytes
-/// that may not even occur, locate walks, the scan cut-off path) and
-/// must agree with a naive byte-window scan on every contains variant.
+/// that may not even occur, locate walks, the plain scans) and must agree
+/// with a naive byte-window scan on every contains variant.
 #[test]
 fn cross_codepoint_needles_agree_with_naive_scan() {
     use sxsi_text::{TextCollection, TextCollectionOptions};
@@ -129,11 +124,11 @@ fn cross_codepoint_needles_agree_with_naive_scan() {
         needles.extend(emoji.windows(len).map(<[u8]>::to_vec));
     }
 
-    // scan_cutoff: 0 forces the plain-scan path wherever a plain copy
-    // exists, so both branches of `contains` face the hostile needles.
+    // Both branches of `contains` face the hostile needles: the locate
+    // answer (backward search, then `locate_row` per occurrence) and,
+    // wherever a plain copy exists, the plain scans.
     for options in [
         TextCollectionOptions::default(),
-        TextCollectionOptions { scan_cutoff: 0, ..Default::default() },
         TextCollectionOptions { keep_plain_text: false, ..Default::default() },
     ] {
         let col = TextCollection::with_options(&texts, options.clone());
@@ -157,6 +152,16 @@ fn cross_codepoint_needles_agree_with_naive_scan() {
             assert_eq!(col.contains_positions(needle), naive_pos, "positions {label}");
             assert_eq!(col.global_count(needle), naive_pos.len(), "global {label}");
             assert_eq!(col.contains_exists(needle), !naive_pos.is_empty(), "exists {label}");
+            let range = col.fm_index().backward_search(needle);
+            let mut located: Vec<(usize, usize)> =
+                (range.start..range.end).map(|row| col.locate_row(row)).collect();
+            located.sort_unstable();
+            assert_eq!(located, naive_pos, "locate {label}");
+            if let Some(plain) = col.plain() {
+                assert_eq!(plain.scan_contains(needle), naive_ids, "scan {label}");
+                assert_eq!(plain.scan_contains_count(needle), naive_ids.len(), "scan count {label}");
+                assert_eq!(plain.scan_contains_positions(needle), located, "scan positions {label}");
+            }
         }
     }
 }
