@@ -32,10 +32,11 @@
 //! collection the per-document shards fan out across the batch pool and
 //! merge into one globally ranked list (see `docs/search.md`).
 //!
-//! `serve` keeps the loaded indexes warm in a daemon answering queries
-//! over a framed socket protocol (`docs/protocol.md`) with plan and
-//! result LRU caches plus live metrics; `client` talks to such a
-//! daemon, printing query bodies byte-identical to `query`/`exists`;
+//! `serve` keeps the loaded indexes warm in a daemon answering requests
+//! over a framed socket protocol (`docs/protocol.md`) with plan, result
+//! and search LRU caches plus live metrics; `client` sends a daemon the
+//! request `query`/`exists`/`search` parse from the same arguments and
+//! answer in process, so it prints the same bytes (`sxsi_engine::request`);
 //! `queries` lists the paper's query sets for scripting (`--print0`
 //! because query M11 contains literal newlines).
 //!
@@ -57,15 +58,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sxsi::{FtMode, FtQuery, QueryOptions, SxsiIndex, SxsiOptions, Verify, VerifyDepth};
+use sxsi::{SxsiIndex, SxsiOptions, Verify, VerifyDepth};
 use sxsi_collection::{is_collection_path, verify_collection_file, Collection};
-use sxsi_engine::search::{query_display, render_search_outcome, search_target};
-use sxsi_engine::server::client::{exit_code_for, Client, ClientError};
-use sxsi_engine::server::protocol::{ErrorCode, Response};
-use sxsi_engine::server::{
-    prepare_error, render_result, Listener, OutputKind, ServeOptions, ServedIndex, Server,
-};
-use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec, Target};
+use sxsi_engine::request::{answer, parse_args, ArgError};
+use sxsi_engine::server::client::Client;
+use sxsi_engine::server::protocol::Response;
+use sxsi_engine::server::{Listener, ServeOptions, ServedIndex, Server};
+use sxsi_engine::{BatchExecutor, Target};
 
 const USAGE: &str = "\
 usage:
@@ -115,10 +114,11 @@ subcommands:
            sequence/walk replays; see docs/verification.md); on a .sxsic
            collection, audit the manifest and every segment instead
   serve    answer queries from warm indexes over a framed socket protocol,
-           with plan/result LRU caches and live metrics (see docs/protocol.md);
-           a .sxsic collection is served as one warm logical index
-  client   send ops to a running daemon; query/exists bodies are
-           byte-identical to the in-process query/exists subcommands
+           with plan, result and search LRU caches and live metrics (see
+           docs/protocol.md); a .sxsic collection is served as one warm
+           logical index
+  client   send ops to a running daemon; query/exists/search bodies are
+           byte-identical to the in-process query/exists/search subcommands
   queries  list the paper's query sets as id<TAB>xpath records for
            scripting (--print0 emits NUL terminators: M11 contains newlines)
 
@@ -154,7 +154,8 @@ serve options:
                      address is printed as 'listening on ...')
   --threads N        executor worker threads (default: available cores)
   --plan-cache N     compiled-plan LRU entries (default 128, 0 disables)
-  --result-cache N   result LRU entries (default 128, 0 disables)
+  --result-cache N   result LRU entries, and as many search LRU entries
+                     (default 128, 0 disables both)
   --read-timeout S   per-connection idle timeout in seconds (default 30)
 
 exit codes: 0 success, 1 runtime failure, 2 usage error,
@@ -174,15 +175,37 @@ fn fail(message: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Reports a structured error (a daemon error frame, or a batch that
-/// failed to prepare in-process — the two print alike) and maps it onto
-/// the exit taxonomy: queries that parse but compile to a shape the engine
-/// does not support exit with the distinct code 3 and an
-/// `error=unsupported-query` line, so callers can tell "fix the query"
-/// apart from "engine limitation"; everything else exits 1.
-fn fail_with((code, message): (ErrorCode, String)) -> ExitCode {
-    eprintln!("sxsi: error={code} {message}");
-    ExitCode::from(exit_code_for(code) as u8)
+/// Exits for a command line that makes no request.
+fn arg_error(error: ArgError) -> ExitCode {
+    match error {
+        ArgError::Usage(message) => usage_error(&message),
+        ArgError::Failed(message) => fail(message),
+    }
+}
+
+/// Prints an answer, in process or from a daemon alike, and maps it onto
+/// the exit taxonomy: a query that parses but compiles to a shape the
+/// engine does not support exits 3, so callers can tell "fix the query"
+/// apart from "engine limitation"; `exists` exits 4 when a query matched
+/// nothing.
+fn report(response: Response, note: &str) -> ExitCode {
+    match response {
+        // A closed pipe stops the printing, not the answer: `exists`
+        // still reports through its exit code.
+        Response::Ok { detail, body } => {
+            if let Err(code) = print_stdout(body.as_bytes()) {
+                return code;
+            }
+            if !detail.is_empty() {
+                eprintln!("{note}: {detail}");
+            }
+            ExitCode::from(if detail.contains("all_found=false") { 4 } else { 0 })
+        }
+        Response::Err { code, message } => {
+            eprintln!("sxsi: error={code} {message}");
+            ExitCode::from(code.exit_code())
+        }
+    }
 }
 
 /// Prints usage plus the XPath fragment summary.  The summary is generated
@@ -201,9 +224,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("build") => cmd_build(&args[1..]),
         Some("build-collection") => cmd_build_collection(&args[1..]),
-        Some("query") => cmd_query(&args[1..], false),
-        Some("exists") => cmd_query(&args[1..], true),
-        Some("search") => cmd_search(&args[1..]),
+        Some(op @ ("query" | "exists" | "search")) => cmd_request(op, &args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("verify") => cmd_verify(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -218,7 +239,7 @@ fn main() -> ExitCode {
 fn parse_number(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
     args.next()
         .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("{flag} expects a positive integer"))
+        .ok_or_else(|| format!("{flag} expects a non-negative integer"))
 }
 
 /// Splits `build`/`build-collection` arguments into the build options
@@ -377,143 +398,34 @@ fn open_target(path: &str) -> Result<ServedIndex, ExitCode> {
     })
 }
 
-/// Reads a batch file for `--queries-file`: one query per line, either
-/// `id<TAB>xpath` or a bare xpath (its own id), skipping blank lines and
-/// `#` comments.
-fn read_queries_file(file: &str) -> Result<Vec<(String, String)>, ExitCode> {
-    let text = std::fs::read_to_string(file).map_err(|e| {
-        eprintln!("sxsi: error code=batch-file-open file='{file}' detail='{e}'");
-        ExitCode::FAILURE
-    })?;
-    Ok(text
-        .lines()
-        // trim (not trim_end): an indented `# comment` or a line of only
-        // spaces must be skipped, not submitted as a query.
-        .map(str::trim)
-        .filter(|line| !line.is_empty() && !line.starts_with('#'))
-        .map(|line| match line.split_once('\t') {
-            Some((id, xpath)) => (id.to_string(), xpath.to_string()),
-            None => (line.to_string(), line.to_string()),
-        })
-        .collect())
-}
-
-/// `sxsi query` and `sxsi exists` over an index or a collection: the
-/// whole batch prepares before anything runs (a query that does not
-/// prepare fails the batch with nothing printed), then each answer prints
-/// exactly as the daemon renders it.  `exists` answers existence only,
-/// stopping at the first match, and exits 4 when any query matched
-/// nothing.
-fn cmd_query(args: &[String], exists: bool) -> ExitCode {
-    let mut output = if exists { OutputKind::Exists } else { OutputKind::Count };
-    let mut queries_file: Option<&String> = None;
-    let mut threads = 1usize;
-    let mut limit: Option<u64> = None;
-    let mut offset = 0u64;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            // `--serialize` wins over `--materialize` in either order.
-            "--materialize" if !exists => {
-                if output == OutputKind::Count {
-                    output = OutputKind::Nodes;
-                }
-            }
-            "--serialize" if !exists => output = OutputKind::Serialize,
-            "--queries-file" if !exists => match it.next() {
-                Some(file) => queries_file = Some(file),
-                None => return usage_error("--queries-file expects a path"),
-            },
-            "--threads" => match parse_number(&mut it, "--threads") {
-                Ok(n) if n > 0 => threads = n,
-                Ok(_) | Err(_) => return usage_error("--threads expects a positive integer"),
-            },
-            "--limit" if !exists => match parse_number(&mut it, "--limit") {
-                Ok(n) => limit = Some(n as u64),
-                Err(e) => return usage_error(&e),
-            },
-            "--offset" if !exists => match parse_number(&mut it, "--offset") {
-                Ok(n) => offset = n as u64,
-                Err(e) => return usage_error(&e),
-            },
-            flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let command = if exists { "exists" } else { "query" };
-    let Some((path, queries)) = positional.split_first() else {
-        return usage_error(&format!(
-            "{command} expects <index.sxsi> and at least one XPath expression"
-        ));
+/// `sxsi query`, `sxsi exists` and `sxsi search` over an index or a
+/// collection, answered in process exactly as the daemon answers the same
+/// request.  A single index labels its search hits with its file stem,
+/// which is also the id `sxsi serve` derives for a bare path.
+fn cmd_request(op: &str, args: &[String]) -> ExitCode {
+    let (request, threads) = match parse_args(op, args, true) {
+        Ok(parsed) => parsed,
+        Err(e) => return arg_error(e),
     };
-    let mut batch_specs: Vec<(String, String)> =
-        queries.iter().map(|q| (q.to_string(), q.to_string())).collect();
-    if let Some(file) = queries_file {
-        let loaded = match read_queries_file(file) {
-            Ok(loaded) => loaded,
-            Err(code) => return code,
-        };
-        if loaded.is_empty() {
-            // Structurally distinct from `info`'s open failure: the file
-            // exists and is readable, it just contains no queries.
-            eprintln!(
-                "sxsi: error code=empty-batch file='{file}' \
-                 detail='no queries after blank lines and # comments'"
-            );
-            return ExitCode::FAILURE;
-        }
-        batch_specs.extend(loaded);
-    }
-    if batch_specs.is_empty() {
-        return usage_error(&format!("{command} expects at least one XPath expression"));
-    }
-
-    let options = QueryOptions { mode: output.query_mode(), limit, offset, ..Default::default() };
-
+    let path = request.index.clone().unwrap_or_default();
     let start = Instant::now();
-    let target = match open_target(path) {
+    let target = match open_target(&path) {
         Ok(target) => target,
         Err(code) => return code,
     };
     eprintln!("loaded {path} in {:.2?}", start.elapsed());
-
-    let specs: Vec<QuerySpec> = batch_specs
-        .into_iter()
-        .map(|(id, xpath)| QuerySpec::new(id, xpath, options))
-        .collect();
-    let batch = match QueryBatch::prepare(&target, specs) {
-        Ok(batch) => batch,
-        Err(e) => return fail_with(prepare_error(e)),
-    };
     let start = Instant::now();
-    let results = match BatchExecutor::new(threads).answer(&target, &batch) {
-        Ok(results) => results,
-        Err(e) => return fail(e),
+    let executor = BatchExecutor::new(threads);
+    let response = match answer(&executor, &target, &file_stem(&path), &request, &()) {
+        Ok((detail, body)) => Response::Ok { detail, body },
+        Err((code, message)) => Response::Err { code, message },
     };
-    let query_time = start.elapsed();
-
-    let mut rendered = String::new();
-    for (spec, result) in batch.specs().zip(&results) {
-        render_result(&target, &spec.id, result, output, &mut rendered);
-    }
-    // A closed pipe stops the printing, not the answer: `exists` still
-    // reports through its exit code.
-    if let Err(code) = print_stdout(rendered.as_bytes()) {
-        return code;
-    }
-    eprintln!(
-        "ran {} queries across {} docs in {query_time:.2?} on {threads} thread(s)",
-        results.len(),
-        target.num_docs()
+    let note = format!(
+        "answered across {} docs in {:.2?} on {threads} thread(s)",
+        target.num_docs(),
+        start.elapsed()
     );
-    if exists && !results.iter().all(|r| r.exists()) {
-        ExitCode::from(4)
-    } else {
-        ExitCode::SUCCESS
-    }
+    report(response, &note)
 }
 
 /// Writes `bytes` to stdout.  A closed downstream pipe
@@ -527,72 +439,6 @@ fn print_stdout(bytes: &[u8]) -> Result<(), ExitCode> {
         }
         _ => Ok(()),
     }
-}
-
-/// `sxsi search`: ranked keyword search over a `.sxsi` index or `.sxsic`
-/// collection.  Hits print best-first as `{doc}:{preorder} score=…` on
-/// one line, byte-identical to the daemon's `search` bodies for the same
-/// index (single-index hit labels are the file stem, which is also the
-/// id `sxsi serve` derives for a bare path).
-fn cmd_search(args: &[String]) -> ExitCode {
-    let mut mode = FtMode::All;
-    let mut limit: Option<usize> = None;
-    let mut threads = 1usize;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--mode" => match it.next().and_then(|v| FtMode::parse(v)) {
-                Some(m) => mode = m,
-                None => return usage_error("--mode expects all, any or phrase"),
-            },
-            "--limit" => match parse_number(&mut it, "--limit") {
-                Ok(n) => limit = Some(n),
-                Err(e) => return usage_error(&e),
-            },
-            "--threads" => match parse_number(&mut it, "--threads") {
-                Ok(n) if n > 0 => threads = n,
-                Ok(_) | Err(_) => return usage_error("--threads expects a positive integer"),
-            },
-            flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
-            }
-            _ => positional.push(arg),
-        }
-    }
-    let Some((path, terms)) = positional.split_first() else {
-        return usage_error("search expects <index.sxsi> and at least one term");
-    };
-    if terms.is_empty() {
-        return usage_error("search expects at least one term");
-    }
-    let query = FtQuery::new(mode, terms);
-    if query.tokens.is_empty() {
-        return fail("search terms hold no indexable tokens");
-    }
-    let id = query_display(&query);
-
-    let start = Instant::now();
-    let target = match open_target(path) {
-        Ok(target) => target,
-        Err(code) => return code,
-    };
-    eprintln!("loaded {path} in {:.2?}", start.elapsed());
-    let start = Instant::now();
-    let executor = BatchExecutor::new(threads);
-    let outcome = match search_target(&executor, &target, &file_stem(path), &query, limit) {
-        Ok(outcome) => outcome,
-        Err(e) => return fail(e),
-    };
-    eprintln!(
-        "searched {} docs in {:.2?} on {threads} thread(s)",
-        target.num_docs(),
-        start.elapsed()
-    );
-
-    let mut rendered = String::new();
-    render_search_outcome(&id, &outcome, &mut rendered);
-    print_stdout(rendered.as_bytes()).err().unwrap_or(ExitCode::SUCCESS)
 }
 
 fn cmd_info(args: &[String]) -> ExitCode {
@@ -933,109 +779,28 @@ fn cmd_client(args: &[String]) -> ExitCode {
             }
         }
     };
-    let rest: Vec<&String> = it.collect();
+    let request = match op {
+        "query" | "exists" | "search" => match parse_args(op, it.as_slice(), false) {
+            Ok((request, _)) => Some(request),
+            Err(e) => return arg_error(e),
+        },
+        _ => None,
+    };
     let mut client = match connect_client(socket, tcp) {
         Ok(client) => client,
         Err(e) => return fail(e),
     };
-    match op {
-        "query" | "exists" | "search" => client_request(&mut client, &rest, op),
-        "stats" => client_body(client.stats()),
-        "info" => client_body(client.info()),
-        "ping" => match client.ping() {
-            Ok(()) => {
-                println!("pong");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        "shutdown" => match client.shutdown() {
-            Ok(()) => {
-                println!("server shutting down");
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        other => usage_error(&format!("unknown client op '{other}'")),
-    }
-}
-
-fn client_body(body: Result<String, ClientError>) -> ExitCode {
-    match body {
-        Ok(body) => print_stdout(body.as_bytes()).err().unwrap_or(ExitCode::SUCCESS),
-        Err(e) => fail(e),
-    }
-}
-
-/// The `query`, `exists` and `search` client ops.  The printed body is
-/// exactly what the in-process subcommand would print for the same served
-/// target (the shared renderers guarantee it, search scores included).
-fn client_request(client: &mut Client, args: &[&String], op: &str) -> ExitCode {
-    let (exists, search) = (op == "exists", op == "search");
-    let mut index_id: Option<&str> = None;
-    let mut output = if exists { OutputKind::Exists } else { OutputKind::Count };
-    let mut mode = "all";
-    let mut limit: Option<u64> = None;
-    let mut offset = 0u64;
-    let mut entries: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--index" => match it.next() {
-                Some(id) => index_id = Some(id),
-                None => return usage_error("--index expects an index id"),
-            },
-            "--materialize" if op == "query" => {
-                if output == OutputKind::Count {
-                    output = OutputKind::Nodes;
-                }
-            }
-            "--serialize" if op == "query" => output = OutputKind::Serialize,
-            "--mode" if search => match it.next().map(|m| m.as_str()) {
-                Some(m @ ("all" | "any" | "phrase")) => mode = m,
-                _ => return usage_error("--mode expects all, any or phrase"),
-            },
-            "--limit" if !exists => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => limit = Some(n),
-                None => return usage_error("--limit expects a non-negative integer"),
-            },
-            "--offset" if op == "query" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => offset = n,
-                None => return usage_error("--offset expects a non-negative integer"),
-            },
-            flag if flag.starts_with("--") => {
-                return usage_error(&format!("unknown option '{flag}'"))
-            }
-            _ => entries.push(arg.as_str()),
-        }
-    }
-    if entries.is_empty() {
-        return usage_error(if search {
-            "expected at least one search term"
-        } else {
-            "expected at least one XPath expression"
-        });
-    }
-    let response = if search {
-        client.search(index_id, mode, limit, &entries)
-    } else {
-        client.query(index_id, output, limit, offset, &entries)
+    let response = match (request, op) {
+        (Some(request), _) => client.send(&request),
+        (None, "stats" | "info" | "ping" | "shutdown") => client.request(op.as_bytes()),
+        (None, other) => return usage_error(&format!("unknown client op '{other}'")),
     };
-    // Error frames map back to the CLI exit taxonomy
-    // (`unsupported-query` → 3), and `exists` keeps its "4 when any query
-    // matched nothing" contract via the response's `all_found=` detail.
     match response {
-        Ok(Response::Ok { detail, body }) => {
-            if let Err(code) = print_stdout(body.as_bytes()) {
-                return code;
-            }
-            eprintln!("server: {detail}");
-            if exists && detail.split_whitespace().any(|t| t == "all_found=false") {
-                return ExitCode::from(4);
-            }
+        Ok(Response::Ok { .. }) if op == "ping" || op == "shutdown" => {
+            println!("{}", if op == "ping" { "pong" } else { "server shutting down" });
             ExitCode::SUCCESS
         }
-        Ok(Response::Err { code, message }) => fail_with((code, message)),
+        Ok(response) => report(response, "server"),
         Err(e) => fail(e),
     }
 }

@@ -8,8 +8,9 @@
 //! a [`QueryBatch`] **prepares** each *distinct* query string once per
 //! document; a [`BatchExecutor`] **fans out** one job per (query,
 //! document) pair across a `std::thread` pool and **merges** each query's
-//! runs into one [`CollectionResult`]; [`server::render_result`]
-//! **renders** it the way the CLI and the daemon both answer.
+//! runs into one [`CollectionResult`]; [`request::render_result`]
+//! **renders** it.  [`request::answer`] is that path for one
+//! [`request::Request`], the way the CLI and the daemon both answer.
 //! Parallelism is across jobs, never within one.
 //!
 //! Each [`QuerySpec`] carries its own [`QueryOptions`], so a batch can mix
@@ -51,6 +52,7 @@
 #![deny(missing_docs)]
 
 pub mod collection;
+pub mod request;
 pub mod search;
 pub mod server;
 
@@ -178,7 +180,7 @@ impl std::error::Error for BatchError {
 
 /// One query's prepared statements, one per document of the target they
 /// were prepared against, in DocId order.
-pub(crate) type Plans = Arc<[Prepared]>;
+pub type Plans = Arc<[Prepared]>;
 
 /// Prepares `xpath` against every document of `target` (through
 /// [`SxsiIndex::prepare`], so each strategy choice is exactly the one

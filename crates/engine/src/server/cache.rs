@@ -115,7 +115,6 @@ impl<K: Hash + Eq, V> LruCache<K, V> {
             }
         }
     }
-
 }
 
 impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
@@ -140,11 +139,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
             }
         }
         self.entries.insert(key, Entry { value, last_used: self.tick });
-    }
-
-    /// Removes every entry (counters are preserved).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 

@@ -7,16 +7,16 @@
 //! [`PROTOCOL_VERSION`] as the server.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 
 use super::protocol::{
-    escape_query, read_frame, write_frame, ErrorCode, FrameError, Response, MAX_RESPONSE_FRAME,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, FrameError, Response, MAX_RESPONSE_FRAME, PROTOCOL_VERSION,
 };
-use super::OutputKind;
+use super::Conn;
+use crate::request::Request;
 
 /// What can go wrong talking to a daemon.
 #[derive(Debug)]
@@ -54,40 +54,6 @@ impl From<io::Error> for ClientError {
     }
 }
 
-enum ClientConn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for ClientConn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientConn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientConn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientConn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientConn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientConn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientConn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientConn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// One connection to a running `sxsi serve` daemon, already past the
 /// `hello` handshake.
 ///
@@ -95,7 +61,7 @@ impl Write for ClientConn {
 /// while on a loaded server); the *server* enforces idle timeouts, not
 /// the client.
 pub struct Client {
-    conn: ClientConn,
+    conn: Conn,
 }
 
 impl Client {
@@ -105,17 +71,17 @@ impl Client {
         // One query is one small frame each way; Nagle would trade
         // ~40ms of delayed-ACK latency for nothing.
         stream.set_nodelay(true).map_err(ClientError::Connect)?;
-        Self::handshake(ClientConn::Tcp(stream))
+        Self::handshake(Conn::Tcp(stream))
     }
 
     /// Connects over a Unix-domain socket and shakes hands.
     #[cfg(unix)]
     pub fn connect_unix(path: &std::path::Path) -> Result<Client, ClientError> {
         let stream = UnixStream::connect(path).map_err(ClientError::Connect)?;
-        Self::handshake(ClientConn::Unix(stream))
+        Self::handshake(Conn::Unix(stream))
     }
 
-    fn handshake(mut conn: ClientConn) -> Result<Client, ClientError> {
+    fn handshake(mut conn: Conn) -> Result<Client, ClientError> {
         let hello = format!("hello {PROTOCOL_VERSION}");
         write_frame(&mut conn, hello.as_bytes()).map_err(FrameError::Io)?;
         match Self::read_response_on(&mut conn)? {
@@ -132,62 +98,17 @@ impl Client {
         Self::read_response_on(&mut self.conn)
     }
 
-    fn read_response_on(conn: &mut ClientConn) -> Result<Response, ClientError> {
+    fn read_response_on(conn: &mut Conn) -> Result<Response, ClientError> {
         let payload = read_frame(conn, MAX_RESPONSE_FRAME)?;
         Response::parse(&payload)
             .ok_or_else(|| ClientError::Protocol("unparsable response payload".into()))
     }
 
-    /// Runs a batch of XPath expressions, returning the server's
-    /// response.  On success the body is byte-identical to what
-    /// `sxsi query`/`sxsi exists` would print for the same options.
-    pub fn query(
-        &mut self,
-        index: Option<&str>,
-        output: OutputKind,
-        limit: Option<u64>,
-        offset: u64,
-        xpaths: &[&str],
-    ) -> Result<Response, ClientError> {
-        let args = format!("output={} offset={offset}", output.as_str());
-        self.send("query", index, limit, &args, xpaths)
-    }
-
-    /// Runs a ranked keyword search, returning the server's response.
-    /// On success the body is byte-identical to what `sxsi search`
-    /// would print for the same index and options.
-    pub fn search(
-        &mut self,
-        index: Option<&str>,
-        mode: &str,
-        limit: Option<u64>,
-        terms: &[&str],
-    ) -> Result<Response, ClientError> {
-        self.send("search", index, limit, &format!("mode={mode}"), terms)
-    }
-
-    /// Sends the request shape `query` and `search` share: the command,
-    /// its arguments, then one escaped entry per body line.
-    fn send(
-        &mut self,
-        command: &str,
-        index: Option<&str>,
-        limit: Option<u64>,
-        args: &str,
-        entries: &[&str],
-    ) -> Result<Response, ClientError> {
-        let mut payload = command.to_string();
-        if let Some(index) = index {
-            payload.push_str(" index=");
-            payload.push_str(index);
-        }
-        let limit = limit.map_or_else(|| "none".to_string(), |n| n.to_string());
-        payload.push_str(&format!(" {args} limit={limit}"));
-        for entry in entries {
-            payload.push('\n');
-            payload.push_str(&escape_query(entry));
-        }
-        self.request(payload.as_bytes())
+    /// Sends a query batch or a search.  On success the body is
+    /// byte-identical to what `sxsi query`/`exists`/`search` print for the
+    /// same request on the same target.
+    pub fn send(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.request(request.encode().as_bytes())
     }
 
     /// Fetches the `stats` body (counters, histograms, cache state).
@@ -202,22 +123,12 @@ impl Client {
 
     /// Round-trips a `ping`.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.request(b"ping")? {
-            Response::Ok { .. } => Ok(()),
-            Response::Err { code, message } => {
-                Err(ClientError::Protocol(format!("ping failed ({code}): {message}")))
-            }
-        }
+        self.expect_ok_body(b"ping").map(drop)
     }
 
     /// Asks the server to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.request(b"shutdown")? {
-            Response::Ok { .. } => Ok(()),
-            Response::Err { code, message } => {
-                Err(ClientError::Protocol(format!("shutdown failed ({code}): {message}")))
-            }
-        }
+        self.expect_ok_body(b"shutdown").map(drop)
     }
 
     fn expect_ok_body(&mut self, command: &[u8]) -> Result<String, ClientError> {
@@ -228,17 +139,5 @@ impl Client {
                 String::from_utf8_lossy(command)
             ))),
         }
-    }
-}
-
-/// Maps a server error frame onto the CLI's exit-code taxonomy
-/// (`docs/guide.md#exit-codes`): `unsupported-query` → 3, everything
-/// else → 1.  (Exit 4, exists-without-match, is not an error frame: the
-/// client derives it from the `all_found=` detail of an `exists`
-/// response.)
-pub fn exit_code_for(code: ErrorCode) -> i32 {
-    match code {
-        ErrorCode::UnsupportedQuery => 3,
-        _ => 1,
     }
 }

@@ -6,13 +6,15 @@
 //! latency is index-resident).
 //!
 //! Architecture (one connection = one thread; all shared state is the
-//! immutable targets plus four synchronized sinks).  Every target, single
-//! index or collection, answers through the same path as the CLI:
+//! immutable targets plus four synchronized sinks).  Every request takes
+//! the CLI's path ([`crate::request`]); the daemon adds its caches and
+//! metrics around [`answer`] as a [`Memo`]:
 //!
 //! ```text
 //!  clients ──frames──▶ accept loop ──▶ handler thread per connection
 //!                                        │  hello → command loop
 //!                                        ▼
+//!     Request::decode → index=<id> → answer(executor, target, request, memo)
 //!                 ┌── result cache (LRU: (index, fingerprint, query,
 //!                 │                  options, output) → rendered body)
 //!                 ├── plan cache (LRU: (index, query) → one prepared
@@ -44,142 +46,21 @@ use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use sxsi::{FtMode, FtQuery, QueryError, QueryMode, QueryOptions, SxsiIndex};
+use sxsi::SxsiIndex;
 use sxsi_collection::{Collection, CollectionError, DocId};
 
-use crate::collection::{CollectionResult, DocRun};
-use crate::search::{query_display, render_search_outcome, search_target};
-use crate::{
-    prepare_plans, BatchError, BatchExecutor, BatchResult, Plans, QueryBatch, QuerySpec, Target,
-};
+use crate::collection::CollectionQueryError;
+use crate::request::{answer, BodyKey, CommandError, Memo, Request};
+pub use crate::request::{render_batch_result, render_result, OutputKind};
+use crate::{BatchExecutor, Plans, Target};
 use cache::LruCache;
 use metrics::Metrics;
 use protocol::{
-    escape_query, read_frame, unescape_query, write_frame, ErrorCode, FrameError, Response,
-    MAX_REQUEST_FRAME, PROTOCOL_VERSION,
+    read_frame, write_frame, ErrorCode, FrameError, Response, MAX_REQUEST_FRAME, PROTOCOL_VERSION,
 };
-
-/// How a query's answer is rendered in the response body — exactly the
-/// four output shapes of the CLI (`query`, `query --materialize`,
-/// `query --serialize`, `exists`), so daemon responses are byte-
-/// identical to in-process CLI output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OutputKind {
-    /// `<query>: <count>` per query (the CLI's default).
-    Count,
-    /// `<query>: <n> nodes [<preorders>]` per query (`--materialize`).
-    Nodes,
-    /// `<query>:` then one line per serialized subtree (`--serialize`).
-    Serialize,
-    /// `<query>: <true|false>` per query (the `exists` subcommand).
-    Exists,
-}
-
-impl OutputKind {
-    /// The wire token (`output=<token>` in the `query` command).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OutputKind::Count => "count",
-            OutputKind::Nodes => "nodes",
-            OutputKind::Serialize => "serialize",
-            OutputKind::Exists => "exists",
-        }
-    }
-
-    /// Parses a wire token.
-    pub fn parse(token: &str) -> Option<Self> {
-        Some(match token {
-            "count" => OutputKind::Count,
-            "nodes" => OutputKind::Nodes,
-            "serialize" => OutputKind::Serialize,
-            "exists" => OutputKind::Exists,
-            _ => return None,
-        })
-    }
-
-    /// The [`QueryMode`] this output needs from the evaluator.
-    pub fn query_mode(self) -> QueryMode {
-        match self {
-            OutputKind::Count => QueryMode::Count,
-            OutputKind::Nodes | OutputKind::Serialize => QueryMode::Nodes,
-            OutputKind::Exists => QueryMode::Exists,
-        }
-    }
-}
-
-/// Renders one query's answer the way the `sxsi` CLI prints it — the
-/// single formatting implementation shared by `sxsi query`/`sxsi
-/// exists` and the daemon, for every target, so the two can never
-/// diverge byte-wise.  Nodes print as `label:preorder` on a labelled
-/// target (a collection: the document's name) and as a bare `preorder`
-/// on a single index.
-pub fn render_result<T: Target + ?Sized>(
-    target: &T,
-    id: &str,
-    result: &CollectionResult,
-    output: OutputKind,
-    out: &mut String,
-) {
-    let more = if result.truncated() { " (more results exist)" } else { "" };
-    match output {
-        OutputKind::Exists => {
-            let _ = writeln!(out, "{id}: {}", result.exists());
-        }
-        OutputKind::Count => {
-            let _ = writeln!(out, "{id}: {}{more}", result.count());
-        }
-        OutputKind::Nodes => {
-            let rendered: Vec<String> = result
-                .nodes()
-                .iter()
-                .map(|dn| {
-                    // The nodes were just produced from their segment, so
-                    // it is loaded; the raw NodeId is a display fallback.
-                    let preorder = target
-                        .doc_index(dn.doc)
-                        .map_or(dn.node, |index| index.tree().preorder(dn.node));
-                    match target.doc_label(dn.doc) {
-                        Some(label) => format!("{label}:{preorder}"),
-                        None => preorder.to_string(),
-                    }
-                })
-                .collect();
-            let _ = writeln!(
-                out,
-                "{id}: {} nodes [{}]{more}",
-                result.nodes().len(),
-                rendered.join(", ")
-            );
-        }
-        OutputKind::Serialize => {
-            let _ = writeln!(out, "{id}:{more}");
-            for dn in result.nodes() {
-                match target.doc_index(dn.doc) {
-                    Ok(index) => {
-                        let _ = writeln!(out, "{}", index.get_subtree(dn.node));
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "<!-- doc {}: {e} -->", dn.doc);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`render_result`] for one [`BatchExecutor::run`] result on `index`.
-pub fn render_batch_result(
-    index: &SxsiIndex,
-    result: &BatchResult,
-    output: OutputKind,
-    out: &mut String,
-) {
-    let run = DocRun { doc: 0, result: result.result.clone(), elapsed: result.elapsed };
-    render_result(index, &result.id, &CollectionResult::from_run(run), output, out);
-}
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -191,7 +72,8 @@ pub struct ServeOptions {
     /// `Prepared` per document).
     pub plan_cache_capacity: usize,
     /// Capacity of the result LRU (`(index, query, options, output)` →
-    /// rendered body).
+    /// rendered body) and, separately, of the search LRU (`(index,
+    /// search)` → rendered body).
     pub result_cache_capacity: usize,
     /// How long a connection may idle between frames before the server
     /// sends a `timeout` error frame and closes it.
@@ -290,9 +172,10 @@ impl Listener {
     }
 }
 
-/// One accepted connection, TCP or Unix.
+/// One connection, TCP or Unix: accepted by the daemon or opened by a
+/// [`client::Client`].
 #[derive(Debug)]
-enum Conn {
+pub(crate) enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -492,22 +375,19 @@ struct NamedIndex {
 
 type PlanKey = (usize, String);
 /// The `u64` is the target's [`Target::fingerprint`], so cached bodies
-/// are keyed to the exact manifest they were computed from.
-type ResultKey = (usize, u64, String, QueryOptions, OutputKind);
-/// Keyword-search results cache in their own LRU (same slot/fingerprint
-/// scheme, canonical request string as the query component) rather than
-/// widening [`ResultKey`]: a search body is not a query body, and keeping
-/// the keyspaces apart means neither command can poison the other's
-/// entries or skew its hit-rate counters.
-type SearchKey = (usize, u64, String);
+/// are keyed to the exact manifest they were computed from.  Query and
+/// search bodies cache in LRUs of their own: a search body is not a query
+/// body, and keeping the keyspaces apart means neither command can poison
+/// the other's entries or skew its hit-rate counters.
+type BodyCacheKey = (usize, u64, BodyKey);
 
 struct ServerInner {
     indexes: Vec<NamedIndex>,
     options: ServeOptions,
     executor: BatchExecutor,
     plan_cache: Mutex<LruCache<PlanKey, Plans>>,
-    result_cache: Mutex<LruCache<ResultKey, Arc<str>>>,
-    search_cache: Mutex<LruCache<SearchKey, Arc<str>>>,
+    result_cache: Mutex<LruCache<BodyCacheKey, Arc<str>>>,
+    search_cache: Mutex<LruCache<BodyCacheKey, Arc<str>>>,
     metrics: Metrics,
     shutdown: AtomicBool,
 }
@@ -600,7 +480,8 @@ impl Server {
     }
 
     /// Renders the `stats` body (also available without a connection,
-    /// e.g. for tests): the metrics sink plus both caches' counters.
+    /// e.g. for tests): the metrics sink plus the plan, result and
+    /// search caches' counters.
     pub fn render_stats(&self) -> String {
         self.inner.render_stats()
     }
@@ -635,18 +516,6 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// An error a command handler reports back as an `error code=…` frame.
-type CommandError = (ErrorCode, String);
-
-/// A parsed `query`/`search` request: the addressed target, the window
-/// limit and the unescaped body lines.
-struct Request<'s> {
-    slot: usize,
-    named: &'s NamedIndex,
-    limit: Option<u64>,
-    entries: Vec<String>,
 }
 
 impl ServerInner {
@@ -750,8 +619,7 @@ impl ServerInner {
     fn dispatch(&self, payload: &[u8]) -> Result<(String, String, bool), CommandError> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| (ErrorCode::BadFrame, "payload is not valid UTF-8".to_string()))?;
-        let (command_line, rest) = text.split_once('\n').unwrap_or((text, ""));
-        let mut tokens = command_line.split_whitespace();
+        let mut tokens = text.split('\n').next().unwrap_or_default().split_whitespace();
         let command = tokens
             .next()
             .ok_or_else(|| (ErrorCode::BadFrame, "empty command".to_string()))?;
@@ -772,9 +640,13 @@ impl ServerInner {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok(("shutting-down".to_string(), String::new(), true))
             }
-            "query" => self.handle_query(tokens, rest).map(|(detail, body)| (detail, body, false)),
-            "search" => {
-                self.handle_search(tokens, rest).map(|(detail, body)| (detail, body, false))
+            "query" | "search" => {
+                let request = Request::decode(text)?;
+                let (slot, named) = self.resolve_index(request.index.as_deref())?;
+                let memo = Served { inner: self, slot, fingerprint: named.served.fingerprint() };
+                let (detail, body) =
+                    answer(&self.executor, &named.served, &named.id, &request, &memo)?;
+                Ok((detail, body, false))
             }
             other => {
                 Err((ErrorCode::UnknownCommand, format!("unknown command '{other}'")))
@@ -804,256 +676,6 @@ impl ServerInner {
         }
     }
 
-    /// Parses the request shape `query` and `search` share: `key=value`
-    /// arguments — `index=` and `limit=` here, the command's own keys
-    /// through `own` (which reports whether it took the key) — then one
-    /// escaped `noun` per non-empty body line, at least one.
-    fn parse_request<'a>(
-        &self,
-        (command, noun): (&str, &str),
-        args: impl Iterator<Item = &'a str>,
-        rest: &str,
-        mut own: impl FnMut(&'a str, &'a str) -> Result<bool, CommandError>,
-    ) -> Result<Request<'_>, CommandError> {
-        let mut index_id: Option<&str> = None;
-        let mut limit: Option<u64> = None;
-        for arg in args {
-            let (key, value) = arg.split_once('=').ok_or_else(|| {
-                (ErrorCode::BadArgument, format!("malformed argument '{arg}' (expected key=value)"))
-            })?;
-            match key {
-                "index" => index_id = Some(value),
-                "limit" if value == "none" => limit = None,
-                "limit" => {
-                    limit = Some(value.parse().map_err(|_| {
-                        (ErrorCode::BadArgument, format!("bad limit '{value}'"))
-                    })?);
-                }
-                other => {
-                    if !own(key, value)? {
-                        return Err((
-                            ErrorCode::BadArgument,
-                            format!("unknown {command} argument '{other}'"),
-                        ));
-                    }
-                }
-            }
-        }
-        let (slot, named) = self.resolve_index(index_id)?;
-        let mut entries = Vec::new();
-        for line in rest.lines().filter(|line| !line.is_empty()) {
-            entries.push(unescape_query(line).ok_or_else(|| {
-                (ErrorCode::BadArgument, format!("malformed {noun} encoding '{line}'"))
-            })?);
-        }
-        if entries.is_empty() {
-            return Err((ErrorCode::BadArgument, format!("{command} needs at least one {noun}")));
-        }
-        Ok(Request { slot, named, limit, entries })
-    }
-
-    fn handle_query<'a>(
-        &self,
-        args: impl Iterator<Item = &'a str>,
-        rest: &str,
-    ) -> Result<(String, String), CommandError> {
-        let mut output = OutputKind::Count;
-        let mut offset: u64 = 0;
-        let request = self.parse_request(("query", "expression"), args, rest, |key, value| {
-            match key {
-                "output" => {
-                    output = OutputKind::parse(value).ok_or_else(|| {
-                        (ErrorCode::BadArgument, format!("unknown output kind '{value}'"))
-                    })?;
-                }
-                "offset" => {
-                    offset = value.parse().map_err(|_| {
-                        (ErrorCode::BadArgument, format!("bad offset '{value}'"))
-                    })?;
-                }
-                _ => return Ok(false),
-            }
-            Ok(true)
-        })?;
-        let options = QueryOptions {
-            mode: output.query_mode(),
-            limit: request.limit,
-            offset,
-            // Always collected: the visited-node histogram feeds on it.
-            collect_stats: true,
-        };
-        self.answer(request.slot, &request.named.served, &request.entries, options, output)
-    }
-
-    /// Answers a query batch against one target: result-cache lookups,
-    /// then the one query path for the misses — plan-cached preparation,
-    /// executor fan-out over every (query, document) pair, merge, render.
-    fn answer(
-        &self,
-        slot: usize,
-        target: &ServedIndex,
-        xpaths: &[String],
-        options: QueryOptions,
-        output: OutputKind,
-    ) -> Result<(String, String), CommandError> {
-        let fingerprint = target.fingerprint();
-        // Phase 1: result-cache lookups, preserving request order.
-        // Duplicate expressions within one request share a single
-        // execution but are rendered once per occurrence, matching the
-        // CLI printing one line per batch spec.
-        let mut bodies: std::collections::HashMap<&str, Arc<str>> =
-            std::collections::HashMap::new();
-        let mut misses: Vec<&str> = Vec::new();
-        {
-            // lint:allow(panic: poisoning means another worker already panicked)
-            let mut result_cache = self.result_cache.lock().expect("result cache poisoned");
-            for xpath in xpaths {
-                if bodies.contains_key(xpath.as_str()) || misses.contains(&xpath.as_str()) {
-                    continue;
-                }
-                let key: ResultKey = (slot, fingerprint, xpath.clone(), options, output);
-                match result_cache.get(&key) {
-                    Some(body) => {
-                        self.metrics.record_cached_query();
-                        bodies.insert(xpath.as_str(), Arc::clone(body));
-                    }
-                    None => misses.push(xpath.as_str()),
-                }
-            }
-        }
-        let cache_hits = bodies.len();
-
-        // Phase 2: prepare the misses through the plan cache (a prepare
-        // error rejects the whole request before anything runs, like the
-        // CLI's batch), fan them out, render, insert.
-        if !misses.is_empty() {
-            let specs = misses.iter().map(|&xpath| QuerySpec::new(xpath, xpath, options)).collect();
-            let batch = QueryBatch::prepare_with(specs, |xpath| self.plans(slot, target, xpath))
-                .map_err(prepare_error)?;
-            let results = self.executor.answer(target, &batch).map_err(segment_error)?;
-            for (&xpath, result) in misses.iter().zip(&results) {
-                let mut rendered = String::new();
-                render_result(target, xpath, result, output, &mut rendered);
-                let visited = result.stats().map(|s| s.visited_nodes);
-                self.metrics.record_executed_query(result.elapsed(), visited);
-                let body: Arc<str> = Arc::from(rendered);
-                let key = (slot, fingerprint, xpath.to_string(), options, output);
-                self.result_cache
-                    .lock()
-                    .expect("result cache poisoned") // lint:allow(panic: poisoning means another worker already panicked)
-                    .insert(key, Arc::clone(&body));
-                bodies.insert(xpath, body);
-            }
-        }
-
-        // Phase 3: assemble the body in request order.
-        let mut body = String::new();
-        let mut all_found = true;
-        for xpath in xpaths {
-            let Some(rendered) = bodies.get(xpath.as_str()) else {
-                return Err((
-                    ErrorCode::Internal,
-                    format!("no rendered body for query '{}'", escape_query(xpath)),
-                ));
-            };
-            if output == OutputKind::Exists && rendered.trim_end().ends_with("false") {
-                all_found = false;
-            }
-            body.push_str(rendered);
-        }
-        let mut detail = format!("queries={} cache_hits={cache_hits}", xpaths.len());
-        if output == OutputKind::Exists {
-            let _ = write!(detail, " all_found={all_found}");
-        }
-        Ok((detail, body))
-    }
-
-    /// Handles the `search` command: `search [index=<id>] [mode=all|any|
-    /// phrase] [limit=<n>]` with one escaped search term per body line.
-    /// Bodies render exactly like `sxsi search` prints them and cache in
-    /// the dedicated search LRU (see [`SearchKey`]); hits and misses feed
-    /// the same query counters and latency histograms as `query`.
-    fn handle_search<'a>(
-        &self,
-        args: impl Iterator<Item = &'a str>,
-        rest: &str,
-    ) -> Result<(String, String), CommandError> {
-        let mut mode = FtMode::All;
-        let Request { slot, named, limit, entries: terms } =
-            self.parse_request(("search", "term"), args, rest, |key, value| {
-                if key != "mode" {
-                    return Ok(false);
-                }
-                mode = FtMode::parse(value).ok_or_else(|| {
-                    (
-                        ErrorCode::BadArgument,
-                        format!("unknown search mode '{value}' (expected all, any or phrase)"),
-                    )
-                })?;
-                Ok(true)
-            })?;
-        let limit = limit.map(|l| usize::try_from(l).unwrap_or(usize::MAX));
-        let query = FtQuery::new(mode, &terms);
-        if query.tokens.is_empty() {
-            return Err((
-                ErrorCode::BadArgument,
-                "search terms hold no indexable tokens".into(),
-            ));
-        }
-
-        let fingerprint = named.served.fingerprint();
-        // Canonical request string: the display form already pins mode and
-        // token list; the limit changes the rendered window, so it is part
-        // of the key too.
-        let id = query_display(&query);
-        let canonical = format!("{id} limit={limit:?}");
-        let key: SearchKey = (slot, fingerprint, canonical);
-        // lint:allow(panic: poisoning means another worker already panicked)
-        if let Some(body) = self.search_cache.lock().expect("search cache poisoned").get(&key) {
-            self.metrics.record_cached_query();
-            let detail = format!("terms={} cache_hits=1", query.tokens.len());
-            return Ok((detail, body.to_string()));
-        }
-
-        let start = Instant::now();
-        let outcome = search_target(&self.executor, &named.served, &named.id, &query, limit)
-            .map_err(segment_error)?;
-        let elapsed = start.elapsed();
-        let mut rendered = String::new();
-        render_search_outcome(&id, &outcome, &mut rendered);
-        // Searches never report visited-node counts (the FM-index does the
-        // work), so only the latency histogram is fed.
-        self.metrics.record_executed_query(elapsed, None);
-        let body: Arc<str> = Arc::from(rendered);
-        self.search_cache
-            .lock()
-            .expect("search cache poisoned") // lint:allow(panic: poisoning means another worker already panicked)
-            .insert(key, Arc::clone(&body));
-        Ok((format!("terms={} cache_hits=0", query.tokens.len()), body.to_string()))
-    }
-
-    /// Looks a query's per-document statements up in the plan cache,
-    /// preparing and inserting on a miss.  Compilation happens outside
-    /// the lock (it can be slow); a racing duplicate insert is benign.
-    fn plans(
-        &self,
-        slot: usize,
-        target: &ServedIndex,
-        xpath: &str,
-    ) -> Result<Plans, crate::collection::CollectionQueryError> {
-        let key: PlanKey = (slot, xpath.to_string());
-        // lint:allow(panic: poisoning means another worker already panicked)
-        if let Some(plans) = self.plan_cache.lock().expect("plan cache poisoned").get(&key) {
-            return Ok(Arc::clone(plans));
-        }
-        let plans = prepare_plans(target, xpath)?;
-        self.plan_cache
-            .lock()
-            .expect("plan cache poisoned") // lint:allow(panic: poisoning means another worker already panicked)
-            .insert(key, Arc::clone(&plans));
-        Ok(plans)
-    }
-
     fn render_stats(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "protocol_version={PROTOCOL_VERSION}");
@@ -1081,26 +703,58 @@ impl ServerInner {
     }
 }
 
-/// Maps a batch's prepare failure onto the structured error taxonomy the
-/// daemon answers with and the CLI prints: compile errors are
-/// `unsupported-query` (exit 3), parse errors `parse-error`, segment
-/// loads `internal`.
-pub fn prepare_error(e: BatchError) -> (ErrorCode, String) {
-    match e.error.query_error() {
-        Some(QueryError::Compile(detail)) => (
-            ErrorCode::UnsupportedQuery,
-            format!("query='{}' detail='{detail}'", escape_query(&e.id)),
-        ),
-        Some(error) => {
-            (ErrorCode::ParseError, format!("query='{}' detail='{error}'", escape_query(&e.id)))
+/// The daemon's caches and metrics around [`answer`], for one request on
+/// the target in `slot`.  Wire queries are labelled by their expression,
+/// so the expression alone keys a query's body.
+struct Served<'s> {
+    inner: &'s ServerInner,
+    slot: usize,
+    fingerprint: u64,
+}
+
+impl Served<'_> {
+    fn cache(&self, key: &BodyKey) -> &Mutex<LruCache<BodyCacheKey, Arc<str>>> {
+        match key {
+            BodyKey::Query(..) => &self.inner.result_cache,
+            BodyKey::Search(_) => &self.inner.search_cache,
         }
-        None => segment_error(e.error),
     }
 }
 
-/// A collection segment that failed to load mid-request.
-fn segment_error(e: impl std::fmt::Display) -> CommandError {
-    (ErrorCode::Internal, format!("collection segment failure: {e}"))
+impl Memo for Served<'_> {
+    fn body(&self, key: BodyKey) -> Option<Arc<str>> {
+        let body = lock(self.cache(&key)).get(&(self.slot, self.fingerprint, key)).cloned();
+        if body.is_some() {
+            self.inner.metrics.record_cached_query();
+        }
+        body
+    }
+
+    /// Compilation happens outside the lock (it can be slow); a racing
+    /// duplicate insert is benign.
+    fn plans(
+        &self,
+        xpath: &str,
+        prepare: impl FnOnce() -> Result<Plans, CollectionQueryError>,
+    ) -> Result<Plans, CollectionQueryError> {
+        let key: PlanKey = (self.slot, xpath.to_string());
+        if let Some(plans) = lock(&self.inner.plan_cache).get(&key) {
+            return Ok(Arc::clone(plans));
+        }
+        let plans = prepare()?;
+        lock(&self.inner.plan_cache).insert(key, Arc::clone(&plans));
+        Ok(plans)
+    }
+
+    fn keep(&self, key: BodyKey, body: &Arc<str>, elapsed: Duration, visited: Option<u64>) {
+        self.inner.metrics.record_executed_query(elapsed, visited);
+        lock(self.cache(&key)).insert((self.slot, self.fingerprint, key), Arc::clone(body));
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // lint:allow(panic: poisoning means another worker already panicked)
+    mutex.lock().expect("cache poisoned")
 }
 
 /// Appends one cache's `<name>_*` counter lines to a `stats` body.
@@ -1109,8 +763,7 @@ fn render_cache_stats<K: std::hash::Hash + Eq, V>(
     name: &str,
     cache: &Mutex<LruCache<K, V>>,
 ) {
-    // lint:allow(panic: poisoning means another worker already panicked)
-    let cache = cache.lock().expect("cache poisoned");
+    let cache = lock(cache);
     let counters = cache.counters();
     let _ = writeln!(out, "{name}_capacity={}", cache.capacity());
     let _ = writeln!(out, "{name}_len={}", cache.len());

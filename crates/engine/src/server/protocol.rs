@@ -162,25 +162,22 @@ pub fn escape_query(query: &str) -> String {
     out
 }
 
-/// Reverses [`escape_query`].  Returns `None` on a malformed escape.
+/// Reverses [`escape_query`].  Returns `None` on any `%` sequence other
+/// than the four it emits.
 pub fn unescape_query(encoded: &str) -> Option<String> {
     let mut out = String::with_capacity(encoded.len());
-    let mut chars = encoded.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let hi = chars.next()?;
-        let lo = chars.next()?;
-        let byte = (hi.to_digit(16)? * 16 + lo.to_digit(16)?) as u8;
-        match byte {
-            b'%' => out.push('%'),
-            b'\r' => out.push('\r'),
-            b'\n' => out.push('\n'),
-            0 => out.push('\0'),
-            other => out.push(other as char),
-        }
+    let mut parts = encoded.split('%');
+    out.push_str(parts.next().unwrap_or_default());
+    for part in parts {
+        let (code, rest) = (part.get(..2)?, part.get(2..)?);
+        out.push(match code {
+            "25" => '%',
+            "0D" => '\r',
+            "0A" => '\n',
+            "00" => '\0',
+            _ => return None,
+        });
+        out.push_str(rest);
     }
     Some(out)
 }
@@ -258,6 +255,15 @@ impl ErrorCode {
             "shutting-down" => ErrorCode::ShuttingDown,
             _ => return None,
         })
+    }
+
+    /// The `sxsi` exit code of this error (`docs/guide.md#exit-codes`):
+    /// `unsupported-query` → 3, everything else → 1.
+    pub fn exit_code(self) -> u8 {
+        match self {
+            ErrorCode::UnsupportedQuery => 3,
+            _ => 1,
+        }
     }
 }
 
@@ -385,6 +391,11 @@ mod tests {
         assert_eq!(unescape_query(&escape_query("100%")).unwrap(), "100%");
         assert_eq!(unescape_query("%zz"), None);
         assert_eq!(unescape_query("%0"), None);
+        // Only the four escapes `escape_query` emits decode.
+        assert_eq!(unescape_query("//it%65m"), None);
+        assert_eq!(unescape_query("%41"), None);
+        assert_eq!(unescape_query("%C3%A9"), None);
+        assert_eq!(unescape_query("%2"), None);
     }
 
     #[test]

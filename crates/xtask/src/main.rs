@@ -59,6 +59,7 @@ const UNTRUSTED_FILES: &[&str] = &[
     "crates/io/src/lib.rs",
     "crates/engine/src/server/protocol.rs",
     "crates/engine/src/server/mod.rs",
+    "crates/engine/src/request.rs",
     "crates/core/src/io.rs",
     // Keyword search sits on the query hot path and consumes whatever
     // terms arrive over the wire, so it faces the same scrutiny.

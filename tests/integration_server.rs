@@ -28,6 +28,7 @@ use sxsi_engine::server::protocol::{
     escape_query, read_frame, write_frame, ErrorCode, Response, MAX_RESPONSE_FRAME,
     PROTOCOL_VERSION,
 };
+use sxsi_engine::request::{answer, parse_args, ArgError, Op, Request};
 use sxsi_engine::server::{
     render_batch_result, Listener, OutputKind, ServeOptions, ServedIndex, Server,
 };
@@ -115,6 +116,26 @@ fn in_process_body(index: &SxsiIndex, xpath: &str, output: OutputKind, limit: Op
     body
 }
 
+/// A query request, as `sxsi client query` sends it.
+fn query_request(
+    index: Option<&str>,
+    output: OutputKind,
+    limit: Option<u64>,
+    offset: u64,
+    xpaths: &[&str],
+) -> Request {
+    let options = QueryOptions { mode: output.query_mode(), limit, offset, collect_stats: true };
+    let queries = xpaths.iter().map(|x| (None, x.to_string())).collect();
+    Request { index: index.map(str::to_string), op: Op::Query { queries, options, output } }
+}
+
+/// A search request, as `sxsi client search` sends it.
+fn search_request(index: Option<&str>, mode: &str, limit: Option<u64>, terms: &[&str]) -> Request {
+    let query = sxsi::FtQuery::new(sxsi::FtMode::parse(mode).unwrap(), terms);
+    let limit = limit.map(|l| l as usize);
+    Request { index: index.map(str::to_string), op: Op::Search { query, limit } }
+}
+
 #[test]
 fn daemon_bodies_match_in_process_rendering_for_every_query_set() {
     let (server, addr, handle) = start_all_corpora();
@@ -127,7 +148,8 @@ fn daemon_bodies_match_in_process_rendering_for_every_query_set() {
         for xpath in queries {
             for output in [OutputKind::Count, OutputKind::Nodes, OutputKind::Exists] {
                 let expected = in_process_body(index, xpath, output, None);
-                match client.query(Some(corpus), output, None, 0, &[xpath]).unwrap() {
+                let request = query_request(Some(corpus), output, None, 0, &[xpath]);
+                match client.send(&request).unwrap() {
                     Response::Ok { body, .. } => {
                         assert_eq!(body, expected, "{corpus} {xpath} {output:?}");
                     }
@@ -138,8 +160,8 @@ fn daemon_bodies_match_in_process_rendering_for_every_query_set() {
             }
             // Serialization can be large; spot-check a bounded window.
             let expected = in_process_body(index, xpath, OutputKind::Serialize, Some(2));
-            match client.query(Some(corpus), OutputKind::Serialize, Some(2), 0, &[xpath]).unwrap()
-            {
+            let request = query_request(Some(corpus), OutputKind::Serialize, Some(2), 0, &[xpath]);
+            match client.send(&request).unwrap() {
                 Response::Ok { body, .. } => {
                     assert_eq!(body, expected, "{corpus} {xpath} serialize");
                 }
@@ -176,7 +198,7 @@ fn concurrent_clients_read_identical_bytes() {
                 for i in 0..queries.len() {
                     let pick = (i + worker * 5) % queries.len();
                     match client
-                        .query(None, OutputKind::Count, None, 0, &[queries[pick]])
+                        .send(&query_request(None, OutputKind::Count, None, 0, &[queries[pick]]))
                         .unwrap()
                     {
                         Response::Ok { body, .. } => {
@@ -211,13 +233,14 @@ fn repeated_queries_are_served_from_the_result_cache() {
     let mut first = Client::connect_tcp(&addr).unwrap();
     let mut second = Client::connect_tcp(&addr).unwrap();
     let xpath = "//item";
-    let body_cold = match first.query(None, OutputKind::Count, None, 0, &[xpath]).unwrap() {
+    let request = query_request(None, OutputKind::Count, None, 0, &[xpath]);
+    let body_cold = match first.send(&request).unwrap() {
         Response::Ok { body, .. } => body,
         other => panic!("cold query failed: {other:?}"),
     };
     // Same query, different connection: must come from the result cache.
     let (body_warm, detail) =
-        match second.query(None, OutputKind::Count, None, 0, &[xpath]).unwrap() {
+        match second.send(&query_request(None, OutputKind::Count, None, 0, &[xpath])).unwrap() {
             Response::Ok { body, detail } => (body, detail),
             other => panic!("warm query failed: {other:?}"),
         };
@@ -234,7 +257,7 @@ fn repeated_queries_are_served_from_the_result_cache() {
     assert!(stats.contains("visited_nodes_histogram="));
     // A different output mode misses the result cache but hits the plan
     // cache: same compiled statement, new rendering.
-    match first.query(None, OutputKind::Nodes, None, 0, &[xpath]).unwrap() {
+    match first.send(&query_request(None, OutputKind::Nodes, None, 0, &[xpath])).unwrap() {
         Response::Ok { .. } => {}
         other => panic!("nodes query failed: {other:?}"),
     }
@@ -254,11 +277,11 @@ fn query_options_are_part_of_the_result_cache_key() {
     let expected_all = in_process_body(index, xpath, OutputKind::Nodes, None);
     let expected_one = in_process_body(index, xpath, OutputKind::Nodes, Some(1));
     for _ in 0..2 {
-        match client.query(None, OutputKind::Nodes, None, 0, &[xpath]).unwrap() {
+        match client.send(&query_request(None, OutputKind::Nodes, None, 0, &[xpath])).unwrap() {
             Response::Ok { body, .. } => assert_eq!(body, expected_all),
             other => panic!("{other:?}"),
         }
-        match client.query(None, OutputKind::Nodes, Some(1), 0, &[xpath]).unwrap() {
+        match client.send(&query_request(None, OutputKind::Nodes, Some(1), 0, &[xpath])).unwrap() {
             Response::Ok { body, .. } => assert_eq!(body, expected_one),
             other => panic!("{other:?}"),
         }
@@ -480,7 +503,8 @@ fn client_exists_detail_reports_all_found() {
     let (server, addr, handle) =
         start(vec![(corpus.to_string(), Arc::clone(index))], ServeOptions::default());
     let mut client = Client::connect_tcp(&addr).unwrap();
-    match client.query(None, OutputKind::Exists, None, 0, &["//item", "//no_such_tag"]).unwrap() {
+    let request = query_request(None, OutputKind::Exists, None, 0, &["//item", "//no_such_tag"]);
+    match client.send(&request).unwrap() {
         Response::Ok { detail, body } => {
             assert!(detail.contains("all_found=false"), "detail '{detail}'");
             assert!(body.contains("//item: true\n"));
@@ -488,7 +512,7 @@ fn client_exists_detail_reports_all_found() {
         }
         other => panic!("{other:?}"),
     }
-    match client.query(None, OutputKind::Exists, None, 0, &["//item"]).unwrap() {
+    match client.send(&query_request(None, OutputKind::Exists, None, 0, &["//item"])).unwrap() {
         Response::Ok { detail, .. } => {
             assert!(detail.contains("all_found=true"), "detail '{detail}'");
         }
@@ -512,7 +536,7 @@ fn newline_bearing_queries_roundtrip_through_the_wire() {
         start(vec![(corpus.to_string(), index.clone())], ServeOptions::default());
     let mut client = Client::connect_tcp(&addr).unwrap();
     let expected = in_process_body(&index, m11.xpath, OutputKind::Count, None);
-    match client.query(None, OutputKind::Count, None, 0, &[m11.xpath]).unwrap() {
+    match client.send(&query_request(None, OutputKind::Count, None, 0, &[m11.xpath])).unwrap() {
         Response::Ok { body, .. } => assert_eq!(body, expected),
         other => panic!("{other:?}"),
     }
@@ -530,7 +554,7 @@ fn multi_query_requests_preserve_order_and_duplicates() {
     let queries = ["//item", "//person", "//item"];
     let expected: String =
         queries.iter().map(|q| in_process_body(index, q, OutputKind::Count, None)).collect();
-    match client.query(None, OutputKind::Count, None, 0, &queries).unwrap() {
+    match client.send(&query_request(None, OutputKind::Count, None, 0, &queries)).unwrap() {
         Response::Ok { body, .. } => assert_eq!(body, expected),
         other => panic!("{other:?}"),
     }
@@ -590,7 +614,7 @@ fn daemon_search_bodies_match_in_process_rendering_and_cache() {
                 .unwrap(),
                 &mut expected,
             );
-            match client.search(Some(corpus), mode, limit, terms).unwrap() {
+            match client.send(&search_request(Some(corpus), mode, limit, terms)).unwrap() {
                 Response::Ok { body, .. } => {
                     assert_eq!(body, expected, "{corpus} {mode} {terms:?}");
                     let hits: usize = body
@@ -614,7 +638,7 @@ fn daemon_search_bodies_match_in_process_rendering_and_cache() {
     // Repeats hit the dedicated search cache, from another connection too.
     let (corpus, _) = &corpora()[0];
     let mut second = Client::connect_tcp(&addr).unwrap();
-    let detail = match second.search(Some(corpus), "all", None, &["the"]).unwrap() {
+    let detail = match second.send(&search_request(Some(corpus), "all", None, &["the"])).unwrap() {
         Response::Ok { detail, .. } => detail,
         other => panic!("{other:?}"),
     };
@@ -741,6 +765,148 @@ fn unsupported_queries_answer_unsupported_query_on_every_target_kind() {
             Some(Response::Err { code, .. }) => assert_eq!(code, ErrorCode::UnsupportedQuery),
             other => panic!("{index}: {other:?}"),
         }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An empty XPath expression is an operand like any other: the wire
+/// carries it through to prepare, so the daemon answers `parse-error`
+/// exactly as `sxsi query` exits 1 on it, and `sxsi client` does too.
+#[test]
+fn empty_expression_is_a_parse_error_on_every_path() {
+    let (corpus, index) = &corpora()[0];
+    let (server, addr, handle) =
+        start(vec![(corpus.to_string(), Arc::clone(index))], ServeOptions::default());
+    let (frame, _) = server.handle_command(b"query output=count\n\n//item");
+    assert!(
+        String::from_utf8_lossy(&frame).starts_with("error code=parse-error query=''"),
+        "{}",
+        String::from_utf8_lossy(&frame)
+    );
+
+    let dir = std::env::temp_dir().join(format!("sxsi-empty-xpath-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let idx = built_index_file(&dir);
+    let sxsi = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_sxsi")).args(args).output().unwrap()
+    };
+    for output in [
+        sxsi(&["query", idx.to_str().unwrap(), "", "//item"]),
+        sxsi(&["client", "--tcp", &addr, "query", "", "//item"]),
+    ] {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+        assert!(output.stdout.is_empty(), "printed before failing");
+        assert!(stderr.contains("sxsi: error=parse-error query=''"), "stderr: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    stop(&server, handle);
+}
+
+/// The one request path: for every paper query in four output shapes and
+/// for the search cases above, on a single index and on a 3-document
+/// collection, the request `sxsi query|exists|search` parses from its
+/// argv answers in process with exactly the body the daemon renders for
+/// the hand-built frame, the request `sxsi client` parses survives the
+/// wire codec unchanged (M11's newlines included), and the flags each
+/// command has always rejected are still rejected.
+#[test]
+fn argv_and_frame_requests_share_one_answer_path() {
+    let dir = std::env::temp_dir().join(format!("sxsi-one-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let docs = (1..=3)
+        .map(|seed| {
+            let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed });
+            (format!("doc{seed}"), SxsiIndex::build_from_xml(xml.as_bytes()).unwrap())
+        })
+        .collect();
+    let collection =
+        Arc::new(sxsi_collection::Collection::build(dir.join("col.sxsic"), docs).unwrap());
+    let (_, single) = &corpora()[0];
+    let targets = [
+        ("single", ServedIndex::Single(Arc::clone(single))),
+        ("col", ServedIndex::Collection(collection)),
+    ];
+    let server = Server::new_served(
+        targets.iter().map(|(id, target)| (id.to_string(), target.clone())).collect(),
+        ServeOptions { threads: 2, ..ServeOptions::default() },
+    )
+    .unwrap();
+    let args = |argv: &[&str]| argv.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    let daemon_body = |payload: &str| {
+        match Response::parse(&server.handle_command(payload.as_bytes()).0) {
+            Some(Response::Ok { body, .. }) => body,
+            other => panic!("{payload:?}: {other:?}"),
+        }
+    };
+    let executor = BatchExecutor::new(2);
+    let shapes: &[(&str, &[&str], OutputKind, &str, u64)] = &[
+        ("query", &[], OutputKind::Count, "none", 0),
+        ("query", &["--materialize"], OutputKind::Nodes, "none", 0),
+        ("query", &["--serialize", "--limit", "2", "--offset", "1"], OutputKind::Serialize, "2", 1),
+        ("exists", &[], OutputKind::Exists, "none", 0),
+    ];
+    let searches: &[(&str, &[&str], Option<u64>)] = &[
+        ("all", &["the"], None),
+        ("all", &["the", "of"], Some(3)),
+        ("any", &["the", "of", "zzznope"], Some(5)),
+        ("phrase", &["of the"], None),
+    ];
+    for (id, target) in &targets {
+        let path = format!("{id}.sxsi");
+        // (op, flags then operands, the frame perfbench builds by hand)
+        let mut cases: Vec<(&str, Vec<String>, String)> = Vec::new();
+        for q in paper_queries() {
+            for &(op, flags, output, limit, offset) in shapes {
+                let payload = format!(
+                    "query index={id} output={} limit={limit} offset={offset}\n{}",
+                    output.as_str(),
+                    escape_query(q.xpath)
+                );
+                cases.push((op, args(&[flags, &[q.xpath]].concat()), payload));
+            }
+        }
+        for &(mode, terms, limit) in searches {
+            let limit = limit.map_or("none".to_string(), |l| l.to_string());
+            let mut tail = args(&["--mode", mode]);
+            if limit != "none" {
+                tail.extend(args(&["--limit", &limit]));
+            }
+            tail.extend(args(terms));
+            let mut payload = format!("search index={id} mode={mode} limit={limit}");
+            for term in terms {
+                payload.push('\n');
+                payload.push_str(&escape_query(term));
+            }
+            cases.push(("search", tail, payload));
+        }
+        for (op, tail, payload) in cases {
+            let context = format!("{id} {op} {tail:?}");
+            let local_argv = [vec![path.clone()], tail.clone()].concat();
+            let (local, threads) = parse_args(op, &local_argv, true).unwrap();
+            assert_eq!((local.index.as_deref(), threads), (Some(path.as_str()), 1), "{context}");
+            let client_argv = [args(&["--index", id]), tail].concat();
+            let (remote, _) = parse_args(op, &client_argv, false).unwrap();
+            assert_eq!(remote.index.as_deref(), Some(*id), "{context}");
+            assert_eq!(remote.op, local.op, "{context}");
+            assert_eq!(Request::decode(&remote.encode()), Ok(remote.clone()), "{context}");
+            assert_eq!(Request::decode(&payload).map(|r| r.op), Ok(remote.op.clone()), "{context}");
+            let (_, body) = answer(&executor, target, id, &local, &())
+                .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+            assert_eq!(body, daemon_body(&payload), "{context}");
+            assert_eq!(body, daemon_body(&remote.encode()), "{context}");
+        }
+    }
+    for (op, argv, local) in [
+        ("exists", &["--limit", "1", "//a"][..], false),
+        ("exists", &["x.sxsi", "--offset", "1", "//a"], true),
+        ("query", &["x.sxsi", "--index", "a", "//a"], true),
+        ("search", &["--offset", "1", "term"], false),
+        ("search", &["x.sxsi", "--offset", "1", "term"], true),
+    ] {
+        let rejected = parse_args(op, &args(argv), local);
+        assert!(matches!(rejected, Err(ArgError::Usage(_))), "{op} {argv:?}: {rejected:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
