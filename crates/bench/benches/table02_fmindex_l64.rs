@@ -2,7 +2,7 @@
 //! GlobalCount vs ContainsCount vs ContainsReport vs the naive plain scan,
 //! over patterns of increasing frequency.
 use sxsi_bench::{header, medline_xml, row, time_avg_ms};
-use sxsi_text::{TextCollection, TextCollectionOptions, TextId};
+use sxsi_text::{TextCollection, TextId};
 use sxsi_xml::parse_document;
 
 /// Every occurrence of `pattern` located through the FM-index (backward
@@ -17,10 +17,7 @@ fn locate_all(texts: &TextCollection, pattern: &[u8]) -> Vec<(TextId, usize)> {
 
 pub fn run(sample_rate: usize, title: &str) {
     let doc = parse_document(medline_xml().as_bytes()).expect("parses");
-    let texts = TextCollection::with_options(
-        &doc.text_slices(),
-        TextCollectionOptions { sample_rate, keep_plain_text: true },
-    );
+    let texts = TextCollection::with_sample_rate(&doc.text_slices(), sample_rate);
     header(title, &["pattern", "global count", "global ms", "contains count", "contains ms", "report ms", "plain scan ms"]);
     for pattern in ["epididymis", "ruminants", "AUSTRALIA", "plus", "blood", "human", "from", "with", "the", "a"] {
         let p = pattern.as_bytes();
@@ -33,7 +30,7 @@ pub fn run(sample_rate: usize, title: &str) {
             ids
         });
         let rep_ms = time_avg_ms(3, || locate_all(&texts, p));
-        let plain = texts.plain().expect("plain kept");
+        let plain = texts.plain().expect("T is always kept");
         let scan_ms = time_avg_ms(3, || plain.scan_contains(p));
         row(&[
             pattern.to_string(),

@@ -21,8 +21,8 @@
 //! ```
 //!
 //! Sections appear in tag order.  Each fact is stored once, in the
-//! structure that uses it: the build options live in the FM-index (its
-//! sample rate) and the text collection (its plain-copy flag), and the
+//! structure that uses it: the sample rate lives in the FM-index, the
+//! texts section ends with the collection text `T` (always kept), and the
 //! element count is read off the tag sequence.
 //!
 //! A truncated file fails with an I/O error, a bit flip with a checksum
@@ -65,8 +65,11 @@ pub const MAGIC: [u8; 8] = *b"SXSIIDX\0";
 /// 256 code lengths, one bitmap per code level) instead of an eight-level
 /// wavelet matrix; version 6 drops the options section (tag 1), the meta
 /// section (tag 4) and the options, text count and length that opened the
-/// texts body, which now begins with the FM-index.
-pub const FORMAT_VERSION: u32 = 6;
+/// texts body, which now begins with the FM-index; version 7 ends the texts
+/// body with the collection text `T` itself (every text followed by its
+/// terminator), always present, instead of a plain-copy flag byte and an
+/// optional copy with per-text offsets.
+pub const FORMAT_VERSION: u32 = 7;
 
 const SECTION_TREE: u8 = 2;
 const SECTION_TEXTS: u8 = 3;
@@ -319,11 +322,10 @@ mod tests {
         assert_eq!(loaded.serialize("//color").unwrap(), idx.serialize("//color").unwrap());
     }
 
-    /// Index bytes built with `sample_rate` and a plain copy, and the
-    /// payload range of their texts section.
+    /// Index bytes built with `sample_rate`, and the payload range of their
+    /// texts section.
     fn bytes_and_texts_payload(sample_rate: usize) -> (Vec<u8>, std::ops::Range<usize>) {
-        let mut options = crate::SxsiOptions::default();
-        options.text.sample_rate = sample_rate;
+        let options = crate::SxsiOptions { sample_rate, ..Default::default() };
         let bytes = SxsiIndex::build_from_xml_with_options(DOC.as_bytes(), options)
             .unwrap()
             .to_bytes();
@@ -335,12 +337,10 @@ mod tests {
     #[test]
     fn options_roundtrip() {
         // What the builder was told survives in the structures it shaped.
-        let mut options = crate::SxsiOptions::default();
-        options.text.keep_plain_text = false;
-        options.text.sample_rate = 16;
+        let options = crate::SxsiOptions { sample_rate: 16, ..Default::default() };
         let idx = SxsiIndex::build_from_xml_with_options(DOC.as_bytes(), options).unwrap();
         let loaded = SxsiIndex::from_bytes(&idx.to_bytes()).unwrap();
-        assert!(loaded.texts().plain().is_none());
+        assert_eq!(loaded.texts().get_text(0), b"pen");
         assert_eq!(loaded.texts().fm_index().sample_rate(), 16);
         assert_eq!(loaded.count("//stock").unwrap(), 2);
         assert_eq!(loaded.stats(), idx.stats());

@@ -47,7 +47,8 @@ pub mod serialize;
 
 use std::fmt;
 
-use sxsi_text::{TextCollection, TextCollectionOptions};
+use sxsi_text::fmindex::DEFAULT_SAMPLE_RATE;
+use sxsi_text::TextCollection;
 use sxsi_tree::XmlTree;
 use sxsi_xml::{parse_document_with_options, DocumentOptions, ParseError, ParsedDocument};
 use sxsi_xpath::{
@@ -122,20 +123,26 @@ impl From<CompileError> for QueryError {
     }
 }
 
-/// What the index builder consumes: the text-index space/time trade-offs
-/// and whether whitespace-only texts are kept.
+/// What the index builder consumes: the locate sampling step and whether
+/// whitespace-only texts are kept.
 ///
-/// None of it is saved on its own — the structures it shapes carry it (the
-/// FM-index its sample rate, the text collection its optional plain copy,
-/// the tree its text leaves) — so a reloaded index answers exactly like
-/// the one that was built.
-#[derive(Debug, Clone, Default)]
+/// Neither is saved on its own — the structures they shape carry them (the
+/// FM-index its sample rate, the tree its text leaves) — so a reloaded
+/// index answers exactly like the one that was built.
+#[derive(Debug, Clone)]
 pub struct SxsiOptions {
-    /// Text-index options (sampling rate, plain-text copy).
-    pub text: TextCollectionOptions,
+    /// Locate sampling step of the FM-index (`l` in the paper; Tables II
+    /// and III use 64 and 4).  Defaults to 64.
+    pub sample_rate: usize,
     /// Keep whitespace-only text nodes (the paper keeps them; benchmarks
     /// usually drop them).
     pub keep_whitespace_text: bool,
+}
+
+impl Default for SxsiOptions {
+    fn default() -> Self {
+        Self { sample_rate: DEFAULT_SAMPLE_RATE, keep_whitespace_text: false }
+    }
 }
 
 /// Which evaluation strategy answered a query (the paper's Figure 14
@@ -225,7 +232,7 @@ pub struct IndexStats {
     pub tree_bytes: usize,
     /// Heap bytes of the text self-index (FM-index + Doc + boundaries).
     pub text_index_bytes: usize,
-    /// Heap bytes of the optional plain-text store.
+    /// Heap bytes of the collection text `T` (terminators included).
     pub plain_text_bytes: usize,
 }
 
@@ -265,7 +272,7 @@ impl SxsiIndex {
 
     /// Builds the index from an already-parsed document model.
     pub fn from_parsed_document(doc: ParsedDocument, options: SxsiOptions) -> Self {
-        let texts = TextCollection::with_options(&doc.text_slices(), options.text);
+        let texts = TextCollection::with_sample_rate(&doc.text_slices(), options.sample_rate);
         Self { tree: doc.tree, texts }
     }
 
@@ -293,7 +300,8 @@ impl SxsiIndex {
             num_tags: self.tree.num_tags(),
             tree_bytes: self.tree.size_bytes(),
             text_index_bytes: self.texts.index_size_bytes(),
-            plain_text_bytes: self.texts.plain().map_or(0, |p| p.size_bytes()),
+            // `T` is the whole concatenation, terminators included.
+            plain_text_bytes: self.texts.total_len(),
         }
     }
 

@@ -6,7 +6,7 @@
 //! undoing the `@`/`%` attribute encoding of the document model and escaping
 //! character data.
 
-use sxsi_text::TextCollection;
+use sxsi_text::{TextCollection, TextCursor};
 use sxsi_tree::{reserved, NodeId, XmlTree};
 use sxsi_xml::{escape_attribute, escape_text};
 
@@ -17,16 +17,22 @@ use sxsi_xml::{escape_attribute, escape_text};
 /// * elements emit `<name attr="…">…</name>`, reading attributes from the
 ///   model's `@` container.
 pub fn serialize_subtree(tree: &XmlTree, texts: &TextCollection, node: NodeId, out: &mut String) {
+    // The text and attribute-value leaves are visited in document order,
+    // which is text-id order: one run of `T`.
+    serialize_node(tree, &mut texts.cursor(), node, out);
+}
+
+fn serialize_node(tree: &XmlTree, texts: &mut TextCursor<'_>, node: NodeId, out: &mut String) {
     let tag = tree.tag(node);
     match tag {
         t if t == reserved::TEXT || t == reserved::ATTRIBUTE_VALUE => {
             if let Some(d) = tree.text_id_of_leaf(node) {
-                out.push_str(&escape_text(&String::from_utf8_lossy(&texts.get_text(d))));
+                out.push_str(&escape_text(&String::from_utf8_lossy(texts.text(d))));
             }
         }
         t if t == reserved::ROOT => {
             for child in tree.children(node) {
-                serialize_subtree(tree, texts, child, out);
+                serialize_node(tree, texts, child, out);
             }
         }
         t if t == reserved::ATTRIBUTES => {
@@ -37,7 +43,7 @@ pub fn serialize_subtree(tree: &XmlTree, texts: &TextCollection, node: NodeId, o
     }
 }
 
-fn serialize_element(tree: &XmlTree, texts: &TextCollection, node: NodeId, out: &mut String) {
+fn serialize_element(tree: &XmlTree, texts: &mut TextCursor<'_>, node: NodeId, out: &mut String) {
     let name = tree.tag_name(tree.tag(node));
     out.push('<');
     out.push_str(name);
@@ -51,7 +57,7 @@ fn serialize_element(tree: &XmlTree, texts: &TextCollection, node: NodeId, out: 
                 out.push_str("=\"");
                 if let Some(value_leaf) = tree.first_child(attr) {
                     if let Some(d) = tree.text_id_of_leaf(value_leaf) {
-                        out.push_str(&escape_attribute(&String::from_utf8_lossy(&texts.get_text(d))));
+                        out.push_str(&escape_attribute(&String::from_utf8_lossy(texts.text(d))));
                     }
                 }
                 out.push('"');
@@ -66,7 +72,7 @@ fn serialize_element(tree: &XmlTree, texts: &TextCollection, node: NodeId, out: 
     }
     out.push('>');
     for child in content_children {
-        serialize_subtree(tree, texts, child, out);
+        serialize_node(tree, texts, child, out);
     }
     out.push_str("</");
     out.push_str(name);
@@ -84,8 +90,9 @@ pub fn subtree_to_string(tree: &XmlTree, texts: &TextCollection, node: NodeId) -
 /// descendants (or the node's own text for `#`/`%` leaves).
 pub fn string_value(tree: &XmlTree, texts: &TextCollection, node: NodeId) -> String {
     let mut out = String::new();
+    let mut cursor = texts.cursor();
     for d in tree.string_value_texts(node) {
-        out.push_str(&String::from_utf8_lossy(&texts.get_text(d)));
+        out.push_str(&String::from_utf8_lossy(cursor.text(d)));
     }
     out
 }

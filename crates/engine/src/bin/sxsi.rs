@@ -2,8 +2,7 @@
 //! files.
 //!
 //! ```text
-//! sxsi build   <input.xml> <output.sxsi> [--sample-rate N] [--no-plain-text]
-//!              [--keep-whitespace]
+//! sxsi build   <input.xml> <output.sxsi> [--sample-rate N] [--keep-whitespace]
 //! sxsi build-collection <output.sxsic> <doc.xml|doc.sxsi> ... [build options]
 //! sxsi query   <index.sxsi|collection.sxsic> [<xpath> ...]
 //!              [--queries-file FILE] [--materialize] [--serialize]
@@ -68,8 +67,7 @@ use sxsi_engine::{BatchExecutor, Target};
 
 const USAGE: &str = "\
 usage:
-  sxsi build   <input.xml> <output.sxsi> [--sample-rate N] [--no-plain-text]
-               [--keep-whitespace]
+  sxsi build   <input.xml> <output.sxsi> [--sample-rate N] [--keep-whitespace]
   sxsi build-collection <output.sxsic> <doc.xml|doc.sxsi> [<doc> ...]
                [build options]
   sxsi query   <index.sxsi|collection.sxsic> [<xpath> ...]
@@ -125,8 +123,6 @@ subcommands:
 build options:
   --sample-rate N    locate sampling step (default 64; smaller = faster
                      locate, larger = smaller index)
-  --no-plain-text    drop the plain text copy (smaller index, slower
-                     extraction and no scan cut-off)
   --keep-whitespace  keep whitespace-only text nodes
 
 query options:
@@ -251,12 +247,11 @@ fn parse_build_args(args: &[String]) -> Result<(SxsiOptions, Vec<&String>), Exit
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--sample-rate" => match parse_number(&mut it, "--sample-rate") {
-                Ok(n) if n > 0 => options.text.sample_rate = n,
+                Ok(n) if n > 0 => options.sample_rate = n,
                 Ok(_) | Err(_) => {
                     return Err(usage_error("--sample-rate expects a positive integer"))
                 }
             },
-            "--no-plain-text" => options.text.keep_plain_text = false,
             "--keep-whitespace" => options.keep_whitespace_text = true,
             flag if flag.starts_with("--") => {
                 return Err(usage_error(&format!("unknown option '{flag}'")))
@@ -483,11 +478,7 @@ fn cmd_info(args: &[String]) -> ExitCode {
     println!("    starts:          {} bytes", space.starts);
     println!("  plain texts:  {} bytes", stats.plain_text_bytes);
     println!("  total memory: {} bytes", stats.total_bytes());
-    println!(
-        "  options: sample_rate={} plain_text={}",
-        index.texts().fm_index().sample_rate(),
-        index.texts().plain().is_some()
-    );
+    println!("  options: sample_rate={}", index.texts().fm_index().sample_rate());
     // Per-section framing status straight from the file, independent of the
     // load above (a section the loader rebuilt fine can still be reported).
     match sxsi::scan_container_file(path) {

@@ -320,14 +320,11 @@ fn containing_element(tree: &XmlTree, text: TextId) -> NodeId {
 /// surrounding bytes show it is a whole token.
 fn term_hits(texts: &TextCollection, token: &[u8]) -> TermHits {
     let mut occurrences: Vec<TextId> = Vec::new();
-    let mut current: Option<(TextId, Vec<u8>)> = None;
+    let mut current: Option<(TextId, &[u8])> = None;
     for (tid, offset) in texts.contains_positions(token) {
-        let content = match &current {
-            Some((id, c)) if *id == tid => c,
-            _ => {
-                current = Some((tid, texts.get_text(tid)));
-                &current.as_ref().expect("just inserted").1 // lint:allow(panic: assigned on the previous line)
-            }
+        let content = match current {
+            Some((id, c)) if id == tid => c,
+            _ => current.insert((tid, texts.text(tid))).1,
         };
         if is_whole_token(content, offset, token.len()) {
             occurrences.push(tid);
@@ -343,14 +340,11 @@ fn phrase_hits(texts: &TextCollection, tokens: &[Vec<u8>]) -> TermHits {
     // lint:allow(index: callers pass a non-empty token list)
     let first = &tokens[0];
     let mut occurrences: Vec<TextId> = Vec::new();
-    let mut current: Option<(TextId, Vec<u8>)> = None;
+    let mut current: Option<(TextId, &[u8])> = None;
     for (tid, offset) in texts.contains_positions(first) {
-        let content = match &current {
-            Some((id, c)) if *id == tid => c,
-            _ => {
-                current = Some((tid, texts.get_text(tid)));
-                &current.as_ref().expect("just inserted").1 // lint:allow(panic: assigned on the previous line)
-            }
+        let content = match current {
+            Some((id, c)) if id == tid => c,
+            _ => current.insert((tid, texts.text(tid))).1,
         };
         if is_whole_token(content, offset, first.len())
             // lint:allow(index: a slice from 1 of a non-empty list)

@@ -11,7 +11,7 @@
 //!
 //! SXSI uses one sarray per tag symbol to answer `TaggedDesc`, `TaggedFoll`
 //! and `SubtreeTags` (Section 4.1.2), and one for the text-start positions
-//! used by the auxiliary plain-text store (Section 3.4).
+//! in the collection text `T` (Section 3.2).
 //!
 //! For `m` values in a universe of size `u` the space is
 //! `m * (2 + ceil(log2(u/m)))` bits plus the rank/select directory of the

@@ -1,16 +1,18 @@
 //! The SXSI text collection index (Section 3.2 of the paper).
 //!
 //! [`TextCollection`] ties the FM-index together with the `Doc` array, the
-//! per-text start offsets and (optionally) a plain copy of the texts, and
+//! per-text start offsets and the collection text `T` itself (every text
+//! followed by its terminator, the sequence the BWT is built from), and
 //! exposes the XPath-level string predicates: `contains`, `starts-with`,
 //! `ends-with`, `=` and the lexicographic comparison operators, each
 //! returning the identifiers of the matching texts, plus existential and
-//! counting variants.
+//! counting variants.  Texts are read from `T`; the FM-index answers the
+//! searches.
 
 use crate::bwt::build_collection_bwt;
 use crate::fmindex::{FmIndex, LocateOutcome, RowRange, DEFAULT_SAMPLE_RATE};
-use crate::plain::{contains_slice, PlainTexts, TextId};
-use sxsi_io::{corrupt, read_u32_vec, read_u8, write_u32_slice, write_u8, IoError, ReadFrom, WriteInto};
+use crate::plain::{contains_slice, PlainTexts, TextId, Texts, TERMINATOR};
+use sxsi_io::{corrupt, read_u32_vec, write_u32_slice, IoError, ReadFrom, WriteInto};
 use sxsi_succinct::EliasFano;
 
 /// A text-predicate as it appears in an XPath filter.
@@ -66,35 +68,13 @@ impl TextPredicate {
     }
 }
 
-/// Build-time space/time trade-offs of a [`TextCollection`] (Section 3.4,
-/// Tables II and III).
-///
-/// Neither value is stored on its own: the FM-index records its sampling
-/// step and the collection records whether it kept a plain copy, so a
-/// reloaded collection behaves exactly like the one that was built.
-#[derive(Debug, Clone)]
-pub struct TextCollectionOptions {
-    /// Locate sampling step (`l` in the paper; Tables II and III use 64 / 4).
-    pub sample_rate: usize,
-    /// Keep a plain copy of the texts (Section 3.4).  Costs `|T|` bytes but
-    /// makes extraction constant-time per symbol and enables the scan-based
-    /// evaluation of high-frequency `contains` patterns.
-    pub keep_plain_text: bool,
-}
-
-impl Default for TextCollectionOptions {
-    fn default() -> Self {
-        Self { sample_rate: DEFAULT_SAMPLE_RATE, keep_plain_text: true }
-    }
-}
-
-/// Occurrence count above which `contains` and its variants scan the plain
-/// copy (when one is kept) instead of locating every occurrence through the
-/// FM-index — the cut-off discussion of Section 6.3.
+/// Occurrence count above which `contains` and its variants scan `T`
+/// instead of locating every occurrence through the FM-index — the cut-off
+/// discussion of Section 6.3.
 const SCAN_CUTOFF: usize = 50_000;
 
-/// Heap bytes of each component of a [`TextCollection`]'s index, the
-/// optional plain store excluded.
+/// Heap bytes of each component of a [`TextCollection`]'s index, the plain
+/// text `T` excluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TextIndexSpace {
     /// The BWT: its wavelet tree and the `C` array.
@@ -116,33 +96,71 @@ impl TextIndexSpace {
     }
 }
 
-/// Self-indexed text collection: FM-index + `Doc` + text boundaries
-/// (+ optional plain copy).
+/// Reads texts in increasing id order as runs of `T`: a later id continues
+/// the run from the previous text's terminator, reading past the texts in
+/// between; an earlier or first id starts a new run with one `starts`
+/// lookup (an Elias–Fano `select`).  Serialization and string values visit
+/// a subtree's texts this way.  Serialization asks for every id; a string
+/// value skips only the attribute values between its texts, and on the
+/// XMark, Treebank, Medline and Wiki corpora those gaps are at most 2 ids
+/// and under 4 % of the bytes read.
+#[derive(Debug, Clone)]
+pub struct TextCursor<'a> {
+    collection: &'a TextCollection,
+    /// The id `run` yields next.
+    next: TextId,
+    run: Texts<'a>,
+}
+
+impl<'a> TextCursor<'a> {
+    /// The bytes of text `id`, borrowed from `T`.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn text(&mut self, id: TextId) -> &'a [u8] {
+        let text = match id.checked_sub(self.next) {
+            Some(gap) => self.run.nth(gap),
+            None => {
+                let tc = self.collection;
+                let start = tc.starts.get(id).map_or(tc.total_len(), |s| s as usize);
+                self.run = tc.plain.texts_at(start);
+                self.run.next()
+            }
+        };
+        self.next = id + 1;
+        text.unwrap_or_else(|| panic!("text id {id} out of range"))
+    }
+}
+
+/// Self-indexed text collection: FM-index + `Doc` + text boundaries + the
+/// collection text `T`.
 #[derive(Debug, Clone)]
 pub struct TextCollection {
     fm: FmIndex,
     /// `doc[j]` = id of the text whose first symbol starts the row of the
     /// `j`-th `$` in the BWT.
     doc: Vec<u32>,
-    /// Start offsets of each text in the concatenation (terminators counted).
+    /// Start offset of each text in `T` (terminators counted).
     starts: EliasFano,
-    plain: Option<PlainTexts>,
+    /// `T`: text `i` is `plain[starts[i]..]` up to its terminator.
+    plain: PlainTexts,
 }
 
 impl TextCollection {
-    /// Builds the collection index with default options.
+    /// Builds the collection index with the default locate sampling step.
     pub fn new<S: AsRef<[u8]>>(texts: &[S]) -> Self {
-        Self::with_options(texts, TextCollectionOptions::default())
+        Self::with_sample_rate(texts, DEFAULT_SAMPLE_RATE)
     }
 
-    /// Builds the collection index.
-    pub fn with_options<S: AsRef<[u8]>>(texts: &[S], options: TextCollectionOptions) -> Self {
+    /// Builds the collection index, sampling every `sample_rate`-th text
+    /// position for locate (`l` in the paper; Tables II and III use 64 and
+    /// 4).
+    pub fn with_sample_rate<S: AsRef<[u8]>>(texts: &[S], sample_rate: usize) -> Self {
         let bwt = build_collection_bwt(texts);
-        let fm = FmIndex::new(&bwt.bwt, &bwt.sa, options.sample_rate);
+        let fm = FmIndex::new(&bwt.bwt, &bwt.sa, sample_rate);
         let starts_vals: Vec<u64> = bwt.starts.iter().map(|&s| s as u64).collect();
         let starts = EliasFano::new(&starts_vals, bwt.len.max(1) as u64);
-        let plain = options.keep_plain_text.then(|| PlainTexts::new(texts));
-        Self { fm, doc: bwt.doc, starts, plain }
+        Self { fm, doc: bwt.doc, starts, plain: PlainTexts::new(texts) }
     }
 
     /// Number of texts (the paper's `d`): one end-marker each in the BWT.
@@ -160,13 +178,17 @@ impl TextCollection {
         &self.fm
     }
 
-    /// The plain-text store, if it was kept.
+    /// The collection text `T`.
+    ///
+    /// Always `Some`: the plain copy is a fact of the format, kept by every
+    /// collection.  The `Option` is what the paper's optional copy (Section
+    /// 3.4) looked like, and it stays because the benchmark harness
+    /// (`perfbench/`) is written against this signature.
     pub fn plain(&self) -> Option<&PlainTexts> {
-        self.plain.as_ref()
+        Some(&self.plain)
     }
 
-    /// Heap size in bytes (FM-index + Doc + boundaries), excluding the
-    /// optional plain store.
+    /// Heap size in bytes (FM-index + Doc + boundaries), excluding `T`.
     pub fn index_size_bytes(&self) -> usize {
         self.index_space().total()
     }
@@ -188,20 +210,6 @@ impl TextCollection {
     // Position arithmetic
     // ------------------------------------------------------------------
 
-    /// Length of text `id` (excluding the terminator).
-    pub fn text_len(&self, id: TextId) -> usize {
-        let start = self.starts.get(id).expect("text id in range") as usize;
-        let end = self
-            .starts
-            .get(id + 1)
-            .map(|e| e as usize)
-            .unwrap_or(self.total_len());
-        // Strict monotonicity of the start offsets (the verifier's
-        // `text-starts` invariant) keeps this subtraction in range.
-        debug_assert!(end > start, "text {id} spans [{start}, {end})");
-        end - start - 1
-    }
-
     /// Converts a global concatenation position into `(text, offset)`.
     pub fn global_to_text(&self, pos: usize) -> (TextId, usize) {
         debug_assert!(pos < self.total_len());
@@ -222,40 +230,24 @@ impl TextCollection {
     // Extraction
     // ------------------------------------------------------------------
 
-    /// Returns the content of text `id`.
+    /// The bytes of text `id`, borrowed from `T`: one `starts` lookup, then
+    /// a search for its terminator.
     ///
-    /// Uses the plain store when available, otherwise extracts from the
-    /// BWT by walking `LF` from the text's terminator row (`O(log σ)` per
-    /// symbol, Section 3.3).
-    pub fn get_text(&self, id: TextId) -> Vec<u8> {
-        assert!(id < self.num_texts(), "text id {id} out of range");
-        if let Some(plain) = &self.plain {
-            return plain.text(id).to_vec();
-        }
-        // Row `id` of F is the terminator of text `id` (the fixed end-marker
-        // ordering); walk backwards collecting symbols until the previous
-        // terminator.
-        let mut out = Vec::new();
-        let mut row = id;
-        loop {
-            let b = self.fm.bwt_symbol(row);
-            if b == 0 {
-                break;
-            }
-            out.push(b);
-            row = self.fm.lf(row);
-        }
-        out.reverse();
-        out
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn text(&self, id: TextId) -> &[u8] {
+        self.cursor().text(id)
     }
 
-    /// Evaluates `pred` against the full content of text `id`.
-    pub fn text_matches(&self, id: TextId, pred: &TextPredicate) -> bool {
-        if let Some(plain) = &self.plain {
-            pred.matches_value(plain.text(id))
-        } else {
-            pred.matches_value(&self.get_text(id))
-        }
+    /// A reader of texts requested in increasing id order, such as the
+    /// texts of one subtree: see [`TextCursor`].
+    pub fn cursor(&self) -> TextCursor<'_> {
+        TextCursor { collection: self, next: TextId::MAX, run: Texts::default() }
+    }
+
+    /// Returns a copy of text `id` (the paper's `GetText`).
+    pub fn get_text(&self, id: TextId) -> Vec<u8> {
+        self.text(id).to_vec()
     }
 
     // ------------------------------------------------------------------
@@ -282,10 +274,8 @@ impl TextCollection {
         // backward search that produces the count is the same one the locate
         // path consumes.
         let range = self.fm.backward_search(pattern);
-        if let Some(plain) = &self.plain {
-            if range.len() > SCAN_CUTOFF {
-                return plain.scan_contains(pattern);
-            }
+        if range.len() > SCAN_CUTOFF {
+            return self.plain.scan_contains(pattern);
         }
         let mut ids: Vec<TextId> = (range.start..range.end).map(|row| self.locate_row(row).0).collect();
         ids.sort_unstable();
@@ -305,10 +295,8 @@ impl TextCollection {
         if range.is_empty() {
             return 0;
         }
-        if let Some(plain) = &self.plain {
-            if range.len() > SCAN_CUTOFF {
-                return plain.scan_contains_count(pattern);
-            }
+        if range.len() > SCAN_CUTOFF {
+            return self.plain.scan_contains_count(pattern);
         }
         let mut seen = std::collections::HashSet::with_capacity(range.len().min(self.num_texts()));
         for row in range.start..range.end {
@@ -322,17 +310,15 @@ impl TextCollection {
     ///
     /// Uses the same plan as [`TextCollection::contains`]: counting through
     /// the FM-index is cheap, and when the pattern occurs more often than
-    /// the scan cut-off a sequential pass over the plain store beats
+    /// the scan cut-off a sequential pass over `T` beats
     /// locating every occurrence through the BWT (Section 6.3).
     pub fn contains_positions(&self, pattern: &[u8]) -> Vec<(TextId, usize)> {
         if pattern.is_empty() {
             return Vec::new();
         }
         let range = self.fm.backward_search(pattern);
-        if let Some(plain) = &self.plain {
-            if range.len() > SCAN_CUTOFF {
-                return plain.scan_contains_positions(pattern);
-            }
+        if range.len() > SCAN_CUTOFF {
+            return self.plain.scan_contains_positions(pattern);
         }
         let mut out: Vec<(TextId, usize)> = (range.start..range.end).map(|row| self.locate_row(row)).collect();
         out.sort_unstable();
@@ -372,7 +358,15 @@ impl TextCollection {
     /// Identifiers of texts exactly equal to `pattern`.
     pub fn equals(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
-            return (0..self.num_texts()).filter(|&id| self.text_len(id) == 0).collect();
+            // A text is empty when its first byte in `T` is its terminator.
+            let t = self.plain.as_bytes();
+            return self
+                .starts
+                .iter()
+                .enumerate()
+                .filter(|&(_, s)| t[s as usize] == TERMINATOR)
+                .map(|(id, _)| id)
+                .collect();
         }
         let start = RowRange { start: 0, end: self.num_texts() };
         let range = self.fm.backward_search_from(pattern, start);
@@ -453,12 +447,7 @@ impl TextCollection {
     /// Assembles a collection from deserialized parts, used by the
     /// [`ReadFrom`] implementation after cross-validating them against the
     /// FM-index, whose end-markers count the texts.
-    fn from_parts(
-        fm: FmIndex,
-        doc: Vec<u32>,
-        starts: EliasFano,
-        plain: Option<PlainTexts>,
-    ) -> Result<Self, IoError> {
+    fn from_parts(fm: FmIndex, doc: Vec<u32>, starts: EliasFano, plain: PlainTexts) -> Result<Self, IoError> {
         let num_texts = fm.symbol_count(0);
         if doc.len() != num_texts {
             return Err(corrupt(format!("Doc array holds {} entries for {num_texts} texts", doc.len())));
@@ -475,47 +464,61 @@ impl TextCollection {
         if starts.iter().any(|s| s as usize >= fm.len().max(1)) {
             return Err(corrupt("text start offset lies outside the concatenation"));
         }
-        match &plain {
-            Some(p) if p.num_texts() != num_texts => {
-                return Err(corrupt(format!(
-                    "plain store holds {} texts, the BWT {num_texts}",
-                    p.num_texts()
-                )));
+        let tc = Self { fm, doc, starts, plain };
+        for (code, problem) in tc.plain_layout_checks() {
+            if let Some(message) = problem {
+                return Err(corrupt(format!("{code}: {message}")));
             }
-            _ => {}
         }
-        Ok(Self { fm, doc, starts, plain })
+        Ok(tc)
+    }
+
+    /// The two layout checks of `T` against the boundaries, each with its
+    /// verifier code and the problem it found, if any: `plain-text-count`
+    /// (as long as the BWT, one terminator per text) and `plain-terminator`
+    /// (each terminator just before the next text's start, the last one
+    /// closing `T`).  With the terminators counted when `T` was built or
+    /// loaded, these pin every terminator; the text bytes between them are
+    /// left to the deep walk.
+    fn plain_layout_checks(&self) -> [(&'static str, Option<String>); 2] {
+        let (num_texts, total_len) = (self.num_texts(), self.total_len());
+        let t = self.plain.as_bytes();
+        let (plain_texts, plain_len) = (self.plain.num_texts(), t.len());
+        let count = (plain_texts != num_texts || plain_len != total_len)
+            .then(|| format!("T holds {plain_texts} texts / {plain_len} bytes, the BWT {num_texts} / {total_len}"));
+        let closed = |end: usize| end.checked_sub(1).and_then(|i| t.get(i)) == Some(&TERMINATOR);
+        let open = self.text_ends().position(|end| !closed(end));
+        let terminator =
+            open.map(|open| format!("text {open} of T is not closed by a terminator where the boundaries end it"));
+        [("plain-text-count", count), ("plain-terminator", terminator)]
+    }
+
+    /// One past each text's terminator in `T`: the next text's start, or
+    /// the end of `T` for the last text.
+    fn text_ends(&self) -> impl Iterator<Item = usize> + '_ {
+        let last = std::iter::once(self.total_len());
+        self.starts.iter().skip(1).map(|s| s as usize).chain(last).take(self.starts.len())
     }
 
     /// Deep verification: replays every text backwards through the LF
     /// mapping, cross-checking the sampling structures, the `Doc` array and
-    /// (when kept) the plain store against the position the walk tracks.
-    /// Visits every BWT row exactly once, `O(total_len)` rank operations.
+    /// every byte of `T`, terminators included, against the position the
+    /// walk tracks.  Visits every BWT row exactly once, `O(total_len)` rank
+    /// operations.  Runs only once the quick checks passed, so the
+    /// boundaries are strictly increasing and `T` is as long as the BWT.
     fn verify_walk(&self, ctx: &mut sxsi_verify::VerifyContext) {
         let rate = self.fm.sample_rate();
+        let t = self.plain.as_bytes();
+        let total_len = self.total_len();
         let mut sample_row: Option<String> = None;
         let mut sample_value: Option<String> = None;
         let mut doc_mismatch: Option<String> = None;
         let mut plain_mismatch: Option<String> = None;
         let mut walk_broken: Option<String> = None;
-        for id in 0..self.num_texts() {
-            let Some(start) = self.starts.get(id) else {
-                walk_broken.get_or_insert_with(|| format!("start offset of text {id} is unreadable"));
-                continue;
-            };
-            let start = start as usize;
-            let tlen = self.text_len(id);
-            let plain = self.plain.as_ref().map(|p| p.text(id));
-            if let Some(p) = plain {
-                if p.len() != tlen {
-                    plain_mismatch.get_or_insert_with(|| {
-                        format!("plain text {id} holds {} bytes, boundaries declare {tlen}", p.len())
-                    });
-                    continue;
-                }
-            }
+        let starts = self.starts.iter().map(|s| s as usize);
+        for (id, (start, end)) in starts.zip(self.text_ends()).enumerate() {
             let mut row = id;
-            let mut offset = tlen;
+            let mut offset = end - start - 1;
             loop {
                 let pos = start + offset;
                 let marked = self.fm.row_is_sampled(row);
@@ -534,7 +537,15 @@ impl TextCollection {
                             .get_or_insert_with(|| format!("sample at position {pos} (text {id}) stores {v}"));
                     }
                 }
+                // The BWT symbol of the row is the byte of `T` before `pos`
+                // (cyclically: text 0 is preceded by the last terminator).
                 let b = self.fm.bwt_symbol(row);
+                let before = (pos + total_len - 1) % total_len;
+                if t[before] != b {
+                    plain_mismatch.get_or_insert_with(|| {
+                        format!("BWT stores {b:#04x} at byte {before} of T, the plain copy holds {:#04x}", t[before])
+                    });
+                }
                 if offset == 0 {
                     if b != 0 {
                         walk_broken.get_or_insert_with(|| {
@@ -557,17 +568,6 @@ impl TextCollection {
                     });
                     break;
                 }
-                if let Some(p) = plain {
-                    if p[offset - 1] != b {
-                        plain_mismatch.get_or_insert_with(|| {
-                            format!(
-                                "BWT stores {b:#04x} at offset {} of text {id}, plain store holds {:#04x}",
-                                offset - 1,
-                                p[offset - 1]
-                            )
-                        });
-                    }
-                }
                 row = self.fm.lf(row);
                 offset -= 1;
             }
@@ -576,11 +576,7 @@ impl TextCollection {
         ctx.check("fm-sample-value", sample_value.is_none(), || sample_value.unwrap_or_default());
         ctx.check("text-doc-mismatch", doc_mismatch.is_none(), || doc_mismatch.unwrap_or_default());
         ctx.check("text-walk", walk_broken.is_none(), || walk_broken.unwrap_or_default());
-        if self.plain.is_some() {
-            ctx.check("plain-text-mismatch", plain_mismatch.is_none(), || {
-                plain_mismatch.unwrap_or_default()
-            });
-        }
+        ctx.check("plain-text-mismatch", plain_mismatch.is_none(), || plain_mismatch.unwrap_or_default());
     }
 
     fn complement(&self, sorted_ids: &[TextId]) -> Vec<TextId> {
@@ -599,16 +595,13 @@ impl TextCollection {
 
 impl sxsi_verify::Verify for TextCollection {
     /// Cross-structure checks over the paper's text apparatus: the FM-index,
-    /// the `Doc` array, the text boundaries and the optional plain store
-    /// must all describe the same collection.  Deep verification replays
-    /// every text through the LF mapping.
+    /// the `Doc` array, the text boundaries and `T` must all describe the
+    /// same collection.  Deep verification replays every text through the
+    /// LF mapping.
     fn verify_into(&self, depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         let issues_before = ctx.issue_count();
         ctx.enter("fm", |ctx| self.fm.verify_into(depth, ctx));
         ctx.enter("starts", |ctx| self.starts.verify_into(depth, ctx));
-        if let Some(p) = &self.plain {
-            ctx.enter("plain", |ctx| p.verify_into(depth, ctx));
-        }
         let (num_texts, total_len) = (self.num_texts(), self.total_len());
         ctx.check(
             "text-count",
@@ -629,31 +622,17 @@ impl sxsi_verify::Verify for TextCollection {
                 self.doc.get(bad_doc.unwrap_or_default()).copied().unwrap_or_default(),
             )
         });
-        let starts_ok = num_texts == 0
-            || (self.starts.get(0) == Some(0)
-                && (1..num_texts).all(|i| {
-                    match (self.starts.get(i - 1), self.starts.get(i)) {
-                        (Some(a), Some(b)) => b > a,
-                        _ => false,
-                    }
-                })
-                && self.starts.get(num_texts - 1).is_some_and(|last| (last as usize) < total_len));
+        let mut prev = None;
+        let starts_ok = self.starts.iter().all(|s| {
+            let ok = prev.map_or(s == 0, |p| s > p) && (s as usize) < total_len;
+            prev = Some(s);
+            ok
+        });
         ctx.check("text-starts", starts_ok, || {
             "text start offsets are not strictly increasing from 0 within the concatenation".into()
         });
-        if let Some(p) = &self.plain {
-            ctx.check(
-                "plain-text-count",
-                p.num_texts() == num_texts && p.total_bytes() + num_texts == total_len,
-                || {
-                    format!(
-                        "plain store holds {} texts / {} bytes, the BWT {num_texts} texts / {} bytes",
-                        p.num_texts(),
-                        p.total_bytes(),
-                        total_len.saturating_sub(num_texts)
-                    )
-                },
-            );
+        for (code, problem) in self.plain_layout_checks() {
+            ctx.check(code, problem.is_none(), || problem.unwrap_or_default());
         }
         if ctx.issue_count() > issues_before {
             return;
@@ -669,13 +648,7 @@ impl WriteInto for TextCollection {
         self.fm.write_into(w)?;
         write_u32_slice(w, &self.doc)?;
         self.starts.write_into(w)?;
-        match &self.plain {
-            Some(plain) => {
-                write_u8(w, 1)?;
-                plain.write_into(w)
-            }
-            None => write_u8(w, 0),
-        }
+        self.plain.write_into(w)
     }
 }
 
@@ -684,11 +657,7 @@ impl ReadFrom for TextCollection {
         let fm = FmIndex::read_from(r)?;
         let doc = read_u32_vec(r)?;
         let starts = EliasFano::read_from(r)?;
-        let plain = match read_u8(r)? {
-            0 => None,
-            1 => Some(PlainTexts::read_from(r)?),
-            other => return Err(corrupt(format!("invalid plain-store flag {other}"))),
-        };
+        let plain = PlainTexts::read_from(r)?;
         Self::from_parts(fm, doc, starts, plain)
     }
 }
@@ -701,11 +670,8 @@ mod tests {
         TextCollection::new(texts)
     }
 
-    fn collection_no_plain(texts: &[&str]) -> TextCollection {
-        TextCollection::with_options(
-            texts,
-            TextCollectionOptions { keep_plain_text: false, sample_rate: 4 },
-        )
+    fn collection_sampled(texts: &[&str]) -> TextCollection {
+        TextCollection::with_sample_rate(texts, 4)
     }
 
     const PAPER_TEXTS: [&str; 6] = ["pen", "Soon discontinued", "blue", "40", "rubber", "30"];
@@ -727,16 +693,15 @@ mod tests {
 
     #[test]
     fn options_serialization_roundtrip_and_truncation() {
-        // The options are not written on their own: the body begins with
-        // the FM-index, which carries the sample rate, and the plain flag
-        // says whether a copy was kept.
-        let options = TextCollectionOptions { sample_rate: 8, keep_plain_text: false };
-        let tc = TextCollection::with_options(&PAPER_TEXTS, options);
+        // The sample rate is not written on its own: the body begins with
+        // the FM-index, which carries it, and ends with `T`.
+        let tc = TextCollection::with_sample_rate(&PAPER_TEXTS, 8);
         let bytes = tc.to_bytes();
         assert_eq!(bytes[..tc.fm.to_bytes().len()], tc.fm.to_bytes()[..]);
+        assert!(bytes.ends_with(tc.plain.as_bytes()));
         let back = TextCollection::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(back.fm_index().sample_rate(), 8);
-        assert!(back.plain().is_none());
+        assert_eq!(back.plain.as_bytes(), tc.plain.as_bytes());
         // Truncated input must fail structurally, never panic.
         for cut in 0..bytes.len() {
             assert!(TextCollection::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -750,12 +715,20 @@ mod tests {
 
     #[test]
     fn get_text_roundtrip_plain_and_fm() {
-        for tc in [collection(&PAPER_TEXTS), collection_no_plain(&PAPER_TEXTS)] {
+        // Texts come from `T`; the FM-index's LF extraction is covered by
+        // `fmindex::tests::lf_walk_reconstructs_text_backwards`.
+        for tc in [collection(&PAPER_TEXTS), collection_sampled(&PAPER_TEXTS)] {
             for (i, t) in PAPER_TEXTS.iter().enumerate() {
                 assert_eq!(tc.get_text(i), t.as_bytes(), "text {i}");
-                assert_eq!(tc.text_len(i), t.len());
+                assert_eq!(tc.text(i), t.as_bytes(), "text {i}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn text_out_of_range_panics() {
+        collection(&["a"]).text(1);
     }
 
     #[test]
@@ -786,7 +759,7 @@ mod tests {
         let texts: Vec<String> = (0..60).map(|i| format!("abc abca cabx {}", i % 7)).collect();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let tc = collection(&refs);
-        let plain = tc.plain().expect("plain copy kept by default");
+        let plain = tc.plain().expect("T is always kept");
         for pattern in ["abc", "a", "ca", "x 3", "zzz", "abca"] {
             let p = pattern.as_bytes();
             let positions = located(&tc, p);
@@ -811,10 +784,10 @@ mod tests {
         assert_eq!(tc.contains(p), ids);
         assert_eq!(tc.contains_count(p), ids.len());
         assert_eq!(tc.contains_positions(p), positions);
-        // Drift one plain byte: the answers now follow the plain copy, not
-        // the FM-index, which proves the scan arm ran.
-        tc.plain.as_mut().expect("plain copy kept by default").corrupt_byte_for_tests(0);
-        let scanned = tc.plain().expect("plain copy kept by default").scan_contains_positions(p);
+        // Drift one byte of `T`: the answers now follow `T`, not the
+        // FM-index, which proves the scan arm ran.
+        tc.plain.set_byte_for_tests(0, b'b');
+        let scanned = tc.plain.scan_contains_positions(p);
         assert_eq!(scanned.len(), positions.len() - 1);
         assert_eq!(tc.contains_positions(p), scanned);
         assert_eq!(tc.contains_count(p), ids.len());
@@ -823,7 +796,7 @@ mod tests {
 
     #[test]
     fn contains_count_without_plain_store() {
-        let tc = collection_no_plain(&PAPER_TEXTS);
+        let tc = collection_sampled(&PAPER_TEXTS);
         assert_eq!(tc.contains_count(b"e"), 4);
         assert_eq!(tc.contains_count(b""), PAPER_TEXTS.len());
         assert_eq!(tc.contains_count(b"zzz"), 0);
@@ -876,9 +849,9 @@ mod tests {
     #[test]
     fn text_matches_predicate() {
         let tc = collection(&PAPER_TEXTS);
-        assert!(tc.text_matches(1, &TextPredicate::Contains(b"disc".to_vec())));
-        assert!(!tc.text_matches(0, &TextPredicate::Contains(b"disc".to_vec())));
-        assert!(tc.text_matches(3, &TextPredicate::GreaterEq(b"3".to_vec())));
+        assert!(TextPredicate::Contains(b"disc".to_vec()).matches_value(tc.text(1)));
+        assert!(!TextPredicate::Contains(b"disc".to_vec()).matches_value(tc.text(0)));
+        assert!(TextPredicate::GreaterEq(b"3".to_vec()).matches_value(tc.text(3)));
     }
 
     #[test]
@@ -903,20 +876,23 @@ mod tests {
 
     #[test]
     fn works_without_plain_store() {
-        let tc = collection_no_plain(&PAPER_TEXTS);
+        // `T` is always kept and is not part of the index's own size.
+        let tc = collection_sampled(&PAPER_TEXTS);
         assert_eq!(tc.contains(b"ue"), vec![1, 2]);
         assert_eq!(tc.ends_with(b"0"), vec![3, 5]);
-        assert!(tc.plain().is_none());
+        let plain = tc.plain().expect("T is always kept");
+        assert_eq!(plain.as_bytes().len(), tc.total_len());
+        assert_eq!(plain.total_bytes(), tc.total_len() - tc.num_texts());
         assert!(tc.index_size_bytes() > 0);
     }
 
     #[test]
     fn serialization_roundtrip_with_and_without_plain_store() {
-        for tc in [collection(&PAPER_TEXTS), collection_no_plain(&PAPER_TEXTS)] {
+        for tc in [collection(&PAPER_TEXTS), collection_sampled(&PAPER_TEXTS)] {
             let back = TextCollection::from_bytes(&tc.to_bytes()).unwrap();
             assert_eq!(back.num_texts(), tc.num_texts());
             assert_eq!(back.total_len(), tc.total_len());
-            assert_eq!(back.plain().is_some(), tc.plain().is_some());
+            assert_eq!(back.plain.as_bytes(), tc.plain.as_bytes());
             for (i, t) in PAPER_TEXTS.iter().enumerate() {
                 assert_eq!(back.get_text(i), t.as_bytes());
             }
@@ -961,6 +937,14 @@ mod tests {
             .collect();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let tc = collection(&refs);
+        // A cursor reads ids forwards, continuing one run, and backwards,
+        // starting a new run at every id.
+        for step in [1, 9, 10, 37] {
+            let mut cursor = tc.cursor();
+            for id in (0..texts.len()).step_by(step).chain((0..texts.len()).rev().step_by(step)) {
+                assert_eq!(cursor.text(id), texts[id].as_bytes(), "step {step} id {id}");
+            }
+        }
         for pattern in ["alpha", "a be", "ta 7", "zzz", "epsilon gamma"] {
             let p = pattern.as_bytes();
             let naive: Vec<usize> = (0..texts.len()).filter(|&i| texts[i].contains(pattern)).collect();
@@ -981,21 +965,15 @@ mod verify_tests {
     const PAPER_TEXTS: [&str; 6] = ["pen", "Soon discontinued", "blue", "40", "rubber", "30"];
 
     fn sampled_collection() -> TextCollection {
-        TextCollection::with_options(
-            &PAPER_TEXTS,
-            TextCollectionOptions { sample_rate: 4, ..Default::default() },
-        )
+        TextCollection::with_sample_rate(&PAPER_TEXTS, 4)
     }
 
     #[test]
     fn clean_collection_verifies() {
-        for keep_plain in [true, false] {
-            let tc = TextCollection::with_options(
-                &PAPER_TEXTS,
-                TextCollectionOptions { sample_rate: 4, keep_plain_text: keep_plain },
-            );
+        for sample_rate in [4, 64] {
+            let tc = TextCollection::with_sample_rate(&PAPER_TEXTS, sample_rate);
             let report = tc.verify(VerifyDepth::Deep);
-            assert!(report.is_ok(), "keep_plain={keep_plain}: {report}");
+            assert!(report.is_ok(), "sample_rate={sample_rate}: {report}");
             assert!(report.checks_run >= 15);
         }
     }
@@ -1045,13 +1023,44 @@ mod verify_tests {
 
     #[test]
     fn plain_store_drift_fails_the_deep_walk() {
-        let mut tc = sampled_collection();
-        if let Some(p) = tc.plain.as_mut() {
-            p.corrupt_byte_for_tests(2);
-        }
+        // A drifted text byte keeps every terminator in place: it loads,
+        // passes the quick checks, and only the deep walk sees it.
+        let mut bytes = sampled_collection().to_bytes();
+        let pen = bytes.len() - sampled_collection().total_len(); // `T` ends the body
+        bytes[pen + 2] = b'x';
+        let tc = TextCollection::from_bytes(&bytes).expect("a drifted text byte loads");
+        assert_eq!(tc.text(0), b"pex");
         assert!(tc.verify(VerifyDepth::Quick).is_ok());
         let report = tc.verify(VerifyDepth::Deep);
         assert!(report.has_code("plain-text-mismatch"), "{report}");
+        assert_eq!(report.codes(), vec!["plain-text-mismatch"], "{report}");
+    }
+
+    #[test]
+    fn drifted_terminators_are_rejected_at_load_and_by_the_quick_checks() {
+        let tc = sampled_collection();
+        let clean = tc.to_bytes();
+        let t0 = clean.len() - tc.total_len();
+        // "pen\0Soon…": byte 3 of `T` closes text 0.
+        for (label, edits, code) in [
+            ("terminator moved one byte left", vec![(2, 0), (3, b'n')], "plain-terminator"),
+            ("terminator overwritten", vec![(3, b'x')], "plain-text-count"),
+            ("text byte turned into a terminator", vec![(1, 0)], "plain-text-count"),
+            ("last terminator overwritten", vec![(tc.total_len() - 1, b'x')], "plain-terminator"),
+        ] {
+            let mut bytes = clean.clone();
+            for &(at, b) in &edits {
+                bytes[t0 + at] = b;
+            }
+            let err = TextCollection::from_bytes(&bytes).expect_err(label);
+            assert!(err.to_string().contains(code), "{label}: {err}");
+        }
+        // In memory, a moved terminator is a quick-check finding.
+        let mut moved = sampled_collection();
+        moved.plain.set_byte_for_tests(2, 0);
+        moved.plain.set_byte_for_tests(3, b'n');
+        let report = moved.verify(VerifyDepth::Quick);
+        assert_eq!(report.codes(), vec!["plain-terminator"], "{report}");
     }
 }
 
@@ -1085,6 +1094,49 @@ mod proptests {
                 if p.len() > t.len() { 0 } else { t.as_bytes().windows(p.len()).filter(|w| *w == p).count() }
             }).sum();
             prop_assert_eq!(tc.global_count(p), total_occ);
+        }
+
+        #[test]
+        fn plain_store_is_t_and_scans_match_naive(
+            texts in proptest::collection::vec("[ab]{0,2}", 0..8),
+            pattern in "[ab]{0,2}",
+        ) {
+            // Small texts over a tiny alphabet: zero texts, one text, empty
+            // texts and 1-byte texts all come up.
+            let tc = TextCollection::new(&texts);
+            let plain = tc.plain().expect("T is always kept");
+            let t: Vec<u8> = texts.iter().flat_map(|s| s.bytes().chain([0])).collect();
+            prop_assert_eq!(plain.as_bytes(), &t[..]);
+            prop_assert_eq!(plain.total_bytes(), t.len() - texts.len());
+            let mut cursor = tc.cursor();
+            for (id, s) in texts.iter().enumerate() {
+                prop_assert_eq!(tc.text(id), s.as_bytes());
+                prop_assert_eq!(tc.get_text(id), s.as_bytes());
+                prop_assert_eq!(cursor.text(id), s.as_bytes());
+            }
+            let report = sxsi_verify::Verify::verify(&tc, sxsi_verify::VerifyDepth::Deep);
+            prop_assert!(report.is_ok(), "{report} {texts:?}");
+            let p = pattern.as_bytes();
+            let ids = |keep: &dyn Fn(&str) -> bool| -> Vec<usize> {
+                (0..texts.len()).filter(|&i| keep(&texts[i])).collect()
+            };
+            let contains = ids(&|s| s.contains(&pattern));
+            prop_assert_eq!(plain.scan_contains(p), contains.clone());
+            prop_assert_eq!(plain.scan_contains_count(p), contains.len());
+            prop_assert_eq!(plain.scan_equals(p), ids(&|s| s == pattern));
+            prop_assert_eq!(plain.scan_starts_with(p), ids(&|s| s.starts_with(&pattern)));
+            prop_assert_eq!(plain.scan_ends_with(p), ids(&|s| s.ends_with(&pattern)));
+            prop_assert_eq!(tc.equals(p), ids(&|s| s == pattern));
+            let mut positions = Vec::new();
+            for (id, s) in texts.iter().enumerate() {
+                for off in 0..s.len() {
+                    if !p.is_empty() && s.as_bytes()[off..].starts_with(p) {
+                        positions.push((id, off));
+                    }
+                }
+            }
+            prop_assert_eq!(plain.scan_contains_positions(p), positions.clone());
+            prop_assert_eq!(plain.scan_global_count(p), positions.len());
         }
     }
 }

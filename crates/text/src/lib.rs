@@ -11,7 +11,7 @@
 //! * [`collection`] — [`TextCollection`], the public text index with the
 //!   XPath string predicates (`contains`, `starts-with`, `ends-with`, `=`,
 //!   lexicographic comparisons) returning text identifiers;
-//! * [`plain`] — the optional plain-text store and the naive scanning
+//! * [`plain`] — the collection text `T`, always kept, and the naive scanning
 //!   baseline of Tables II/III.
 
 #![forbid(unsafe_code)]
@@ -23,6 +23,6 @@ pub mod fmindex;
 pub mod plain;
 pub mod suffix;
 
-pub use collection::{TextCollection, TextCollectionOptions, TextIndexSpace, TextPredicate};
+pub use collection::{TextCollection, TextCursor, TextIndexSpace, TextPredicate};
 pub use fmindex::{FmIndex, RowRange};
 pub use plain::{PlainTexts, TextId};

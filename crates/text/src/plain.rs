@@ -1,81 +1,100 @@
-//! Naive plain-text storage and scanning.
+//! The collection text `T`, stored plainly, and the naive scans over it.
 //!
-//! Section 3.4 of the paper keeps an optional plain copy of all texts next to
-//! the FM-index: extraction from it is much faster, and for patterns with
-//! very many occurrences a sequential scan beats locating each occurrence
-//! through the BWT (the cut-off experiment of Tables II/III).  This module is
-//! that plain store, and also serves as the "naive string buffer" baseline
-//! the paper compares the FM-index against.
+//! `T` is every text followed by a byte-0 terminator: exactly the sequence
+//! the BWT is built from, so text `i` starts at `T[starts[i]]` and runs to
+//! its terminator.  Section 3.4 of the paper keeps such a plain copy next
+//! to the FM-index as an option; here it is always kept, because every
+//! workload reads texts (extraction, serialisation, search tokenisation,
+//! mixed-content predicates), and for patterns with very many occurrences a
+//! sequential scan beats locating each occurrence through the BWT (the
+//! cut-off experiment of Tables II/III).  The scans also serve as the
+//! "naive string buffer" baseline the paper compares the FM-index against.
 
-use sxsi_io::{corrupt, read_bytes, read_usize_vec, write_bytes, write_usize_slice, IoError, ReadFrom, WriteInto};
+use sxsi_io::{corrupt, read_bytes, write_bytes, IoError, ReadFrom, WriteInto};
 
 /// Identifier of a text within the collection (0-based, document order).
 pub type TextId = usize;
 
-/// Concatenated plain texts with per-text offsets.
-#[derive(Debug, Clone, Default)]
+/// The byte that closes every text in `T`.
+pub(crate) const TERMINATOR: u8 = 0;
+
+/// The collection text `T`.
+#[derive(Debug, Clone)]
 pub struct PlainTexts {
+    /// `T`: every text followed by one [`TERMINATOR`].
     data: Vec<u8>,
-    /// `offsets[i]..offsets[i+1]` is the byte range of text `i`.
-    offsets: Vec<usize>,
+    /// Number of terminators in `data`, counted on build and load (never
+    /// written), so that [`PlainTexts::total_bytes`] is `O(1)`.
+    num_texts: usize,
+}
+
+/// Consecutive texts of `T`, each read up to its terminator.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Texts<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Texts<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let end = self.rest.iter().position(|&b| b == TERMINATOR)?;
+        let text = &self.rest[..end];
+        self.rest = &self.rest[end + 1..];
+        Some(text)
+    }
 }
 
 impl PlainTexts {
-    /// Builds the store from the texts.
-    pub fn new<S: AsRef<[u8]>>(texts: &[S]) -> Self {
-        let total = texts.iter().map(|t| t.as_ref().len()).sum();
+    /// Builds `T` from the texts, which must not contain the terminator.
+    pub(crate) fn new<S: AsRef<[u8]>>(texts: &[S]) -> Self {
+        let total = texts.iter().map(|t| t.as_ref().len() + 1).sum();
         let mut data = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(texts.len() + 1);
         for t in texts {
-            offsets.push(data.len());
             data.extend_from_slice(t.as_ref());
+            data.push(TERMINATOR);
         }
-        offsets.push(data.len());
-        Self { data, offsets }
+        Self { data, num_texts: texts.len() }
     }
 
-    /// Number of texts stored.
-    pub fn num_texts(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+    /// `T` itself, terminators included.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.data
     }
 
-    /// Total number of text bytes (terminators are not stored).
+    /// Number of terminators in `T`, one per text.
+    pub(crate) fn num_texts(&self) -> usize {
+        self.num_texts
+    }
+
+    /// Total number of text bytes, terminators excluded.
     pub fn total_bytes(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.num_texts
     }
 
-    /// The bytes of text `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn text(&self, id: TextId) -> &[u8] {
-        assert!(id < self.num_texts(), "text id {id} out of range");
-        &self.data[self.offsets[id]..self.offsets[id + 1]]
+    /// Every text, in id order.
+    pub(crate) fn iter(&self) -> Texts<'_> {
+        self.texts_at(0)
     }
 
-    /// Length of text `id` in bytes.
-    pub fn text_len(&self, id: TextId) -> usize {
-        self.offsets[id + 1] - self.offsets[id]
+    /// The texts whose first one starts at byte `start` of `T`.
+    pub(crate) fn texts_at(&self, start: usize) -> Texts<'_> {
+        Texts { rest: &self.data[start..] }
     }
 
-    /// Heap bytes used.
-    pub fn size_bytes(&self) -> usize {
-        self.data.len() + self.offsets.len() * std::mem::size_of::<usize>()
-    }
-
-    /// Whether text `id` contains `pattern` (naive scan).
-    pub fn text_contains(&self, id: TextId, pattern: &[u8]) -> bool {
-        contains_slice(self.text(id), pattern)
+    /// Ids of the texts `keep` accepts, in increasing order.
+    fn ids_where(&self, keep: impl Fn(&[u8]) -> bool) -> Vec<TextId> {
+        self.iter().enumerate().filter(|&(_, t)| keep(t)).map(|(id, _)| id).collect()
     }
 
     /// All texts containing `pattern`, by scanning every text.
     pub fn scan_contains(&self, pattern: &[u8]) -> Vec<TextId> {
-        (0..self.num_texts()).filter(|&id| self.text_contains(id, pattern)).collect()
+        self.ids_where(|t| contains_slice(t, pattern))
     }
 
     /// Number of texts containing `pattern`, without materializing the ids.
     pub fn scan_contains_count(&self, pattern: &[u8]) -> usize {
-        (0..self.num_texts()).filter(|&id| self.text_contains(id, pattern)).count()
+        self.iter().filter(|t| contains_slice(t, pattern)).count()
     }
 
     /// Positions `(text, offset)` of every (possibly overlapping) occurrence
@@ -86,11 +105,7 @@ impl PlainTexts {
         if pattern.is_empty() {
             return out;
         }
-        for id in 0..self.num_texts() {
-            let text = self.text(id);
-            if pattern.len() > text.len() {
-                continue;
-            }
+        for (id, text) in self.iter().enumerate() {
             for (off, w) in text.windows(pattern.len()).enumerate() {
                 if w == pattern {
                     out.push((id, off));
@@ -103,66 +118,49 @@ impl PlainTexts {
     /// Total number of (possibly overlapping) occurrences of `pattern` across
     /// all texts; the naive counterpart of the FM-index `GlobalCount`.
     pub fn scan_global_count(&self, pattern: &[u8]) -> usize {
-        (0..self.num_texts()).map(|id| count_occurrences(self.text(id), pattern)).sum()
+        self.iter().map(|t| count_occurrences(t, pattern)).sum()
     }
 
     /// All texts equal to `pattern`.
     pub fn scan_equals(&self, pattern: &[u8]) -> Vec<TextId> {
-        (0..self.num_texts()).filter(|&id| self.text(id) == pattern).collect()
+        self.ids_where(|t| t == pattern)
     }
 
     /// All texts starting with `pattern`.
     pub fn scan_starts_with(&self, pattern: &[u8]) -> Vec<TextId> {
-        (0..self.num_texts()).filter(|&id| self.text(id).starts_with(pattern)).collect()
+        self.ids_where(|t| t.starts_with(pattern))
     }
 
     /// All texts ending with `pattern`.
     pub fn scan_ends_with(&self, pattern: &[u8]) -> Vec<TextId> {
-        (0..self.num_texts()).filter(|&id| self.text(id).ends_with(pattern)).collect()
+        self.ids_where(|t| t.ends_with(pattern))
     }
 }
 
 #[cfg(test)]
 impl PlainTexts {
-    /// Flips one stored byte (collection-level verify tests).
-    pub(crate) fn corrupt_byte_for_tests(&mut self, i: usize) {
-        self.data[i] ^= 1;
-    }
-}
-
-impl sxsi_verify::Verify for PlainTexts {
-    /// The offsets must monotonically span the data buffer — the same shape
-    /// check the loader applies, re-run against the in-memory state.
-    fn verify_into(&self, _depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
-        ctx.check(
-            "plain-offsets",
-            (self.offsets.is_empty() && self.data.is_empty())
-                || (self.offsets.first() == Some(&0)
-                    && self.offsets.last() == Some(&self.data.len())
-                    && self.offsets.windows(2).all(|w| w[0] <= w[1])),
-            || "offsets do not monotonically span the data buffer".into(),
-        );
+    /// Overwrites one byte of `T` (collection-level verify tests).
+    pub(crate) fn set_byte_for_tests(&mut self, i: usize, b: u8) {
+        self.data[i] = b;
     }
 }
 
 impl WriteInto for PlainTexts {
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_bytes(w, &self.data)?;
-        write_usize_slice(w, &self.offsets)
+        write_bytes(w, &self.data)
     }
 }
 
 impl ReadFrom for PlainTexts {
+    /// Reads `T`; the collection checks its terminators against the text
+    /// boundaries.
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
         let data = read_bytes(r)?;
-        let offsets = read_usize_vec(r)?;
-        if offsets.first() != Some(&0) || offsets.last() != Some(&data.len()) {
-            return Err(corrupt("plain-text offsets do not span the data buffer"));
+        if data.last().is_some_and(|&b| b != TERMINATOR) {
+            return Err(corrupt("plain-terminator: the collection text does not end with a terminator"));
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(corrupt("plain-text offsets are not monotone"));
-        }
-        Ok(Self { data, offsets })
+        let num_texts = data.iter().filter(|&&b| b == TERMINATOR).count();
+        Ok(Self { data, num_texts })
     }
 }
 
@@ -193,12 +191,14 @@ mod tests {
     fn store_and_read_back() {
         let texts = ["pen", "Soon discontinued", "", "blue"];
         let store = PlainTexts::new(&texts);
-        assert_eq!(store.num_texts(), 4);
-        for (i, t) in texts.iter().enumerate() {
-            assert_eq!(store.text(i), t.as_bytes());
-            assert_eq!(store.text_len(i), t.len());
-        }
+        assert_eq!(store.as_bytes(), b"pen\0Soon discontinued\0\0blue\0");
+        let read: Vec<&[u8]> = store.iter().collect();
+        let expected: Vec<&[u8]> = texts.iter().map(|t| t.as_bytes()).collect();
+        assert_eq!(read, expected);
         assert_eq!(store.total_bytes(), texts.iter().map(|t| t.len()).sum::<usize>());
+        assert_eq!(store.as_bytes().len(), store.total_bytes() + texts.len());
+        assert_eq!(store.texts_at(4).next(), Some(&b"Soon discontinued"[..]));
+        assert_eq!(PlainTexts::new::<&str>(&[]).iter().count(), 0);
     }
 
     #[test]
@@ -226,12 +226,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn text_out_of_range_panics() {
-        PlainTexts::new(&["a"]).text(1);
-    }
-
-    #[test]
     fn scan_position_variants_agree() {
         let texts = ["banana", "bandana", "", "aaa"];
         let store = PlainTexts::new(&texts);
@@ -249,17 +243,17 @@ mod tests {
     fn serialization_roundtrip() {
         let texts = ["pen", "", "Soon discontinued", "blue"];
         let store = PlainTexts::new(&texts);
-        let back = PlainTexts::from_bytes(&store.to_bytes()).unwrap();
-        assert_eq!(back.num_texts(), store.num_texts());
-        for i in 0..texts.len() {
-            assert_eq!(back.text(i), store.text(i));
-        }
         let bytes = store.to_bytes();
+        let back = PlainTexts::from_bytes(&bytes).unwrap();
+        assert_eq!(back.as_bytes(), store.as_bytes());
+        assert_eq!(back.num_texts(), texts.len());
+        assert_eq!(back.total_bytes(), store.total_bytes());
         assert!(PlainTexts::from_bytes(&bytes[..bytes.len() - 4]).is_err());
-        // Break monotonicity of the offsets (last offset lives at the tail).
-        let mut wrong = bytes.clone();
-        let n = wrong.len();
-        wrong[n - 8..].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(PlainTexts::from_bytes(&wrong).is_err());
+        // The last text lost its terminator.
+        let mut open = bytes.clone();
+        let n = open.len();
+        open[n - 1] = b'x';
+        let err = PlainTexts::from_bytes(&open).unwrap_err();
+        assert!(err.to_string().contains("plain-terminator"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 
 use sxsi_datagen::text_pool::{paragraph, sentence};
 use sxsi_datagen::SimRng;
-use sxsi_text::{TextCollection, TextCollectionOptions};
+use sxsi_text::TextCollection;
 
 /// A Medline-like pool: abstract-sized paragraphs from the shared vocabulary.
 fn medline_pool(seed: u64, n: usize) -> Vec<String> {
@@ -52,17 +52,14 @@ fn naive_occurrences(texts: &[String], pattern: &[u8]) -> Vec<(usize, usize)> {
 
 fn check_pool(texts: &[String], patterns: &[&str]) {
     let refs: Vec<&[u8]> = texts.iter().map(|s| s.as_bytes()).collect();
-    for options in [
-        TextCollectionOptions::default(),
-        TextCollectionOptions { keep_plain_text: false, ..Default::default() },
-    ] {
-        let tc = TextCollection::with_options(&refs, options);
+    for sample_rate in [64, 4] {
+        let tc = TextCollection::with_sample_rate(&refs, sample_rate);
         assert_eq!(tc.num_texts(), texts.len());
 
         // Round-trip: extract returns every original text unchanged.
         for (id, t) in texts.iter().enumerate() {
             assert_eq!(tc.get_text(id), t.as_bytes(), "extract of text {id}");
-            assert_eq!(tc.text_len(id), t.len(), "text_len of text {id}");
+            assert_eq!(tc.text(id), t.as_bytes(), "borrowed text {id}");
         }
 
         for &p in patterns {

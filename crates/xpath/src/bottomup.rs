@@ -25,9 +25,6 @@ pub struct BottomUpOutcome {
     /// Result nodes, deduplicated, in document order.  Under truncation
     /// this is a prefix of the full result.
     pub nodes: Vec<NodeId>,
-    /// Whether the seed verification stopped before processing every seed
-    /// (more results may exist).
-    pub truncated: bool,
     /// Number of tree nodes touched by the upward verifications and the
     /// trailing-step expansions.
     pub visited: u64,
@@ -258,7 +255,6 @@ impl BottomUpPlan {
         let mut pivots: Vec<NodeId> = Vec::new();
         let mut out: Vec<NodeId> = Vec::new();
         let mut monotone = true;
-        let mut truncated = false;
         for &d in seeds {
             let Some(leaf) = tree.node_of_text(d) else { continue };
             let Some(p) = self.verify_upward(tree, leaf, &mut visited) else { continue };
@@ -282,7 +278,6 @@ impl BottomUpPlan {
                     out.extend(expansion);
                 }
                 if max_nodes.is_some_and(|cap| out.len() >= cap) {
-                    truncated = true;
                     break;
                 }
             }
@@ -302,7 +297,7 @@ impl BottomUpPlan {
                 out.dedup();
             }
         }
-        BottomUpOutcome { nodes: out, truncated, visited }
+        BottomUpOutcome { nodes: out, visited }
     }
 
     /// Walks upward from a seed text leaf, matching the filter steps and the
@@ -557,16 +552,19 @@ mod tests {
             }
             assert!(plan.exists(&f.tree, &f.texts), "{query}");
             let first = plan.run_limited(&f.tree, &f.texts, Some(1));
-            assert!(first.truncated || full.len() <= 1);
+            assert!(first.nodes.starts_with(&full[..1]), "{query}: first-match prefix");
             assert!(
                 first.visited < full_visited || full.len() <= 1,
                 "{query}: first-match run should verify fewer nodes"
             );
         }
-        // A query with no matches: exists is false, nothing is truncated.
+        // A query with no matches: exists is false, and a limited run
+        // visits exactly what the full run visits.
         let q = parse_query(r#"//Article[ .//AbstractText[ contains(., "zzz") ] ]"#).unwrap();
         let plan = BottomUpPlan::try_from_query(&q, &f.tree).unwrap();
         assert!(!plan.exists(&f.tree, &f.texts));
-        assert!(!plan.run_limited(&f.tree, &f.texts, Some(3)).truncated);
+        let limited = plan.run_limited(&f.tree, &f.texts, Some(3));
+        assert!(limited.nodes.is_empty());
+        assert_eq!(limited.visited, plan.run_limited(&f.tree, &f.texts, None).visited);
     }
 }

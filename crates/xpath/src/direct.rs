@@ -30,7 +30,7 @@
 
 use crate::ast::{Axis, NodeTest, Path, Predicate, Query, Step};
 use std::sync::atomic::{AtomicU64, Ordering};
-use sxsi_text::TextCollection;
+use sxsi_text::{TextCollection, TextId, TextPredicate};
 use sxsi_tree::{reserved, NodeId, XmlTree};
 
 /// Options for a [`DirectEvaluator`] run.
@@ -51,9 +51,6 @@ pub struct DirectOutcome {
     /// Result nodes, deduplicated.  In document order — and, under
     /// `max_nodes` truncation, an exact prefix of the full result.
     pub nodes: Vec<NodeId>,
-    /// Whether evaluation stopped before enumerating the full result (more
-    /// results may exist).
-    pub truncated: bool,
     /// Number of candidate nodes tested during the run (the direct
     /// strategy's equivalent of the automaton's visited-node counter).
     pub visited: u64,
@@ -153,19 +150,12 @@ impl<'a> DirectEvaluator<'a> {
     pub fn run(&self, query: &Query, options: &DirectRunOptions) -> DirectOutcome {
         self.visited.store(0, Ordering::Relaxed);
         let budget = if options.exists_only { Some(1) } else { options.max_nodes };
-        let (mut nodes, mut truncated) = self.eval_steps_budgeted(
-            &[self.tree.root()],
-            &query.path.steps,
-            budget,
-            options.exists_only,
-        );
+        let mut nodes =
+            self.eval_steps_budgeted(&[self.tree.root()], &query.path.steps, budget, options.exists_only);
         if let (Some(cap), false) = (options.max_nodes, options.exists_only) {
-            if nodes.len() >= cap {
-                nodes.truncate(cap);
-                truncated = true;
-            }
+            nodes.truncate(cap);
         }
-        DirectOutcome { nodes, truncated, visited: self.visited.load(Ordering::Relaxed) }
+        DirectOutcome { nodes, visited: self.visited.load(Ordering::Relaxed) }
     }
 
     // -----------------------------------------------------------------
@@ -176,24 +166,22 @@ impl<'a> DirectEvaluator<'a> {
     /// the result is again sorted and deduplicated (document order).  Used
     /// for filter paths, which always evaluate fully.
     fn eval_steps(&self, context: &[NodeId], steps: &[Step]) -> Vec<NodeId> {
-        self.eval_steps_budgeted(context, steps, None, false).0
+        self.eval_steps_budgeted(context, steps, None, false)
     }
 
     /// [`DirectEvaluator::eval_steps`] with early termination on the final
     /// step: with a budget of `k`, iteration over the (document-ordered)
     /// context stops as soon as `k` produced nodes provably precede
     /// everything later contexts can select.  Returns the produced nodes
-    /// (a guaranteed prefix of the full result up to the budget) and
-    /// whether evaluation was cut short.
+    /// (a guaranteed prefix of the full result up to the budget).
     fn eval_steps_budgeted(
         &self,
         context: &[NodeId],
         steps: &[Step],
         budget: Option<usize>,
         exists_only: bool,
-    ) -> (Vec<NodeId>, bool) {
+    ) -> Vec<NodeId> {
         let mut context = context.to_vec();
-        let mut truncated = false;
         for (si, step) in steps.iter().enumerate() {
             let is_final = si == steps.len() - 1;
             let step_budget = if is_final { budget } else { None };
@@ -216,9 +204,6 @@ impl<'a> DirectEvaluator<'a> {
                 // capped.
                 let union_cap = if step.axis == Axis::Following { budget_cap } else { None };
                 out = self.ordered_axis_union(&context, step.axis, &step.test, union_cap);
-                if union_cap.is_some_and(|cap| out.len() >= cap) {
-                    truncated = true;
-                }
                 out.retain(|&n| {
                     step.predicates.iter().all(|p| self.eval_predicate(n, p, 1, 1))
                 });
@@ -257,14 +242,12 @@ impl<'a> DirectEvaluator<'a> {
                     }
                     out.extend(candidates);
                     if is_final && exists_only && !out.is_empty() {
-                        truncated = true;
                         break;
                     }
                     if let Some(cap) = step_budget {
                         if cap == 0 {
                             // An empty window needs no candidates at all.
                             out.clear();
-                            truncated = true;
                             break;
                         }
                         if monotone && out.len() >= cap {
@@ -273,7 +256,6 @@ impl<'a> DirectEvaluator<'a> {
                             if out.len() >= cap
                                 && context.get(ci + 1).is_some_and(|&next| out[cap - 1] < next)
                             {
-                                truncated = true;
                                 break;
                             }
                         }
@@ -287,7 +269,7 @@ impl<'a> DirectEvaluator<'a> {
                 break;
             }
         }
-        (context, truncated)
+        context
     }
 
     /// The nodes a step's axis + node test select from one context node, in
@@ -580,14 +562,27 @@ impl<'a> DirectEvaluator<'a> {
         self.eval_steps(&[node], &path.steps)
     }
 
-    fn text_matches(&self, node: NodeId, op: &sxsi_text::TextPredicate) -> bool {
+    fn text_matches(&self, node: NodeId, op: &TextPredicate) -> bool {
         let texts = self.texts.expect("text predicates require a text collection");
-        let ids = self.tree.string_value_texts(node);
-        let mut value = Vec::new();
-        for t in ids {
-            value.extend_from_slice(&texts.get_text(t));
+        string_value_matches(texts, &self.tree.string_value_texts(node), op)
+    }
+}
+
+/// Whether `pred` holds on the string value made of the texts `ids`
+/// (increasing): one text is borrowed from `T`, and only mixed content is
+/// concatenated (the paper's fallback to the naive text representation).
+pub(crate) fn string_value_matches(texts: &TextCollection, ids: &[TextId], pred: &TextPredicate) -> bool {
+    match ids {
+        [] => pred.matches_value(b""),
+        [id] => pred.matches_value(texts.text(*id)),
+        _ => {
+            let mut cursor = texts.cursor();
+            let mut value = Vec::new();
+            for &t in ids {
+                value.extend_from_slice(cursor.text(t));
+            }
+            pred.matches_value(&value)
         }
-        op.matches_value(&value)
     }
 }
 

@@ -49,6 +49,7 @@
 //! counting run.
 
 use crate::automaton::{Automaton, Formula, StateId, StateSet};
+use crate::direct::string_value_matches;
 use crate::table::{Config, ConfigId, NodeConfig, Region, TransitionTable, EMPTY_CONFIG};
 use sxsi_text::{TextCollection, TextId};
 use sxsi_tree::{reserved, NodeId, TagId, TagRelation, XmlTree};
@@ -471,26 +472,10 @@ impl<'a> Evaluator<'a> {
         let pred = &self.automaton.predicates[id];
         let texts = self.texts.expect("text predicates require a text collection");
         let ids = self.tree.string_value_texts(x);
-        match ids.len() {
-            0 => pred.matches_value(b""),
-            1 => {
-                let text_id = ids[0];
-                if let Some(Some(matches)) = self.pred_text_matches.get(id) {
-                    matches.binary_search(&text_id).is_ok()
-                } else {
-                    texts.text_matches(text_id, pred)
-                }
-            }
-            _ => {
-                // Mixed content: build the concatenated string value (the
-                // paper's fallback to the naive text representation).
-                let mut value = Vec::new();
-                for t in ids {
-                    value.extend_from_slice(&texts.get_text(t));
-                }
-                pred.matches_value(&value)
-            }
+        if let ([text_id], Some(Some(matches))) = (&ids[..], self.pred_text_matches.get(id)) {
+            return matches.binary_search(text_id).is_ok();
         }
+        string_value_matches(texts, &ids, pred)
     }
 
     // -----------------------------------------------------------------

@@ -3,7 +3,8 @@
 //! ```text
 //! xtask lint [--root PATH]       run the analysis gate (exit 1 on findings)
 //! xtask lines [--root PATH]      print non-test / test lines per crate
-//! xtask corrupt <in> <out>       write a semantically corrupted index copy
+//! xtask corrupt [--plain] <in> <out>
+//!                                write a semantically corrupted index copy
 //! ```
 //!
 //! The `lint` gate enforces invariants `rustc` cannot see, by scanning
@@ -38,10 +39,12 @@
 //! repository-level `tests/` directory gets a row of its own.
 //!
 //! `corrupt` rewrites a `.sxsi` container so that every checksum still
-//! matches but a structural invariant is broken (the FM-index sample rate
-//! is doubled, which only the deep walk can tell): the CI `analysis` job
-//! feeds the copy to `sxsi verify --deep` and expects exit code 5 and the
-//! code `fm-sample-row`.
+//! matches but a structural invariant is broken, which only the deep walk
+//! can tell: by default the FM-index sample rate is doubled (code
+//! `fm-sample-row`); with `--plain` one text byte of the plain copy `T`
+//! changes, never a terminator (code `plain-text-mismatch`).  The CI
+//! `analysis` job feeds both copies to `sxsi verify --deep` and expects
+//! exit code 5 and the code.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -507,10 +510,13 @@ fn cmd_lines(args: &[String]) -> ExitCode {
 const SXSI_MAGIC: &[u8; 8] = b"SXSIIDX\0";
 const TEXTS_TAG: u8 = 3;
 
-/// Doubles the FM-index sample rate — the second word of the texts
-/// section, whose body begins with the FM-index — in place, recomputing the
-/// section checksum so only `sxsi verify --deep` (not the loader) can tell.
-fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
+/// Applies `mutate` to the payload of the texts section of a `.sxsi`
+/// container in place, then recomputes the section checksum so only
+/// `sxsi verify --deep` (not the loader) can tell.
+fn corrupt_texts(
+    bytes: &mut [u8],
+    mutate: impl FnOnce(&mut [u8]) -> Result<(), String>,
+) -> Result<(), String> {
     if bytes.len() < 13 || &bytes[..8] != SXSI_MAGIC {
         return Err("not a .sxsi container (bad magic)".to_string());
     }
@@ -533,14 +539,7 @@ fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
             .filter(|&end| end + 8 <= bytes.len())
             .ok_or("section payload runs past the end of the file")?;
         if tag == TEXTS_TAG {
-            let rate = payload_start + 8..payload_start + 16;
-            let rate_bytes = bytes
-                .get(rate.clone())
-                .filter(|_| len >= 16)
-                .ok_or("texts section is shorter than two u64")?;
-            let doubled =
-                u64::from_le_bytes(rate_bytes.try_into().unwrap_or_default()).wrapping_mul(2);
-            bytes[rate].copy_from_slice(&doubled.to_le_bytes());
+            mutate(&mut bytes[payload_start..payload_end])?;
             let checksum = fnv1a64(&bytes[payload_start..payload_end]).to_le_bytes();
             bytes[payload_end..payload_end + 8].copy_from_slice(&checksum);
             return Ok(());
@@ -549,9 +548,37 @@ fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
     }
 }
 
+/// Doubles the FM-index sample rate — the second word of the texts
+/// section, whose body begins with the FM-index.
+fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
+    corrupt_texts(bytes, |texts| {
+        let rate = texts.get_mut(8..16).ok_or("texts section is shorter than two u64")?;
+        let doubled = u64::from_le_bytes((&*rate).try_into().unwrap_or_default()).wrapping_mul(2);
+        rate.copy_from_slice(&doubled.to_le_bytes());
+        Ok(())
+    })
+}
+
+/// Changes the last text byte of the plain copy `T` to another non-zero
+/// byte, so every terminator (byte 0) stays in place and the loader accepts
+/// it.  The texts body opens with the FM-index length, which is `|T|`, and
+/// ends with `T`.
+fn corrupt_plain_text(bytes: &mut [u8]) -> Result<(), String> {
+    corrupt_texts(bytes, |texts| {
+        let t_len = texts.get(..8).map(|w| u64::from_le_bytes(w.try_into().unwrap_or_default()));
+        let t_start = t_len
+            .and_then(|len| texts.len().checked_sub(usize::try_from(len).ok()?))
+            .ok_or("texts section is shorter than the text length it declares")?;
+        let at = t_start + texts[t_start..].iter().rposition(|&b| b != 0).ok_or("the plain copy holds no text byte")?;
+        texts[at] = if texts[at] == 0xff { 1 } else { texts[at] + 1 };
+        Ok(())
+    })
+}
+
 fn cmd_corrupt(args: &[String]) -> ExitCode {
-    let [input, output] = args else {
-        eprintln!("usage: xtask corrupt <in.sxsi> <out.sxsi>");
+    let plain = args.first().is_some_and(|a| a == "--plain");
+    let [input, output] = &args[usize::from(plain)..] else {
+        eprintln!("usage: xtask corrupt [--plain] <in.sxsi> <out.sxsi>");
         return ExitCode::from(2);
     };
     let mut bytes = match std::fs::read(input) {
@@ -561,7 +588,12 @@ fn cmd_corrupt(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = corrupt_sample_rate(&mut bytes) {
+    let (corrupted, what) = if plain {
+        (corrupt_plain_text(&mut bytes), "one text byte of the plain copy changed")
+    } else {
+        (corrupt_sample_rate(&mut bytes), "FM-index sample rate doubled")
+    };
+    if let Err(e) = corrupted {
         eprintln!("xtask: {input}: {e}");
         return ExitCode::FAILURE;
     }
@@ -569,7 +601,7 @@ fn cmd_corrupt(args: &[String]) -> ExitCode {
         eprintln!("xtask: cannot write {output}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("xtask: wrote semantically corrupted copy to {output} (FM-index sample rate doubled)");
+    println!("xtask: wrote semantically corrupted copy to {output} ({what})");
     ExitCode::SUCCESS
 }
 
@@ -580,7 +612,7 @@ fn main() -> ExitCode {
         Some("lines") => cmd_lines(&args[1..]),
         Some("corrupt") => cmd_corrupt(&args[1..]),
         _ => {
-            eprintln!("usage: xtask lint [--root PATH] | xtask lines [--root PATH] | xtask corrupt <in.sxsi> <out.sxsi>");
+            eprintln!("usage: xtask lint [--root PATH] | xtask lines [--root PATH] | xtask corrupt [--plain] <in.sxsi> <out.sxsi>");
             ExitCode::from(2)
         }
     }
@@ -745,19 +777,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn corrupt_meta_recomputes_the_checksum() {
-        // A miniature container: magic, version, one texts section whose
-        // body opens with the FM-index length and sample rate, end.
-        let payload: Vec<u8> = [40u64, 64].iter().flat_map(|w| w.to_le_bytes()).collect();
+    /// A miniature container: magic, version, one texts section holding
+    /// `payload`, end.
+    fn container(payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SXSI_MAGIC);
-        bytes.extend_from_slice(&6u32.to_le_bytes());
+        bytes.extend_from_slice(&7u32.to_le_bytes());
         bytes.push(TEXTS_TAG);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
         bytes.push(0);
+        bytes
+    }
+
+    #[test]
+    fn corrupt_meta_recomputes_the_checksum() {
+        // The texts body opens with the FM-index length and sample rate.
+        let payload: Vec<u8> = [40u64, 64].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = container(&payload);
 
         let mut corrupted = bytes.clone();
         corrupt_sample_rate(&mut corrupted).expect("well-formed container must corrupt cleanly");
@@ -771,5 +809,34 @@ mod tests {
         assert!(corrupt_sample_rate(&mut b"notmagic".to_vec()).is_err());
         assert!(corrupt_sample_rate(&mut bytes[..12].to_vec()).is_err());
         assert!(corrupt_sample_rate(&mut bytes[..29].to_vec()).is_err());
+    }
+
+    #[test]
+    fn corrupt_plain_changes_one_text_byte_and_recomputes_the_checksum() {
+        // The texts body opens with the FM-index length |T| and ends with
+        // `T` = "ab\0\0" (the last text is empty); what lies between is
+        // opaque to the tool.
+        let t = b"ab\0\0";
+        let mut payload: Vec<u8> = [t.len() as u64, 64, 7].iter().flat_map(|w| w.to_le_bytes()).collect();
+        payload.extend_from_slice(t);
+        let bytes = container(&payload);
+        let mut corrupted = bytes.clone();
+        corrupt_plain_text(&mut corrupted).expect("well-formed container must corrupt cleanly");
+        // Layout: magic(8) version(4) tag(1) length(8) payload checksum(8).
+        let new_payload = &corrupted[21..21 + payload.len()];
+        // The last text byte 'b' changed; the terminators did not.
+        assert_eq!(&new_payload[new_payload.len() - 4..], b"ac\0\0");
+        assert_eq!(new_payload[..payload.len() - 4], payload[..payload.len() - 4]);
+        let checksum = &corrupted[21 + payload.len()..29 + payload.len()];
+        assert_eq!(u64::from_le_bytes(checksum.try_into().unwrap()), fnv1a64(new_payload));
+
+        // A plain copy of terminators only has no byte to change, and a
+        // declared length beyond the body is rejected.
+        let mut empty: Vec<u8> = 1u64.to_le_bytes().to_vec();
+        empty.push(0);
+        assert!(corrupt_plain_text(&mut container(&empty)).is_err());
+        assert!(corrupt_plain_text(&mut container(&99u64.to_le_bytes())).is_err());
+        assert!(corrupt_plain_text(&mut b"notmagic".to_vec()).is_err());
+        assert!(corrupt_plain_text(&mut bytes[..20].to_vec()).is_err());
     }
 }

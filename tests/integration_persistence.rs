@@ -106,24 +106,23 @@ fn file_roundtrip_through_the_filesystem() {
 fn saved_bytes_of_a_fixed_document_are_pinned() {
     let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 42 });
     let bytes = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds").to_bytes();
-    assert_eq!(sxsi::FORMAT_VERSION, 6);
-    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (26_716, 0x338a_3008_5e32_953a));
+    assert_eq!(sxsi::FORMAT_VERSION, 7);
+    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (24_200, 0xbc58_c1cf_9388_6667));
 }
 
 #[test]
 fn options_survive_reload() {
     use sxsi::SxsiOptions;
     let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 5 });
-    let mut options = SxsiOptions::default();
-    options.text.keep_plain_text = false;
-    options.text.sample_rate = 8;
+    let options = SxsiOptions { sample_rate: 8, ..SxsiOptions::default() };
     let built =
         SxsiIndex::build_from_xml_with_options(xml.as_bytes(), options).expect("index builds");
     let loaded = SxsiIndex::from_bytes(&built.to_bytes()).expect("index loads");
     // The options are not saved on their own; the structures they shaped
     // carry them.
     assert_eq!(loaded.texts().fm_index().sample_rate(), 8);
-    assert!(loaded.texts().plain().is_none());
+    let text_bytes = loaded.texts().total_len() - loaded.texts().num_texts();
+    assert_eq!(loaded.texts().plain().map(|p| p.total_bytes()), Some(text_bytes));
     assert_eq!(loaded.stats(), built.stats());
     for q in &XMARK_QUERIES[..6] {
         assert_eq!(loaded.count(q.xpath).unwrap(), built.count(q.xpath).unwrap(), "{}", q.id);
@@ -152,9 +151,10 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
     // The superseded layouts — version 1, version 2 whose tag sequence led
     // with a backend byte, version 3 whose options, rank bitmaps and BWT
     // carried succinct backend tags, version 4 whose BWT was a wavelet
-    // matrix, and version 5 with its options and meta sections — are
-    // rejected up front the same way.
-    for superseded in [1u32, 2, 3, 4, 5] {
+    // matrix, version 5 with its options and meta sections, and version 6
+    // with its plain-copy flag and per-text offsets — are rejected up front
+    // the same way.
+    for superseded in [1u32, 2, 3, 4, 5, 6] {
         let mut outdated = bytes.clone();
         outdated[8..12].copy_from_slice(&superseded.to_le_bytes());
         assert!(matches!(
@@ -288,11 +288,9 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
     assert!(built.verify(VerifyDepth::Deep).is_ok(), "pristine index must verify clean");
 
     let num_tags = built.tree().num_tags();
-    let num_texts = built.texts().num_texts();
     let table = tag_table_size(num_tags);
-    // Plain-store suffix of the TEXTS payload: the offsets slice (count
-    // prefix + `num_texts + 1` entries) trails the raw text bytes.
-    let plain_suffix = 8 + (num_texts + 1) * 8;
+    // The TEXTS payload ends with `T` (`total_len` bytes).
+    let t_len = built.texts().total_len();
     // The TEXTS payload begins with the FM-index; the Doc array (count
     // prefix + one u32 per text) follows it.
     let doc_start = built.texts().fm_index().to_bytes().len() + 8;
@@ -318,8 +316,12 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
         (
             "plain text store byte no longer matches the BWT",
             Box::new(move |c: &mut Container| {
+                // The last byte of `T` is a terminator: step back to a text
+                // byte that stays non-zero when its low bit flips, so every
+                // terminator stays in place.
                 let texts = c.payload_mut(TAG_TEXTS);
-                let at = texts.len() - plain_suffix - 1;
+                let t0 = texts.len() - t_len;
+                let at = t0 + texts[t0..].iter().rposition(|&b| b > 1).expect("a text byte");
                 texts[at] ^= 0x01;
             }),
             "plain-text-mismatch",

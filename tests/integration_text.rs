@@ -49,7 +49,7 @@ fn fm_index_predicates_agree_with_plain_scans() {
     let xml = medline::generate(&MedlineConfig { num_citations: 80, seed: 7 });
     let index = SxsiIndex::build_from_xml(xml.as_bytes()).expect("builds");
     let texts = index.texts();
-    let plain = texts.plain().expect("plain copy kept by default");
+    let plain = texts.plain().expect("T is always kept");
     for pattern in ["plus", "blood", "the", "Barnes", "AUSTRALIA", "zzzz"] {
         let p = pattern.as_bytes();
         assert_eq!(texts.contains(p), plain.scan_contains(p), "contains {pattern}");
@@ -57,6 +57,34 @@ fn fm_index_predicates_agree_with_plain_scans() {
         assert_eq!(texts.ends_with(p), plain.scan_ends_with(p), "ends_with {pattern}");
         assert_eq!(texts.equals(p), plain.scan_equals(p), "equals {pattern}");
         assert_eq!(texts.global_count(p), plain.scan_global_count(p), "global_count {pattern}");
+    }
+}
+
+/// Empty texts at the first, a middle and the last position of `T`: the
+/// empty-pattern `equals` walks the text boundaries, and `. = ""` must
+/// agree with the naive reference wherever the planner sends it.
+#[test]
+fn empty_texts_at_every_position_match_the_reference() {
+    // Texts in order: "", "x", "y", "", "z", "w", "" — empty attribute
+    // values are empty texts.
+    let xml = r#"<r><e a="">x</e><e a="y"/><e a=""/><e a="z">w</e><e a=""/></r>"#;
+    let index = SxsiIndex::build_from_xml(xml.as_bytes()).expect("builds");
+    let texts = index.texts();
+    let naive_empty: Vec<usize> = (0..texts.num_texts()).filter(|&d| texts.text(d).is_empty()).collect();
+    assert_eq!(naive_empty, vec![0, 3, 6]);
+    assert_eq!(texts.equals(b""), naive_empty);
+    assert_eq!(texts.matching_texts(&TextPredicate::Equals(Vec::new())), naive_empty);
+    let naive = NaiveEvaluator::new(index.tree(), texts);
+    for query in [
+        r#"//e[ @a[ . = "" ] ]"#,
+        r#"//e[ . = "" ]"#,
+        r#"//@a[ . = "" ]"#,
+        r#"//e[ @a = "" ]"#,
+        r#"//e[ . = "x" ]"#,
+    ] {
+        let Ok(parsed) = parse_query(query) else { panic!("{query} parses") };
+        assert_eq!(index.count(query).unwrap() as usize, naive.count(&parsed), "{query}");
+        assert_eq!(index.materialize(query).unwrap(), naive.evaluate(&parsed), "{query}");
     }
 }
 
@@ -80,7 +108,7 @@ fn text_extraction_roundtrips() {
     let texts = index.texts();
     for d in 0..texts.num_texts() {
         let content = texts.get_text(d);
-        assert_eq!(content.len(), texts.text_len(d));
+        assert_eq!(content, texts.text(d));
         if !content.is_empty() {
             // The extracted text matches itself through the index.
             let ids = texts.matching_texts(&TextPredicate::Equals(content.clone()));
@@ -97,7 +125,7 @@ fn text_extraction_roundtrips() {
 /// with a naive byte-window scan on every contains variant.
 #[test]
 fn cross_codepoint_needles_agree_with_naive_scan() {
-    use sxsi_text::{TextCollection, TextCollectionOptions};
+    use sxsi_text::TextCollection;
 
     let texts: Vec<&[u8]> = vec![
         "caf\u{e9} au lait".as_bytes(),
@@ -125,13 +153,11 @@ fn cross_codepoint_needles_agree_with_naive_scan() {
     }
 
     // Both branches of `contains` face the hostile needles: the locate
-    // answer (backward search, then `locate_row` per occurrence) and,
-    // wherever a plain copy exists, the plain scans.
-    for options in [
-        TextCollectionOptions::default(),
-        TextCollectionOptions { keep_plain_text: false, ..Default::default() },
-    ] {
-        let col = TextCollection::with_options(&texts, options.clone());
+    // answer (backward search, then `locate_row` per occurrence) and the
+    // plain scans of `T`, at the default and a dense sampling step.
+    for sample_rate in [64, 4] {
+        let col = TextCollection::with_sample_rate(&texts, sample_rate);
+        let plain = col.plain().expect("T is always kept");
         for needle in &needles {
             let naive_ids: Vec<usize> = (0..texts.len())
                 .filter(|&i| texts[i].windows(needle.len()).any(|w| w == &needle[..]))
@@ -146,7 +172,7 @@ fn cross_codepoint_needles_agree_with_naive_scan() {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let label = format!("{needle:?} with {options:?}");
+            let label = format!("{needle:?} with sample rate {sample_rate}");
             assert_eq!(col.contains(needle), naive_ids, "contains {label}");
             assert_eq!(col.contains_count(needle), naive_ids.len(), "count {label}");
             assert_eq!(col.contains_positions(needle), naive_pos, "positions {label}");
@@ -157,11 +183,9 @@ fn cross_codepoint_needles_agree_with_naive_scan() {
                 (range.start..range.end).map(|row| col.locate_row(row)).collect();
             located.sort_unstable();
             assert_eq!(located, naive_pos, "locate {label}");
-            if let Some(plain) = col.plain() {
-                assert_eq!(plain.scan_contains(needle), naive_ids, "scan {label}");
-                assert_eq!(plain.scan_contains_count(needle), naive_ids.len(), "scan count {label}");
-                assert_eq!(plain.scan_contains_positions(needle), located, "scan positions {label}");
-            }
+            assert_eq!(plain.scan_contains(needle), naive_ids, "scan {label}");
+            assert_eq!(plain.scan_contains_count(needle), naive_ids.len(), "scan count {label}");
+            assert_eq!(plain.scan_contains_positions(needle), located, "scan positions {label}");
         }
     }
 }
