@@ -23,7 +23,7 @@ pub fn run(sample_rate: usize, title: &str) {
         let p = pattern.as_bytes();
         let global = texts.global_count(p);
         let g_ms = time_avg_ms(3, || texts.global_count(p));
-        let cc = texts.contains_count(p);
+        let cc = texts.contains(p).len();
         let cc_ms = time_avg_ms(3, || {
             let mut ids: Vec<TextId> = locate_all(&texts, p).into_iter().map(|(id, _)| id).collect();
             ids.dedup();

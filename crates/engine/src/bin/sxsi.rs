@@ -208,8 +208,7 @@ fn report(response: Response, note: &str) -> ExitCode {
 /// by `sxsi_xpath::fragment_help` from the parser's own axis table, so this
 /// help text cannot drift from what the parser accepts.
 fn print_help() -> ExitCode {
-    println!("{USAGE}\n{}", sxsi_xpath::fragment_help());
-    ExitCode::SUCCESS
+    finish(&format!("{USAGE}\n{}\n", sxsi_xpath::fragment_help()), ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -298,20 +297,23 @@ fn cmd_build(args: &[String]) -> ExitCode {
 
     let stats = index.stats();
     let file_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-    println!("indexed {input} ({} bytes of XML) in {build_time:.2?}", xml.len());
-    println!(
+    let mut out = String::new();
+    let _ = writeln!(out, "indexed {input} ({} bytes of XML) in {build_time:.2?}", xml.len());
+    let _ = writeln!(
+        out,
         "  {} nodes, {} elements, {} texts, {} tags",
         stats.num_nodes, stats.num_elements, stats.num_texts, stats.num_tags
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  in-memory {} bytes (tree {} + text index {} + plain text {})",
         stats.total_bytes(),
         stats.tree_bytes,
         stats.text_index_bytes,
         stats.plain_text_bytes
     );
-    println!("wrote {output} ({file_bytes} bytes) in {write_time:.2?}");
-    ExitCode::SUCCESS
+    let _ = writeln!(out, "wrote {output} ({file_bytes} bytes) in {write_time:.2?}");
+    finish(&out, ExitCode::SUCCESS)
 }
 
 /// `sxsi build-collection`: index several documents into per-document
@@ -359,25 +361,30 @@ fn cmd_build_collection(args: &[String]) -> ExitCode {
     };
     let manifest = collection.manifest();
     let manifest_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-    println!(
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "collected {num_docs} documents into {output} in {:.2?}",
         start.elapsed()
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  {} elements, {} texts across the collection",
         manifest.total_elements, manifest.total_texts
     );
     for entry in &manifest.docs {
-        println!(
+        let _ = writeln!(
+            out,
             "  doc {}: {} (segment {}, {} nodes)",
             entry.id, entry.name, entry.segment, entry.num_nodes
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "  manifest {manifest_bytes} bytes, fingerprint {:016x}",
         collection.fingerprint()
     );
-    ExitCode::SUCCESS
+    finish(&out, ExitCode::SUCCESS)
 }
 
 /// Opens the target of `query`, `exists`, `search` and `serve`: a `.sxsic`
@@ -436,6 +443,12 @@ fn print_stdout(bytes: &[u8]) -> Result<(), ExitCode> {
     }
 }
 
+/// Prints a command's output, then exits with `code`: only a failed
+/// write other than a closed pipe changes it.
+fn finish(out: &str, code: ExitCode) -> ExitCode {
+    print_stdout(out.as_bytes()).err().unwrap_or(code)
+}
+
 fn cmd_info(args: &[String]) -> ExitCode {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         return usage_error(&format!("unknown option '{flag}'"));
@@ -461,31 +474,33 @@ fn cmd_info(args: &[String]) -> ExitCode {
 
     let stats = index.stats();
     let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    println!("{path} (format v{}, {file_bytes} bytes on disk, loaded in {load_time:.2?})", sxsi::FORMAT_VERSION);
-    println!("  nodes:        {}", stats.num_nodes);
-    println!("  elements:     {}", stats.num_elements);
-    println!("  texts:        {}", stats.num_texts);
-    println!("  tags:         {}", stats.num_tags);
-    println!("  tree index:   {} bytes", stats.tree_bytes);
-    println!("  text index:   {} bytes", stats.text_index_bytes);
+    let mut out = String::new();
+    let _ = writeln!(out, "{path} (format v{}, {file_bytes} bytes on disk, loaded in {load_time:.2?})", sxsi::FORMAT_VERSION);
+    let _ = writeln!(out, "  nodes:        {}", stats.num_nodes);
+    let _ = writeln!(out, "  elements:     {}", stats.num_elements);
+    let _ = writeln!(out, "  texts:        {}", stats.num_texts);
+    let _ = writeln!(out, "  tags:         {}", stats.num_tags);
+    let _ = writeln!(out, "  tree index:   {} bytes", stats.tree_bytes);
+    let _ = writeln!(out, "  text index:   {} bytes", stats.text_index_bytes);
     let space = index.texts().index_space();
     let symbols = index.texts().total_len();
     let bits_per_symbol = if symbols == 0 { 0.0 } else { space.bwt as f64 * 8.0 / symbols as f64 };
-    println!("    BWT:             {} bytes ({bits_per_symbol:.2} bits/symbol over {symbols} symbols)", space.bwt);
-    println!("    sampling bitmap: {} bytes", space.sampled);
-    println!("    samples:         {} bytes", space.samples);
-    println!("    Doc:             {} bytes", space.doc);
-    println!("    starts:          {} bytes", space.starts);
-    println!("  plain texts:  {} bytes", stats.plain_text_bytes);
-    println!("  total memory: {} bytes", stats.total_bytes());
-    println!("  options: sample_rate={}", index.texts().fm_index().sample_rate());
+    let _ = writeln!(out, "    BWT:             {} bytes ({bits_per_symbol:.2} bits/symbol over {symbols} symbols)", space.bwt);
+    let _ = writeln!(out, "    sampling bitmap: {} bytes", space.sampled);
+    let _ = writeln!(out, "    samples:         {} bytes", space.samples);
+    let _ = writeln!(out, "    Doc:             {} bytes", space.doc);
+    let _ = writeln!(out, "    starts:          {} bytes", space.starts);
+    let _ = writeln!(out, "  plain texts:  {} bytes", stats.plain_text_bytes);
+    let _ = writeln!(out, "  total memory: {} bytes", stats.total_bytes());
+    let _ = writeln!(out, "  options: sample_rate={}", index.texts().fm_index().sample_rate());
     // Per-section framing status straight from the file, independent of the
     // load above (a section the loader rebuilt fine can still be reported).
     match sxsi::scan_container_file(path) {
         Ok(scan) => {
-            println!("  sections:");
+            let _ = writeln!(out, "  sections:");
             for section in &scan.sections {
-                println!(
+                let _ = writeln!(
+                    out,
                     "    {:<8} {:>10} bytes  checksum {}",
                     section.name,
                     section.length,
@@ -493,14 +508,16 @@ fn cmd_info(args: &[String]) -> ExitCode {
                 );
             }
             if !scan.clean_end {
-                println!("    (container does not end cleanly after the last section)");
+                let _ = writeln!(out, "    (container does not end cleanly after the last section)");
             }
         }
-        Err(e) => println!("  sections: unreadable ({e})"),
+        Err(e) => {
+            let _ = writeln!(out, "  sections: unreadable ({e})");
+        }
     }
     let report = index.verify(VerifyDepth::Quick);
-    println!("  verify (quick): {report}");
-    ExitCode::SUCCESS
+    let _ = writeln!(out, "  verify (quick): {report}");
+    finish(&out, ExitCode::SUCCESS)
 }
 
 /// `sxsi info` on a `.sxsic` collection: the manifest summary plus a
@@ -518,16 +535,19 @@ fn cmd_info_collection(path: &str) -> ExitCode {
     let load_time = start.elapsed();
     let manifest = collection.manifest();
     let file_bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    println!(
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "{path} (collection format v{}, {file_bytes} bytes on disk, loaded in {load_time:.2?})",
         sxsi_collection::manifest::COLLECTION_FORMAT_VERSION
     );
-    println!("  documents:      {}", manifest.num_docs());
-    println!("  total elements: {}", manifest.total_elements);
-    println!("  total texts:    {}", manifest.total_texts);
-    println!("  fingerprint:    {:016x}", collection.fingerprint());
+    let _ = writeln!(out, "  documents:      {}", manifest.num_docs());
+    let _ = writeln!(out, "  total elements: {}", manifest.total_elements);
+    let _ = writeln!(out, "  total texts:    {}", manifest.total_texts);
+    let _ = writeln!(out, "  fingerprint:    {:016x}", collection.fingerprint());
     for entry in &manifest.docs {
-        println!(
+        let _ = writeln!(
+            out,
             "  doc {}: {} segment={} nodes={} elements={} texts={} checksum={:016x}",
             entry.id,
             entry.name,
@@ -539,8 +559,8 @@ fn cmd_info_collection(path: &str) -> ExitCode {
         );
     }
     let report = collection.verify(VerifyDepth::Quick);
-    println!("  verify (quick): {report}");
-    ExitCode::SUCCESS
+    let _ = writeln!(out, "  verify (quick): {report}");
+    finish(&out, ExitCode::SUCCESS)
 }
 
 /// `sxsi verify`: audit the container framing and every structural
@@ -570,22 +590,24 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         // counts against the manifest, and verifies the loaded index.
         let start = Instant::now();
         let report = verify_collection_file(path.as_str(), depth);
-        println!(
-            "{path}: collection verify ({}) in {:.2?}: {report}",
+        let out = format!(
+            "{path}: collection verify ({}) in {:.2?}: {report}\n",
             if deep { "deep" } else { "quick" },
             start.elapsed()
         );
-        return if report.is_ok() { ExitCode::SUCCESS } else { ExitCode::from(5) };
+        return finish(&out, if report.is_ok() { ExitCode::SUCCESS } else { ExitCode::from(5) });
     }
 
     // Stage 1: container framing.  The scan does not stop at a bad
     // checksum, so every damaged section is reported, not just the first.
+    let mut out = String::new();
     let mut framing_ok = true;
     match sxsi::scan_container_file(path) {
         Ok(scan) => {
-            println!("{path}: container format v{}", scan.version);
+            let _ = writeln!(out, "{path}: container format v{}", scan.version);
             for section in &scan.sections {
-                println!(
+                let _ = writeln!(
+                    out,
                     "  section {:<8} {:>10} bytes  checksum {}",
                     section.name,
                     section.length,
@@ -594,7 +616,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
                 framing_ok &= section.checksum_ok;
             }
             if !scan.clean_end {
-                println!("  container does not end cleanly after the last section");
+                let _ = writeln!(out, "  container does not end cleanly after the last section");
                 framing_ok = false;
             }
         }
@@ -605,21 +627,18 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     let start = Instant::now();
     let index = match SxsiIndex::load_from_file(path) {
         Ok(index) => index,
-        Err(e) => return fail(format_args!("cannot load {path}: {e}")),
+        Err(e) => return finish(&out, fail(format_args!("cannot load {path}: {e}"))),
     };
-    println!("loaded in {:.2?}", start.elapsed());
+    let _ = writeln!(out, "loaded in {:.2?}", start.elapsed());
     let start = Instant::now();
     let report = index.verify(depth);
-    println!(
+    let _ = writeln!(
+        out,
         "verify ({}) in {:.2?}: {report}",
         if deep { "deep" } else { "quick" },
         start.elapsed()
     );
-    if report.is_ok() && framing_ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(5)
-    }
+    finish(&out, if report.is_ok() && framing_ok { ExitCode::SUCCESS } else { ExitCode::from(5) })
 }
 
 /// `sxsi serve`: load the indexes once, then answer queries over a
@@ -788,8 +807,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
     };
     match response {
         Ok(Response::Ok { .. }) if op == "ping" || op == "shutdown" => {
-            println!("{}", if op == "ping" { "pong" } else { "server shutting down" });
-            ExitCode::SUCCESS
+            finish(if op == "ping" { "pong\n" } else { "server shutting down\n" }, ExitCode::SUCCESS)
         }
         Ok(response) => report(response, "server"),
         Err(e) => fail(e),
@@ -829,5 +847,5 @@ fn cmd_queries(args: &[String]) -> ExitCode {
             let _ = write!(records, "{}\t{}\t{}{terminator}", q.id, q.corpus, q.xpath);
         }
     }
-    print_stdout(records.as_bytes()).err().unwrap_or(ExitCode::SUCCESS)
+    finish(&records, ExitCode::SUCCESS)
 }

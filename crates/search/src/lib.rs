@@ -177,7 +177,7 @@ impl PreparedFt {
         } else {
             match query.mode {
                 FtMode::All | FtMode::Any => {
-                    query.tokens.iter().map(|t| term_hits(texts, t)).collect()
+                    query.tokens.iter().map(|t| phrase_hits(texts, std::slice::from_ref(t))).collect()
                 }
                 FtMode::Phrase => vec![phrase_hits(texts, &query.tokens)],
             }
@@ -316,26 +316,9 @@ fn containing_element(tree: &XmlTree, text: TextId) -> NodeId {
     }
 }
 
-/// Verified hit lists of a single token: every FM-index occurrence whose
-/// surrounding bytes show it is a whole token.
-fn term_hits(texts: &TextCollection, token: &[u8]) -> TermHits {
-    let mut occurrences: Vec<TextId> = Vec::new();
-    let mut current: Option<(TextId, &[u8])> = None;
-    for (tid, offset) in texts.contains_positions(token) {
-        let content = match current {
-            Some((id, c)) if id == tid => c,
-            _ => current.insert((tid, texts.text(tid))).1,
-        };
-        if is_whole_token(content, offset, token.len()) {
-            occurrences.push(tid);
-        }
-    }
-    finish_hits(occurrences)
-}
-
 /// Verified hit lists of a phrase: occurrences of the first token that are
 /// whole tokens and are followed, across single separator runs, by the
-/// remaining tokens.
+/// remaining tokens.  A single token is a one-token phrase.
 fn phrase_hits(texts: &TextCollection, tokens: &[Vec<u8>]) -> TermHits {
     // lint:allow(index: callers pass a non-empty token list)
     let first = &tokens[0];
@@ -353,10 +336,6 @@ fn phrase_hits(texts: &TextCollection, tokens: &[Vec<u8>]) -> TermHits {
             occurrences.push(tid);
         }
     }
-    finish_hits(occurrences)
-}
-
-fn finish_hits(occurrences: Vec<TextId>) -> TermHits {
     // `contains_positions` returns positions sorted by (text, offset), so
     // the filtered occurrence list is already sorted by text id.
     let mut texts = occurrences.clone();

@@ -5,13 +5,13 @@
 //! followed by its terminator, the sequence the BWT is built from), and
 //! exposes the XPath-level string predicates: `contains`, `starts-with`,
 //! `ends-with`, `=` and the lexicographic comparison operators, each
-//! returning the identifiers of the matching texts, plus existential and
-//! counting variants.  Texts are read from `T`; the FM-index answers the
-//! searches.
+//! returning the identifiers of the matching texts, plus the positions of
+//! `contains`.  Texts are read from `T`; the FM-index answers the searches,
+//! or the one search over `T` when a pattern is too frequent to locate.
 
 use crate::bwt::build_collection_bwt;
 use crate::fmindex::{FmIndex, LocateOutcome, RowRange, DEFAULT_SAMPLE_RATE};
-use crate::plain::{contains_slice, PlainTexts, TextId, Texts, TERMINATOR};
+use crate::plain::{Occurrences, PlainTexts, TextId, Texts, TERMINATOR};
 use sxsi_io::{corrupt, read_u32_vec, write_u32_slice, IoError, ReadFrom, WriteInto};
 use sxsi_succinct::EliasFano;
 
@@ -56,7 +56,7 @@ impl TextPredicate {
     /// value may span several text nodes).
     pub fn matches_value(&self, value: &[u8]) -> bool {
         match self {
-            TextPredicate::Contains(p) => contains_slice(value, p),
+            TextPredicate::Contains(p) => p.is_empty() || Occurrences::new(value, p).next().is_some(),
             TextPredicate::StartsWith(p) => value.starts_with(p),
             TextPredicate::EndsWith(p) => value.ends_with(p),
             TextPredicate::Equals(p) => value == &p[..],
@@ -68,9 +68,9 @@ impl TextPredicate {
     }
 }
 
-/// Occurrence count above which `contains` and its variants scan `T`
-/// instead of locating every occurrence through the FM-index — the cut-off
-/// discussion of Section 6.3.
+/// Occurrence count above which `contains` and `contains_positions` scan
+/// `T` instead of locating every occurrence through the FM-index — the
+/// cut-off discussion of Section 6.3.
 const SCAN_CUTOFF: usize = 50_000;
 
 /// Heap bytes of each component of a [`TextCollection`]'s index, the plain
@@ -211,7 +211,7 @@ impl TextCollection {
     // ------------------------------------------------------------------
 
     /// Converts a global concatenation position into `(text, offset)`.
-    pub fn global_to_text(&self, pos: usize) -> (TextId, usize) {
+    fn global_to_text(&self, pos: usize) -> (TextId, usize) {
         debug_assert!(pos < self.total_len());
         // rank gives the number of starts <= pos ... we need the last start <= pos.
         let (id, start) = self.starts.predecessor(pos as u64 + 1).expect("pos within collection");
@@ -263,71 +263,40 @@ impl TextCollection {
         self.fm.count(pattern)
     }
 
+    /// Every occurrence of a non-empty `pattern` as `(text, offset)`, from
+    /// one plan (Section 6.3): the backward search counts the occurrences,
+    /// and above the scan cut-off one pass over `T` (which yields them in
+    /// increasing order) beats locating each of them through the BWT (which
+    /// yields them in row order).
+    fn occurrences<'a>(&'a self, pattern: &'a [u8]) -> Box<dyn Iterator<Item = (TextId, usize)> + 'a> {
+        let range = self.fm.backward_search(pattern);
+        if range.len() > SCAN_CUTOFF {
+            return Box::new(self.plain.occurrences(pattern));
+        }
+        Box::new((range.start..range.end).map(|row| self.locate_row(row)))
+    }
+
     /// Identifiers of texts containing `pattern` (`ContainsReport` reduced to
     /// distinct texts, as used by the XPath `contains` predicate).
     pub fn contains(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
             return (0..self.num_texts()).collect();
         }
-        // Decide between FM-locate and plain scan based on the global count
-        // (Section 6.3): counting is cheap, so use it as the planner — the
-        // backward search that produces the count is the same one the locate
-        // path consumes.
-        let range = self.fm.backward_search(pattern);
-        if range.len() > SCAN_CUTOFF {
-            return self.plain.scan_contains(pattern);
-        }
-        let mut ids: Vec<TextId> = (range.start..range.end).map(|row| self.locate_row(row).0).collect();
+        let mut ids: Vec<TextId> = self.occurrences(pattern).map(|(id, _)| id).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
     }
 
-    /// Number of texts containing `pattern`, without materializing the
-    /// full id vector: the scan path counts matching texts directly, and the
-    /// locate path deduplicates through a hash set instead of building and
-    /// sorting one entry per occurrence.
-    pub fn contains_count(&self, pattern: &[u8]) -> usize {
-        if pattern.is_empty() {
-            return self.num_texts();
-        }
-        let range = self.fm.backward_search(pattern);
-        if range.is_empty() {
-            return 0;
-        }
-        if range.len() > SCAN_CUTOFF {
-            return self.plain.scan_contains_count(pattern);
-        }
-        let mut seen = std::collections::HashSet::with_capacity(range.len().min(self.num_texts()));
-        for row in range.start..range.end {
-            seen.insert(self.locate_row(row).0);
-        }
-        seen.len()
-    }
-
     /// Positions `(text, offset)` of every occurrence of `pattern`
-    /// (the paper's `ContainsReport`).
-    ///
-    /// Uses the same plan as [`TextCollection::contains`]: counting through
-    /// the FM-index is cheap, and when the pattern occurs more often than
-    /// the scan cut-off a sequential pass over `T` beats
-    /// locating every occurrence through the BWT (Section 6.3).
+    /// (the paper's `ContainsReport`), in increasing order.
     pub fn contains_positions(&self, pattern: &[u8]) -> Vec<(TextId, usize)> {
         if pattern.is_empty() {
             return Vec::new();
         }
-        let range = self.fm.backward_search(pattern);
-        if range.len() > SCAN_CUTOFF {
-            return self.plain.scan_contains_positions(pattern);
-        }
-        let mut out: Vec<(TextId, usize)> = (range.start..range.end).map(|row| self.locate_row(row)).collect();
+        let mut out: Vec<(TextId, usize)> = self.occurrences(pattern).collect();
         out.sort_unstable();
         out
-    }
-
-    /// Whether any text contains `pattern`.
-    pub fn contains_exists(&self, pattern: &[u8]) -> bool {
-        !self.fm.backward_search(pattern).is_empty()
     }
 
     /// Identifiers of texts starting with `pattern`.
@@ -420,11 +389,6 @@ impl TextCollection {
             TextPredicate::GreaterThan(p) => self.greater_than(p),
             TextPredicate::GreaterEq(p) => self.greater_equal(p),
         }
-    }
-
-    /// Number of texts matching the predicate.
-    pub fn count_matching(&self, pred: &TextPredicate) -> usize {
-        self.matching_texts(pred).len()
     }
 
     // ------------------------------------------------------------------
@@ -692,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn options_serialization_roundtrip_and_truncation() {
+    fn body_is_fm_index_then_t_and_truncation_fails() {
         // The sample rate is not written on its own: the body begins with
         // the FM-index, which carries it, and ends with `T`.
         let tc = TextCollection::with_sample_rate(&PAPER_TEXTS, 8);
@@ -714,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn get_text_roundtrip_plain_and_fm() {
+    fn texts_read_back_at_both_sample_rates() {
         // Texts come from `T`; the FM-index's LF extraction is covered by
         // `fmindex::tests::lf_walk_reconstructs_text_backwards`.
         for tc in [collection(&PAPER_TEXTS), collection_sampled(&PAPER_TEXTS)] {
@@ -739,9 +703,9 @@ mod tests {
         assert_eq!(tc.contains(b"0"), vec![3, 5]);
         assert_eq!(tc.contains(b"zzz"), Vec::<usize>::new());
         assert_eq!(tc.global_count(b"o"), 3);
-        assert_eq!(tc.contains_count(b"o"), 1);
-        assert!(tc.contains_exists(b"rubber"));
-        assert!(!tc.contains_exists(b"rubbers"));
+        assert_eq!(tc.contains(b"o").len(), 1);
+        assert!(!tc.contains(b"rubber").is_empty());
+        assert!(tc.contains(b"rubbers").is_empty());
     }
 
     #[test]
@@ -765,8 +729,7 @@ mod tests {
             let positions = located(&tc, p);
             let ids = ids_of(&positions);
             assert_eq!(plain.scan_contains(p), ids, "contains {pattern:?}");
-            assert_eq!(plain.scan_contains_positions(p), positions, "positions {pattern:?}");
-            assert_eq!(plain.scan_contains_count(p), ids.len(), "count {pattern:?}");
+            assert_eq!(plain.occurrences(p).collect::<Vec<_>>(), positions, "positions {pattern:?}");
             assert_eq!(tc.contains(p), ids, "collection contains {pattern:?}");
         }
     }
@@ -774,7 +737,7 @@ mod tests {
     #[test]
     fn contains_takes_the_scan_arm_above_the_cutoff() {
         // 1 000 texts of 60 `a`: the pattern `a` occurs 60 000 times, more
-        // than the cut-off, so every contains variant scans the plain copy.
+        // than the cut-off, so `contains` and `contains_positions` scan `T`.
         let texts = vec!["a".repeat(60); 1_000];
         let mut tc = TextCollection::new(&texts);
         let p = b"a";
@@ -782,24 +745,26 @@ mod tests {
         let positions = located(&tc, p);
         let ids = ids_of(&positions);
         assert_eq!(tc.contains(p), ids);
-        assert_eq!(tc.contains_count(p), ids.len());
+        assert_eq!(tc.contains(p).len(), ids.len());
         assert_eq!(tc.contains_positions(p), positions);
-        // Drift one byte of `T`: the answers now follow `T`, not the
-        // FM-index, which proves the scan arm ran.
-        tc.plain.set_byte_for_tests(0, b'b');
-        let scanned = tc.plain.scan_contains_positions(p);
-        assert_eq!(scanned.len(), positions.len() - 1);
+        // Drift every byte of text 0 in `T`: the answers now follow `T`,
+        // not the FM-index, which proves the scan arm ran.
+        for i in 0..60 {
+            tc.plain.set_byte_for_tests(i, b'b');
+        }
+        let scanned: Vec<_> = tc.plain.occurrences(p).collect();
+        assert_eq!(scanned.len(), positions.len() - 60);
         assert_eq!(tc.contains_positions(p), scanned);
-        assert_eq!(tc.contains_count(p), ids.len());
-        assert_eq!(tc.contains(p), ids);
+        assert_eq!(tc.contains(p).len(), ids.len() - 1);
+        assert_eq!(tc.contains(p), ids[1..]);
     }
 
     #[test]
-    fn contains_count_without_plain_store() {
+    fn contains_len_counts_the_matching_texts() {
         let tc = collection_sampled(&PAPER_TEXTS);
-        assert_eq!(tc.contains_count(b"e"), 4);
-        assert_eq!(tc.contains_count(b""), PAPER_TEXTS.len());
-        assert_eq!(tc.contains_count(b"zzz"), 0);
+        assert_eq!(tc.contains(b"e").len(), 4);
+        assert_eq!(tc.contains(b"").len(), PAPER_TEXTS.len());
+        assert_eq!(tc.contains(b"zzz").len(), 0);
     }
 
     #[test]
@@ -843,7 +808,7 @@ mod tests {
         assert_eq!(tc.matching_texts(&TextPredicate::Equals(b"40".to_vec())), vec![3]);
         assert_eq!(tc.matching_texts(&TextPredicate::StartsWith(b"ru".to_vec())), vec![4]);
         assert_eq!(tc.matching_texts(&TextPredicate::EndsWith(b"ued".to_vec())), vec![1]);
-        assert_eq!(tc.count_matching(&TextPredicate::Contains(b"e".to_vec())), 4);
+        assert_eq!(tc.matching_texts(&TextPredicate::Contains(b"e".to_vec())).len(), 4);
     }
 
     #[test]
@@ -852,6 +817,7 @@ mod tests {
         assert!(TextPredicate::Contains(b"disc".to_vec()).matches_value(tc.text(1)));
         assert!(!TextPredicate::Contains(b"disc".to_vec()).matches_value(tc.text(0)));
         assert!(TextPredicate::GreaterEq(b"3".to_vec()).matches_value(tc.text(3)));
+        assert!(TextPredicate::Contains(Vec::new()).matches_value(b""));
     }
 
     #[test]
@@ -875,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn works_without_plain_store() {
+    fn t_is_kept_outside_the_index_size() {
         // `T` is always kept and is not part of the index's own size.
         let tc = collection_sampled(&PAPER_TEXTS);
         assert_eq!(tc.contains(b"ue"), vec![1, 2]);
@@ -887,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn serialization_roundtrip_with_and_without_plain_store() {
+    fn serialization_roundtrip_at_both_sample_rates() {
         for tc in [collection(&PAPER_TEXTS), collection_sampled(&PAPER_TEXTS)] {
             let back = TextCollection::from_bytes(&tc.to_bytes()).unwrap();
             assert_eq!(back.num_texts(), tc.num_texts());
@@ -1121,11 +1087,9 @@ mod proptests {
                 (0..texts.len()).filter(|&i| keep(&texts[i])).collect()
             };
             let contains = ids(&|s| s.contains(&pattern));
-            prop_assert_eq!(plain.scan_contains(p), contains.clone());
-            prop_assert_eq!(plain.scan_contains_count(p), contains.len());
-            prop_assert_eq!(plain.scan_equals(p), ids(&|s| s == pattern));
-            prop_assert_eq!(plain.scan_starts_with(p), ids(&|s| s.starts_with(&pattern)));
-            prop_assert_eq!(plain.scan_ends_with(p), ids(&|s| s.ends_with(&pattern)));
+            prop_assert_eq!(plain.scan_contains(p), contains);
+            prop_assert_eq!(tc.starts_with(p), ids(&|s| s.starts_with(&pattern)));
+            prop_assert_eq!(tc.ends_with(p), ids(&|s| s.ends_with(&pattern)));
             prop_assert_eq!(tc.equals(p), ids(&|s| s == pattern));
             let mut positions = Vec::new();
             for (id, s) in texts.iter().enumerate() {
@@ -1135,8 +1099,8 @@ mod proptests {
                     }
                 }
             }
-            prop_assert_eq!(plain.scan_contains_positions(p), positions.clone());
-            prop_assert_eq!(plain.scan_global_count(p), positions.len());
+            prop_assert_eq!(plain.occurrences(p).collect::<Vec<_>>(), positions.clone());
+            prop_assert_eq!(plain.occurrences(p).count(), positions.len());
         }
     }
 }

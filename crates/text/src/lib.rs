@@ -11,8 +11,8 @@
 //! * [`collection`] — [`TextCollection`], the public text index with the
 //!   XPath string predicates (`contains`, `starts-with`, `ends-with`, `=`,
 //!   lexicographic comparisons) returning text identifiers;
-//! * [`plain`] — the collection text `T`, always kept, and the naive scanning
-//!   baseline of Tables II/III.
+//! * [`plain`] — the collection text `T`, always kept, and the one search
+//!   over it: the naive scanning baseline of Tables II/III.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -130,6 +130,10 @@ impl<'a> PathParser<'a> {
                 self.pos += 1;
                 return Ok(s);
             }
+            // NUL is no XML character, and it closes every text in the index.
+            if b == 0 {
+                return self.error("NUL in a string literal");
+            }
             self.pos += 1;
         }
         self.error("unterminated string literal")
@@ -742,6 +746,8 @@ mod tests {
         assert!(parse_query("/site]").is_err());
         assert!(parse_query("//after::x").is_err()); // not an axis
         assert!(parse_query(r#"//a[contains(., "x"]"#).is_err());
+        assert!(parse_query("//a[contains(., \"a\0b\")]").is_err()); // NUL is no XML character
+        assert!(parse_query("//a[. = 'x\0']").is_err());
         assert!(parse_query("").is_err());
         assert!(parse_query("//item[0]").is_err()); // positions are 1-based
         assert!(parse_query("//item[position() < last()]").is_err());

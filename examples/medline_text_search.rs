@@ -58,12 +58,12 @@ fn main() {
         );
     }
 
-    // Direct use of the text collection: the paper's GlobalCount /
-    // ContainsCount / ContainsReport primitives.
+    // Direct use of the text collection: the paper's GlobalCount, and
+    // ContainsReport reduced to distinct texts.
     println!("\nFM-index primitives:");
     for pattern in ["plus", "blood", "the"] {
         let global = index.texts().global_count(pattern.as_bytes());
-        let texts = index.texts().contains_count(pattern.as_bytes());
+        let texts = index.texts().contains(pattern.as_bytes()).len();
         println!("  pattern {pattern:>8}: {global:>7} occurrences in {texts:>6} texts");
     }
 }

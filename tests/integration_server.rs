@@ -10,9 +10,9 @@
 //!   escapes — yields structured error frames and never kills the
 //!   daemon;
 //! * `shutdown` drains connections and stops the accept loop;
-//! * the `sxsi query … | head -1` pipeline exits 0 (the broken-pipe
-//!   regression that motivated routing CLI output through one shared
-//!   renderer and a checked `BufWriter`).
+//! * every printing subcommand exits 0 into a closed pipe, as in
+//!   `sxsi query … | head -1` (the broken-pipe regression that motivated
+//!   routing CLI output through one checked writer).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -466,32 +466,45 @@ fn built_index_file(dir: &std::path::Path) -> std::path::PathBuf {
     idx_path
 }
 
-/// `sxsi query … | head -1` must exit 0: a closed downstream pipe is
-/// normal usage, not a panic (`println!` aborts on EPIPE) nor an error.
+/// `sxsi <subcommand> … | head` must exit 0 for every subcommand that
+/// prints: a closed downstream pipe is normal usage, not a panic
+/// (`println!` aborts on EPIPE) nor an error.
 #[test]
 fn query_into_closed_pipe_exits_cleanly() {
     let dir = std::env::temp_dir().join(format!("sxsi-pipe-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let idx = built_index_file(&dir);
-
-    // --serialize '//*' produces far more output than any pipe buffer
-    // holds, so the child is guaranteed to hit EPIPE once we hang up.
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sxsi"))
-        .args(["query", idx.to_str().unwrap(), "--serialize", "//*"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    {
-        // Read one line like `head -1`, then drop the pipe.
-        let stdout = child.stdout.take().unwrap();
-        let mut one = [0u8; 64];
-        let mut reader = std::io::BufReader::new(stdout);
-        let _ = reader.read(&mut one).unwrap();
+    let (corpus, index) = &corpora()[0];
+    let (server, addr, handle) =
+        start(vec![(corpus.to_string(), Arc::clone(index))], ServeOptions::default());
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (idx, xml, rebuilt, col) =
+        (idx.to_str().unwrap(), path("doc.xml"), path("rebuilt.sxsi"), path("col.sxsic"));
+    let cases: [&[&str]; 7] = [
+        // --serialize '//*' produces far more output than any pipe buffer
+        // holds, so the child is guaranteed to hit EPIPE.
+        &["query", idx, "--serialize", "//*"],
+        &["info", idx],
+        &["verify", idx],
+        &["build", &xml, &rebuilt],
+        &["build-collection", &col, idx],
+        &["queries"],
+        &["client", "--tcp", &addr, "ping"],
+    ];
+    for args in cases {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sxsi"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        // Hang up like `head -0`, before the child prints.
+        drop(child.stdout.take());
+        let status = child.wait().unwrap();
+        assert_eq!(status.code(), Some(0), "{args:?}: broken pipe must exit 0, got {status:?}");
     }
-    let status = child.wait().unwrap();
-    assert_eq!(status.code(), Some(0), "broken pipe must exit 0, got {status:?}");
 
+    stop(&server, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -772,6 +785,9 @@ fn unsupported_queries_answer_unsupported_query_on_every_target_kind() {
 /// An empty XPath expression is an operand like any other: the wire
 /// carries it through to prepare, so the daemon answers `parse-error`
 /// exactly as `sxsi query` exits 1 on it, and `sxsi client` does too.
+/// So is a NUL in a string literal, from the wire's `%00` or from a
+/// `--queries-file`: it is no XML character, and it would match across
+/// texts.
 #[test]
 fn empty_expression_is_a_parse_error_on_every_path() {
     let (corpus, index) = &corpora()[0];
@@ -783,6 +799,12 @@ fn empty_expression_is_a_parse_error_on_every_path() {
         "{}",
         String::from_utf8_lossy(&frame)
     );
+    let nul_queries = ["//a[contains(., '\0')]", "//a[contains(., 'a\0b')]", "//a[. = 'xa\0bx']"];
+    for query in nul_queries {
+        let payload = format!("query output=count\n{}", escape_query(query));
+        let frame = String::from_utf8_lossy(&server.handle_command(payload.as_bytes()).0).into_owned();
+        assert!(frame.starts_with("error code=parse-error "), "{query:?}: {frame}");
+    }
 
     let dir = std::env::temp_dir().join(format!("sxsi-empty-xpath-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -798,6 +820,15 @@ fn empty_expression_is_a_parse_error_on_every_path() {
         assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
         assert!(output.stdout.is_empty(), "printed before failing");
         assert!(stderr.contains("sxsi: error=parse-error query=''"), "stderr: {stderr}");
+    }
+    let qfile = dir.join("nul.txt");
+    for query in nul_queries {
+        std::fs::write(&qfile, format!("{query}\n")).unwrap();
+        let output = sxsi(&["query", idx.to_str().unwrap(), "--queries-file", qfile.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{query:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{query:?}: printed before failing");
+        assert!(stderr.contains("sxsi: error=parse-error "), "{query:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
     stop(&server, handle);
