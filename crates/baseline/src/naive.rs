@@ -65,6 +65,7 @@ impl<'a> NaiveEvaluator<'a> {
     /// contract.  Deliberately the textbook implementation: evaluate fully,
     /// then slice; the indexed evaluators must produce the same window
     /// *without* the full evaluation.
+    // lint:allow(dead-pub: test oracle for the indexed engines' result windows)
     pub fn evaluate_window(&self, query: &Query, limit: Option<u64>, offset: u64) -> Vec<NodeId> {
         let full = self.evaluate(query);
         let lo = (offset as usize).min(full.len());

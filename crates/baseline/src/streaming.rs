@@ -4,6 +4,7 @@
 //! compares against: no index is built, every query reads the whole
 //! document once.
 
+// lint:allow-file(dead-pub: test oracle, a second baseline next to NaiveEvaluator)
 use sxsi_xml::{Event, ParseError, Parser};
 
 /// Streaming evaluation of `//tag1//tag2//…//tagk` queries.

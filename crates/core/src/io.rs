@@ -208,13 +208,6 @@ impl SxsiIndex {
             ))),
         }
     }
-
-    /// Paranoid file load: [`SxsiIndex::load_verified`] over a buffered
-    /// reader (see [`SxsiIndex::load_from_file`] for the trusting variant).
-    pub fn load_from_file_verified(path: impl AsRef<Path>, depth: VerifyDepth) -> Result<Self, IoError> {
-        let mut r = BufReader::new(File::open(path)?);
-        Self::load_verified(&mut r, depth)
-    }
 }
 
 /// Framing facts of one container section, as reported by [`scan_container`].

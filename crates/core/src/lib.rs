@@ -63,7 +63,7 @@ pub use io::{
 pub use sxsi_verify::{Verify, VerifyDepth, VerifyIssue, VerifyReport};
 pub use query::{NodeCursor, Prepared, QueryMode, QueryOptions, ResultSet};
 pub use sxsi_search::{FtMode, FtQuery, PreparedFt, SearchHit};
-pub use serialize::{serialize_subtree, string_value, subtree_to_string};
+pub use serialize::{serialize_subtree, subtree_to_string};
 pub use sxsi_text::{TextId, TextPredicate};
 pub use sxsi_tree::{NodeId, TagId, TreeError};
 pub use sxsi_xpath::eval::EvalStats;
@@ -426,7 +426,7 @@ impl SxsiIndex {
     /// assert_eq!(nodes.len(), 2);
     /// assert!(nodes[0] < nodes[1]); // document order
     /// assert_eq!(index.node_name(nodes[0]), "b");
-    /// assert_eq!(index.node_value(nodes[0]), "x");
+    /// assert_eq!(index.get_subtree(nodes[0]), "<b>x</b>");
     /// ```
     pub fn materialize(&self, query: &str) -> Result<Vec<NodeId>, QueryError> {
         Ok(self
@@ -460,11 +460,6 @@ impl SxsiIndex {
     /// `GetSubtree`).
     pub fn get_subtree(&self, node: NodeId) -> String {
         subtree_to_string(&self.tree, &self.texts, node)
-    }
-
-    /// The XPath string value of `node`.
-    pub fn node_value(&self, node: NodeId) -> String {
-        string_value(&self.tree, &self.texts, node)
     }
 
     /// The tag name of `node`.
@@ -613,7 +608,7 @@ mod tests {
         let nodes = idx.materialize("//last").unwrap();
         assert_eq!(nodes.len(), 2);
         assert_eq!(idx.node_name(nodes[0]), "last");
-        assert_eq!(idx.node_value(nodes[0]), "Navarro");
+        assert_eq!(idx.get_subtree(nodes[0]), "<last>Navarro</last>");
     }
 
     #[test]
@@ -723,9 +718,6 @@ mod tests {
         let collected: Vec<_> = result.cursor().collect();
         assert_eq!(collected, full);
         assert_eq!(result.cursor().len(), 3);
-        // Statistics are omitted on request.
-        assert!(stmt.run(&idx, &QueryOptions::count().with_stats(false)).stats().is_none());
-        assert!(stmt.run(&idx, &QueryOptions::count()).stats().is_some());
         // Truncation flag: a cut window reports more may exist.
         assert!(stmt.run(&idx, &QueryOptions::nodes().with_limit(1)).truncated());
         assert!(!stmt.run(&idx, &QueryOptions::nodes()).truncated());
@@ -768,7 +760,6 @@ mod tests {
         let idx = index();
         let first_title = idx.materialize("//title").unwrap()[0];
         assert_eq!(idx.get_subtree(first_title), "<title>Compressed Indexes</title>");
-        assert_eq!(idx.node_value(first_title), "Compressed Indexes");
     }
 
     #[test]

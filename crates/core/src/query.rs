@@ -58,8 +58,8 @@ pub enum QueryMode {
     Nodes,
 }
 
-/// Options for one run of a [`Prepared`] statement: the output mode, the
-/// result window, and whether to collect evaluator statistics.
+/// Options for one run of a [`Prepared`] statement: the output mode and
+/// the result window.
 ///
 /// The window is applied in document order: `offset` nodes are skipped,
 /// then at most `limit` nodes are produced.  Evaluators stop as soon as
@@ -70,11 +70,10 @@ pub enum QueryMode {
 /// `Hash` is derived so the full option set can serve as (part of) a
 /// result-cache key: two runs with equal options over the same prepared
 /// query on the same index produce the same payload.  Every field is
-/// semantically part of that key (`collect_stats` does not change the
-/// payload, but cache users normalize it rather than the key ignoring
-/// it); the `query_options_cache_key_fields` test pins the field set so
-/// additions revisit cache-key semantics deliberately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// semantically part of that key; the `query_options_cache_key_fields`
+/// test pins the field set so additions revisit cache-key semantics
+/// deliberately.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct QueryOptions {
     /// The output mode.
     pub mode: QueryMode,
@@ -83,15 +82,6 @@ pub struct QueryOptions {
     pub limit: Option<u64>,
     /// Skip this many leading nodes of the result.
     pub offset: u64,
-    /// Collect [`EvalStats`] for the run ([`ResultSet::stats`] is `None`
-    /// otherwise).
-    pub collect_stats: bool,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        Self { mode: QueryMode::Nodes, limit: None, offset: 0, collect_stats: true }
-    }
 }
 
 impl QueryOptions {
@@ -117,14 +107,9 @@ impl QueryOptions {
     }
 
     /// Skips the first `offset` nodes of the result.
+    // lint:allow(dead-pub: shown in docs/guide.md)
     pub fn with_offset(mut self, offset: u64) -> Self {
         self.offset = offset;
-        self
-    }
-
-    /// Enables or disables statistics collection.
-    pub fn with_stats(mut self, collect: bool) -> Self {
-        self.collect_stats = collect;
         self
     }
 
@@ -226,7 +211,7 @@ fn run_plan(plan: &CompiledPlan, index: &SxsiIndex, options: &QueryOptions) -> R
                 QueryMode::Count => clamp_count(evaluator.count(), options),
                 QueryMode::Nodes => window_nodes(evaluator.materialize(), options),
             };
-            ResultSet::new(Strategy::TopDown, payload, truncated, options, evaluator.stats())
+            ResultSet { strategy: Strategy::TopDown, payload, truncated, stats: evaluator.stats() }
         }
         CompiledPlan::BottomUp(plan) => {
             let (tree, texts) = (index.tree(), index.texts());
@@ -256,14 +241,9 @@ fn run_plan(plan: &CompiledPlan, index: &SxsiIndex, options: &QueryOptions) -> R
             }
             // The residual runs unwindowed: the `ft:` filters drop nodes
             // *after* it, so any inner truncation would be unsound.
-            let inner = QueryOptions {
-                mode: QueryMode::Nodes,
-                limit: None,
-                offset: 0,
-                collect_stats: options.collect_stats,
-            };
+            let inner = QueryOptions::nodes();
             let result = run_plan(residual, index, &inner);
-            let visited = result.stats().map_or(0, |s| s.visited_nodes);
+            let visited = result.stats.visited_nodes;
             let tree = index.tree();
             let nodes = result
                 .into_nodes()
@@ -323,7 +303,7 @@ fn finish_limited(
         marked_nodes: produced,
         result_nodes: payload.count(),
     };
-    ResultSet::new(strategy, payload, truncated, options, stats)
+    ResultSet { strategy, payload, truncated, stats }
 }
 
 fn clamp_count(count: u64, options: &QueryOptions) -> (Payload, bool) {
@@ -376,20 +356,10 @@ pub struct ResultSet {
     strategy: Strategy,
     payload: Payload,
     truncated: bool,
-    stats: Option<EvalStats>,
+    stats: EvalStats,
 }
 
 impl ResultSet {
-    fn new(
-        strategy: Strategy,
-        payload: Payload,
-        truncated: bool,
-        options: &QueryOptions,
-        stats: EvalStats,
-    ) -> Self {
-        Self { strategy, payload, truncated, stats: options.collect_stats.then_some(stats) }
-    }
-
     /// The strategy the planner chose for the statement.
     pub fn strategy(&self) -> Strategy {
         self.strategy
@@ -444,11 +414,11 @@ impl ResultSet {
         self.truncated
     }
 
-    /// The evaluator statistics of the run, when the options asked for
-    /// them.  Under early termination `visited_nodes` reports only the
-    /// nodes the truncated run actually touched.
+    /// The evaluator statistics of the run; always `Some`.  Under early
+    /// termination `visited_nodes` reports only the nodes the truncated
+    /// run actually touched.
     pub fn stats(&self) -> Option<EvalStats> {
-        self.stats
+        Some(self.stats)
     }
 }
 
@@ -522,11 +492,10 @@ mod tests {
     #[test]
     fn query_options_cache_key_fields() {
         let options = QueryOptions::default();
-        let QueryOptions { mode, limit, offset, collect_stats } = options;
+        let QueryOptions { mode, limit, offset } = options;
         assert_eq!(mode, QueryMode::Nodes);
         assert_eq!(limit, None);
         assert_eq!(offset, 0);
-        assert!(collect_stats);
     }
 
     /// Equal options hash equal; each field flips the key.
@@ -539,7 +508,6 @@ mod tests {
             QueryOptions { mode: QueryMode::Exists, ..base },
             QueryOptions { limit: Some(1), ..base },
             QueryOptions { offset: 1, ..base },
-            QueryOptions { collect_stats: false, ..base },
         ];
         for variant in variants {
             assert_ne!(variant, base);
@@ -565,9 +533,6 @@ mod tests {
 
         let unbounded = QueryOptions::nodes().with_offset(7);
         assert_eq!(unbounded.per_shard(), QueryOptions { limit: None, offset: 0, ..unbounded });
-
-        // Stats collection survives the derivation unchanged.
-        assert!(!QueryOptions::count().with_stats(false).per_shard().collect_stats);
     }
 
     /// `QueryMode` itself is hashable and usable as a map key.

@@ -86,17 +86,6 @@ pub fn subtree_to_string(tree: &XmlTree, texts: &TextCollection, node: NodeId) -
     out
 }
 
-/// The XPath string value of a node: the concatenation of all text
-/// descendants (or the node's own text for `#`/`%` leaves).
-pub fn string_value(tree: &XmlTree, texts: &TextCollection, node: NodeId) -> String {
-    let mut out = String::new();
-    let mut cursor = texts.cursor();
-    for d in tree.string_value_texts(node) {
-        out.push_str(&String::from_utf8_lossy(cursor.text(d)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +96,12 @@ mod tests {
         let doc = parse_document(xml.as_bytes()).unwrap();
         let texts = TextCollection::new(&doc.text_slices());
         (doc.tree, texts)
+    }
+
+    /// The XPath string value of `node`: its text descendants, in order.
+    fn string_value(tree: &XmlTree, texts: &TextCollection, node: NodeId) -> String {
+        let texts: Vec<u8> = tree.string_value_texts(node).into_iter().flat_map(|d| texts.get_text(d)).collect();
+        String::from_utf8_lossy(&texts).into_owned()
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub struct CollectionResult {
     exists: bool,
     count: u64,
     truncated: bool,
-    stats: Option<EvalStats>,
+    stats: EvalStats,
 }
 
 impl CollectionResult {
@@ -128,10 +128,10 @@ impl CollectionResult {
         self.truncated
     }
 
-    /// The per-shard statistics summed into one report, when the options
-    /// asked for stats.  Under early termination this reflects only the
-    /// nodes the shards actually visited.
-    pub fn stats(&self) -> Option<EvalStats> {
+    /// The per-shard statistics summed into one report.  Under early
+    /// termination this reflects only the nodes the shards actually
+    /// visited.
+    pub fn stats(&self) -> EvalStats {
         self.stats
     }
 
@@ -158,7 +158,7 @@ impl CollectionResult {
             exists: result.exists(),
             count: result.count(),
             truncated: result.truncated(),
-            stats: result.stats(),
+            stats: result.stats().unwrap_or_default(),
             runs: vec![run],
         }
     }
@@ -256,13 +256,7 @@ impl CollectionExecutor {
                             // Window already full: only the truncation flag
                             // is open — probe the remaining documents for
                             // existence and stop at the first match.
-                            let probe = QueryOptions {
-                                mode: QueryMode::Exists,
-                                limit: None,
-                                offset: 0,
-                                collect_stats: options.collect_stats,
-                            };
-                            let run = run_shard(collection, doc, xpath, &probe)?;
+                            let run = run_shard(collection, doc, xpath, &QueryOptions::exists())?;
                             let found = run.result.exists();
                             runs.push(run);
                             if found {
@@ -326,15 +320,10 @@ pub(crate) fn finish(
             return CollectionResult::from_run(run);
         }
     }
-    let stats = options.collect_stats.then(|| {
-        let mut total = EvalStats::default();
-        for run in &runs {
-            if let Some(s) = run.result.stats() {
-                total.accumulate(&s);
-            }
-        }
-        total
-    });
+    let mut stats = EvalStats::default();
+    for run in &runs {
+        stats.accumulate(&run.result.stats().unwrap_or_default());
+    }
     let (nodes, count, truncated) = match options.mode {
         QueryMode::Exists => {
             let found = runs.iter().any(|r| r.result.exists());
@@ -440,7 +429,7 @@ mod tests {
             &[(None, 0), (Some(0), 0), (Some(1), 0), (Some(2), 1), (Some(10), 0), (None, 3)];
         for mode in [QueryMode::Exists, QueryMode::Count, QueryMode::Nodes] {
             for &(limit, offset) in windows {
-                let options = QueryOptions { mode, limit, offset, collect_stats: true };
+                let options = QueryOptions { mode, limit, offset };
                 let seq = CollectionExecutor::run_sequential(&col, "//b", &options).unwrap();
                 for threads in [1, 2, 4] {
                     let par =
@@ -508,12 +497,8 @@ mod tests {
             .iter()
             .map(|r| r.result.stats().unwrap().visited_nodes)
             .sum();
-        assert_eq!(full.stats().unwrap().visited_nodes, total);
-        assert_eq!(full.stats().unwrap().result_nodes, 5);
-        let silent = CollectionExecutor::new(2)
-            .run(&col, "//b", &QueryOptions::nodes().with_stats(false))
-            .unwrap();
-        assert!(silent.stats().is_none());
+        assert_eq!(full.stats().visited_nodes, total);
+        assert_eq!(full.stats().result_nodes, 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

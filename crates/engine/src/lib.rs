@@ -665,7 +665,7 @@ mod tests {
                 QuerySpec::new(
                     "c",
                     "//*",
-                    QueryOptions { mode: QueryMode::Count, limit: Some(4), offset: 3, collect_stats: true },
+                    QueryOptions { mode: QueryMode::Count, limit: Some(4), offset: 3 },
                 ),
             ],
         )

@@ -207,8 +207,7 @@ impl<'a> Draft<'a> {
     }
 
     /// The request over `operands`: a search fails when its terms hold no
-    /// token; queries keep statistics on, for the daemon's visited-node
-    /// histogram.
+    /// token.
     fn finish(self, operands: Vec<(Option<String>, String)>) -> Result<Request, String> {
         let op = if self.command == "search" {
             let terms: Vec<&str> = operands.iter().map(|(_, term)| term.as_str()).collect();
@@ -220,7 +219,7 @@ impl<'a> Draft<'a> {
             Op::Search { query, limit }
         } else {
             let (mode, limit, offset) = (self.output.query_mode(), self.limit, self.offset);
-            let options = QueryOptions { mode, limit, offset, collect_stats: true };
+            let options = QueryOptions { mode, limit, offset };
             Op::Query { queries: operands, options, output: self.output }
         };
         Ok(Request { index: self.index, op })
@@ -417,9 +416,8 @@ pub fn answer<T: Target + ?Sized>(
             let mut rendered = String::new();
             render_result(target, &spec.id, result, output, &mut rendered);
             let body: Arc<str> = Arc::from(rendered);
-            let visited = result.stats().map(|s| s.visited_nodes);
             let key = BodyKey::Query(query.1.clone(), options, output);
-            memo.keep(key, &body, result.elapsed(), visited);
+            memo.keep(key, &body, result.elapsed(), Some(result.stats().visited_nodes));
             bodies.insert(query, body);
         }
     }

@@ -163,8 +163,8 @@ impl Metrics {
         self.cached_queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one executed query: its wall time and, when the run
-    /// collected statistics, its visited-node count.
+    /// Records one executed query: its wall time and, for an XPath query
+    /// (a keyword search has none), its visited-node count.
     pub fn record_executed_query(&self, elapsed: Duration, visited_nodes: Option<u64>) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let mut set = self.histograms.lock().expect("metrics lock poisoned");
@@ -172,16 +172,6 @@ impl Metrics {
         if let Some(visited) = visited_nodes {
             set.visited_nodes.record(visited);
         }
-    }
-
-    /// Queries served so far (executed + cached).
-    pub fn queries_served(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Queries answered from the result cache so far.
-    pub fn cached_queries_served(&self) -> u64 {
-        self.cached_queries.load(Ordering::Relaxed)
     }
 
     /// Renders the sink as `key=value` lines (the body of the `stats`
@@ -245,8 +235,6 @@ mod tests {
         metrics.record_request();
         metrics.record_executed_query(Duration::from_micros(150), Some(42));
         metrics.record_cached_query();
-        assert_eq!(metrics.queries_served(), 2);
-        assert_eq!(metrics.cached_queries_served(), 1);
         let mut out = String::new();
         metrics.render(&mut out);
         assert!(out.contains("connections=1\n"));

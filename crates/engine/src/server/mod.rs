@@ -451,21 +451,11 @@ impl Server {
         })
     }
 
-    /// The metrics sink (shared with every connection handler).
-    pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
-    }
-
     /// Requests a graceful shutdown: the accept loop stops, idle
     /// connections are closed with a `shutting-down` error frame, and
     /// [`Server::serve`] returns once in-flight requests have drained.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
     }
 
     /// Handles one decoded request payload, returning the rendered response

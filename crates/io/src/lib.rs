@@ -206,20 +206,6 @@ pub fn read_usize<R: Read + ?Sized>(r: &mut R) -> Result<usize, IoError> {
     usize::try_from(v).map_err(|_| corrupt(format!("length {v} exceeds the address space")))
 }
 
-/// Writes a `bool` as a single strict `0`/`1` byte.
-pub fn write_bool<W: Write + ?Sized>(w: &mut W, v: bool) -> io::Result<()> {
-    write_u8(w, v as u8)
-}
-
-/// Reads a strict `0`/`1` boolean byte.
-pub fn read_bool<R: Read + ?Sized>(r: &mut R) -> Result<bool, IoError> {
-    match read_u8(r)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(corrupt(format!("invalid boolean byte {other}"))),
-    }
-}
-
 /// Incremental-read chunk size: a corrupt length prefix can never force an
 /// allocation larger than the bytes actually present in the stream plus one
 /// chunk.
@@ -387,7 +373,6 @@ mod tests {
         write_u8(&mut buf, 7).unwrap();
         write_u32(&mut buf, 0xDEADBEEF).unwrap();
         write_u64(&mut buf, u64::MAX - 3).unwrap();
-        write_bool(&mut buf, true).unwrap();
         write_bytes(&mut buf, b"hello").unwrap();
         write_u64_slice(&mut buf, &[1, 2, 3]).unwrap();
         write_str(&mut buf, "héllo").unwrap();
@@ -395,7 +380,6 @@ mod tests {
         assert_eq!(read_u8(&mut r).unwrap(), 7);
         assert_eq!(read_u32(&mut r).unwrap(), 0xDEADBEEF);
         assert_eq!(read_u64(&mut r).unwrap(), u64::MAX - 3);
-        assert!(read_bool(&mut r).unwrap());
         assert_eq!(read_bytes(&mut r).unwrap(), b"hello");
         assert_eq!(read_u64_vec(&mut r).unwrap(), vec![1, 2, 3]);
         assert_eq!(read_string(&mut r).unwrap(), "héllo");
@@ -420,12 +404,6 @@ mod tests {
         buf.extend_from_slice(&[1u8; 8]);
         let mut r = &buf[..];
         assert!(matches!(read_bytes(&mut r), Err(IoError::Io(_))));
-    }
-
-    #[test]
-    fn invalid_bool_is_corrupt() {
-        let mut r = &[2u8][..];
-        assert!(matches!(read_bool(&mut r), Err(IoError::Corrupt { .. })));
     }
 
     #[test]

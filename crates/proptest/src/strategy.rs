@@ -92,15 +92,3 @@ macro_rules! range_strategy {
 }
 
 range_strategy!(u8, u16, u32, u64, usize);
-
-/// A strategy producing a constant value each time.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}

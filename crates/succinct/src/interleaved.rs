@@ -56,7 +56,7 @@ fn data_len(words: usize) -> usize {
 }
 
 /// Immutable bitvector whose rank counters live inline with the bit words,
-/// making `rank1`/`rank0` a single cache-line fetch and a single popcount
+/// making `rank1` a single cache-line fetch and a single popcount
 /// (`O(1)`, one memory access); `select1`/`select0` are
 /// `O(log(8192/384))`-with-samples, i.e. near-constant in practice.
 #[derive(Clone, Debug)]
@@ -165,12 +165,6 @@ impl InterleavedRsBitVector {
         self.ones
     }
 
-    /// Number of zeros in the whole bitvector.
-    #[inline]
-    pub fn count_zeros(&self) -> usize {
-        self.len - self.ones
-    }
-
     /// Number of blocks (header + payload cache lines).
     #[inline]
     fn n_blocks(&self) -> usize {
@@ -241,12 +235,6 @@ impl InterleavedRsBitVector {
         let partial = self.data[base + HEADER_WORDS + word_in_block]
             & (1u64 << offset).wrapping_sub(1);
         self.data[base] as usize + self.lane(base, word_in_block) + partial.count_ones() as usize
-    }
-
-    /// Number of zeros in positions `[0, i)`.
-    #[inline]
-    pub fn rank0(&self, i: usize) -> usize {
-        i - self.rank1(i)
     }
 
     /// Position of the `k`-th one (1-based `k`), or `None` if `k` exceeds
@@ -330,15 +318,6 @@ impl InterleavedRsBitVector {
         let bit = select0_in_word(masked, in_word as u32) as usize;
         debug_assert!(bit < 64, "select0 ran past the word located by the headers");
         Some(bit_base + bit)
-    }
-
-    /// Position of the first one at position `>= i`, or `None`.
-    pub fn next_one(&self, i: usize) -> Option<usize> {
-        if i >= self.len {
-            return None;
-        }
-        let r = self.rank1(i);
-        self.select1(r + 1)
     }
 
     /// The payload words in plain (non-interleaved) order.
@@ -536,7 +515,6 @@ mod tests {
         let mut ones = 0;
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(rs.rank1(i), ones, "rank1({i})");
-            assert_eq!(rs.rank0(i), i - ones, "rank0({i})");
             assert_eq!(rs.get(i), b, "get({i})");
             if let Some(window) = bits.get(i..i + 8) {
                 let expected = window.iter().rev().fold(0u8, |acc, &bit| acc << 1 | bit as u8);
@@ -625,16 +603,6 @@ mod tests {
         let (rs, bits) = build((0..900).map(|i| i % 13 == 4));
         let expected: Vec<usize> = bits.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
         assert_eq!(rs.iter_ones().collect::<Vec<_>>(), expected);
-    }
-
-    #[test]
-    fn next_one_works() {
-        let (rs, _) = build((0..1000).map(|i| i == 10 || i == 500 || i == 999));
-        assert_eq!(rs.next_one(0), Some(10));
-        assert_eq!(rs.next_one(10), Some(10));
-        assert_eq!(rs.next_one(11), Some(500));
-        assert_eq!(rs.next_one(501), Some(999));
-        assert_eq!(rs.next_one(1000), None);
     }
 
     #[test]

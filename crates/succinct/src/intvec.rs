@@ -40,15 +40,6 @@ impl IntVector {
         v
     }
 
-    /// Builds a packed vector from `values` with an explicit `width`.
-    pub fn from_values_with_width(values: &[u64], width: u32) -> Self {
-        let mut v = Self::new(values.len(), width);
-        for (i, &x) in values.iter().enumerate() {
-            v.set(i, x);
-        }
-        v
-    }
-
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -176,12 +167,19 @@ impl ReadFrom for IntVector {
 mod tests {
     use super::*;
 
+    /// `values` packed at an explicit `width`.
+    fn with_width(values: &[u64], width: u32) -> IntVector {
+        let mut v = IntVector::new(values.len(), width);
+        values.iter().enumerate().for_each(|(i, &x)| v.set(i, x));
+        v
+    }
+
     #[test]
     fn roundtrip_various_widths() {
         for width in [1u32, 3, 7, 8, 13, 16, 31, 32, 33, 63, 64] {
             let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
             let values: Vec<u64> = (0..500u64).map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15)) & mask).collect();
-            let v = IntVector::from_values_with_width(&values, width);
+            let v = with_width(&values, width);
             assert_eq!(v.len(), values.len());
             for (i, &x) in values.iter().enumerate() {
                 assert_eq!(v.get(i), x, "width {width}, index {i}");
@@ -223,7 +221,7 @@ mod tests {
         for width in [1u32, 13, 64] {
             let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
             let values: Vec<u64> = (0..300u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) & mask).collect();
-            let v = IntVector::from_values_with_width(&values, width);
+            let v = with_width(&values, width);
             let back = IntVector::from_bytes(&v.to_bytes()).unwrap();
             assert_eq!(back.width(), width);
             assert_eq!(back.iter().collect::<Vec<_>>(), values);
@@ -251,9 +249,9 @@ mod verify_tests {
 
     #[test]
     fn clean_vector_verifies_and_trailing_junk_is_caught() {
-        let mut v = IntVector::from_values_with_width(&[5, 9, 0, 12, 7], 5);
+        let mut v = IntVector::from_values(&[5, 9, 0, 12, 7]);
         assert!(v.verify(VerifyDepth::Quick).is_ok());
-        // 25 used bits; junk above them survives no construction path.
+        // 20 used bits; junk above them survives no construction path.
         v.words[0] |= 1u64 << 40;
         assert!(v.verify(VerifyDepth::Quick).has_code("intvec-trailing-bits"));
     }

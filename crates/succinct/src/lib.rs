@@ -50,8 +50,6 @@ pub mod eliasfano;
 pub mod interleaved;
 pub mod intvec;
 pub mod oracle;
-#[cfg(test)]
-mod rsbitvec;
 pub mod wavelet;
 
 pub use bitvec::BitVec;
@@ -80,3 +78,6 @@ pub trait SpaceUsage {
         }
     }
 }
+
+#[cfg(test)]
+mod rsbitvec;

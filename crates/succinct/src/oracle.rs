@@ -19,6 +19,7 @@
 //! random corpora (see [`oracle_cases`]); CI runs the suites in `--release`
 //! with an elevated count.
 
+// lint:allow-file(dead-pub: test oracle harness for the rank/select and wavelet primitives)
 use crate::interleaved::InterleavedRsBitVector;
 use crate::wavelet::SequenceIndex;
 use crate::BitVec;

@@ -40,7 +40,6 @@ mod tests {
         let mut ones = 0;
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(rs.rank1(i), ones, "rank1({i})");
-            assert_eq!(rs.rank0(i), i - ones, "rank0({i})");
             assert_eq!(rs.get(i), b, "get({i})");
             if b {
                 ones += 1;
@@ -108,16 +107,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn next_one_works() {
-        let (rs, _) = build((0..100).map(|i| i == 10 || i == 50 || i == 99));
-        assert_eq!(rs.next_one(0), Some(10));
-        assert_eq!(rs.next_one(10), Some(10));
-        assert_eq!(rs.next_one(11), Some(50));
-        assert_eq!(rs.next_one(51), Some(99));
-        assert_eq!(rs.next_one(100), None);
     }
 
     #[test]

@@ -177,17 +177,20 @@ impl HuffmanWavelet {
     /// descends); 0 for an absent symbol or the single symbol of a
     /// one-symbol sequence.
     #[inline]
+    // lint:allow(dead-pub: test probe: the Huffman code shape that tests/oracle_suite.rs pins)
     pub fn code_len(&self, sym: u8) -> u32 {
         self.lengths[sym as usize] as u32
     }
 
     /// Number of levels (the longest code length).
     #[inline]
+    // lint:allow(dead-pub: test probe: the Huffman code shape that tests/oracle_suite.rs pins)
     pub fn level_count(&self) -> usize {
         self.levels.len()
     }
 
     /// Bits held by the levels: `Σ count(c) · codelen(c)`.
+    // lint:allow(dead-pub: test probe: the Huffman code shape that tests/oracle_suite.rs pins)
     pub fn level_bits(&self) -> usize {
         self.levels.iter().map(|l| l.len()).sum()
     }

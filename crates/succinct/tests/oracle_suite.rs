@@ -49,13 +49,11 @@ fn check_rank_select(bits: &[bool]) {
 
     let total_ones = bits.iter().filter(|&&b| b).count();
     assert_eq!(rs.count_ones(), total_ones);
-    assert_eq!(rs.count_zeros(), bits.len() - total_ones);
 
     let mut ones = 0usize;
     for (i, &b) in bits.iter().enumerate() {
         assert_eq!(rs.get(i), b, "get({i})");
         assert_eq!(rs.rank1(i), ones, "rank1({i})");
-        assert_eq!(rs.rank0(i), i - ones, "rank0({i})");
         if b {
             ones += 1;
             assert_eq!(rs.select1(ones), Some(i), "select1({ones})");
@@ -67,14 +65,6 @@ fn check_rank_select(bits: &[bool]) {
     assert_eq!(rs.select1(0), None);
     assert_eq!(rs.select1(total_ones + 1), None);
     assert_eq!(rs.select0(bits.len() - total_ones + 1), None);
-
-    // next_one against a forward scan from a handful of positions.
-    let mut rng = Rng::new(7);
-    for _ in 0..64.min(bits.len()) {
-        let i = rng.below(bits.len() as u64) as usize;
-        let expected = (i..bits.len()).find(|&j| bits[j]);
-        assert_eq!(rs.next_one(i), expected, "next_one({i})");
-    }
 }
 
 #[test]
@@ -354,11 +344,9 @@ fn rsbitvec_edge_empty() {
     assert_eq!(rs.len(), 0);
     assert!(rs.is_empty());
     assert_eq!(rs.rank1(0), 0);
-    assert_eq!(rs.rank0(0), 0);
     assert_eq!(rs.select1(0), None);
     assert_eq!(rs.select1(1), None);
     assert_eq!(rs.select0(1), None);
-    assert_eq!(rs.next_one(0), None);
     assert_eq!(rs.count_ones(), 0);
 }
 
@@ -380,7 +368,6 @@ fn rsbitvec_edge_boundary_geometry() {
         // All zeros.
         let zeros = InterleavedRsBitVector::new(&BitVec::filled(n, false));
         assert_eq!(zeros.count_ones(), 0);
-        assert_eq!(zeros.rank0(n), n);
         assert_eq!(zeros.select0(1), Some(0));
         assert_eq!(zeros.select0(n), Some(n - 1), "select of last 0, n={n}");
         assert_eq!(zeros.select0(n + 1), None, "out-of-range select0, n={n}");
@@ -393,7 +380,6 @@ fn rsbitvec_edge_boundary_geometry() {
         assert_eq!(last.select1(1), Some(n - 1), "lone trailing 1, n={n}");
         assert_eq!(last.rank1(n), 1);
         assert_eq!(last.rank1(n - 1), 0);
-        assert_eq!(last.next_one(0), Some(n - 1));
         if n > 1 {
             assert_eq!(last.select0(n - 1), Some(n - 2), "last 0 before trailing 1, n={n}");
         }

@@ -264,21 +264,6 @@ impl FmIndex {
     }
 }
 
-#[cfg(test)]
-impl FmIndex {
-    /// Swaps two locate-sample values (collection-level verify tests).
-    pub(crate) fn corrupt_swap_samples_for_tests(&mut self, i: usize, j: usize) {
-        let (a, b) = (self.samples.get(i), self.samples.get(j));
-        self.samples.set(i, b);
-        self.samples.set(j, a);
-    }
-
-    /// Overrides the declared sampling rate (collection-level verify tests).
-    pub(crate) fn corrupt_sample_rate_for_tests(&mut self, rate: usize) {
-        self.sample_rate = rate;
-    }
-}
-
 impl sxsi_verify::Verify for FmIndex {
     /// Structural checks mirroring (and exceeding) what `read_from`
     /// validates: C-array shape and agreement with the BWT's per-symbol
@@ -385,6 +370,21 @@ impl ReadFrom for FmIndex {
             return Err(corrupt(format!("FM-index sample {bad} lies outside the {len}-symbol text")));
         }
         Ok(Self { bwt, c, len, sampled, samples, sample_rate })
+    }
+}
+
+#[cfg(test)]
+impl FmIndex {
+    /// Swaps two locate-sample values (collection-level verify tests).
+    pub(crate) fn corrupt_swap_samples_for_tests(&mut self, i: usize, j: usize) {
+        let (a, b) = (self.samples.get(i), self.samples.get(j));
+        self.samples.set(i, b);
+        self.samples.set(j, a);
+    }
+
+    /// Overrides the declared sampling rate (collection-level verify tests).
+    pub(crate) fn corrupt_sample_rate_for_tests(&mut self, rate: usize) {
+        self.sample_rate = rate;
     }
 }
 

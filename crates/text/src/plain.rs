@@ -170,14 +170,6 @@ impl Iterator for Occurrences<'_> {
     }
 }
 
-#[cfg(test)]
-impl PlainTexts {
-    /// Overwrites one byte of `T` (collection-level verify tests).
-    pub(crate) fn set_byte_for_tests(&mut self, i: usize, b: u8) {
-        self.data[i] = b;
-    }
-}
-
 impl WriteInto for PlainTexts {
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         write_bytes(w, &self.data)
@@ -194,6 +186,14 @@ impl ReadFrom for PlainTexts {
         }
         let num_texts = data.iter().filter(|&&b| b == TERMINATOR).count();
         Ok(Self { data, num_texts })
+    }
+}
+
+#[cfg(test)]
+impl PlainTexts {
+    /// Overwrites one byte of `T` (collection-level verify tests).
+    pub(crate) fn set_byte_for_tests(&mut self, i: usize, b: u8) {
+        self.data[i] = b;
     }
 }
 

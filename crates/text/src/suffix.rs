@@ -32,7 +32,8 @@ pub fn suffix_array(s: &[u32]) -> Vec<usize> {
 }
 
 /// Naive suffix array construction by comparison sort, used as the reference
-/// implementation in tests and benchmarks.
+/// implementation in tests.
+// lint:allow(dead-pub: test oracle for SA-IS)
 pub fn suffix_array_naive(s: &[u32]) -> Vec<usize> {
     let mut sa: Vec<usize> = (0..s.len()).collect();
     sa.sort_by(|&a, &b| s[a..].cmp(&s[b..]));
@@ -174,8 +175,8 @@ fn sais(text: &[usize], alphabet: usize) -> Vec<usize> {
     sa
 }
 
-/// Verifies that `sa` is the suffix array of `s`; used by tests and by the
-/// collection builder in debug mode.
+/// Verifies that `sa` is the suffix array of `s`; used by tests.
+// lint:allow(dead-pub: test oracle for SA-IS)
 pub fn is_valid_suffix_array(s: &[u32], sa: &[usize]) -> bool {
     if sa.len() != s.len() {
         return false;

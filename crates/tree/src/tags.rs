@@ -225,11 +225,6 @@ impl TagSequence {
         self.occurrences[tag as usize].rank(i as u64)
     }
 
-    /// Position of the `k`-th (1-based) opening occurrence of `tag`.
-    pub fn select_open(&self, tag: TagId, k: usize) -> Option<usize> {
-        self.occurrences[tag as usize].get(k.checked_sub(1)?).map(|v| v as usize)
-    }
-
     /// Total number of opening occurrences of `tag`.
     pub fn count(&self, tag: TagId) -> usize {
         self.occurrences[tag as usize].len()
@@ -455,9 +450,6 @@ mod tests {
         assert_eq!(seq.rank_open(1, 0), 0);
         assert_eq!(seq.rank_open(1, 2), 1);
         assert_eq!(seq.rank_open(1, 6), 2);
-        assert_eq!(seq.select_open(1, 1), Some(1));
-        assert_eq!(seq.select_open(1, 2), Some(3));
-        assert_eq!(seq.select_open(1, 3), None);
         assert_eq!(seq.next_occurrence(1, 2), Some(3));
         assert_eq!(seq.next_occurrence(1, 4), None);
         assert_eq!(seq.prev_occurrence(1, 3), Some(1));
@@ -493,9 +485,6 @@ mod tests {
             let naive: Vec<usize> =
                 codes.iter().enumerate().filter(|(_, &c)| c == tag).map(|(i, _)| i).collect();
             assert_eq!(seq.count(tag), naive.len());
-            for (k, &pos) in naive.iter().enumerate() {
-                assert_eq!(seq.select_open(tag, k + 1), Some(pos));
-            }
             let mut probe = 0usize;
             for (i, &c) in codes.iter().enumerate() {
                 assert_eq!(seq.rank_open(tag, i), probe);
@@ -608,7 +597,7 @@ mod tests {
         for i in 0..codes.len() {
             assert_eq!(back.code(i), seq.code(i));
         }
-        assert_eq!(back.select_open(1, 2), Some(3));
+        assert_eq!(back.next_occurrence(1, 2), Some(3));
         assert!(load(&seq.to_bytes()[..5]).is_err());
     }
 }

@@ -146,11 +146,6 @@ impl XmlTree {
         self.registry.len()
     }
 
-    /// The tag-name registry.
-    pub fn registry(&self) -> &TagRegistry {
-        &self.registry
-    }
-
     /// Id of a tag name, if it occurs in the document.
     pub fn tag_id(&self, name: &str) -> Option<TagId> {
         self.registry.lookup(name)
@@ -240,12 +235,6 @@ impl XmlTree {
             b = self.parent(b).unwrap_or_else(|| self.root());
         }
         a
-    }
-
-    /// Whether `x` has no children.
-    #[inline]
-    pub fn is_leaf(&self, x: NodeId) -> bool {
-        !self.bp.is_open(x + 1)
     }
 
     /// Whether `i` is a valid node identifier (an opening parenthesis).
@@ -1209,7 +1198,6 @@ mod tests {
         let t = b.finish();
         assert_eq!(t.num_nodes(), 2);
         let a = t.first_child(t.root()).unwrap();
-        assert!(t.is_leaf(a));
         assert_eq!(t.first_child(a), None);
         assert_eq!(t.next_sibling(a), None);
         assert_eq!(t.subtree_size(a), 1);

@@ -148,7 +148,6 @@ fn check_tree(tree: &XmlTree, dom: &Dom) {
 
         assert_eq!(tree.subtree_size(x), dom.subtree_size(pre), "subtree_size of {pre}");
         assert_eq!(tree.depth(x), dom.depth(pre), "depth of {pre}");
-        assert_eq!(tree.is_leaf(x), dom.children[pre].is_empty(), "is_leaf of {pre}");
     }
 
     // is_ancestor over sampled pairs (quadratic on small trees is fine).

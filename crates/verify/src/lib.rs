@@ -79,6 +79,7 @@ impl VerifyReport {
     }
 
     /// Whether an issue with the given code was reported.
+    // lint:allow(dead-pub: shown in docs/verification.md)
     pub fn has_code(&self, code: &str) -> bool {
         self.issues.iter().any(|i| i.code == code)
     }

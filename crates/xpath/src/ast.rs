@@ -65,19 +65,6 @@ pub const AXIS_NAMES: &[(&str, Axis)] = &[
 ];
 
 impl Axis {
-    /// True for the reverse axes, whose nodes are produced (and positionally
-    /// indexed) in *reverse* document order.
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::PrecedingSibling
-                | Axis::Preceding
-        )
-    }
-
     /// True for the axes of the paper's forward Core+ fragment, which the
     /// tree automata of [`crate::compile()`] can evaluate directly.
     pub fn is_forward_core(self) -> bool {

@@ -34,12 +34,6 @@ impl StateSet {
     /// The empty set.
     pub const EMPTY: StateSet = StateSet(0);
 
-    /// Singleton set.
-    #[inline]
-    pub fn singleton(q: StateId) -> Self {
-        StateSet(1u64 << q)
-    }
-
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(self) -> bool {
@@ -208,16 +202,6 @@ impl Formula {
             Formula::Mark => true,
             Formula::And(a, b) | Formula::Or(a, b) => a.contains_mark() || b.contains_mark(),
             Formula::Not(a) => a.contains_mark(),
-            _ => false,
-        }
-    }
-
-    /// Whether the formula contains a built-in predicate atom.
-    pub fn contains_pred(&self) -> bool {
-        match self {
-            Formula::Pred(_) => true,
-            Formula::And(a, b) | Formula::Or(a, b) => a.contains_pred() || b.contains_pred(),
-            Formula::Not(a) => a.contains_pred(),
             _ => false,
         }
     }
@@ -554,11 +538,11 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.contains(5));
         assert!(!s.contains(4));
-        let t = StateSet::singleton(5);
+        let t = StateSet(1 << 5);
         assert!(t.is_subset_of(s));
         assert!(!s.is_subset_of(t));
         assert_eq!(s.intersect(t), t);
-        assert_eq!(t.union(StateSet::singleton(4)).len(), 2);
+        assert_eq!(t.union(StateSet(1 << 4)).len(), 2);
         let collected: Vec<StateId> = s.iter().collect();
         assert_eq!(collected, vec![0, 5, 63]);
         assert_eq!([s.rank(0), s.rank(5), s.rank(6), s.rank(63)], [0, 1, 2, 2]);
@@ -589,6 +573,5 @@ mod tests {
         assert!(d1.contains(1));
         assert!(d2.contains(2));
         assert!(!f.contains_mark());
-        assert!(f.contains_pred());
     }
 }

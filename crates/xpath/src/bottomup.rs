@@ -191,11 +191,6 @@ impl BottomUpPlan {
         }
     }
 
-    /// The seed text predicate.
-    pub fn predicate(&self) -> &TextPredicate {
-        &self.predicate
-    }
-
     /// Text identifiers matching the seed predicate (the "Text" phase of the
     /// paper's Figure 15 timing split).
     pub fn seeds(&self, texts: &TextCollection) -> Vec<TextId> {
@@ -206,22 +201,6 @@ impl BottomUpPlan {
     /// phase of Figure 15).  Returns result nodes in document order.
     pub fn run_from_seeds(&self, tree: &XmlTree, seeds: &[TextId]) -> Vec<NodeId> {
         self.run_from_seeds_limited(tree, seeds, None).nodes
-    }
-
-    /// Full materialization: seeds + verification in one call.
-    pub fn materialize(&self, tree: &XmlTree, texts: &TextCollection) -> Vec<NodeId> {
-        self.run_from_seeds(tree, &self.seeds(texts))
-    }
-
-    /// Number of result nodes.
-    pub fn count(&self, tree: &XmlTree, texts: &TextCollection) -> u64 {
-        self.materialize(tree, texts).len() as u64
-    }
-
-    /// Whether the query selects at least one node, verifying seeds only
-    /// until the first survivor.
-    pub fn exists(&self, tree: &XmlTree, texts: &TextCollection) -> bool {
-        !self.run_limited(tree, texts, Some(1)).nodes.is_empty()
     }
 
     /// Runs with an optional result budget: seeds are verified in order and
@@ -476,7 +455,7 @@ mod tests {
     fn bottom_up(f: &Fixture, query: &str) -> Option<Vec<NodeId>> {
         let q = parse_query(query).unwrap();
         let plan = BottomUpPlan::try_from_query(&q, &f.tree)?;
-        Some(plan.materialize(&f.tree, &f.texts))
+        Some(plan.run_limited(&f.tree, &f.texts, None).nodes)
     }
 
     #[test]
@@ -529,7 +508,7 @@ mod tests {
         assert_eq!(seeds.len(), 3); // three abstract texts contain "plus"
         let result = plan.run_from_seeds(&f.tree, &seeds);
         assert_eq!(result.len(), 2); // but only two distinct articles
-        assert_eq!(plan.count(&f.tree, &f.texts), 2);
+        assert_eq!(plan.run_limited(&f.tree, &f.texts, None).nodes.len(), 2);
     }
 
     #[test]
@@ -542,7 +521,7 @@ mod tests {
         ] {
             let q = parse_query(query).unwrap();
             let plan = BottomUpPlan::try_from_query(&q, &f.tree).unwrap();
-            let full = plan.materialize(&f.tree, &f.texts);
+            let full = plan.run_limited(&f.tree, &f.texts, None).nodes;
             let full_visited = plan.run_limited(&f.tree, &f.texts, None).visited;
             for cap in 1..=full.len() + 1 {
                 let limited = plan.run_limited(&f.tree, &f.texts, Some(cap));
@@ -550,7 +529,7 @@ mod tests {
                 assert_eq!(&limited.nodes[..take], &full[..take], "{query} cap {cap}");
                 assert!(limited.visited <= full_visited, "{query} cap {cap} visited more");
             }
-            assert!(plan.exists(&f.tree, &f.texts), "{query}");
+            assert!(!plan.run_limited(&f.tree, &f.texts, Some(1)).nodes.is_empty(), "{query}");
             let first = plan.run_limited(&f.tree, &f.texts, Some(1));
             assert!(first.nodes.starts_with(&full[..1]), "{query}: first-match prefix");
             assert!(
@@ -562,7 +541,7 @@ mod tests {
         // visits exactly what the full run visits.
         let q = parse_query(r#"//Article[ .//AbstractText[ contains(., "zzz") ] ]"#).unwrap();
         let plan = BottomUpPlan::try_from_query(&q, &f.tree).unwrap();
-        assert!(!plan.exists(&f.tree, &f.texts));
+        assert!(plan.run_limited(&f.tree, &f.texts, Some(1)).nodes.is_empty());
         let limited = plan.run_limited(&f.tree, &f.texts, Some(3));
         assert!(limited.nodes.is_empty());
         assert_eq!(limited.visited, plan.run_limited(&f.tree, &f.texts, None).visited);

@@ -124,22 +124,6 @@ impl<'a> DirectEvaluator<'a> {
         Self { tree, texts, visited: AtomicU64::new(0) }
     }
 
-    /// Runs the query and returns the selected nodes in document order.
-    pub fn evaluate(&self, query: &Query) -> Vec<NodeId> {
-        self.run(query, &DirectRunOptions::default()).nodes
-    }
-
-    /// Number of nodes selected by the query.
-    pub fn count(&self, query: &Query) -> u64 {
-        self.evaluate(query).len() as u64
-    }
-
-    /// Whether the query selects at least one node, stopping at the first
-    /// match.
-    pub fn exists(&self, query: &Query) -> bool {
-        !self.run(query, &DirectRunOptions { exists_only: true, max_nodes: None }).nodes.is_empty()
-    }
-
     /// Runs the query with the given truncation options.
     ///
     /// Early termination applies to the *final* location step: candidate
@@ -621,13 +605,14 @@ mod tests {
 
     fn count(f: &Fixture, query: &str) -> u64 {
         let q = parse_query(query).unwrap();
-        DirectEvaluator::new(&f.tree, Some(&f.texts)).count(&q)
+        DirectEvaluator::new(&f.tree, Some(&f.texts)).run(&q, &DirectRunOptions::default()).nodes.len() as u64
     }
 
     fn names(f: &Fixture, query: &str) -> Vec<String> {
         let q = parse_query(query).unwrap();
         DirectEvaluator::new(&f.tree, Some(&f.texts))
-            .evaluate(&q)
+            .run(&q, &DirectRunOptions::default())
+            .nodes
             .into_iter()
             .map(|n| f.tree.tag_name(f.tree.tag(n)).to_string())
             .collect()
@@ -717,7 +702,7 @@ mod tests {
         // Positions re-index after each predicate: the 2nd person with a
         // phone is Eve, not Bob.
         let q = parse_query("/site/people/person[phone][2]/name").unwrap();
-        let nodes = DirectEvaluator::new(&f.tree, Some(&f.texts)).evaluate(&q);
+        let nodes = DirectEvaluator::new(&f.tree, Some(&f.texts)).run(&q, &DirectRunOptions::default()).nodes;
         assert_eq!(nodes.len(), 1);
         let texts: Vec<u8> = f
             .tree
@@ -757,9 +742,9 @@ mod tests {
         let doc = parse_document(xml.as_bytes()).unwrap();
         let e = DirectEvaluator::new(&doc.tree, None);
         let q = parse_query("//d[last()]").unwrap();
-        assert_eq!(e.count(&q), 1);
+        assert_eq!(e.run(&q, &DirectRunOptions::default()).nodes.len(), 1);
         let q = parse_query("//d[1]/descendant::d").unwrap();
-        assert_eq!(e.count(&q), (depth - 1) as u64);
+        assert_eq!(e.run(&q, &DirectRunOptions::default()).nodes.len(), depth - 1);
     }
 
     /// Limited runs return exact document-order prefixes for every budget,
@@ -781,14 +766,15 @@ mod tests {
         ];
         for query in queries {
             let q = parse_query(query).unwrap();
-            let full = e.evaluate(&q);
+            let full = e.run(&q, &DirectRunOptions::default()).nodes;
             for cap in 1..=full.len() + 1 {
                 let limited =
                     e.run(&q, &DirectRunOptions { max_nodes: Some(cap), exists_only: false });
                 let take = cap.min(full.len());
                 assert_eq!(limited.nodes, &full[..take], "{query} cap {cap}");
             }
-            assert_eq!(e.exists(&q), !full.is_empty(), "{query} exists");
+            let exists = !e.run(&q, &DirectRunOptions { exists_only: true, max_nodes: None }).nodes.is_empty();
+            assert_eq!(exists, !full.is_empty(), "{query} exists");
         }
     }
 

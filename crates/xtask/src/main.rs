@@ -25,6 +25,17 @@
 //!   new on-disk tag bytes cannot silently alias an existing variant.
 //! * **lints** — every crate keeps `#![forbid(unsafe_code)]` and
 //!   `#![deny(missing_docs)]` at its root.
+//! * **cut** — nothing shipped sits below the cut: every column-0 item
+//!   after it in a crate's `src/` or `benches/` carries its own
+//!   `#[cfg(test)]`, so the families above see all shipped code.
+//! * **dead-pub** — every `pub` `fn`/`struct`/`enum`/`trait`/`type`/
+//!   `const`/`static` in a crate's shipped `src/` code is referenced by
+//!   shipped caller code: any crate's `src/` (binaries included) or
+//!   `benches/`, the repository's `examples/`, or `perfbench/src/`.  The
+//!   definition itself, `use` lines, comments, string literals and the
+//!   type an `impl … for` header implements are not references.  Each
+//!   file is tokenised once into the set of names it references, so a
+//!   dead item whose name a live one shares goes unseen.
 //!
 //! Individual sites that are provably safe opt out with a trailing or
 //! preceding `// lint:allow(<family>: <reason>)` comment; a whole file
@@ -34,9 +45,10 @@
 //! reported.  See `docs/verification.md`.
 //!
 //! `lines` counts each workspace crate's `.rs` lines with the same cut:
-//! `src/` (binaries included) before the cut is non-test; the rest of
-//! `src/` and all of `tests/`, `benches/` and `examples/` are test.  The
-//! repository-level `tests/` directory gets a row of its own.
+//! `src/` (binaries included) before the cut, and any shipped item the
+//! cut family would report below it, is non-test; the rest of `src/` and
+//! all of `tests/`, `benches/` and `examples/` are test.  The
+//! repository-level `examples/` and `tests/` directories get a row each.
 //!
 //! `corrupt` rewrites a `.sxsi` container so that every checksum still
 //! matches but a structural invariant is broken, which only the deep walk
@@ -49,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -102,6 +115,63 @@ fn non_test_prefix(source: &str) -> &str {
         source.find(&format!("\n{marker}")).map(|at| at + 1)
     };
     cut.map_or(source, |cut| &source[..cut])
+}
+
+/// Column-0 lines that open an item.
+const ITEM_STARTS: &[&str] = &[
+    "fn ", "pub ", "pub(", "impl ", "impl<", "mod ", "struct ", "enum ", "trait ", "type ", "const ", "static ",
+    "use ", "macro_rules!", "extern ", "unsafe ", "async ",
+];
+
+/// The shipped items below the cut, as 0-based line ranges: every column-0
+/// item there whose own attributes do not include `#[cfg(test)]`.  A range
+/// opens at the item's doc comment or attributes and closes after its
+/// first line when that ends in `;` or `}`, else after the next column-0
+/// `}`.
+fn shipped_below_cut(source: &str) -> Vec<std::ops::Range<usize>> {
+    let marker = cfg_test_marker();
+    let lines: Vec<&str> = source.lines().collect();
+    let mut i = non_test_prefix(source).lines().count();
+    let (mut header, mut gated) = (None, false);
+    let mut out = Vec::new();
+    while i < lines.len() {
+        let line = lines[i];
+        if line.starts_with("#[") || line.starts_with("//") {
+            header.get_or_insert(i);
+            gated |= line.trim_end() == marker;
+            i += 1;
+            continue;
+        }
+        let start = header.take().unwrap_or(i);
+        let is_gated = std::mem::take(&mut gated);
+        if !ITEM_STARTS.iter().any(|s| line.starts_with(s)) {
+            i += 1;
+            continue;
+        }
+        let end = if line.trim_end().ends_with([';', '}']) {
+            i + 1
+        } else {
+            (i..lines.len()).find(|&j| lines[j].starts_with('}')).map_or(lines.len(), |j| j + 1)
+        };
+        if !is_gated {
+            out.push(start..end);
+        }
+        i = end;
+    }
+    out
+}
+
+/// The `cut` family: shipped code below the `#[cfg(test)]` cut would
+/// escape every other family and count as test in `lines`.
+fn check_cut(file: &str, source: &str, out: &mut Vec<Violation>) {
+    for range in shipped_below_cut(source) {
+        out.push(Violation {
+            file: file.to_string(),
+            line: range.start + 1,
+            family: "cut",
+            message: "shipped item below the first #[cfg(test)] item (move it above the test items)".to_string(),
+        });
+    }
 }
 
 /// True if line `i` (0-based) of `lines` carries or follows a
@@ -312,6 +382,160 @@ fn check_crate_lints(crate_roots: &[(String, String)], out: &mut Vec<Violation>)
     }
 }
 
+/// Keywords whose next identifier is the name being defined, not a use.
+const DEFINING_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union"];
+
+/// Adds to `refs` every identifier in `code` that is a reference: not in
+/// a comment, a string or char literal or a `use` declaration, not the
+/// name right after a defining keyword, and not the type an item `impl`
+/// header implements (its trait, before `for`, is a reference).
+fn collect_references(code: &str, refs: &mut HashSet<String>) {
+    let chars: Vec<char> = code.chars().collect();
+    // `skip_to` holds the characters that end a `use` declaration or an
+    // `impl` header, whose identifiers wait in `header` until it is known
+    // whether a `for` follows; `last` is the previous token's last
+    // character, with every identifier or literal read as 'a'.
+    let (mut i, mut prev_ident, mut skip_to, mut last) = (0, String::new(), None, ';');
+    let mut header: Vec<String> = Vec::new();
+    while i < chars.len() {
+        let c = chars[i];
+        let next = chars.get(i + 1).copied();
+        if c == '/' && next == Some('/') {
+            while i < chars.len() && chars[i] != '\n' {
+                i += 1;
+            }
+            continue;
+        } else if c == '/' && next == Some('*') {
+            i += 2;
+            while i < chars.len() && !(chars[i] == '*' && chars.get(i + 1) == Some(&'/')) {
+                i += 1;
+            }
+            i += 2;
+            continue;
+        } else if c.is_whitespace() {
+            i += 1;
+            continue;
+        }
+        let mut ident = String::new();
+        if c == '"' {
+            i += 1;
+            while i < chars.len() && chars[i] != '"' {
+                i += if chars[i] == '\\' { 2 } else { 1 };
+            }
+            i += 1;
+        } else if c == '\'' {
+            // A char literal ('x' or '\n'); otherwise a lifetime.
+            if next == Some('\\') {
+                i += 3;
+                while i < chars.len() && chars[i] != '\'' {
+                    i += 1;
+                }
+                i += 1;
+            } else {
+                i += if chars.get(i + 2) == Some(&'\'') { 3 } else { 1 };
+            }
+        } else if c.is_alphanumeric() || c == '_' {
+            let start = i;
+            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
+                i += 1;
+            }
+            ident = chars[start..i].iter().collect();
+            // A raw string: r"…", r#"…"#, br"…".
+            let hashes = chars[i..].iter().take_while(|&&ch| ch == '#').count();
+            if (ident == "r" || ident == "br") && chars.get(i + hashes) == Some(&'"') {
+                let close: Vec<char> = std::iter::once('"').chain(std::iter::repeat('#').take(hashes)).collect();
+                i += hashes + 1;
+                while i < chars.len() && !chars[i..].starts_with(&close) {
+                    i += 1;
+                }
+                i += close.len();
+                ident.clear();
+            }
+        } else {
+            if skip_to.is_some_and(|ends: &str| ends.contains(c)) {
+                skip_to = None;
+                let traits = header.iter().position(|id| id == "for").unwrap_or(0);
+                refs.extend(header.drain(..).take(traits));
+            }
+            (last, i) = (c, i + 1);
+            prev_ident.clear();
+            continue;
+        }
+        if ident == "use" {
+            skip_to = Some(";");
+        } else if ident == "impl" && "};]{".contains(last) {
+            skip_to = Some("{;");
+        } else if skip_to == Some("{;") && !ident.is_empty() {
+            header.push(ident.clone());
+        } else if !ident.is_empty()
+            && !c.is_ascii_digit()
+            && skip_to.is_none()
+            && !DEFINING_KEYWORDS.contains(&prev_ident.as_str())
+        {
+            refs.insert(ident.clone());
+        }
+        (prev_ident, last) = (ident, 'a');
+    }
+}
+
+/// The `pub` item `line` defines, as `(kind, name)`: a `pub` (not
+/// `pub(crate)`) `fn`, `struct`, `enum`, `trait`, `type`, `const` or
+/// `static`.
+fn pub_item(line: &str) -> Option<(&'static str, &str)> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    for qualifier in ["const ", "async ", "unsafe "] {
+        rest = rest.strip_prefix(qualifier).filter(|r| r.starts_with("fn ")).unwrap_or(rest);
+    }
+    let (kind, rest) = ["fn", "struct", "enum", "trait", "type", "const", "static"]
+        .into_iter()
+        .find_map(|kind| Some((kind, rest.strip_prefix(kind)?.strip_prefix(' ')?)))?;
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+    (end > 0).then(|| (kind, &rest[..end]))
+}
+
+/// True for a file whose shipped code calls into the workspace: a crate's
+/// `src/` (binaries included) or `benches/`, the repository's `examples/`,
+/// or the benchmark harness's `perfbench/src/`.
+fn is_caller(file: &str) -> bool {
+    let in_crate = |dir: &str| file.starts_with("crates/") && file.contains(dir);
+    in_crate("/src/") || in_crate("/benches/") || file.starts_with("examples/") || file.starts_with("perfbench/src/")
+}
+
+/// The `dead-pub` family: every `pub` item defined in a crate's shipped
+/// `src/` code needs a reference from shipped caller code (see
+/// [`is_caller`]).  Each file is tokenised once into the set of names it
+/// references; an item is live when any reference carries its name, so a
+/// name shared with a live item hides a dead one.
+fn check_dead_pub(files: &[(String, String)], out: &mut Vec<Violation>) {
+    let mut refs = HashSet::new();
+    for (_, source) in files.iter().filter(|(file, _)| is_caller(file)) {
+        collect_references(non_test_prefix(source), &mut refs);
+        let lines: Vec<&str> = source.lines().collect();
+        for range in shipped_below_cut(source) {
+            collect_references(&lines[range].join("\n"), &mut refs);
+        }
+    }
+    for (file, source) in files.iter().filter(|(file, _)| file.starts_with("crates/") && file.contains("/src/")) {
+        let code = non_test_prefix(source);
+        let lines: Vec<&str> = code.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((kind, name)) = pub_item(line) else { continue };
+            if !refs.contains(name) && !allowed(code, &lines, i, "dead-pub") {
+                out.push(Violation {
+                    file: file.clone(),
+                    line: i + 1,
+                    family: "dead-pub",
+                    message: format!(
+                        "pub {kind} '{name}' has no caller outside test code (delete it, or \
+                         lint:allow(dead-pub: reason))"
+                    ),
+                });
+            }
+        }
+    }
+}
+
 /// Collects `.rs` files under `dir`, recursively, as workspace-relative
 /// `(path, contents)` pairs.
 fn collect_sources(root: &Path, dir: &str, files: &mut Vec<(String, String)>) -> Result<(), String> {
@@ -363,8 +587,16 @@ fn run_lint(root: &Path) -> Result<Vec<Violation>, String> {
             check_indexing(file, source, &mut out);
         }
         check_from_tag(file, source, &mut out);
+        if is_caller(file) {
+            check_cut(file, source, &mut out);
+        }
     }
     check_roundtrips(&files, &mut out);
+    // Callers outside the workspace crates feed only the dead-pub family.
+    let mut callers = files.clone();
+    collect_sources(root, "examples", &mut callers)?;
+    collect_sources(root, "perfbench/src", &mut callers)?;
+    check_dead_pub(&callers, &mut out);
 
     // Crate roots: lib.rs when present, the binary root otherwise.
     let mut crate_roots = Vec::new();
@@ -433,15 +665,17 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 // ---------------------------------------------------------------------
 
 /// `(non-test, test)` lines of `files`, paths relative to their crate
-/// (or to the repository for its own `tests/`): `src/` splits at the
-/// `#[cfg(test)]` cut, `tests/`, `benches/` and `examples/` are all test,
-/// anything else (a build script) is non-test.
+/// (or to the repository for its own `tests/` and `examples/`): `src/`
+/// splits at the `#[cfg(test)]` cut, with any shipped item below it
+/// counted as non-test; `tests/`, `benches/` and `examples/` are all
+/// test, anything else (a build script) is non-test.
 fn count_lines(files: &[(String, String)]) -> (usize, usize) {
     let (mut non_test, mut test) = (0, 0);
     for (path, source) in files {
         let total = source.lines().count();
         if path.starts_with("src/") {
-            let shipped = non_test_prefix(source).lines().count();
+            let below: usize = shipped_below_cut(source).iter().map(ExactSizeIterator::len).sum();
+            let shipped = non_test_prefix(source).lines().count() + below;
             non_test += shipped;
             test += total - shipped;
         } else if ["tests/", "benches/", "examples/"].iter().any(|dir| path.starts_with(dir)) {
@@ -459,7 +693,8 @@ fn package_name(manifest: &str) -> Option<&str> {
 }
 
 /// One `(label, non-test, test)` row per workspace crate, sorted by
-/// label, then one for the repository-level `tests/`.
+/// label, then one each for the repository-level `examples/` and
+/// `tests/`.
 fn line_table(root: &Path) -> Result<Vec<(String, usize, usize)>, String> {
     let crates_dir = root.join("crates");
     let entries = std::fs::read_dir(&crates_dir).map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
@@ -474,10 +709,12 @@ fn line_table(root: &Path) -> Result<Vec<(String, usize, usize)>, String> {
         rows.push((label, non_test, test));
     }
     rows.sort();
-    let mut files = Vec::new();
-    collect_sources(root, "tests", &mut files)?;
-    let (non_test, test) = count_lines(&files);
-    rows.push(("tests/".to_string(), non_test, test));
+    for dir in ["examples", "tests"] {
+        let mut files = Vec::new();
+        collect_sources(root, dir, &mut files)?;
+        let (non_test, test) = count_lines(&files);
+        rows.push((format!("{dir}/"), non_test, test));
+    }
     Ok(rows)
 }
 
@@ -763,6 +1000,82 @@ mod tests {
         check_crate_lints(&roots, &mut out);
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().all(|v| v.family == "lints"));
+    }
+
+    /// Runs the dead-pub family over `(path, source)` pairs.
+    fn dead_pub(files: &[(&str, &str)]) -> Vec<Violation> {
+        let files: Vec<(String, String)> = files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
+        let mut out = Vec::new();
+        check_dead_pub(&files, &mut out);
+        out
+    }
+
+    #[test]
+    fn seeded_dead_pub_fn_is_reported() {
+        let lib = "pub fn live() {}\npub fn dead() {}\npub(crate) fn narrow() {}\npub struct Unused;\n";
+        let main = "fn main() {\n    lib::live();\n}\n";
+        let hits = dead_pub(&[("crates/a/src/lib.rs", lib), ("crates/a/src/main.rs", main)]);
+        let names: Vec<(usize, &str)> = hits.iter().map(|v| (v.line, v.family)).collect();
+        assert_eq!(names, [(2, "dead-pub"), (4, "dead-pub")], "{hits:?}");
+        assert!(hits[0].message.contains("pub fn 'dead'"), "{hits:?}");
+    }
+
+    #[test]
+    fn tests_use_lines_and_comments_do_not_save_a_pub_item() {
+        let marker = cfg_test_marker();
+        let lib = format!(
+            "//! Call [`dead`] like `dead()`.\npub fn dead() {{}}\n{marker}\nmod tests {{\n    fn t() {{ super::dead(); }}\n}}\n"
+        );
+        let user = "use a::dead;\npub use a::dead as again;\n// dead();\n/* dead() */\nfn f() -> &'static str { \"dead()\" }\n";
+        let hits = dead_pub(&[
+            ("crates/a/src/lib.rs", &lib),
+            ("crates/b/src/lib.rs", user),
+            ("crates/a/tests/t.rs", "fn t() { a::dead(); }\n"),
+            ("tests/t.rs", "fn t() { a::dead(); }\n"),
+        ]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].file.as_str(), hits[0].line), ("crates/a/src/lib.rs", 2));
+    }
+
+    #[test]
+    fn examples_benches_and_perfbench_are_callers() {
+        let lib = "pub fn a() {}\npub fn b() {}\npub fn c() {}\npub struct S;\nimpl S {}\n";
+        let hits = dead_pub(&[
+            ("crates/x/src/lib.rs", lib),
+            ("examples/e.rs", "fn main() { x::a(); }\n"),
+            ("crates/bench/benches/fig.rs", "fn main() { x::b(); }\n"),
+            ("perfbench/src/sut.rs", "fn f() { x::c(); }\n"),
+        ]);
+        // `impl S` names the type it implements, which is no caller.
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("struct 'S'"), "{hits:?}");
+    }
+
+    #[test]
+    fn dead_pub_allow_needs_a_reason() {
+        let allowed = "// lint:allow(dead-pub: test oracle)\npub fn oracle() {}\n";
+        assert!(dead_pub(&[("crates/a/src/lib.rs", allowed)]).is_empty());
+        let empty = "// lint:allow(dead-pub:)\npub fn oracle() {}\n";
+        let mut hits = dead_pub(&[("crates/a/src/lib.rs", empty)]);
+        check_annotations("crates/a/src/lib.rs", empty, &mut hits);
+        let families: Vec<&str> = hits.iter().map(|v| v.family).collect();
+        assert_eq!(families, ["dead-pub", "annotation"], "{hits:?}");
+    }
+
+    #[test]
+    fn shipped_items_below_the_cut_are_reported_and_counted() {
+        let marker = cfg_test_marker();
+        let impl_line = format!("impl WriteInto{}ProbeBelow {{}}", " for ");
+        let source = format!(
+            "fn a() {{}}\n{marker}\nimpl Probe {{\n    fn p() {{}}\n}}\n\n/// Docs.\n{impl_line}\n\n{marker}\nmod tests {{\n}}\n"
+        );
+        let mut hits = Vec::new();
+        check_cut("crates/a/src/lib.rs", &source, &mut hits);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].family, hits[0].line), ("cut", 7));
+        assert_eq!(shipped_below_cut(&source), vec![std::ops::Range { start: 6, end: 8 }]);
+        let files = vec![("src/lib.rs".to_string(), source)];
+        assert_eq!(count_lines(&files), (3, 9));
     }
 
     #[test]

@@ -266,7 +266,7 @@ fn single_index_and_one_document_collection_agree() {
                 for (limit, offset) in [(None, 0), (Some(2), 1)] {
                     let context = format!("{} {id} {output:?} {limit:?}+{offset}", corpus.name);
                     let options =
-                        QueryOptions { mode: output.query_mode(), limit, offset, collect_stats: true };
+                        QueryOptions { mode: output.query_mode(), limit, offset };
                     let direct = single.run(xpath, &options).expect("direct run");
                     let spec = || vec![QuerySpec::new(id, xpath, options)];
                     let answers = [
@@ -282,7 +282,7 @@ fn single_index_and_one_document_collection_agree() {
                         assert_eq!(nodes, direct.nodes().unwrap_or(&[]), "{context}");
                         let stats = |s: sxsi::EvalStats| (s.visited_nodes, s.marked_nodes, s.result_nodes);
                         assert_eq!(
-                            answer.stats().map(stats),
+                            Some(stats(answer.stats())),
                             direct.stats().map(stats),
                             "{context}: a one-document target runs the request's own options"
                         );
@@ -396,18 +396,12 @@ fn early_termination_beats_full_materialization_on_most_queries() {
         for (id, xpath) in queries_for(corpus.name) {
             total += 1;
             let par = |options: QueryOptions| {
-                executor
-                    .run(collection, xpath, &options.with_stats(true))
-                    .expect("stats run")
-                    .stats()
-                    .expect("stats collected")
-                    .visited_nodes
+                executor.run(collection, xpath, &options).expect("stats run").stats().visited_nodes
             };
             let seq = |options: QueryOptions| {
-                CollectionExecutor::run_sequential(collection, xpath, &options.with_stats(true))
+                CollectionExecutor::run_sequential(collection, xpath, &options)
                     .expect("sequential stats run")
                     .stats()
-                    .expect("stats collected")
                     .visited_nodes
             };
             let full = par(QueryOptions::nodes());
