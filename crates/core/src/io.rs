@@ -23,7 +23,10 @@
 //! Sections appear in tag order.  Each fact is stored once, in the
 //! structure that uses it: the sample rate lives in the FM-index, the
 //! texts section ends with the collection text `T` (always kept), and the
-//! element count is read off the tag sequence.
+//! element count is read off the tag sequence.  What can be derived
+//! cheaply is not stored: the closing tag codes, the text-leaf map, the
+//! text start offsets, the `C` array and the text length are rebuilt on
+//! load by the same functions that build them from XML.
 //!
 //! A truncated file fails with an I/O error, a bit flip with a checksum
 //! mismatch, a file from a different format version with a version error
@@ -68,8 +71,11 @@ pub const MAGIC: [u8; 8] = *b"SXSIIDX\0";
 /// texts body, which now begins with the FM-index; version 7 ends the texts
 /// body with the collection text `T` itself (every text followed by its
 /// terminator), always present, instead of a plain-copy flag byte and an
-/// optional copy with per-text offsets.
-pub const FORMAT_VERSION: u32 = 7;
+/// optional copy with per-text offsets; version 8 stores one opening tag
+/// code per node instead of a code per parenthesis and drops the text-leaf
+/// bitmap, the text start offsets, the `C` array, the FM-index length and
+/// the tag count's five copies outside the registry, all rebuilt on load.
+pub const FORMAT_VERSION: u32 = 8;
 
 const SECTION_TREE: u8 = 2;
 const SECTION_TEXTS: u8 = 3;
@@ -391,10 +397,10 @@ mod tests {
 
     #[test]
     fn paranoid_load_rejects_semantic_corruption() {
-        // Double the FM-index sample rate (the texts body's second word) and
+        // Double the FM-index sample rate (the texts body's first word) and
         // re-checksum the section, as `xtask corrupt` does.
         let (mut bytes, texts) = bytes_and_texts_payload(4);
-        let rate = texts.start + 8..texts.start + 16;
+        let rate = texts.start..texts.start + 8;
         bytes[rate.clone()].copy_from_slice(&8u64.to_le_bytes());
         let checksum = fnv1a64(&bytes[texts.clone()]).to_le_bytes();
         bytes[texts.end..texts.end + 8].copy_from_slice(&checksum);

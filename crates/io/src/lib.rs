@@ -276,25 +276,6 @@ pub fn read_u32_vec<R: Read + ?Sized>(r: &mut R) -> Result<Vec<u32>, IoError> {
     Ok(out)
 }
 
-/// Writes a length-prefixed `usize` slice (as `u64`s).
-pub fn write_usize_slice<W: Write + ?Sized>(w: &mut W, values: &[usize]) -> io::Result<()> {
-    write_usize(w, values.len())?;
-    for &v in values {
-        write_usize(w, v)?;
-    }
-    Ok(())
-}
-
-/// Reads a length-prefixed `usize` vector.
-pub fn read_usize_vec<R: Read + ?Sized>(r: &mut R) -> Result<Vec<usize>, IoError> {
-    let len = read_usize(r)?;
-    let mut out = Vec::with_capacity(len.min(READ_CHUNK / 8));
-    for _ in 0..len {
-        out.push(read_usize(r)?);
-    }
-    Ok(out)
-}
-
 /// Writes a length-prefixed UTF-8 string.
 pub fn write_str<W: Write + ?Sized>(w: &mut W, s: &str) -> io::Result<()> {
     write_bytes(w, s.as_bytes())

@@ -11,7 +11,9 @@
 //!
 //! SXSI uses one sarray per tag symbol to answer `TaggedDesc`, `TaggedFoll`
 //! and `SubtreeTags` (Section 4.1.2), and one for the text-start positions
-//! in the collection text `T` (Section 3.2).
+//! in the collection text `T` (Section 3.2).  Both are derived when an
+//! index is built or loaded, never stored, so the structure has no on-disk
+//! encoding.
 //!
 //! For `m` values in a universe of size `u` the space is
 //! `m * (2 + ceil(log2(u/m)))` bits plus the rank/select directory of the
@@ -20,7 +22,6 @@
 
 use crate::bits::{bits_for, ceil_div};
 use crate::{InterleavedRsBitVector, SpaceUsage};
-use sxsi_io::{corrupt, read_u32, read_u64, read_u64_vec, read_usize, write_u32, write_u64, write_u64_slice, write_usize, IoError, ReadFrom, WriteInto};
 
 /// Compressed monotone sequence (a.k.a. sparse bit set) with rank/select.
 #[derive(Clone, Debug)]
@@ -280,10 +281,9 @@ impl EliasFano {
 }
 
 impl sxsi_verify::Verify for EliasFano {
-    /// Checks the upper/lower-bits agreement the loader skips: besides the
-    /// shape checks `read_from` already enforces, the decoded sequence must
-    /// be non-decreasing and stay inside the declared universe — a
-    /// perturbed low word passes every byte-level check but breaks both.
+    /// Checks the shape of the low and upper bits and their agreement: the
+    /// decoded sequence must be non-decreasing and stay inside the declared
+    /// universe — a perturbed low word keeps every shape but breaks both.
     fn verify_into(&self, depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         let issues_before = ctx.issue_count();
         ctx.check("ef-low-bits", (1..=63).contains(&self.low_bits), || {
@@ -320,48 +320,6 @@ impl sxsi_verify::Verify for EliasFano {
 impl SpaceUsage for EliasFano {
     fn size_bytes(&self) -> usize {
         crate::slice_bytes(&self.low) + self.upper.size_bytes()
-    }
-}
-
-impl WriteInto for EliasFano {
-    fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_u32(w, self.low_bits)?;
-        write_usize(w, self.len)?;
-        write_u64(w, self.universe)?;
-        write_u64_slice(w, &self.low)?;
-        self.upper.write_into(w)
-    }
-}
-
-impl ReadFrom for EliasFano {
-    fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let low_bits = read_u32(r)?;
-        if !(1..=63).contains(&low_bits) {
-            return Err(corrupt(format!("EliasFano low_bits {low_bits} not in 1..=63")));
-        }
-        let len = read_usize(r)?;
-        let universe = read_u64(r)?;
-        let low = read_u64_vec(r)?;
-        let expected_low = ceil_div(
-            len.checked_mul(low_bits as usize)
-                .ok_or_else(|| corrupt("EliasFano low-bit array overflows the address space"))?,
-            64,
-        )
-        .max(1);
-        if low.len() != expected_low {
-            return Err(corrupt(format!(
-                "EliasFano of {len} values needs {expected_low} low words, found {}",
-                low.len()
-            )));
-        }
-        let upper = InterleavedRsBitVector::read_from(r)?;
-        if upper.count_ones() != len {
-            return Err(corrupt(format!(
-                "EliasFano upper bitmap holds {} ones for {len} values",
-                upper.count_ones()
-            )));
-        }
-        Ok(Self { low, low_bits, upper, len, universe })
     }
 }
 
@@ -443,24 +401,6 @@ mod tests {
     fn rejects_decreasing() {
         EliasFano::new(&[5, 3], 10);
     }
-
-    #[test]
-    fn serialization_roundtrip() {
-        for values in [vec![], vec![0u64], (0..500).map(|i| i * 37 + 5).collect::<Vec<_>>()] {
-            let universe = values.last().map_or(10, |&v| v + 1);
-            let ef = EliasFano::new(&values, universe);
-            let back = EliasFano::from_bytes(&ef.to_bytes()).unwrap();
-            assert_eq!(back.len(), values.len());
-            assert_eq!(back.universe(), universe);
-            assert_eq!(back.iter().collect::<Vec<_>>(), values);
-            for probe in [0, universe / 2, universe] {
-                assert_eq!(back.rank(probe), ef.rank(probe));
-            }
-        }
-        let ef = EliasFano::new(&[1, 5, 9], 10);
-        let bytes = ef.to_bytes();
-        assert!(EliasFano::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-    }
 }
 
 #[cfg(test)]
@@ -478,7 +418,7 @@ mod verify_tests {
 
     #[test]
     fn perturbed_low_words_break_monotonicity_or_universe() {
-        // A perturbed low word passes every loader check (word counts and
+        // A perturbed low word keeps every shape (word counts and
         // upper-bitmap cardinality are unchanged) but decodes wrong values:
         // a dense sequence has equal high parts, so swapped low bits break
         // the order.

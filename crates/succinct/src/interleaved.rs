@@ -325,11 +325,6 @@ impl InterleavedRsBitVector {
         let needed = ceil_div(self.len, 64);
         (0..needed).map(|w| self.word(w)).collect()
     }
-
-    /// Iterator over the positions of set bits.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (1..=self.ones).map(move |k| self.select1(k).expect("k <= ones"))
-    }
 }
 
 impl sxsi_verify::Verify for InterleavedRsBitVector {
@@ -449,6 +444,11 @@ impl ReadFrom for InterleavedRsBitVector {
 
 #[cfg(test)]
 impl InterleavedRsBitVector {
+    /// Iterator over the positions of set bits, one `select1` each.
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..=self.ones).map(move |k| self.select1(k).expect("k <= ones"))
+    }
+
     /// Copies of `self` with one in-memory directory field drifted each,
     /// paired with the verify code that must catch the drift.  `self` must
     /// span at least three blocks.

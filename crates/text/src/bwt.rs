@@ -14,17 +14,12 @@ use crate::suffix::suffix_array;
 pub struct CollectionBwt {
     /// The BWT of the concatenation, with every end-marker rendered as byte 0.
     pub bwt: Vec<u8>,
-    /// Suffix array of the concatenation (positions into the concatenation
-    /// where text `i` occupies `[starts[i], starts[i] + len_i]`, terminator
-    /// included).
+    /// Suffix array of the concatenation (text `i` followed by its
+    /// terminator, in text order).
     pub sa: Vec<usize>,
-    /// Start offset of each text inside the concatenation.
-    pub starts: Vec<usize>,
     /// `doc[j]` is the identifier of the text whose first symbol starts the
     /// row of the `j`-th `$` in the BWT (the paper's `Doc` array).
     pub doc: Vec<u32>,
-    /// Total length of the concatenation (including terminators).
-    pub len: usize,
 }
 
 /// Number of texts is limited to `u32` identifiers.
@@ -75,7 +70,7 @@ pub fn build_collection_bwt<S: AsRef<[u8]>>(texts: &[S]) -> CollectionBwt {
             bwt.push((sym - d32 + 1) as u8);
         }
     }
-    CollectionBwt { bwt, sa, starts, doc, len: total }
+    CollectionBwt { bwt, sa, doc }
 }
 
 #[cfg(test)]
@@ -111,10 +106,9 @@ mod tests {
     #[test]
     fn single_text() {
         let out = build_collection_bwt(&["discontinued"]);
-        assert_eq!(out.len, 13);
+        assert_eq!(out.sa.len(), 13);
         assert_eq!(out.bwt.len(), 13);
         assert_eq!(out.doc, vec![0]);
-        assert_eq!(out.starts, vec![0]);
         assert_eq!(out.bwt, naive_bwt(&["discontinued"]));
     }
 
@@ -129,8 +123,10 @@ mod tests {
         // F is the sorted concatenation: its first d entries are the
         // terminators ordered by text id, so the suffixes at sa[0..d] are the
         // terminator positions of texts 0..d in order.
+        let mut start = 0;
         for (i, &p) in out.sa.iter().take(6).enumerate() {
-            assert_eq!(p, out.starts[i] + texts[i].len(), "terminator of text {i}");
+            assert_eq!(p, start + texts[i].len(), "terminator of text {i}");
+            start = p + 1;
         }
     }
 
@@ -148,7 +144,7 @@ mod tests {
     fn empty_texts_are_allowed() {
         let texts = ["", "a", ""];
         let out = build_collection_bwt(&texts);
-        assert_eq!(out.len, 4);
+        assert_eq!(out.bwt.len(), 4);
         assert_eq!(out.bwt.iter().filter(|&&b| b == 0).count(), 3);
     }
 

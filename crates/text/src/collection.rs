@@ -1,8 +1,9 @@
 //! The SXSI text collection index (Section 3.2 of the paper).
 //!
-//! [`TextCollection`] ties the FM-index together with the `Doc` array, the
-//! per-text start offsets and the collection text `T` itself (every text
-//! followed by its terminator, the sequence the BWT is built from), and
+//! [`TextCollection`] ties the FM-index together with the `Doc` array and
+//! the collection text `T` itself (every text followed by its terminator,
+//! the sequence the BWT is built from, from which the per-text start
+//! offsets are derived), and
 //! exposes the XPath-level string predicates: `contains`, `starts-with`,
 //! `ends-with`, `=` and the lexicographic comparison operators, each
 //! returning the identifiers of the matching texts, plus the positions of
@@ -13,7 +14,6 @@ use crate::bwt::build_collection_bwt;
 use crate::fmindex::{FmIndex, LocateOutcome, RowRange, DEFAULT_SAMPLE_RATE};
 use crate::plain::{Occurrences, PlainTexts, TextId, Texts, TERMINATOR};
 use sxsi_io::{corrupt, read_u32_vec, write_u32_slice, IoError, ReadFrom, WriteInto};
-use sxsi_succinct::EliasFano;
 
 /// A text-predicate as it appears in an XPath filter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +122,7 @@ impl<'a> TextCursor<'a> {
             Some(gap) => self.run.nth(gap),
             None => {
                 let tc = self.collection;
-                let start = tc.starts.get(id).map_or(tc.total_len(), |s| s as usize);
+                let start = tc.plain.starts().get(id).map_or(tc.total_len(), |s| s as usize);
                 self.run = tc.plain.texts_at(start);
                 self.run.next()
             }
@@ -132,16 +132,14 @@ impl<'a> TextCursor<'a> {
     }
 }
 
-/// Self-indexed text collection: FM-index + `Doc` + text boundaries + the
-/// collection text `T`.
+/// Self-indexed text collection: FM-index + `Doc` + the collection text `T`
+/// (with the text boundaries derived from it).
 #[derive(Debug, Clone)]
 pub struct TextCollection {
     fm: FmIndex,
     /// `doc[j]` = id of the text whose first symbol starts the row of the
     /// `j`-th `$` in the BWT.
     doc: Vec<u32>,
-    /// Start offset of each text in `T` (terminators counted).
-    starts: EliasFano,
     /// `T`: text `i` is `plain[starts[i]..]` up to its terminator.
     plain: PlainTexts,
 }
@@ -158,9 +156,7 @@ impl TextCollection {
     pub fn with_sample_rate<S: AsRef<[u8]>>(texts: &[S], sample_rate: usize) -> Self {
         let bwt = build_collection_bwt(texts);
         let fm = FmIndex::new(&bwt.bwt, &bwt.sa, sample_rate);
-        let starts_vals: Vec<u64> = bwt.starts.iter().map(|&s| s as u64).collect();
-        let starts = EliasFano::new(&starts_vals, bwt.len.max(1) as u64);
-        Self { fm, doc: bwt.doc, starts, plain: PlainTexts::new(texts) }
+        Self { fm, doc: bwt.doc, plain: PlainTexts::new(texts) }
     }
 
     /// Number of texts (the paper's `d`): one end-marker each in the BWT.
@@ -202,7 +198,7 @@ impl TextCollection {
             sampled,
             samples,
             doc: std::mem::size_of_val(&self.doc[..]),
-            starts: self.starts.size_bytes(),
+            starts: self.plain.starts().size_bytes(),
         }
     }
 
@@ -214,7 +210,7 @@ impl TextCollection {
     fn global_to_text(&self, pos: usize) -> (TextId, usize) {
         debug_assert!(pos < self.total_len());
         // rank gives the number of starts <= pos ... we need the last start <= pos.
-        let (id, start) = self.starts.predecessor(pos as u64 + 1).expect("pos within collection");
+        let (id, start) = self.plain.starts().predecessor(pos as u64 + 1).expect("pos within collection");
         (id, pos - start as usize)
     }
 
@@ -330,7 +326,8 @@ impl TextCollection {
             // A text is empty when its first byte in `T` is its terminator.
             let t = self.plain.as_bytes();
             return self
-                .starts
+                .plain
+                .starts()
                 .iter()
                 .enumerate()
                 .filter(|&(_, s)| t[s as usize] == TERMINATOR)
@@ -411,7 +408,7 @@ impl TextCollection {
     /// Assembles a collection from deserialized parts, used by the
     /// [`ReadFrom`] implementation after cross-validating them against the
     /// FM-index, whose end-markers count the texts.
-    fn from_parts(fm: FmIndex, doc: Vec<u32>, starts: EliasFano, plain: PlainTexts) -> Result<Self, IoError> {
+    fn from_parts(fm: FmIndex, doc: Vec<u32>, plain: PlainTexts) -> Result<Self, IoError> {
         let num_texts = fm.symbol_count(0);
         if doc.len() != num_texts {
             return Err(corrupt(format!("Doc array holds {} entries for {num_texts} texts", doc.len())));
@@ -419,57 +416,39 @@ impl TextCollection {
         if doc.iter().any(|&d| d as usize >= num_texts.max(1)) {
             return Err(corrupt("Doc array references a text id out of range"));
         }
-        if starts.len() != num_texts {
-            return Err(corrupt(format!(
-                "start-offset sequence holds {} entries for {num_texts} texts",
-                starts.len()
-            )));
-        }
-        if starts.iter().any(|s| s as usize >= fm.len().max(1)) {
-            return Err(corrupt("text start offset lies outside the concatenation"));
-        }
-        let tc = Self { fm, doc, starts, plain };
-        for (code, problem) in tc.plain_layout_checks() {
-            if let Some(message) = problem {
-                return Err(corrupt(format!("{code}: {message}")));
-            }
+        let tc = Self { fm, doc, plain };
+        if let Some(problem) = tc.plain_count_problem() {
+            return Err(corrupt(format!("plain-text-count: {problem}")));
         }
         Ok(tc)
     }
 
-    /// The two layout checks of `T` against the boundaries, each with its
-    /// verifier code and the problem it found, if any: `plain-text-count`
-    /// (as long as the BWT, one terminator per text) and `plain-terminator`
-    /// (each terminator just before the next text's start, the last one
-    /// closing `T`).  With the terminators counted when `T` was built or
-    /// loaded, these pin every terminator; the text bytes between them are
-    /// left to the deep walk.
-    fn plain_layout_checks(&self) -> [(&'static str, Option<String>); 2] {
+    /// The layout check of `T` against the BWT, verifier code
+    /// `plain-text-count`: as long as the BWT, one terminator per text.
+    /// The text boundaries are derived from the terminators, so where each
+    /// one sits, like the text bytes between them, is left to the deep
+    /// walk.
+    fn plain_count_problem(&self) -> Option<String> {
         let (num_texts, total_len) = (self.num_texts(), self.total_len());
-        let t = self.plain.as_bytes();
-        let (plain_texts, plain_len) = (self.plain.num_texts(), t.len());
-        let count = (plain_texts != num_texts || plain_len != total_len)
-            .then(|| format!("T holds {plain_texts} texts / {plain_len} bytes, the BWT {num_texts} / {total_len}"));
-        let closed = |end: usize| end.checked_sub(1).and_then(|i| t.get(i)) == Some(&TERMINATOR);
-        let open = self.text_ends().position(|end| !closed(end));
-        let terminator =
-            open.map(|open| format!("text {open} of T is not closed by a terminator where the boundaries end it"));
-        [("plain-text-count", count), ("plain-terminator", terminator)]
+        let (plain_texts, plain_len) = (self.plain.num_texts(), self.plain.as_bytes().len());
+        (plain_texts != num_texts || plain_len != total_len)
+            .then(|| format!("T holds {plain_texts} texts / {plain_len} bytes, the BWT {num_texts} / {total_len}"))
     }
 
     /// One past each text's terminator in `T`: the next text's start, or
     /// the end of `T` for the last text.
     fn text_ends(&self) -> impl Iterator<Item = usize> + '_ {
+        let starts = self.plain.starts();
         let last = std::iter::once(self.total_len());
-        self.starts.iter().skip(1).map(|s| s as usize).chain(last).take(self.starts.len())
+        starts.iter().skip(1).map(|s| s as usize).chain(last).take(starts.len())
     }
 
     /// Deep verification: replays every text backwards through the LF
     /// mapping, cross-checking the sampling structures, the `Doc` array and
     /// every byte of `T`, terminators included, against the position the
     /// walk tracks.  Visits every BWT row exactly once, `O(total_len)` rank
-    /// operations.  Runs only once the quick checks passed, so the
-    /// boundaries are strictly increasing and `T` is as long as the BWT.
+    /// operations.  Runs only once the quick checks passed, so `T` is as
+    /// long as the BWT and holds one terminator per text.
     fn verify_walk(&self, ctx: &mut sxsi_verify::VerifyContext) {
         let rate = self.fm.sample_rate();
         let t = self.plain.as_bytes();
@@ -479,7 +458,7 @@ impl TextCollection {
         let mut doc_mismatch: Option<String> = None;
         let mut plain_mismatch: Option<String> = None;
         let mut walk_broken: Option<String> = None;
-        let starts = self.starts.iter().map(|s| s as usize);
+        let starts = self.plain.starts().iter().map(|s| s as usize);
         for (id, (start, end)) in starts.zip(self.text_ends()).enumerate() {
             let mut row = id;
             let mut offset = end - start - 1;
@@ -559,25 +538,16 @@ impl TextCollection {
 
 impl sxsi_verify::Verify for TextCollection {
     /// Cross-structure checks over the paper's text apparatus: the FM-index,
-    /// the `Doc` array, the text boundaries and `T` must all describe the
-    /// same collection.  Deep verification replays every text through the
-    /// LF mapping.
+    /// the `Doc` array and `T` must all describe the same collection.  Deep
+    /// verification replays every text through the LF mapping.
     fn verify_into(&self, depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         let issues_before = ctx.issue_count();
         ctx.enter("fm", |ctx| self.fm.verify_into(depth, ctx));
-        ctx.enter("starts", |ctx| self.starts.verify_into(depth, ctx));
-        let (num_texts, total_len) = (self.num_texts(), self.total_len());
-        ctx.check(
-            "text-count",
-            self.doc.len() == num_texts && self.starts.len() == num_texts,
-            || {
-                format!(
-                    "the BWT holds {num_texts} end-markers, Doc holds {}, boundaries hold {}",
-                    self.doc.len(),
-                    self.starts.len()
-                )
-            },
-        );
+        ctx.enter("starts", |ctx| self.plain.starts().verify_into(depth, ctx));
+        let num_texts = self.num_texts();
+        ctx.check("text-count", self.doc.len() == num_texts, || {
+            format!("the BWT holds {num_texts} end-markers, Doc holds {}", self.doc.len())
+        });
         let bad_doc = self.doc.iter().position(|&d| d as usize >= num_texts.max(1));
         ctx.check("text-doc-range", bad_doc.is_none(), || {
             format!(
@@ -586,18 +556,8 @@ impl sxsi_verify::Verify for TextCollection {
                 self.doc.get(bad_doc.unwrap_or_default()).copied().unwrap_or_default(),
             )
         });
-        let mut prev = None;
-        let starts_ok = self.starts.iter().all(|s| {
-            let ok = prev.map_or(s == 0, |p| s > p) && (s as usize) < total_len;
-            prev = Some(s);
-            ok
-        });
-        ctx.check("text-starts", starts_ok, || {
-            "text start offsets are not strictly increasing from 0 within the concatenation".into()
-        });
-        for (code, problem) in self.plain_layout_checks() {
-            ctx.check(code, problem.is_none(), || problem.unwrap_or_default());
-        }
+        let plain_count = self.plain_count_problem();
+        ctx.check("plain-text-count", plain_count.is_none(), || plain_count.unwrap_or_default());
         if ctx.issue_count() > issues_before {
             return;
         }
@@ -611,7 +571,6 @@ impl WriteInto for TextCollection {
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         self.fm.write_into(w)?;
         write_u32_slice(w, &self.doc)?;
-        self.starts.write_into(w)?;
         self.plain.write_into(w)
     }
 }
@@ -620,9 +579,8 @@ impl ReadFrom for TextCollection {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
         let fm = FmIndex::read_from(r)?;
         let doc = read_u32_vec(r)?;
-        let starts = EliasFano::read_from(r)?;
         let plain = PlainTexts::read_from(r)?;
-        Self::from_parts(fm, doc, starts, plain)
+        Self::from_parts(fm, doc, plain)
     }
 }
 
@@ -670,10 +628,10 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(TextCollection::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        // A zero sample rate (the FM-index's second word) is rejected even
+        // A zero sample rate (the FM-index's first word) is rejected even
         // when framing is intact.
         let mut zero = bytes.clone();
-        zero[8..16].copy_from_slice(&0u64.to_le_bytes());
+        zero[..8].copy_from_slice(&0u64.to_le_bytes());
         assert!(TextCollection::from_bytes(&zero).is_err());
     }
 
@@ -946,11 +904,11 @@ mod verify_tests {
 
     #[test]
     fn options_rate_mismatch_is_caught() {
-        // The sample rate is stored once, in the FM-index (the body's second
+        // The sample rate is stored once, in the FM-index (the body's first
         // word): a drifted copy loads, and with no second copy to compare
         // against only the deep walk can tell.
         let mut bytes = sampled_collection().to_bytes();
-        bytes[8..16].copy_from_slice(&8u64.to_le_bytes());
+        bytes[..8].copy_from_slice(&8u64.to_le_bytes());
         let tc = TextCollection::from_bytes(&bytes).expect("a positive rate loads");
         assert_eq!(tc.fm_index().sample_rate(), 8);
         assert!(tc.verify(VerifyDepth::Quick).is_ok());
@@ -1003,13 +961,13 @@ mod verify_tests {
     }
 
     #[test]
-    fn drifted_terminators_are_rejected_at_load_and_by_the_quick_checks() {
+    fn terminator_drift_fails_the_load_or_else_the_deep_walk() {
         let tc = sampled_collection();
         let clean = tc.to_bytes();
         let t0 = clean.len() - tc.total_len();
-        // "pen\0Soon…": byte 3 of `T` closes text 0.
-        for (label, edits, code) in [
-            ("terminator moved one byte left", vec![(2, 0), (3, b'n')], "plain-terminator"),
+        // "pen\0Soon…": byte 3 of `T` closes text 0.  A terminator lost or
+        // gained changes the count the BWT pins.
+        for (label, edits, message) in [
             ("terminator overwritten", vec![(3, b'x')], "plain-text-count"),
             ("text byte turned into a terminator", vec![(1, 0)], "plain-text-count"),
             ("last terminator overwritten", vec![(tc.total_len() - 1, b'x')], "plain-terminator"),
@@ -1019,14 +977,20 @@ mod verify_tests {
                 bytes[t0 + at] = b;
             }
             let err = TextCollection::from_bytes(&bytes).expect_err(label);
-            assert!(err.to_string().contains(code), "{label}: {err}");
+            assert!(err.to_string().contains(message), "{label}: {err}");
         }
-        // In memory, a moved terminator is a quick-check finding.
-        let mut moved = sampled_collection();
-        moved.plain.set_byte_for_tests(2, 0);
-        moved.plain.set_byte_for_tests(3, b'n');
-        let report = moved.verify(VerifyDepth::Quick);
-        assert_eq!(report.codes(), vec!["plain-terminator"], "{report}");
+        // A moved terminator keeps the count: the text boundaries are
+        // derived from where it now sits, so the file loads and passes the
+        // quick checks, and the deep walk finds `T` disagreeing with the
+        // BWT.
+        let mut bytes = clean.clone();
+        bytes[t0 + 2] = 0;
+        bytes[t0 + 3] = b'n';
+        let moved = TextCollection::from_bytes(&bytes).expect("a moved terminator loads");
+        assert_eq!((moved.text(0), moved.text(1)), (&b"pe"[..], &b"nSoon discontinued"[..]));
+        assert!(moved.verify(VerifyDepth::Quick).is_ok());
+        let report = moved.verify(VerifyDepth::Deep);
+        assert!(report.has_code("plain-text-mismatch"), "{report}");
     }
 }
 

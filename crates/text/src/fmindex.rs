@@ -4,17 +4,14 @@
 //! The BWT is stored, as in the paper, in a Huffman-shaped wavelet tree over
 //! the byte alphabet (about `n·H₀` bits; one single-cache-line rank per code
 //! bit, 4–5 on average for XML text), plus the `C` array of cumulative
-//! symbol counts, a sampling bitmap `Bs` marking rows whose text
-//! position is a multiple of the sampling step `l`, and the corresponding
-//! samples array `Ps`.  Locating an occurrence walks backwards with `LF`
+//! symbol counts (derived from the wavelet tree, never stored), a sampling
+//! bitmap `Bs` marking rows whose text position is a multiple of the
+//! sampling step `l`, and the corresponding samples array `Ps`.  Locating an occurrence walks backwards with `LF`
 //! until it hits a sample (at most `l` steps) or an end-marker, in which case
 //! the paper's `Doc` array resolves the text directly (that resolution lives
 //! in [`crate::collection::TextCollection`], which owns `Doc`).
 
-use sxsi_io::{
-    corrupt, read_usize, read_usize_vec, write_usize, write_usize_slice, IoError, ReadFrom,
-    WriteInto,
-};
+use sxsi_io::{corrupt, read_usize, write_usize, IoError, ReadFrom, WriteInto};
 use sxsi_succinct::{BitVec, HuffmanWavelet, InterleavedRsBitVector, IntVector, SpaceUsage};
 
 /// Default sampling step for locate queries (the paper uses 64 in Table II
@@ -52,7 +49,6 @@ pub struct FmIndex {
     /// `c[s]` = number of symbols strictly smaller than `s` in the text,
     /// with one extra slot so `c[s + 1] - c[s]` is the count of `s`.
     c: Vec<usize>,
-    len: usize,
     /// Marks rows whose suffix position is a multiple of `sample_rate`.
     sampled: InterleavedRsBitVector,
     /// Global text position for each sampled row, in row order.
@@ -90,16 +86,7 @@ impl FmIndex {
     pub fn new(bwt_bytes: &[u8], sa: &[usize], sample_rate: usize) -> Self {
         assert!(sample_rate >= 1, "sample rate must be positive");
         assert_eq!(bwt_bytes.len(), sa.len());
-        let len = bwt_bytes.len();
-        let bwt = HuffmanWavelet::new(bwt_bytes);
-        let mut c = vec![0usize; 257];
-        for &b in bwt_bytes {
-            c[b as usize + 1] += 1;
-        }
-        for s in 0..256 {
-            c[s + 1] += c[s];
-        }
-        let mut sampled_bits = BitVec::filled(len, false);
+        let mut sampled_bits = BitVec::filled(sa.len(), false);
         let mut sample_values = Vec::new();
         for (row, &pos) in sa.iter().enumerate() {
             if pos % sample_rate == 0 {
@@ -114,19 +101,30 @@ impl FmIndex {
             }
         }
         let samples = IntVector::from_values(&sample_values);
-        Self { bwt, c, len, sampled, samples, sample_rate }
+        Self::from_parts(HuffmanWavelet::new(bwt_bytes), sampled, samples, sample_rate)
+    }
+
+    /// Assembles the index from its stored parts, deriving the `C` array
+    /// from the wavelet tree's symbol counts.  [`FmIndex::new`] and the
+    /// loader both assemble the index here.
+    fn from_parts(bwt: HuffmanWavelet, sampled: InterleavedRsBitVector, samples: IntVector, sample_rate: usize) -> Self {
+        let mut c = vec![0usize; 257];
+        for b in 0..=255u8 {
+            c[b as usize + 1] = c[b as usize] + bwt.count(b);
+        }
+        Self { bwt, c, sampled, samples, sample_rate }
     }
 
     /// Length of the indexed text (terminators included).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.bwt.len()
     }
 
     /// True when the index holds no text.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.bwt.is_empty()
     }
 
     /// The sampling step used for locate queries.
@@ -156,12 +154,11 @@ impl FmIndex {
     /// The LF-mapping: the row of the suffix starting one position earlier.
     #[inline]
     pub fn lf(&self, row: usize) -> usize {
-        debug_assert!(row < self.len, "LF-mapping of row {row} in a {}-row index", self.len);
+        debug_assert!(row < self.len(), "LF-mapping of row {row} in a {}-row index", self.len());
         let b = self.bwt_symbol(row);
         let mapped = self.c[b as usize] + self.occ(b, row);
-        // In range whenever the C array agrees with the BWT's symbol counts
-        // (the verifier's `fm-c-counts` invariant).
-        debug_assert!(mapped < self.len, "LF-mapping left the index: {row} -> {mapped}");
+        // In range because the C array is the BWT's own symbol counts.
+        debug_assert!(mapped < self.len(), "LF-mapping left the index: {row} -> {mapped}");
         mapped
     }
 
@@ -178,7 +175,7 @@ impl FmIndex {
     /// The full-matrix range.
     #[inline]
     pub fn full_range(&self) -> RowRange {
-        RowRange { start: 0, end: self.len }
+        RowRange { start: 0, end: self.len() }
     }
 
     /// Backward search of `pattern` starting from `start` (usually the full
@@ -266,31 +263,21 @@ impl FmIndex {
 
 impl sxsi_verify::Verify for FmIndex {
     /// Structural checks mirroring (and exceeding) what `read_from`
-    /// validates: C-array shape and agreement with the BWT's per-symbol
-    /// counts, sampling bitmap/array cardinality, and sample value ranges.
-    /// The per-sample *position* check needs the text layout and lives in
-    /// the collection's deep verification walk.
+    /// validates: sampling bitmap/array cardinality and sample value
+    /// ranges.  The `C` array is derived from the BWT, so it agrees with it
+    /// by construction.  The per-sample *position* check needs the text
+    /// layout and lives in the collection's deep verification walk.
     fn verify_into(&self, depth: sxsi_verify::VerifyDepth, ctx: &mut sxsi_verify::VerifyContext) {
         let issues_before = ctx.issue_count();
+        let len = self.len();
         ctx.check("fm-sample-rate", self.sample_rate >= 1, || {
             "sampling rate must be positive".into()
         });
-        ctx.check("fm-bwt-len", self.bwt.len() == self.len, || {
-            format!("BWT holds {} symbols, index declares {}", self.bwt.len(), self.len)
-        });
-        ctx.check(
-            "fm-c-shape",
-            self.c.len() == 257
-                && self.c.first() == Some(&0)
-                && self.c.last() == Some(&self.len)
-                && self.c.windows(2).all(|w| w[0] <= w[1]),
-            || "C array is not a cumulative count over the text".into(),
-        );
         ctx.enter("bwt", |ctx| self.bwt.verify_into(depth, ctx));
         ctx.enter("sampled", |ctx| self.sampled.verify_into(depth, ctx));
         ctx.enter("samples", |ctx| self.samples.verify_into(depth, ctx));
-        ctx.check("fm-sampled-len", self.sampled.len() == self.len, || {
-            format!("sampling bitmap covers {} rows, index declares {}", self.sampled.len(), self.len)
+        ctx.check("fm-sampled-len", self.sampled.len() == len, || {
+            format!("sampling bitmap covers {} rows, the BWT {len}", self.sampled.len())
         });
         ctx.check("fm-sample-count", self.samples.len() == self.sampled.count_ones(), || {
             format!("{} samples stored for {} sampled rows", self.samples.len(), self.sampled.count_ones())
@@ -298,27 +285,19 @@ impl sxsi_verify::Verify for FmIndex {
         if ctx.issue_count() > issues_before {
             return;
         }
-        let bad_sym = (0usize..256).find(|&b| self.c[b + 1] - self.c[b] != self.bwt.count(b as u8));
-        ctx.check("fm-c-counts", bad_sym.is_none(), || {
-            format!("C array disagrees with the BWT on symbol {}", bad_sym.unwrap_or_default())
-        });
-        let bad_sample = self.samples.iter().find(|&v| v as usize >= self.len);
+        let bad_sample = self.samples.iter().find(|&v| v as usize >= len);
         ctx.check("fm-sample-range", bad_sample.is_none(), || {
-            format!(
-                "sample {} lies outside the {}-symbol text",
-                bad_sample.unwrap_or_default(),
-                self.len
-            )
+            format!("sample {} lies outside the {len}-symbol text", bad_sample.unwrap_or_default())
         });
     }
 }
 
 impl WriteInto for FmIndex {
+    /// The sample rate, the BWT, the sampling bitmap and the samples; the
+    /// text length is the BWT's and `C` is rebuilt from its symbol counts.
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_usize(w, self.len)?;
         write_usize(w, self.sample_rate)?;
         self.bwt.write_into(w)?;
-        write_usize_slice(w, &self.c)?;
         self.sampled.write_into(w)?;
         self.samples.write_into(w)
     }
@@ -326,29 +305,12 @@ impl WriteInto for FmIndex {
 
 impl ReadFrom for FmIndex {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let len = read_usize(r)?;
         let sample_rate = read_usize(r)?;
         if sample_rate == 0 {
             return Err(corrupt("FM-index sample rate must be positive"));
         }
         let bwt = HuffmanWavelet::read_from(r)?;
-        if bwt.len() != len {
-            return Err(corrupt(format!("FM-index BWT holds {} symbols, expected {len}", bwt.len())));
-        }
-        let c = read_usize_vec(r)?;
-        if c.len() != 257 {
-            return Err(corrupt(format!("FM-index C array holds {} entries, expected 257", c.len())));
-        }
-        if c[0] != 0 || c[256] != len || c.windows(2).any(|w| w[0] > w[1]) {
-            return Err(corrupt("FM-index C array is not a cumulative count over the text"));
-        }
-        // The C array must agree with the BWT's per-symbol counts, otherwise
-        // backward search would silently return wrong ranges.
-        for b in 0u16..256 {
-            if c[b as usize + 1] - c[b as usize] != bwt.count(b as u8) {
-                return Err(corrupt(format!("FM-index C array disagrees with the BWT on symbol {b}")));
-            }
-        }
+        let len = bwt.len();
         let sampled = InterleavedRsBitVector::read_from(r)?;
         if sampled.len() != len {
             return Err(corrupt(format!(
@@ -369,7 +331,7 @@ impl ReadFrom for FmIndex {
         if let Some(bad) = samples.iter().find(|&v| v as usize >= len) {
             return Err(corrupt(format!("FM-index sample {bad} lies outside the {len}-symbol text")));
         }
-        Ok(Self { bwt, c, len, sampled, samples, sample_rate })
+        Ok(Self::from_parts(bwt, sampled, samples, sample_rate))
     }
 }
 
@@ -419,13 +381,13 @@ mod tests {
         }
         // Truncated input must fail structurally, never panic.
         assert!(FmIndex::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        // The tree's 256 code lengths follow `len`, `sample_rate`, its own
+        // The tree's 256 code lengths follow `sample_rate`, the tree's
         // `len` and its shape byte.  Giving the absent byte `z` a code
         // breaks the Kraft equality, so the loader must refuse the code
         // before reading any level.
-        assert_eq!(bytes[24], 2, "four distinct BWT symbols need a coded tree");
+        assert_eq!(bytes[16], 2, "four distinct BWT symbols need a coded tree");
         let mut forged = bytes.clone();
-        forged[25 + b'z' as usize] = 1;
+        forged[17 + b'z' as usize] = 1;
         let err = FmIndex::from_bytes(&forged).unwrap_err();
         assert!(err.to_string().contains("complete prefix code"), "{err}");
     }
@@ -503,6 +465,7 @@ mod tests {
         let back = FmIndex::from_bytes(&fm.to_bytes()).unwrap();
         assert_eq!(back.len(), fm.len());
         assert_eq!(back.sample_rate(), fm.sample_rate());
+        assert_eq!(back.c, fm.c, "C is rebuilt from the BWT's symbol counts");
         for pattern in ["n", "on", "blue", "zzz", "0"] {
             assert_eq!(back.count(pattern.as_bytes()), naive_count(&concat, pattern.as_bytes()));
         }
@@ -536,30 +499,22 @@ mod tests {
         }
 
         #[test]
-        fn c_array_drift_is_caught() {
-            let mut fm = sample_fm();
-            // Incrementing an interior entry keeps the cumulative shape (the
-            // symbol occurs, so there is slack) but breaks the per-symbol
-            // agreement with the BWT on both neighbouring symbols.
-            fm.c[b'e' as usize] += 1;
-            let report = fm.verify(VerifyDepth::Quick);
-            assert!(report.has_code("fm-c-counts"), "{report}");
-        }
-
-        #[test]
         fn out_of_range_sample_is_caught() {
             let mut fm = sample_fm();
-            fm.samples.set(0, fm.len as u64);
+            fm.samples.set(0, fm.len() as u64);
             let report = fm.verify(VerifyDepth::Quick);
             assert!(report.has_code("fm-sample-range"), "{report}");
         }
 
         #[test]
         fn bwt_length_drift_is_caught() {
+            // The text length is the BWT's; a sampling bitmap one row
+            // longer than it is caught.
             let mut fm = sample_fm();
-            fm.len += 1;
+            let longer: BitVec = (0..=fm.len()).map(|row| row < fm.len() && fm.sampled.get(row)).collect();
+            fm.sampled = InterleavedRsBitVector::new(&longer);
             let report = fm.verify(VerifyDepth::Quick);
-            assert!(report.has_code("fm-bwt-len"), "{report}");
+            assert!(report.has_code("fm-sampled-len"), "{report}");
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! `T` is every text followed by a byte-0 terminator: exactly the sequence
 //! the BWT is built from, so text `i` starts at `T[starts[i]]` and runs to
-//! its terminator.  Section 3.4 of the paper keeps such a plain copy next
-//! to the FM-index as an option; here it is always kept, because every
+//! its terminator; `starts` is derived from the terminators.  Section 3.4
+//! of the paper keeps such a plain copy next to the FM-index as an option;
+//! here it is always kept, because every
 //! workload reads texts (extraction, serialisation, search tokenisation,
 //! mixed-content predicates), and for patterns with very many occurrences a
 //! sequential scan beats locating each occurrence through the BWT (the
@@ -13,6 +14,7 @@
 //! the paper compares the FM-index against.
 
 use sxsi_io::{corrupt, read_bytes, write_bytes, IoError, ReadFrom, WriteInto};
+use sxsi_succinct::EliasFano;
 
 /// Identifier of a text within the collection (0-based, document order).
 pub type TextId = usize;
@@ -25,9 +27,9 @@ pub(crate) const TERMINATOR: u8 = 0;
 pub struct PlainTexts {
     /// `T`: every text followed by one [`TERMINATOR`].
     data: Vec<u8>,
-    /// Number of terminators in `data`, counted on build and load (never
-    /// written), so that [`PlainTexts::total_bytes`] is `O(1)`.
-    num_texts: usize,
+    /// Where each text starts in `T`: derived from the terminators on
+    /// build and load, never written.
+    starts: EliasFano,
 }
 
 /// Consecutive texts of `T`, each read up to its terminator.
@@ -56,7 +58,19 @@ impl PlainTexts {
             data.extend_from_slice(t.as_ref());
             data.push(TERMINATOR);
         }
-        Self { data, num_texts: texts.len() }
+        Self::from_t(data)
+    }
+
+    /// Takes `T`, which ends with a terminator unless it is empty, and
+    /// derives where each text starts in one scan for the terminators:
+    /// each but the last starts the next text.  Building and loading both
+    /// take `T` here.
+    fn from_t(data: Vec<u8>) -> Self {
+        let mut starts = vec![0];
+        starts.extend(data.iter().enumerate().filter(|&(_, &b)| b == TERMINATOR).map(|(i, _)| i as u64 + 1));
+        starts.pop();
+        let starts = EliasFano::new(&starts, data.len().max(1) as u64);
+        Self { data, starts }
     }
 
     /// `T` itself, terminators included.
@@ -66,12 +80,17 @@ impl PlainTexts {
 
     /// Number of terminators in `T`, one per text.
     pub(crate) fn num_texts(&self) -> usize {
-        self.num_texts
+        self.starts.len()
+    }
+
+    /// Where each text starts in `T`.
+    pub(crate) fn starts(&self) -> &EliasFano {
+        &self.starts
     }
 
     /// Total number of text bytes, terminators excluded.
     pub fn total_bytes(&self) -> usize {
-        self.data.len() - self.num_texts
+        self.data.len() - self.num_texts()
     }
 
     /// The texts whose first one starts at byte `start` of `T`.
@@ -90,7 +109,7 @@ impl PlainTexts {
     /// FM-index `contains`.
     pub fn scan_contains(&self, pattern: &[u8]) -> Vec<TextId> {
         if pattern.is_empty() {
-            return (0..self.num_texts).collect();
+            return (0..self.num_texts()).collect();
         }
         let mut ids: Vec<TextId> = self.occurrences(pattern).map(|(id, _)| id).collect();
         ids.dedup();
@@ -177,15 +196,14 @@ impl WriteInto for PlainTexts {
 }
 
 impl ReadFrom for PlainTexts {
-    /// Reads `T`; the collection checks its terminators against the text
-    /// boundaries.
+    /// Reads `T` and derives the text starts from it; the collection
+    /// checks its length and terminator count against the BWT.
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
         let data = read_bytes(r)?;
         if data.last().is_some_and(|&b| b != TERMINATOR) {
             return Err(corrupt("plain-terminator: the collection text does not end with a terminator"));
         }
-        let num_texts = data.iter().filter(|&&b| b == TERMINATOR).count();
-        Ok(Self { data, num_texts })
+        Ok(Self::from_t(data))
     }
 }
 
@@ -296,6 +314,7 @@ mod tests {
         let back = PlainTexts::from_bytes(&bytes).unwrap();
         assert_eq!(back.as_bytes(), store.as_bytes());
         assert_eq!(back.num_texts(), texts.len());
+        assert_eq!(back.starts().iter().collect::<Vec<_>>(), [0, 4, 5, 23]);
         assert_eq!(back.total_bytes(), store.total_bytes());
         assert!(PlainTexts::from_bytes(&bytes[..bytes.len() - 4]).is_err());
         // The last text lost its terminator.
@@ -303,6 +322,7 @@ mod tests {
         let n = open.len();
         open[n - 1] = b'x';
         let err = PlainTexts::from_bytes(&open).unwrap_err();
+        assert!(matches!(err, IoError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("plain-terminator"), "{err}");
     }
 }

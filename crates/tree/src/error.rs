@@ -26,7 +26,7 @@ pub enum TreeError {
         /// Number of elements still open (synthetic root excluded).
         open: usize,
     },
-    /// A tag code lies outside the valid `[0, 2 * num_tags)` range.
+    /// An opening tag code is not below the tag count.
     TagCodeOutOfRange {
         /// The offending code.
         code: u32,
@@ -34,6 +34,13 @@ pub enum TreeError {
         position: usize,
         /// Number of distinct tags.
         num_tags: usize,
+    },
+    /// The opening tag codes are more or fewer than the nodes.
+    OpeningCodeCount {
+        /// Number of opening codes given.
+        codes: usize,
+        /// Number of nodes (opening parentheses).
+        nodes: usize,
     },
 }
 
@@ -54,6 +61,9 @@ impl fmt::Display for TreeError {
                 f,
                 "tag code {code} at position {position} is out of range for {num_tags} tags"
             ),
+            TreeError::OpeningCodeCount { codes, nodes } => {
+                write!(f, "{codes} opening tag codes for {nodes} nodes")
+            }
         }
     }
 }

@@ -6,8 +6,12 @@
 //! [`IntVector`]; `rank`/`select` over each opening tag — the operations
 //! behind `TaggedDesc`, `TaggedFoll`, `TaggedPrec` and `SubtreeTags` — are
 //! answered by one Elias–Fano *sarray* of occurrence positions per tag,
-//! mirroring the paper's per-row Okanohara–Sadakane structures.
+//! mirroring the paper's per-row Okanohara–Sadakane structures.  Of all
+//! this the index file stores only the opening codes, one per node in
+//! preorder: [`TagSequence::from_opening`] derives the closing codes from
+//! the parentheses and the sarrays from the codes.
 
+use crate::bp::BalancedParens;
 use crate::error::TreeError;
 use std::collections::HashMap;
 use sxsi_io::{corrupt, read_string, read_usize, write_str, write_usize, IoError, ReadFrom, WriteInto};
@@ -105,90 +109,80 @@ pub struct TagSequence {
     occurrences: Vec<EliasFano>,
 }
 
-/// The packing width of the codes of `num_tags` tags.
+/// The packing width of the codes of `num_tags` tags, closing codes
+/// included.
 fn code_width(num_tags: usize) -> u32 {
     sxsi_succinct::bits::bits_for((2 * num_tags).saturating_sub(1).max(1) as u64)
 }
 
-/// Builds the per-tag sarrays in two streaming passes over the codes (count
-/// per tag, then fill), so the build holds nothing beyond the finished
-/// structures.  Fails on a code outside `[0, 2 * num_tags)`.
-fn build_occurrences(codes: &IntVector, num_tags: usize) -> Result<Vec<EliasFano>, TreeError> {
-    let mut counts = vec![0usize; num_tags];
-    for (i, c) in codes.iter().enumerate() {
-        if c as usize >= 2 * num_tags {
-            return Err(TreeError::TagCodeOutOfRange { code: c as u32, position: i, num_tags });
-        }
-        if let Some(count) = counts.get_mut(c as usize) {
-            *count += 1;
-        }
-    }
-    let universe = codes.len().max(1) as u64;
-    let mut rows: Vec<EliasFanoBuilder> =
-        counts.iter().map(|&count| EliasFanoBuilder::new(count, universe)).collect();
-    for (i, c) in codes.iter().enumerate() {
-        if let Some(row) = rows.get_mut(c as usize) {
-            row.push(i as u64);
-        }
-    }
-    Ok(rows.into_iter().map(EliasFanoBuilder::finish).collect())
+/// The packing width of the opening codes the index file stores:
+/// `⌈log₂ num_tags⌉` bits.
+pub(crate) fn opening_width(num_tags: usize) -> u32 {
+    sxsi_succinct::bits::bits_for(num_tags.saturating_sub(1) as u64)
 }
 
 impl TagSequence {
-    /// Builds the sequence.  `codes[i]` must already be the opening/closing
-    /// code of parenthesis `i` (opening codes `< num_tags`, closing codes in
-    /// `[num_tags, 2*num_tags)`).
-    ///
-    /// # Panics
-    /// Panics on an out-of-range code; see [`TagSequence::try_new`] for the
-    /// fallible variant.
-    pub fn new(codes: &[u32], num_tags: usize) -> Self {
-        Self::try_new(codes, num_tags).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`TagSequence::new`]: returns
-    /// [`TreeError::TagCodeOutOfRange`] instead of panicking.
-    pub fn try_new(codes: &[u32], num_tags: usize) -> Result<Self, TreeError> {
-        if let Some((position, &code)) =
-            codes.iter().enumerate().find(|(_, &c)| c as usize >= 2 * num_tags)
-        {
-            return Err(TreeError::TagCodeOutOfRange { code, position, num_tags });
+    /// Derives the sequence from the parentheses and the tag of every node
+    /// in preorder, the form the index file stores: each closing
+    /// parenthesis gets the closing code of its matching open, and each tag
+    /// its sarray of opening positions.  The tree builder and the tree
+    /// loader both build the sequence here.  Fails when the opening codes
+    /// are more or fewer than the nodes, or one is not below `num_tags`.
+    pub(crate) fn from_opening(
+        bp: &BalancedParens,
+        opening: impl IntoIterator<Item = TagId>,
+        num_tags: usize,
+    ) -> Result<Self, TreeError> {
+        let nodes = bp.len() / 2;
+        let mut opening = opening.into_iter();
+        let mut codes = IntVector::new(bp.len(), code_width(num_tags));
+        let mut counts = vec![0usize; num_tags];
+        // The tags of the open nodes: BP is balanced, so every close pops one.
+        let mut open: Vec<TagId> = Vec::new();
+        let mut seen = 0;
+        for i in 0..bp.len() {
+            let code = if bp.is_open(i) {
+                let tag = opening.next().ok_or(TreeError::OpeningCodeCount { codes: seen, nodes })?;
+                let count = counts.get_mut(tag as usize).ok_or(TreeError::TagCodeOutOfRange {
+                    code: tag,
+                    position: i,
+                    num_tags,
+                })?;
+                *count += 1;
+                seen += 1;
+                open.push(tag);
+                tag as usize
+            } else {
+                open.pop().map_or(0, |tag| tag as usize + num_tags)
+            };
+            codes.set(i, code as u64);
         }
-        let mut packed = IntVector::new(codes.len(), code_width(num_tags));
-        for (i, &c) in codes.iter().enumerate() {
-            packed.set(i, c as u64);
+        let extra = opening.count();
+        if extra > 0 {
+            return Err(TreeError::OpeningCodeCount { codes: nodes + extra, nodes });
         }
-        Self::from_packed(packed, num_tags)
-    }
-
-    /// Derives the occurrence sarrays of an already packed code sequence
-    /// (the form the index file stores).  Allocates per tag: a caller
-    /// loading untrusted bytes checks `num_tags` against the registry first.
-    pub(crate) fn from_packed(codes: IntVector, num_tags: usize) -> Result<Self, TreeError> {
-        let occurrences = build_occurrences(&codes, num_tags)?;
+        // Fill one sarray per tag, sized by the counts.
+        let universe = codes.len().max(1) as u64;
+        let mut rows: Vec<EliasFanoBuilder> =
+            counts.iter().map(|&count| EliasFanoBuilder::new(count, universe)).collect();
+        for (i, c) in codes.iter().enumerate() {
+            if let Some(row) = rows.get_mut(c as usize) {
+                row.push(i as u64);
+            }
+        }
+        let occurrences = rows.into_iter().map(EliasFanoBuilder::finish).collect();
         Ok(Self { codes, occurrences })
     }
 
-    /// Reads what [`WriteInto`] stored — the tag count and the packed codes —
-    /// without building anything sized by the declared tag count; the tree
-    /// loader cross-checks the count against the registry (whose size the
-    /// file's own bytes bound) before handing both to
-    /// [`TagSequence::from_packed`].
-    pub(crate) fn read_packed<R: std::io::Read + ?Sized>(r: &mut R) -> Result<(usize, IntVector), IoError> {
-        let num_tags = read_usize(r)?;
-        // Codes are `u32`s, so twice the tag count must fit one.
-        if num_tags > 1 << 31 {
-            return Err(corrupt(format!("tag sequence declares {num_tags} tags")));
+    /// The opening codes in preorder, packed in [`opening_width`] bits:
+    /// what the index file stores of the sequence.
+    pub(crate) fn opening_codes(&self) -> IntVector {
+        let num_tags = self.num_tags();
+        let mut packed = IntVector::new(self.codes.len() / 2, opening_width(num_tags));
+        for (k, code) in self.codes.iter().filter(|&c| (c as usize) < num_tags).enumerate() {
+            packed.set(k, code);
         }
-        let codes = IntVector::read_from(r)?;
-        let expected_width = code_width(num_tags);
-        if codes.width() != expected_width {
-            return Err(corrupt(format!(
-                "tag sequence packs codes in {} bits, expected {expected_width}",
-                codes.width()
-            )));
-        }
-        Ok((num_tags, codes))
+        packed
     }
 
     /// Number of parenthesis positions covered.
@@ -368,26 +362,29 @@ impl ReadFrom for TagRegistry {
     }
 }
 
-// lint:allow(roundtrip: read back by the tree loader through read_packed + from_packed, which the truncation tests below and in tree.rs damage)
-impl WriteInto for TagSequence {
-    /// Stores the tag count and the packed code sequence; the per-tag
-    /// occurrence sarrays are rebuilt (with code-range validation) on load,
-    /// by the tree loader.
-    fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_usize(w, self.num_tags())?;
-        self.codes.write_into(w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sxsi_succinct::BitVec;
 
-    /// Loads a stored sequence the way the tree loader does, minus the
-    /// registry cross-check.
-    fn load(mut bytes: &[u8]) -> Result<TagSequence, IoError> {
-        let (num_tags, codes) = TagSequence::read_packed(&mut bytes)?;
-        TagSequence::from_packed(codes, num_tags).map_err(|e| corrupt(e.to_string()))
+    /// The sequence of `codes` (opening codes `< num_tags`, closing ones
+    /// above), derived the way the builder and the loader derive it: from
+    /// its parentheses and its opening codes.
+    fn seq(codes: &[u32], num_tags: usize) -> TagSequence {
+        let bits: BitVec = codes.iter().map(|&c| (c as usize) < num_tags).collect();
+        let opening = codes.iter().copied().filter(|&c| (c as usize) < num_tags);
+        TagSequence::from_opening(&BalancedParens::new(&bits), opening, num_tags).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Loads stored opening codes the way the tree loader does.
+    fn load(bp: &BalancedParens, bytes: &[u8], num_tags: usize) -> Result<TagSequence, IoError> {
+        let opening = IntVector::from_bytes(bytes)?;
+        TagSequence::from_opening(bp, opening.iter().map(|c| c as TagId), num_tags).map_err(|e| corrupt(e.to_string()))
+    }
+
+    /// The parentheses of `codes`.
+    fn parens(codes: &[u32], num_tags: usize) -> BalancedParens {
+        BalancedParens::new(&codes.iter().map(|&c| (c as usize) < num_tags).collect())
     }
 
     #[test]
@@ -407,18 +404,23 @@ mod tests {
 
     #[test]
     fn sequence_serialization_roundtrip_and_truncation() {
-        // Two tags (0, 1); open0 open1 close1 open1 close1 close0.
+        // Two tags (0, 1); open0 open1 close1 open1 close1 close0.  Only
+        // the three opening codes are stored, in one bit each.
         let codes = [0u32, 1, 3, 1, 3, 2];
-        let seq = TagSequence::new(&codes, 2);
-        let bytes = seq.to_bytes();
-        let back = load(&bytes).expect("roundtrip");
+        let seq = seq(&codes, 2);
+        let stored = seq.opening_codes();
+        assert_eq!((stored.len(), stored.width()), (3, 1));
+        assert_eq!(stored.iter().collect::<Vec<_>>(), [0, 1, 1]);
+        let bp = parens(&codes, 2);
+        let bytes = stored.to_bytes();
+        let back = load(&bp, &bytes, 2).expect("roundtrip");
         assert_eq!(back.len(), seq.len());
         for i in 0..codes.len() {
             assert_eq!(back.code(i), seq.code(i), "code {i}");
         }
         // Truncated input must fail structurally, never panic.
-        assert!(load(&bytes[..bytes.len() - 1]).is_err());
-        assert!(load(&bytes[..1]).is_err());
+        assert!(load(&bp, &bytes[..bytes.len() - 1], 2).is_err());
+        assert!(load(&bp, &bytes[..1], 2).is_err());
     }
 
     #[test]
@@ -440,7 +442,7 @@ mod tests {
         // Two tags (0, 1); sequence: open0 open1 close1 open1 close1 close0
         // codes: 0, 1, 3, 1, 3, 2
         let codes = [0u32, 1, 3, 1, 3, 2];
-        let seq = TagSequence::new(&codes, 2);
+        let seq = seq(&codes, 2);
         assert_eq!(seq.len(), 6);
         assert_eq!(seq.opening_tag(0), Some(0));
         assert_eq!(seq.opening_tag(1), Some(1));
@@ -480,7 +482,7 @@ mod tests {
         while let Some(t) = stack.pop() {
             codes.push((t + num_tags) as u32);
         }
-        let seq = TagSequence::new(&codes, num_tags);
+        let seq = seq(&codes, num_tags);
         for tag in 0..num_tags as u32 {
             let naive: Vec<usize> =
                 codes.iter().enumerate().filter(|(_, &c)| c == tag).map(|(i, _)| i).collect();
@@ -498,14 +500,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_bad_codes() {
-        TagSequence::new(&[7], 2);
+        // One node "()" whose opening code names a third tag of two.
+        TagSequence::from_opening(&parens(&[0, 2], 2), [7], 2).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn try_new_reports_bad_codes() {
+        // The fallible derivation reports an out-of-range opening code and
+        // a code count other than the node count.
+        let bp = parens(&[0, 1, 3, 2], 2);
         assert_eq!(
-            TagSequence::try_new(&[7], 2).unwrap_err(),
-            crate::TreeError::TagCodeOutOfRange { code: 7, position: 0, num_tags: 2 }
+            TagSequence::from_opening(&bp, [0, 7], 2).unwrap_err(),
+            crate::TreeError::TagCodeOutOfRange { code: 7, position: 1, num_tags: 2 }
+        );
+        assert_eq!(
+            TagSequence::from_opening(&bp, [0], 2).unwrap_err(),
+            crate::TreeError::OpeningCodeCount { codes: 1, nodes: 2 }
+        );
+        assert_eq!(
+            TagSequence::from_opening(&bp, [0, 1, 1, 0], 2).unwrap_err(),
+            crate::TreeError::OpeningCodeCount { codes: 4, nodes: 2 }
         );
     }
 
@@ -516,7 +530,7 @@ mod tests {
         fn sample() -> TagSequence {
             // open0 open1 close1 open1 close1 close0, twice.
             let codes = [0u32, 1, 3, 1, 3, 2, 0, 1, 3, 1, 3, 2];
-            TagSequence::new(&codes, 2)
+            seq(&codes, 2)
         }
 
         #[test]
@@ -562,7 +576,7 @@ mod tests {
             let mut seq = sample();
             // Rebuild the occurrence rows from a different code sequence.
             let other = [0u32, 1, 3, 1, 3, 2, 1, 0, 2, 1, 3, 3];
-            seq.occurrences = TagSequence::new(&other, 2).occurrences;
+            seq.occurrences = super::seq(&other, 2).occurrences;
             let report = seq.verify(VerifyDepth::Deep);
             assert!(
                 report.has_code("tag-occ-count") || report.has_code("tag-occ-positions"),
@@ -590,14 +604,15 @@ mod tests {
     #[test]
     fn sequence_serialization_roundtrip() {
         let codes = [0u32, 1, 3, 1, 3, 2];
-        let seq = TagSequence::new(&codes, 2);
-        let back = load(&seq.to_bytes()).unwrap();
+        let seq = seq(&codes, 2);
+        let bp = parens(&codes, 2);
+        let back = load(&bp, &seq.opening_codes().to_bytes(), 2).unwrap();
         assert_eq!(back.len(), seq.len());
         assert_eq!(back.num_tags(), 2);
         for i in 0..codes.len() {
             assert_eq!(back.code(i), seq.code(i));
         }
         assert_eq!(back.next_occurrence(1, 2), Some(3));
-        assert!(load(&seq.to_bytes()[..5]).is_err());
+        assert!(load(&bp, &seq.opening_codes().to_bytes()[..5], 2).is_err());
     }
 }

@@ -17,9 +17,9 @@
 
 use crate::bp::BalancedParens;
 use crate::error::TreeError;
-use crate::tags::{reserved, TagId, TagRegistry, TagSequence};
-use sxsi_io::{corrupt, read_usize, write_usize, IoError, ReadFrom, WriteInto};
-use sxsi_succinct::{BitVec, InterleavedRsBitVector, SpaceUsage};
+use crate::tags::{opening_width, reserved, TagId, TagRegistry, TagSequence};
+use sxsi_io::{corrupt, IoError, ReadFrom, WriteInto};
+use sxsi_succinct::{BitVec, InterleavedRsBitVector, IntVector, SpaceUsage};
 
 /// A tree node: the position of its opening parenthesis in `Par`.
 pub type NodeId = usize;
@@ -40,20 +40,25 @@ pub enum TagRelation {
 /// Square boolean table over tag ids, stored as packed bit rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct TagTable {
-    rows: Vec<Vec<u64>>,
+    /// Row `base` is `bits[base * words..(base + 1) * words]`.
+    bits: Vec<u64>,
     num_tags: usize,
 }
 
 impl TagTable {
     fn new(num_tags: usize) -> Self {
-        let words = num_tags.div_ceil(64);
-        Self { rows: vec![vec![0u64; words]; num_tags], num_tags }
+        Self { bits: vec![0u64; num_tags * num_tags.div_ceil(64)], num_tags }
+    }
+
+    fn row_mut(&mut self, base: TagId) -> &mut [u64] {
+        let words = self.num_tags.div_ceil(64);
+        &mut self.bits[base as usize * words..][..words]
     }
 
     #[inline]
     fn set(&mut self, base: TagId, other: TagId) {
         let o = other as usize;
-        self.rows[base as usize][o / 64] |= 1u64 << (o % 64);
+        self.row_mut(base)[o / 64] |= 1u64 << (o % 64);
     }
 
     #[inline]
@@ -62,35 +67,27 @@ impl TagTable {
         if b >= self.num_tags || o >= self.num_tags {
             return false;
         }
-        (self.rows[b][o / 64] >> (o % 64)) & 1 == 1
-    }
-
-    fn or_into(&mut self, base: TagId, bits: &[u64]) {
-        for (dst, src) in self.rows[base as usize].iter_mut().zip(bits) {
-            *dst |= src;
-        }
+        (self.bits[b * self.num_tags.div_ceil(64) + o / 64] >> (o % 64)) & 1 == 1
     }
 
     fn size_bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.len() * 8).sum()
+        std::mem::size_of_val(&self.bits[..])
     }
-}
 
-impl WriteInto for TagTable {
-    fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
-        write_usize(w, self.num_tags)?;
-        for row in &self.rows {
+    /// Writes the rows, each as a length-prefixed word array; the table's
+    /// size is the registry's length, stored once, by the registry.
+    fn write_rows<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
+        for row in self.bits.chunks(self.num_tags.div_ceil(64).max(1)) {
             sxsi_io::write_u64_slice(w, row)?;
         }
         Ok(())
     }
-}
 
-impl ReadFrom for TagTable {
-    fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
-        let num_tags = read_usize(r)?;
+    /// Reads the `num_tags` rows [`TagTable::write_rows`] wrote, row by row,
+    /// so a table is only as large as the bytes actually read.
+    fn read_rows<R: std::io::Read + ?Sized>(r: &mut R, num_tags: usize) -> Result<Self, IoError> {
         let words = num_tags.div_ceil(64);
-        let mut rows = Vec::with_capacity(num_tags.min(1 << 16));
+        let mut bits = Vec::new();
         for row_idx in 0..num_tags {
             let row = sxsi_io::read_u64_vec(r)?;
             if row.len() != words {
@@ -99,10 +96,71 @@ impl ReadFrom for TagTable {
                     row.len()
                 )));
             }
-            rows.push(row);
+            bits.extend_from_slice(&row);
         }
-        Ok(Self { rows, num_tags })
+        Ok(Self { bits, num_tags })
     }
+}
+
+/// The four relative tag-position tables of Section 5.5.6 — child,
+/// descendant, following-sibling, following — in one pass over the tag
+/// sequence.  The builder stores what this returns and the deep verifier
+/// compares the stored tables against it.  The open nodes' tag sets live
+/// in one flat stack, so the pass allocates nothing per node.
+fn relation_tables(tags: &TagSequence) -> [TagTable; 4] {
+    let num_tags = tags.num_tags();
+    let words = num_tags.div_ceil(64);
+    let [mut child, mut desc, mut foll_sibling, mut following] = std::array::from_fn(|_| TagTable::new(num_tags));
+    // Per open node, in `sets`: the tags of its children so far, then the
+    // tags of its descendants so far (`2 * words` words per node).
+    let mut open: Vec<TagId> = Vec::new();
+    let mut sets: Vec<u64> = Vec::new();
+    let mut first_close = vec![usize::MAX; num_tags];
+    let mut last_open = vec![None; num_tags];
+    for i in 0..tags.len() {
+        let code = tags.code(i) as usize;
+        if code < num_tags {
+            let t = code as TagId;
+            if let Some(&parent) = open.last() {
+                let children = &mut sets[(open.len() - 1) * 2 * words..][..words];
+                for (w, &word) in children.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        foll_sibling.set((w * 64) as TagId + word.trailing_zeros(), t);
+                        word &= word - 1;
+                    }
+                }
+                children[code / 64] |= 1u64 << (code % 64);
+                child.set(parent, t);
+            }
+            last_open[code] = Some(i);
+            open.push(t);
+            sets.resize(open.len() * 2 * words, 0);
+        } else {
+            let Some(t) = open.pop() else { break };
+            let at = open.len() * 2 * words;
+            let (parent, node) = sets.split_at_mut(at);
+            let node_desc = &node[words..2 * words];
+            desc.row_mut(t).iter_mut().zip(node_desc).for_each(|(d, s)| *d |= s);
+            if let Some(parent_desc) = parent.len().checked_sub(words).map(|from| &mut parent[from..]) {
+                parent_desc.iter_mut().zip(node_desc).for_each(|(d, s)| *d |= s);
+                parent_desc[t as usize / 64] |= 1u64 << (t % 64);
+            }
+            sets.truncate(at);
+            if first_close[t as usize] == usize::MAX {
+                first_close[t as usize] = i;
+            }
+        }
+    }
+    // `b` can follow `a` iff the last `b` opens after the first `a` closes.
+    for (a, &close_a) in first_close.iter().enumerate() {
+        for (b, &open_b) in last_open.iter().enumerate() {
+            if open_b.is_some_and(|open_b| open_b > close_a) {
+                following.set(a as TagId, b as TagId);
+            }
+        }
+    }
+    [child, desc, foll_sibling, following]
 }
 
 /// The complete succinct tree index of an XML document.
@@ -121,6 +179,30 @@ pub struct XmlTree {
 }
 
 impl XmlTree {
+    /// Assembles a tree from its stored parts, the tag sequence already
+    /// derived, and derives the text-leaf map: the text leaves are the `#`
+    /// and `%` nodes, read off their sarrays.  The builder and the loader
+    /// both assemble the tree here.
+    fn new(bp: BalancedParens, registry: TagRegistry, tags: TagSequence, tables: [TagTable; 4]) -> Self {
+        let mut leaves = BitVec::filled(bp.len(), false);
+        for tag in [reserved::TEXT, reserved::ATTRIBUTE_VALUE] {
+            for pos in tags.occurrences_from(tag, 0) {
+                leaves.set(pos, true);
+            }
+        }
+        let [child_table, desc_table, foll_sibling_table, following_table] = tables;
+        Self {
+            bp,
+            tags,
+            registry,
+            text_leaves: InterleavedRsBitVector::new(&leaves),
+            child_table,
+            desc_table,
+            foll_sibling_table,
+            following_table,
+        }
+    }
+
     /// The synthetic super-root node (`&`), which always exists.
     #[inline]
     pub fn root(&self) -> NodeId {
@@ -474,63 +556,6 @@ impl XmlTree {
     pub fn count_elements(&self) -> usize {
         (reserved::NAMES.len()..self.num_tags()).map(|t| self.tags.count(t as TagId)).sum()
     }
-
-    /// Recomputes the four relative tag-position tables from the parenthesis
-    /// and tag sequences, mirroring the builder's bookkeeping.  Callers must
-    /// have verified code pairing first (out-of-range or unmatched codes
-    /// would desynchronise the walk).
-    fn recompute_tag_tables(&self) -> [TagTable; 4] {
-        let num_tags = self.tags.num_tags();
-        let mut child = TagTable::new(num_tags);
-        let mut desc = TagTable::new(num_tags);
-        let mut foll_sibling = TagTable::new(num_tags);
-        let mut following = TagTable::new(num_tags);
-        // Stack of (tag, children tag set, descendant tag set).
-        let mut stack: Vec<(TagId, Vec<u64>, Vec<u64>)> = Vec::new();
-        let mut first_close = vec![usize::MAX; num_tags];
-        let mut last_open = vec![0usize; num_tags];
-        let mut has_open = vec![false; num_tags];
-        for i in 0..self.bp.len() {
-            let code = self.tags.code(i) as usize;
-            if code < num_tags {
-                let t = code as TagId;
-                if let Some((parent_tag, children, _)) = stack.last_mut() {
-                    for earlier in bits_to_tags(children) {
-                        foll_sibling.set(earlier, t);
-                    }
-                    let parent_tag = *parent_tag;
-                    set_bit(children, t);
-                    child.set(parent_tag, t);
-                }
-                last_open[code] = i;
-                has_open[code] = true;
-                stack.push((t, Vec::new(), Vec::new()));
-            } else {
-                let Some((t, _, desc_tags)) = stack.pop() else { break };
-                desc.or_into(t, &desc_tags);
-                if let Some((_, _, parent_desc)) = stack.last_mut() {
-                    let mut contributed = desc_tags;
-                    set_bit(&mut contributed, t);
-                    merge_bits(parent_desc, &contributed);
-                }
-                let t = t as usize;
-                if first_close[t] == usize::MAX {
-                    first_close[t] = i;
-                }
-            }
-        }
-        for (a, &close_a) in first_close.iter().enumerate() {
-            if close_a == usize::MAX {
-                continue;
-            }
-            for b in 0..num_tags {
-                if has_open[b] && last_open[b] > close_a {
-                    following.set(a as TagId, b as TagId);
-                }
-            }
-        }
-        [child, desc, foll_sibling, following]
-    }
 }
 
 impl sxsi_verify::Verify for XmlTree {
@@ -540,81 +565,15 @@ impl sxsi_verify::Verify for XmlTree {
         ctx.enter("tags", |ctx| self.tags.verify_into(depth, ctx));
         ctx.enter("registry", |ctx| self.registry.verify_into(depth, ctx));
         ctx.enter("text-leaves", |ctx| self.text_leaves.verify_into(depth, ctx));
-
-        let num_tags = self.tags.num_tags();
-        ctx.check("tree-tag-len", self.tags.len() == self.bp.len(), || {
-            format!("tag sequence covers {} positions, parentheses {}", self.tags.len(), self.bp.len())
-        });
-        ctx.check("tree-leaf-len", self.text_leaves.len() == self.bp.len(), || {
-            format!(
-                "text-leaf bitmap covers {} positions, parentheses {}",
-                self.text_leaves.len(),
-                self.bp.len()
-            )
-        });
-        ctx.check("tree-registry-count", self.registry.len() == num_tags, || {
-            format!("registry holds {} names for {num_tags} tag codes", self.registry.len())
-        });
-        let tables_ok = [
-            &self.child_table,
-            &self.desc_table,
-            &self.foll_sibling_table,
-            &self.following_table,
-        ]
-        .iter()
-        .all(|t| t.num_tags == num_tags && t.rows.len() == num_tags);
-        ctx.check("tree-table-shape", tables_ok, || {
-            format!("a relative tag-position table does not cover {num_tags} tags")
-        });
         if ctx.issue_count() > issues_before || !depth.is_deep() {
             return;
         }
 
-        // Deep: replay the whole sequence.  Every opening parenthesis must
-        // carry an opening code and every closing parenthesis the closing
-        // code of its matching open.
-        let mut stack: Vec<TagId> = Vec::new();
-        let mut pairing_ok = true;
-        for i in 0..self.bp.len() {
-            let code = self.tags.code(i) as usize;
-            if self.bp.is_open(i) {
-                if code >= num_tags {
-                    pairing_ok = false;
-                    break;
-                }
-                stack.push(code as TagId);
-            } else {
-                match stack.pop() {
-                    Some(open_tag) if code == open_tag as usize + num_tags => {}
-                    _ => {
-                        pairing_ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        pairing_ok &= stack.is_empty();
-        ctx.check("tree-code-pairing", pairing_ok, || {
-            "tag codes do not pair up with the parenthesis sequence".to_string()
-        });
-
-        // Text leaves are exactly the `#`/`%`-tagged opening positions.
-        let leaves_ok = (0..self.bp.len()).all(|i| {
-            let is_text_tag = self.bp.is_open(i)
-                && matches!(
-                    self.tags.opening_tag(i),
-                    Some(reserved::TEXT) | Some(reserved::ATTRIBUTE_VALUE)
-                );
-            self.text_leaves.get(i) == is_text_tag
-        });
-        ctx.check("tree-text-leaf", leaves_ok, || {
-            "text-leaf bitmap disagrees with the `#`/`%` tag positions".to_string()
-        });
-        if !pairing_ok {
-            return;
-        }
-
-        let [child, desc, foll_sibling, following] = self.recompute_tag_tables();
+        // Deep: the four stored tables against a recompute from the tag
+        // sequence.  The closing codes and the text leaves are derived from
+        // the parentheses and the opening codes, so they agree by
+        // construction.
+        let [child, desc, foll_sibling, following] = relation_tables(&self.tags);
         ctx.check("tree-child-table", self.child_table == child, || {
             "child table disagrees with a recompute from the tag sequence".to_string()
         });
@@ -631,106 +590,39 @@ impl sxsi_verify::Verify for XmlTree {
 }
 
 impl WriteInto for XmlTree {
+    /// The parentheses, the registry, one opening code per node and the
+    /// four tables' rows; the closing codes, the sarrays and the text-leaf
+    /// map are rebuilt on load.
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         self.bp.write_into(w)?;
-        self.tags.write_into(w)?;
         self.registry.write_into(w)?;
-        self.text_leaves.write_into(w)?;
-        self.child_table.write_into(w)?;
-        self.desc_table.write_into(w)?;
-        self.foll_sibling_table.write_into(w)?;
-        self.following_table.write_into(w)
+        self.tags.opening_codes().write_into(w)?;
+        for table in [&self.child_table, &self.desc_table, &self.foll_sibling_table, &self.following_table] {
+            table.write_rows(w)?;
+        }
+        Ok(())
     }
 }
 
 impl ReadFrom for XmlTree {
     fn read_from<R: std::io::Read + ?Sized>(r: &mut R) -> Result<Self, IoError> {
         let bp = BalancedParens::read_from(r)?;
-        let (num_tags, codes) = TagSequence::read_packed(r)?;
+        // The registry's length is the tag count; the bytes read bound it.
         let registry = TagRegistry::read_from(r)?;
-        // The per-tag structures are sized by the declared tag count; the
-        // registry, whose length the bytes actually read bound, vouches for
-        // it first.
-        if registry.len() != num_tags {
+        let num_tags = registry.len();
+        let opening = IntVector::read_from(r)?;
+        if opening.width() != opening_width(num_tags) {
             return Err(corrupt(format!(
-                "registry holds {} names for {num_tags} tag codes",
-                registry.len()
+                "opening tag codes packed in {} bits, expected {} for {num_tags} tags",
+                opening.width(),
+                opening_width(num_tags)
             )));
         }
-        let tags = TagSequence::from_packed(codes, num_tags).map_err(|e| corrupt(e.to_string()))?;
-        let text_leaves = InterleavedRsBitVector::read_from(r)?;
-        let child_table = TagTable::read_from(r)?;
-        let desc_table = TagTable::read_from(r)?;
-        let foll_sibling_table = TagTable::read_from(r)?;
-        let following_table = TagTable::read_from(r)?;
-
-        if tags.len() != bp.len() {
-            return Err(corrupt(format!(
-                "tag sequence covers {} positions, parentheses {}",
-                tags.len(),
-                bp.len()
-            )));
-        }
-        if text_leaves.len() != bp.len() {
-            return Err(corrupt(format!(
-                "text-leaf bitmap covers {} positions, parentheses {}",
-                text_leaves.len(),
-                bp.len()
-            )));
-        }
-        for (name, table) in [
-            ("child", &child_table),
-            ("descendant", &desc_table),
-            ("following-sibling", &foll_sibling_table),
-            ("following", &following_table),
-        ] {
-            if table.num_tags != num_tags {
-                return Err(corrupt(format!(
-                    "{name} table covers {} tags, expected {num_tags}",
-                    table.num_tags
-                )));
-            }
-        }
-        // Every opening parenthesis must carry an opening code, every closing
-        // parenthesis the closing code of its matching open — this is what
-        // lets `tag()` and the navigation operations run unchecked.
-        let mut stack: Vec<TagId> = Vec::new();
-        for i in 0..bp.len() {
-            let code = tags.code(i) as usize;
-            if bp.is_open(i) {
-                if code >= num_tags {
-                    return Err(corrupt(format!(
-                        "opening parenthesis at {i} carries closing code {code}"
-                    )));
-                }
-                stack.push(code as TagId);
-            } else {
-                let open_tag = stack.pop().ok_or_else(|| corrupt("unmatched closing parenthesis"))?;
-                if code != open_tag as usize + num_tags {
-                    return Err(corrupt(format!(
-                        "closing parenthesis at {i} carries code {code}, expected {}",
-                        open_tag as usize + num_tags
-                    )));
-                }
-            }
-        }
-        // Text leaves must sit on opening parentheses (otherwise text-to-node
-        // resolution would read a closing position as a node).
-        for pos in text_leaves.iter_ones() {
-            if !bp.is_open(pos) {
-                return Err(corrupt(format!("text leaf marked at closing parenthesis {pos}")));
-            }
-        }
-        Ok(Self {
-            bp,
-            tags,
-            registry,
-            text_leaves,
-            child_table,
-            desc_table,
-            foll_sibling_table,
-            following_table,
-        })
+        let tags = TagSequence::from_opening(&bp, opening.iter().map(|c| c as TagId), num_tags)
+            .map_err(|e| corrupt(e.to_string()))?;
+        let mut table = || TagTable::read_rows(r, num_tags);
+        let tables = [table()?, table()?, table()?, table()?];
+        Ok(XmlTree::new(bp, registry, tags, tables))
     }
 }
 
@@ -744,22 +636,10 @@ impl ReadFrom for XmlTree {
 pub struct XmlTreeBuilder {
     registry: TagRegistry,
     parens: BitVec,
-    codes: Vec<u32>,
-    text_leaves: BitVec,
-    /// Stack of open nodes: (tag, tags of children seen so far, descendant tag set).
-    stack: Vec<OpenFrame>,
-    /// Accumulated relations, filled while closing nodes.
-    child_pairs: Vec<(TagId, TagId)>,
-    desc_sets: Vec<(TagId, Vec<u64>)>,
-    foll_sibling_pairs: Vec<(TagId, TagId)>,
-    finished: bool,
-}
-
-#[derive(Debug, Clone)]
-struct OpenFrame {
-    tag: TagId,
-    children_tags: Vec<u64>,
-    desc_tags: Vec<u64>,
+    /// The tag of every node opened so far, in preorder.
+    opening: Vec<TagId>,
+    /// Number of open nodes, the synthetic root included.
+    open: usize,
 }
 
 impl Default for XmlTreeBuilder {
@@ -771,17 +651,7 @@ impl Default for XmlTreeBuilder {
 impl XmlTreeBuilder {
     /// Creates a builder with the synthetic `&` root already opened.
     pub fn new() -> Self {
-        let mut b = Self {
-            registry: TagRegistry::new(),
-            parens: BitVec::new(),
-            codes: Vec::new(),
-            text_leaves: BitVec::new(),
-            stack: Vec::new(),
-            child_pairs: Vec::new(),
-            desc_sets: Vec::new(),
-            foll_sibling_pairs: Vec::new(),
-            finished: false,
-        };
+        let mut b = Self { registry: TagRegistry::new(), parens: BitVec::new(), opening: Vec::new(), open: 0 };
         b.open_tag_id(reserved::ROOT);
         b
     }
@@ -800,59 +670,29 @@ impl XmlTreeBuilder {
 
     /// Opens an element by pre-interned tag id.
     pub fn open_tag_id(&mut self, tag: TagId) {
-        assert!(!self.finished, "builder already finished");
-        let parent_info = if let Some(parent) = self.stack.last_mut() {
-            // following-sibling relation: every earlier-child tag precedes `tag`.
-            let earlier: Vec<TagId> = bits_to_tags(&parent.children_tags);
-            set_bit(&mut parent.children_tags, tag);
-            Some((parent.tag, earlier))
-        } else {
-            None
-        };
-        if let Some((parent_tag, earlier)) = parent_info {
-            for e in earlier {
-                self.foll_sibling_pairs.push((e, tag));
-            }
-            self.child_pairs.push((parent_tag, tag));
-        }
         self.parens.push(true);
-        self.codes.push(tag);
-        self.text_leaves.push(false);
-        self.stack.push(OpenFrame { tag, children_tags: Vec::new(), desc_tags: Vec::new() });
+        self.opening.push(tag);
+        self.open += 1;
     }
 
     /// Closes the current element.
     pub fn close(&mut self) {
-        assert!(!self.finished, "builder already finished");
-        let frame = self.stack.pop().expect("close without matching open");
+        assert!(self.open > 0, "close without matching open");
         self.parens.push(false);
-        self.codes.push(frame.tag + num_tags_placeholder());
-        self.text_leaves.push(false);
-        // Fold this node's descendant set (its own tag + its descendants)
-        // into the parent.
-        if let Some(parent) = self.stack.last_mut() {
-            let mut contributed = frame.desc_tags.clone();
-            set_bit(&mut contributed, frame.tag);
-            merge_bits(&mut parent.desc_tags, &contributed);
-        }
-        self.desc_sets.push((frame.tag, frame.desc_tags));
+        self.open -= 1;
     }
 
     /// Adds a text-bearing leaf (`#` for ordinary text, `%` for attribute
     /// values).  The caller is responsible for pushing the corresponding
     /// string, in the same document order, into the text collection.
     pub fn text_leaf(&mut self, attribute_value: bool) {
-        let tag = if attribute_value { reserved::ATTRIBUTE_VALUE } else { reserved::TEXT };
-        self.open_tag_id(tag);
-        // Mark the opening position we just wrote.
-        let pos = self.parens.len() - 1;
-        self.text_leaves.set(pos, true);
+        self.open_tag_id(if attribute_value { reserved::ATTRIBUTE_VALUE } else { reserved::TEXT });
         self.close();
     }
 
     /// Current element nesting depth, excluding the synthetic root.
     pub fn depth(&self) -> usize {
-        self.stack.len().saturating_sub(1)
+        self.open.saturating_sub(1)
     }
 
     /// Finishes the document and builds the immutable [`XmlTree`].
@@ -872,122 +712,15 @@ impl XmlTreeBuilder {
     /// open or the recorded structure is not balanced, so malformed input
     /// can never panic a serving process.
     pub fn try_finish(mut self) -> Result<XmlTree, TreeError> {
-        if self.stack.len() != 1 {
-            return Err(TreeError::UnclosedElements { open: self.stack.len().saturating_sub(1) });
+        if self.open != 1 {
+            return Err(TreeError::UnclosedElements { open: self.open.saturating_sub(1) });
         }
         self.close(); // close the synthetic root
-        self.finished = true;
-
-        let num_tags = self.registry.len();
-        // Re-encode closing codes now that the final tag count is known: the
-        // builder stored them with a large placeholder offset.
-        let codes: Vec<u32> = self
-            .codes
-            .iter()
-            .map(|&c| {
-                if c >= num_tags_placeholder() {
-                    c - num_tags_placeholder() + num_tags as u32
-                } else {
-                    c
-                }
-            })
-            .collect();
         let bp = BalancedParens::try_new(&self.parens)?;
-        let tags = TagSequence::try_new(&codes, num_tags)?;
-        let text_leaves = InterleavedRsBitVector::new(&self.text_leaves);
-
-        let mut child_table = TagTable::new(num_tags);
-        for (p, c) in &self.child_pairs {
-            child_table.set(*p, *c);
-        }
-        let mut desc_table = TagTable::new(num_tags);
-        for (t, bits) in &self.desc_sets {
-            desc_table.or_into(*t, bits);
-        }
-        let mut foll_sibling_table = TagTable::new(num_tags);
-        for (a, b) in &self.foll_sibling_pairs {
-            foll_sibling_table.set(*a, *b);
-        }
-        // Following table: tag B can follow tag A iff the last occurrence of
-        // B starts after the first close of A.
-        let mut first_close = vec![usize::MAX; num_tags];
-        let mut last_open = vec![0usize; num_tags];
-        let mut has_open = vec![false; num_tags];
-        {
-            let mut stack: Vec<TagId> = Vec::new();
-            for (i, &c) in codes.iter().enumerate() {
-                if (c as usize) < num_tags {
-                    stack.push(c);
-                    last_open[c as usize] = i;
-                    has_open[c as usize] = true;
-                } else {
-                    let t = stack.pop().expect("balanced");
-                    debug_assert_eq!(t as usize, c as usize - num_tags);
-                    if first_close[t as usize] == usize::MAX {
-                        first_close[t as usize] = i;
-                    }
-                }
-            }
-        }
-        let mut following_table = TagTable::new(num_tags);
-        for (a, &close_a) in first_close.iter().enumerate() {
-            if close_a == usize::MAX {
-                continue;
-            }
-            for b in 0..num_tags {
-                if has_open[b] && last_open[b] > close_a {
-                    following_table.set(a as TagId, b as TagId);
-                }
-            }
-        }
-
-        Ok(XmlTree {
-            bp,
-            tags,
-            registry: self.registry,
-            text_leaves,
-            child_table,
-            desc_table,
-            foll_sibling_table,
-            following_table,
-        })
+        let tags = TagSequence::from_opening(&bp, self.opening, self.registry.len())?;
+        let tables = relation_tables(&tags);
+        Ok(XmlTree::new(bp, self.registry, tags, tables))
     }
-}
-
-/// Placeholder offset for closing codes before the final tag count is known.
-#[inline]
-fn num_tags_placeholder() -> u32 {
-    1 << 24
-}
-
-fn set_bit(bits: &mut Vec<u64>, tag: TagId) {
-    let t = tag as usize;
-    if bits.len() <= t / 64 {
-        bits.resize(t / 64 + 1, 0);
-    }
-    bits[t / 64] |= 1u64 << (t % 64);
-}
-
-fn merge_bits(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
-fn bits_to_tags(bits: &[u64]) -> Vec<TagId> {
-    let mut out = Vec::new();
-    for (w, &word) in bits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            let b = word.trailing_zeros();
-            out.push((w * 64) as TagId + b);
-            word &= word - 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1000,14 +733,25 @@ mod tests {
         table.set(0, 5);
         table.set(3, 69);
         table.set(69, 0);
-        let bytes = table.to_bytes();
-        let back = TagTable::from_bytes(&bytes).expect("roundtrip");
+        let mut bytes = Vec::new();
+        table.write_rows(&mut bytes).unwrap();
+        assert_eq!(bytes.len(), 70 * (8 + 2 * 8), "rows only, no table header");
+        let back = TagTable::read_rows(&mut &bytes[..], 70).expect("roundtrip");
+        assert_eq!(back, table);
         assert!(back.get(0, 5) && back.get(3, 69) && back.get(69, 0));
         assert!(!back.get(5, 0));
         // Truncated input must fail structurally, never panic.
-        assert!(TagTable::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(TagTable::from_bytes(&bytes[..9]).is_err());
-        assert!(TagTable::from_bytes(&[]).is_err());
+        assert!(TagTable::read_rows(&mut &bytes[..bytes.len() - 1], 70).is_err());
+        assert!(TagTable::read_rows(&mut &bytes[..9], 70).is_err());
+        assert!(TagTable::read_rows(&mut &[][..], 70).is_err());
+    }
+
+    /// The byte offsets of a stored tree's parts: where the registry, the
+    /// opening codes and the tables begin.
+    fn layout(t: &XmlTree) -> (usize, usize, usize) {
+        let registry_at = t.bp.to_bytes().len();
+        let opening_at = registry_at + t.registry.to_bytes().len();
+        (registry_at, opening_at, opening_at + t.tags.opening_codes().to_bytes().len())
     }
 
     /// Builds the paper's Figure 1 document model:
@@ -1261,7 +1005,6 @@ mod tests {
 
     mod verify_tests {
         use super::*;
-        use sxsi_succinct::BitVec;
         use sxsi_verify::{Verify, VerifyDepth};
 
         #[test]
@@ -1301,34 +1044,67 @@ mod tests {
         }
 
         #[test]
-        fn misplaced_text_leaf_is_caught() {
-            let mut t = figure1_tree();
-            // Rebuild the leaf bitmap with an extra mark on the `parts`
-            // element's opening parenthesis (position 1).
-            let mut bv = BitVec::new();
-            for i in 0..t.text_leaves.len() {
-                bv.push(t.text_leaves.get(i) || i == 1);
-            }
-            t.text_leaves = InterleavedRsBitVector::new(&bv);
-            let report = t.verify(VerifyDepth::Deep);
-            assert!(report.has_code("tree-text-leaf"), "{report}");
-        }
-
-        #[test]
         fn table_shape_mismatch_is_caught() {
-            let mut t = figure1_tree();
-            t.desc_table.num_tags += 1;
-            let report = t.verify(VerifyDepth::Quick);
-            assert!(report.has_code("tree-table-shape"), "{report}");
+            // A table's size is the registry's length; a row of another
+            // width fails the load.  The first row of the child table
+            // claims one word more than its tag count needs.
+            let t = figure1_tree();
+            let (_, _, tables_at) = layout(&t);
+            let mut bytes = t.to_bytes();
+            bytes[tables_at] += 1;
+            let err = XmlTree::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, IoError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("tag table row 0 holds 2 words, expected 1"), "{err}");
         }
 
         #[test]
         fn registry_count_mismatch_is_caught() {
-            let mut t = figure1_tree();
-            t.registry.intern("phantom");
-            let report = t.verify(VerifyDepth::Quick);
-            assert!(report.has_code("tree-registry-count"), "{report}");
+            // An opening code the registry holds no name for fails the
+            // load: the figure's nine tags take four bits, so code 15 fits
+            // the width but not the registry.
+            let t = figure1_tree();
+            assert_eq!(t.num_tags(), 9);
+            let (_, opening_at, _) = layout(&t);
+            let mut bytes = t.to_bytes();
+            // The codes' words follow the width (u32), the count and the
+            // word count (u64 each); code 0 is the low four bits.
+            bytes[opening_at + 20] |= 0x0f;
+            let err = XmlTree::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, IoError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("tag code 15 at position 0 is out of range for 9 tags"), "{err}");
         }
+    }
+
+    #[test]
+    fn opening_code_count_other_than_the_nodes_fails_the_load() {
+        let t = figure1_tree();
+        let (_, opening_at, tables_at) = layout(&t);
+        let bytes = t.to_bytes();
+        let stored = t.tags.opening_codes();
+        let forge = |codes: &IntVector| {
+            let mut forged = bytes[..opening_at].to_vec();
+            forged.extend_from_slice(&codes.to_bytes());
+            forged.extend_from_slice(&bytes[tables_at..]);
+            let err = XmlTree::from_bytes(&forged).unwrap_err();
+            assert!(matches!(err, IoError::Corrupt { .. }), "{err}");
+            err.to_string()
+        };
+        for len in [stored.len() - 1, stored.len() + 1] {
+            let mut codes = IntVector::new(len, stored.width());
+            for k in 0..len.min(stored.len()) {
+                codes.set(k, stored.get(k));
+            }
+            let err = forge(&codes);
+            assert!(err.contains(&format!("{len} opening tag codes for {} nodes", t.num_nodes())), "{err}");
+        }
+        // Codes packed wider than the registry needs are refused too, so
+        // the stored bytes of a tree are unique.
+        let mut wide = IntVector::new(stored.len(), stored.width() + 1);
+        for k in 0..stored.len() {
+            wide.set(k, stored.get(k));
+        }
+        let err = forge(&wide);
+        assert!(err.contains("packed in 5 bits, expected 4"), "{err}");
     }
 
     #[test]
@@ -1366,19 +1142,17 @@ mod tests {
 
     #[test]
     fn implausible_tag_count_is_an_error_not_an_allocation() {
-        // A tag section of a few bytes declaring 2^31 tags (zero codes, in
-        // the 32 bits that count implies) passes every check of its own;
-        // the registry's six names must refuse it before anything is sized
-        // by the declared count.
+        // The tag count is the registry's length, and the registry reads
+        // its names one by one: a registry declaring 2^31 names with nine
+        // present fails at the tenth (whose length prefix is the opening
+        // codes' header, far longer than the bytes left) before anything
+        // is sized by the declared count.
         let t = figure1_tree();
         let bytes = t.to_bytes();
-        let tags_at = t.bp.to_bytes().len();
-        let registry_at = tags_at + t.tags.to_bytes().len();
-        let mut forged = bytes[..tags_at].to_vec();
+        let (registry_at, _, _) = layout(&t);
+        let mut forged = bytes[..registry_at].to_vec();
         forged.extend_from_slice(&(1u64 << 31).to_le_bytes());
-        forged.extend_from_slice(&sxsi_succinct::IntVector::new(0, 32).to_bytes());
-        forged.extend_from_slice(&bytes[registry_at..]);
-        let err = XmlTree::from_bytes(&forged).unwrap_err();
-        assert!(err.to_string().contains("registry holds"), "{err}");
+        forged.extend_from_slice(&bytes[registry_at + 8..]);
+        assert!(XmlTree::from_bytes(&forged).is_err());
     }
 }

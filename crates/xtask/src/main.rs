@@ -785,11 +785,11 @@ fn corrupt_texts(
     }
 }
 
-/// Doubles the FM-index sample rate — the second word of the texts
+/// Doubles the FM-index sample rate — the first word of the texts
 /// section, whose body begins with the FM-index.
 fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
     corrupt_texts(bytes, |texts| {
-        let rate = texts.get_mut(8..16).ok_or("texts section is shorter than two u64")?;
+        let rate = texts.get_mut(..8).ok_or("texts section is shorter than one u64")?;
         let doubled = u64::from_le_bytes((&*rate).try_into().unwrap_or_default()).wrapping_mul(2);
         rate.copy_from_slice(&doubled.to_le_bytes());
         Ok(())
@@ -798,11 +798,12 @@ fn corrupt_sample_rate(bytes: &mut [u8]) -> Result<(), String> {
 
 /// Changes the last text byte of the plain copy `T` to another non-zero
 /// byte, so every terminator (byte 0) stays in place and the loader accepts
-/// it.  The texts body opens with the FM-index length, which is `|T|`, and
-/// ends with `T`.
+/// it.  The texts body opens with the FM-index: its sample rate, then its
+/// BWT, whose length `|T|` is the body's second word; the body ends with
+/// `T`.
 fn corrupt_plain_text(bytes: &mut [u8]) -> Result<(), String> {
     corrupt_texts(bytes, |texts| {
-        let t_len = texts.get(..8).map(|w| u64::from_le_bytes(w.try_into().unwrap_or_default()));
+        let t_len = texts.get(8..16).map(|w| u64::from_le_bytes(w.try_into().unwrap_or_default()));
         let t_start = t_len
             .and_then(|len| texts.len().checked_sub(usize::try_from(len).ok()?))
             .ok_or("texts section is shorter than the text length it declares")?;
@@ -1095,7 +1096,7 @@ mod tests {
     fn container(payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SXSI_MAGIC);
-        bytes.extend_from_slice(&7u32.to_le_bytes());
+        bytes.extend_from_slice(&8u32.to_le_bytes());
         bytes.push(TEXTS_TAG);
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
@@ -1106,8 +1107,9 @@ mod tests {
 
     #[test]
     fn corrupt_meta_recomputes_the_checksum() {
-        // The texts body opens with the FM-index length and sample rate.
-        let payload: Vec<u8> = [40u64, 64].iter().flat_map(|w| w.to_le_bytes()).collect();
+        // The texts body opens with the FM-index sample rate and the BWT
+        // length.
+        let payload: Vec<u8> = [64u64, 40].iter().flat_map(|w| w.to_le_bytes()).collect();
         let bytes = container(&payload);
 
         let mut corrupted = bytes.clone();
@@ -1115,22 +1117,23 @@ mod tests {
         assert_ne!(bytes, corrupted);
         // Layout: magic(8) version(4) tag(1) length(8) payload(16) checksum(8).
         let new_payload = &corrupted[21..37];
-        assert_eq!(u64::from_le_bytes(new_payload[8..].try_into().unwrap()), 128);
+        assert_eq!(u64::from_le_bytes(new_payload[..8].try_into().unwrap()), 128);
+        assert_eq!(new_payload[8..], payload[8..]);
         let new_checksum = &corrupted[37..45];
         assert_eq!(u64::from_le_bytes(new_checksum.try_into().unwrap()), fnv1a64(new_payload));
 
         assert!(corrupt_sample_rate(&mut b"notmagic".to_vec()).is_err());
         assert!(corrupt_sample_rate(&mut bytes[..12].to_vec()).is_err());
-        assert!(corrupt_sample_rate(&mut bytes[..29].to_vec()).is_err());
+        assert!(corrupt_sample_rate(&mut bytes[..25].to_vec()).is_err());
     }
 
     #[test]
     fn corrupt_plain_changes_one_text_byte_and_recomputes_the_checksum() {
-        // The texts body opens with the FM-index length |T| and ends with
-        // `T` = "ab\0\0" (the last text is empty); what lies between is
-        // opaque to the tool.
+        // The texts body opens with the FM-index sample rate and the BWT
+        // length |T|, and ends with `T` = "ab\0\0" (the last text is
+        // empty); what lies between is opaque to the tool.
         let t = b"ab\0\0";
-        let mut payload: Vec<u8> = [t.len() as u64, 64, 7].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut payload: Vec<u8> = [64, t.len() as u64, 7].iter().flat_map(|w| w.to_le_bytes()).collect();
         payload.extend_from_slice(t);
         let bytes = container(&payload);
         let mut corrupted = bytes.clone();
@@ -1145,10 +1148,11 @@ mod tests {
 
         // A plain copy of terminators only has no byte to change, and a
         // declared length beyond the body is rejected.
-        let mut empty: Vec<u8> = 1u64.to_le_bytes().to_vec();
+        let mut empty: Vec<u8> = [64u64, 1].iter().flat_map(|w| w.to_le_bytes()).collect();
         empty.push(0);
         assert!(corrupt_plain_text(&mut container(&empty)).is_err());
-        assert!(corrupt_plain_text(&mut container(&99u64.to_le_bytes())).is_err());
+        let too_long: Vec<u8> = [64u64, 99].iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert!(corrupt_plain_text(&mut container(&too_long)).is_err());
         assert!(corrupt_plain_text(&mut b"notmagic".to_vec()).is_err());
         assert!(corrupt_plain_text(&mut bytes[..20].to_vec()).is_err());
     }

@@ -10,18 +10,61 @@
 
 use sxsi::{IoError, ReadFrom, SxsiIndex, WriteInto};
 use sxsi_datagen::{medline, treebank, wiki, xmark};
+use sxsi_tree::TagRelation;
 use sxsi_datagen::{MedlineConfig, TreebankConfig, WikiConfig, XMarkConfig};
 use sxsi_engine::{BatchExecutor, QueryBatch, QuerySpec};
 use sxsi_xpath::NamedQuery;
 use sxsi_xpath::{MEDLINE_QUERIES, TREEBANK_QUERIES, WORD_QUERIES, XMARK_QUERIES};
 
-/// Builds, saves to an in-memory buffer, reloads, and checks that every
-/// query answers identically on both indexes.
+/// Checks that every structure the loader derives instead of reading
+/// equals the one the builder made, and that saving the loaded index
+/// writes `bytes` again: the tag of every node, the text-leaf map
+/// (`leaf_number` at every position), the text starts (`text(id)` of every
+/// text), the relation tables (every tag pair in all four relations) and
+/// the `C` array (every symbol count).
+fn assert_loaded_equals_built(what: &str, built: &SxsiIndex, loaded: &SxsiIndex, bytes: &[u8]) {
+    assert!(loaded.to_bytes() == bytes, "{what}: the loaded index saves other bytes");
+    assert_eq!(loaded.stats(), built.stats(), "{what} stats diverged");
+    let (bt, lt) = (built.tree(), loaded.tree());
+    for x in bt.preorder_nodes() {
+        assert_eq!(lt.tag(x), bt.tag(x), "{what}: tag of node {x}");
+    }
+    for x in 0..2 * bt.num_nodes() {
+        assert_eq!(lt.leaf_number(x), bt.leaf_number(x), "{what}: leaf number at {x}");
+    }
+    let (btexts, ltexts) = (built.texts(), loaded.texts());
+    for id in 0..btexts.num_texts() {
+        assert_eq!(ltexts.text(id), btexts.text(id), "{what}: text {id}");
+    }
+    let relations =
+        [TagRelation::Child, TagRelation::Descendant, TagRelation::FollowingSibling, TagRelation::Following];
+    let num_tags = bt.num_tags() as u32;
+    for (base, other, relation) in
+        (0..num_tags).flat_map(|b| (0..num_tags).flat_map(move |o| relations.map(|r| (b, o, r))))
+    {
+        assert_eq!(
+            lt.tag_relation_possible(base, other, relation),
+            bt.tag_relation_possible(base, other, relation),
+            "{what}: {relation:?} of tags {base} and {other}"
+        );
+    }
+    for b in 0..=255u8 {
+        assert_eq!(
+            ltexts.fm_index().symbol_count(b),
+            btexts.fm_index().symbol_count(b),
+            "{what}: C entry of byte {b}"
+        );
+    }
+}
+
+/// Builds, saves to an in-memory buffer, reloads, and checks that the
+/// loaded index equals the built one and that every query answers
+/// identically on both indexes.
 fn assert_roundtrip_equivalence(corpus: &str, xml: &str, queries: &[NamedQuery]) {
     let built = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds");
     let bytes = built.to_bytes();
     let loaded = SxsiIndex::from_bytes(&bytes).expect("index loads");
-    assert_eq!(loaded.stats(), built.stats(), "{corpus} stats diverged");
+    assert_loaded_equals_built(corpus, &built, &loaded, &bytes);
 
     for q in queries {
         assert_eq!(
@@ -100,14 +143,14 @@ fn file_roundtrip_through_the_filesystem() {
 }
 
 /// The saved bytes of one fixed document, pinned: a change to any on-disk
-/// body — a bitmap, a sarray, the BWT, a section frame — fails here unless
+/// body — a bitmap, the tag codes, the BWT, a section frame — fails here unless
 /// it comes with a new `FORMAT_VERSION` and new constants.
 #[test]
 fn saved_bytes_of_a_fixed_document_are_pinned() {
     let xml = xmark::generate(&XMarkConfig { scale: 0.01, seed: 42 });
     let bytes = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds").to_bytes();
-    assert_eq!(sxsi::FORMAT_VERSION, 7);
-    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (24_200, 0xbc58_c1cf_9388_6667));
+    assert_eq!(sxsi::FORMAT_VERSION, 8);
+    assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (20_580, 0xa7da_adca_a682_4a60));
 }
 
 #[test]
@@ -151,10 +194,11 @@ fn corrupt_truncated_and_mismatched_files_error_structurally() {
     // The superseded layouts — version 1, version 2 whose tag sequence led
     // with a backend byte, version 3 whose options, rank bitmaps and BWT
     // carried succinct backend tags, version 4 whose BWT was a wavelet
-    // matrix, version 5 with its options and meta sections, and version 6
-    // with its plain-copy flag and per-text offsets — are rejected up front
-    // the same way.
-    for superseded in [1u32, 2, 3, 4, 5, 6] {
+    // matrix, version 5 with its options and meta sections, version 6 with
+    // its plain-copy flag and per-text offsets, and version 7 with its
+    // closing tag codes, text-leaf bitmap, text starts and `C` array — are
+    // rejected up front the same way.
+    for superseded in [1u32, 2, 3, 4, 5, 6, 7] {
         let mut outdated = bytes.clone();
         outdated[8..12].copy_from_slice(&superseded.to_le_bytes());
         assert!(matches!(
@@ -256,19 +300,20 @@ impl Container {
     }
 }
 
-/// Serialized size of one [`TagTable`] over `num_tags` tags: the count
-/// prefix plus, per row, a length prefix and the packed row words.
+/// Serialized size of one relative tag-position table over `num_tags`
+/// tags: per row, a length prefix and the packed row words (the row count
+/// is the registry's length).
 fn tag_table_size(num_tags: usize) -> usize {
     let words = num_tags.div_ceil(64);
-    8 + num_tags * (8 + words * 8)
+    num_tags * (8 + words * 8)
 }
 
-/// Doubles the FM-index sample rate, the second word of the TEXTS payload:
+/// Doubles the FM-index sample rate, the first word of the TEXTS payload:
 /// any positive rate is well-formed, so only the deep walk can tell.
 fn drift_sample_rate(c: &mut Container) {
     let texts = c.payload_mut(TAG_TEXTS);
-    let rate = u64::from_le_bytes(texts[8..16].try_into().unwrap());
-    texts[8..16].copy_from_slice(&(rate * 2).to_le_bytes());
+    let rate = u64::from_le_bytes(texts[..8].try_into().unwrap());
+    texts[..8].copy_from_slice(&(rate * 2).to_le_bytes());
 }
 
 /// Applies `mutate` to the parsed container of `index` and returns the
@@ -293,7 +338,15 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
     let t_len = built.texts().total_len();
     // The TEXTS payload begins with the FM-index; the Doc array (count
     // prefix + one u32 per text) follows it.
-    let doc_start = built.texts().fm_index().to_bytes().len() + 8;
+    let fm_bytes = built.texts().fm_index().to_bytes();
+    let doc_start = fm_bytes.len() + 8;
+    // The FM-index ends with its locate samples: the sample rate, the BWT
+    // and the sampling bitmap come first.
+    let mut rest = &fm_bytes[8..];
+    sxsi_succinct::HuffmanWavelet::read_from(&mut rest).expect("the BWT reads back");
+    sxsi_succinct::InterleavedRsBitVector::read_from(&mut rest).expect("the sampling bitmap reads back");
+    let samples_at = fm_bytes.len() - rest.len();
+    let mut samples = sxsi_succinct::IntVector::from_bytes(rest).expect("the samples read back");
 
     // Each class: a name (for the failure message), a checksum-valid
     // mutation, and the verifier code that must flag it.
@@ -363,26 +416,16 @@ fn semantic_corruption_classes_are_each_caught_with_a_distinct_code() {
             "tree-following-table",
         ),
         (
-            "a text leaf moved to the root's opening parenthesis",
+            "two locate samples swapped",
             Box::new(move |c: &mut Container| {
-                let tree = c.payload_mut(TAG_TREE);
-                // The leaf bitmap's words sit right before the four jump
-                // tables; its length equals the BP length (the first u64
-                // of the tree payload).  The load path checks the leaf
-                // *count* against the text collection and that leaves sit
-                // on opening parentheses, so the mutation must preserve
-                // both: clear one real leaf bit and set position 0 — the
-                // root's opening parenthesis, which is never a text leaf.
-                let bp_len = u64::from_le_bytes(tree[..8].try_into().unwrap()) as usize;
-                let words_end = tree.len() - 4 * table;
-                let words_start = words_end - bp_len.div_ceil(64) * 8;
-                let at = (words_start..words_end)
-                    .find(|&i| tree[i] != 0)
-                    .expect("document has at least one text leaf");
-                tree[at] &= tree[at] - 1; // position 0 is never set, so this clears a real leaf
-                tree[words_start] |= 1;
+                // Both values stay in range, so the load accepts them.
+                let (first, second) = (samples.get(0), samples.get(1));
+                samples.set(0, second);
+                samples.set(1, first);
+                let texts = c.payload_mut(TAG_TEXTS);
+                texts[samples_at..fm_bytes.len()].copy_from_slice(&samples.to_bytes());
             }),
-            "tree-text-leaf",
+            "fm-sample-value",
         ),
     ];
 
@@ -422,4 +465,94 @@ fn paranoid_load_rejects_semantic_corruption() {
     // The pristine container passes the paranoid load at full depth.
     let pristine = built.to_bytes();
     assert!(SxsiIndex::load_verified(&mut &pristine[..], VerifyDepth::Deep).is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// Edge shapes: documents at the corners of what the derived structures are
+// rebuilt from — no texts, texts only in attributes, empty texts at either
+// end and in the middle of the text order, a lone node, deep nesting.
+// ---------------------------------------------------------------------------
+
+mod edge_shapes {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A document of edge shape `shape` (0–5), sized by `n` and varied by
+    /// `seed`.
+    fn edge_document(shape: usize, n: usize, seed: u64) -> String {
+        let pick = |k: usize| (seed >> (k % 64)) & 1 == 1;
+        let mut xml = String::new();
+        match shape {
+            // No texts: elements only.
+            0 => {
+                xml.push_str("<r>");
+                for k in 0..n {
+                    xml.push_str(if pick(k) { "<e><f/></e>" } else { "<g/>" });
+                }
+                xml.push_str("</r>");
+            }
+            // Texts only in attributes.
+            1 => {
+                xml.push_str(r#"<r a="v">"#);
+                for k in 0..n {
+                    xml.push_str(&format!(r#"<e k="{k}" j="w{}"/>"#, u8::from(pick(k))));
+                }
+                xml.push_str("</r>");
+            }
+            // Empty texts first, in the middle and last of the text order.
+            2 => {
+                xml.push_str(r#"<r a="">"#);
+                for k in 0..n {
+                    if k == n / 2 {
+                        xml.push_str(r#"<m e=""/>"#);
+                    }
+                    xml.push_str(&format!(r#"<i v="x{k}">t{k}</i>"#));
+                }
+                xml.push_str(r#"<z e=""/></r>"#);
+            }
+            // A lone node.
+            3 => xml.push_str(if pick(0) { "<a/>" } else { "<a></a>" }),
+            // Nesting deeper than 10 000 levels, a text at the bottom.
+            4 => {
+                let depth = 10_000 + n;
+                xml.push_str(&"<d>".repeat(depth));
+                xml.push_str("deep");
+                xml.push_str(&"</d>".repeat(depth));
+            }
+            // All of it in one document.
+            _ => {
+                xml.push_str(r#"<r a="">"#);
+                xml.push_str(&"<d>".repeat(100 + n));
+                xml.push_str(r#"<e k=""/>t"#);
+                xml.push_str(&"</d>".repeat(100 + n));
+                for k in 0..n {
+                    xml.push_str(if pick(k) { r#"<g a="1"/>"# } else { "<h>x</h>" });
+                }
+                xml.push_str(r#"<z e=""/></r>"#);
+            }
+        }
+        xml
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn edge_shaped_documents_roundtrip_exactly(shape in 0usize..6, n in 1usize..12, seed in any::<u64>()) {
+            let xml = edge_document(shape, n, seed);
+            let built = SxsiIndex::build_from_xml(xml.as_bytes()).expect("edge document builds");
+            let bytes = built.to_bytes();
+            let loaded = SxsiIndex::from_bytes(&bytes).expect("edge document loads");
+            assert_loaded_equals_built(&format!("shape {shape}, n {n}"), &built, &loaded, &bytes);
+            let report = loaded.verify(sxsi::VerifyDepth::Deep);
+            prop_assert!(report.is_ok(), "shape {shape}: {report}");
+        }
+    }
+
+    #[test]
+    fn every_edge_shape_comes_up() {
+        // Each shape's text count, so a drifted generator cannot quietly
+        // stop covering one.
+        let texts = |shape| SxsiIndex::build_from_xml(edge_document(shape, 4, 0).as_bytes()).unwrap().stats().num_texts;
+        assert_eq!([0, 1, 2, 3, 4].map(texts), [0, 9, 11, 0, 1]);
+    }
 }
