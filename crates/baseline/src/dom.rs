@@ -176,7 +176,7 @@ mod tests {
         let doc = sxsi_xml::parse_document(xml.as_bytes()).unwrap();
         assert_eq!(dom.num_nodes(), doc.tree.num_nodes());
         assert_eq!(dom.count_traversal(), doc.tree.num_nodes());
-        assert_eq!(dom.texts.len(), doc.texts.len());
+        assert_eq!(dom.texts.len(), doc.tree.num_texts());
         assert_eq!(dom.count_tag("part"), 2);
         assert_eq!(dom.count_tag("stock"), 2);
         assert_eq!(dom.count_tag("missing"), 0);

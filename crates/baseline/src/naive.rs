@@ -343,7 +343,7 @@ mod tests {
         </people>
         <regions><item><parlist><listitem><keyword>rare</keyword></listitem></parlist></item></regions></site>"#;
         let doc = parse_document(xml.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         (doc.tree, texts)
     }
 

@@ -17,7 +17,7 @@ fn locate_all(texts: &TextCollection, pattern: &[u8]) -> Vec<(TextId, usize)> {
 
 pub fn run(sample_rate: usize, title: &str) {
     let doc = parse_document(medline_xml().as_bytes()).expect("parses");
-    let texts = TextCollection::with_sample_rate(&doc.text_slices(), sample_rate);
+    let texts = TextCollection::from_t(doc.t, sample_rate);
     header(title, &["pattern", "global count", "global ms", "contains count", "contains ms", "report ms", "plain scan ms"]);
     for pattern in ["epididymis", "ruminants", "AUSTRALIA", "plus", "blood", "human", "from", "with", "the", "a"] {
         let p = pattern.as_bytes();

@@ -272,7 +272,7 @@ impl SxsiIndex {
 
     /// Builds the index from an already-parsed document model.
     pub fn from_parsed_document(doc: ParsedDocument, options: SxsiOptions) -> Self {
-        let texts = TextCollection::with_sample_rate(&doc.text_slices(), options.sample_rate);
+        let texts = TextCollection::from_t(doc.t, options.sample_rate);
         Self { tree: doc.tree, texts }
     }
 

@@ -94,7 +94,7 @@ mod tests {
 
     fn build(xml: &str) -> (XmlTree, TextCollection) {
         let doc = parse_document(xml.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         (doc.tree, texts)
     }
 

@@ -113,14 +113,13 @@ mod tests {
         // exon-sized DNA text (exons are 100–200 bases; promoters and gene
         // sequences are much longer) and check it occurs in at least two
         // different texts.
-        let exon_text = doc
-            .texts
+        let texts: Vec<&[u8]> = doc.t.split(|&b| b == 0).collect();
+        let exon_text = texts
             .iter()
             .find(|t| (100..=200).contains(&t.len()) && t.iter().all(|&b| matches!(b, b'A' | b'C' | b'G' | b'T')))
             .expect("some exon-sized DNA text exists");
         let needle = &exon_text[..80];
-        let occurrences = doc
-            .texts
+        let occurrences = texts
             .iter()
             .filter(|t| t.windows(needle.len()).any(|w| w == needle))
             .count();

@@ -185,7 +185,7 @@ mod tests {
         ] {
             let doc = sxsi_xml::parse_document(xml.as_bytes()).expect("generated XML parses");
             assert!(doc.tree.num_nodes() > 10);
-            assert!(doc.texts.len() > 5);
+            assert!(doc.tree.num_texts() > 5);
         }
     }
 }

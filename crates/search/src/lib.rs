@@ -391,7 +391,7 @@ mod tests {
 
     fn index() -> (XmlTree, TextCollection) {
         let doc = parse_document(DOC.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         (doc.tree, texts)
     }
 

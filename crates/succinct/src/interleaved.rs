@@ -195,6 +195,13 @@ impl InterleavedRsBitVector {
         self.data[(w / WORDS_PER_BLOCK) * STRIDE + HEADER_WORDS + (w % WORDS_PER_BLOCK)]
     }
 
+    /// The payload words in order, `ceil(len / 64)` of them: bit `k` of
+    /// word `w` is position `64 * w + k`.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        let payload = self.data.chunks(STRIDE).flat_map(|block| block[HEADER_WORDS..].iter().copied());
+        payload.take(ceil_div(self.len, 64))
+    }
+
     /// Bit at position `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {

@@ -99,7 +99,7 @@ impl IntVector {
     }
 
     /// Iterator over all entries.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = u64> + Clone + '_ {
         (0..self.len).map(move |i| self.get(i))
     }
 }

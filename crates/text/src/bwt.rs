@@ -1,81 +1,91 @@
 //! Generalized Burrows–Wheeler transform of a text collection.
 //!
 //! Following Section 3.2 of the paper, the collection `T` is the
-//! concatenation of all texts, each terminated by `$`.  The end-markers are
-//! given a fixed ordering — the terminator of the `i`-th text must appear at
-//! `F[i]` — which we obtain by encoding each `$` as a *distinct* integer
-//! symbol smaller than every character and ordered by text identifier, and
-//! then building an ordinary suffix array over the integer sequence.
+//! concatenation of all texts, each terminated by `$` (byte 0).  The
+//! end-markers have a fixed ordering — the terminator of the `i`-th text
+//! must appear at `F[i]` — which the suffix array of `T` gives by
+//! construction: it orders the terminators by position (see
+//! [`crate::suffix`]), so `T` is never widened to distinct symbols.  `|T|`
+//! is limited to [`crate::suffix::MAX_LEN`] bytes.
+//!
+//! One pass over the suffix array emits everything the index keeps of it:
+//! the BWT, the `Doc` array and the locate samples.  The suffix array is
+//! dropped before the BWT is encoded.
 
+use crate::plain::TERMINATOR;
 use crate::suffix::suffix_array;
+use sxsi_succinct::BitVec;
 
-/// Output of the collection BWT construction.
+/// Output of the collection BWT construction: all that the index keeps of
+/// the suffix array.
 #[derive(Debug, Clone)]
 pub struct CollectionBwt {
-    /// The BWT of the concatenation, with every end-marker rendered as byte 0.
+    /// The BWT of `T`, every end-marker as byte 0.
     pub bwt: Vec<u8>,
-    /// Suffix array of the concatenation (text `i` followed by its
-    /// terminator, in text order).
-    pub sa: Vec<usize>,
     /// `doc[j]` is the identifier of the text whose first symbol starts the
     /// row of the `j`-th `$` in the BWT (the paper's `Doc` array).
     pub doc: Vec<u32>,
+    /// Marks the rows whose suffix starts at a multiple of the sample rate.
+    pub sampled: BitVec,
+    /// The start of the suffix of each marked row, in row order.
+    pub samples: Vec<u64>,
 }
 
-/// Number of texts is limited to `u32` identifiers.
-pub const MAX_TEXTS: usize = u32::MAX as usize;
-
-/// Builds the collection BWT.  Texts must not contain the byte `0`, which is
-/// reserved for the end-markers.
+/// Builds the collection BWT of `T`, in which every byte 0 terminates one
+/// text, and the locate samples of every `sample_rate`-th position.
 ///
 /// # Panics
-/// Panics if a text contains a zero byte or if there are more than
-/// [`MAX_TEXTS`] texts.
-pub fn build_collection_bwt<S: AsRef<[u8]>>(texts: &[S]) -> CollectionBwt {
-    let d = texts.len();
-    assert!(d <= MAX_TEXTS, "too many texts");
-    let total: usize = texts.iter().map(|t| t.as_ref().len() + 1).sum();
-    let mut seq: Vec<u32> = Vec::with_capacity(total);
-    let mut starts = Vec::with_capacity(d);
-    // Symbol encoding: terminator of text i => i, byte b (1..=255) => d + b - 1.
-    let d32 = d as u32;
-    for (i, t) in texts.iter().enumerate() {
-        starts.push(seq.len());
-        for (off, &b) in t.as_ref().iter().enumerate() {
-            assert!(b != 0, "text {i} contains a zero byte at offset {off}; byte 0 is reserved for the terminator");
-            seq.push(d32 + b as u32 - 1);
+/// Panics if `T` is longer than [`crate::suffix::MAX_LEN`] or `sample_rate`
+/// is 0.
+pub fn build_collection_bwt(t: &[u8], sample_rate: usize) -> CollectionBwt {
+    assert!(sample_rate >= 1, "sample rate must be positive");
+    let sa = suffix_array(t);
+    // The suffixes of the terminators sort first, in text order.
+    let num_texts = t.iter().filter(|&&b| b == TERMINATOR).count();
+    let terminators = &sa[..num_texts];
+    let mut bwt = Vec::with_capacity(t.len());
+    let mut doc = Vec::with_capacity(num_texts);
+    let mut sampled = BitVec::filled(t.len(), false);
+    let mut samples = Vec::with_capacity(t.len() / sample_rate + 1);
+    for (row, &p) in sa.iter().enumerate() {
+        let p = p as usize;
+        let before = t[p.checked_sub(1).unwrap_or(t.len() - 1)];
+        bwt.push(before);
+        if before == TERMINATOR {
+            // The row starts a text: the one after the terminator at p - 1,
+            // or text 0 at the start of `T`.
+            let id = p.checked_sub(1).map_or(0, |end| terminators.partition_point(|&e| (e as usize) < end) + 1);
+            doc.push(id as u32);
         }
-        seq.push(i as u32);
-    }
-    let sa = suffix_array(&seq);
-    let mut bwt = Vec::with_capacity(total);
-    let mut doc = Vec::new();
-    for &p in &sa {
-        let prev = if p == 0 { total - 1 } else { p - 1 };
-        let sym = seq[prev];
-        if sym < d32 {
-            // End-marker: the row starts at the first symbol of some text.
-            bwt.push(0u8);
-            let text_id = match starts.binary_search(&p) {
-                Ok(i) => i,
-                Err(_) => {
-                    // `p` must be a text start whenever the preceding symbol is
-                    // a terminator (or p == 0, which is the start of text 0).
-                    debug_assert_eq!(p, 0);
-                    0
-                }
-            };
-            doc.push(text_id as u32);
-        } else {
-            bwt.push((sym - d32 + 1) as u8);
+        if p % sample_rate == 0 {
+            sampled.set(row, true);
+            samples.push(p as u64);
         }
     }
-    CollectionBwt { bwt, sa, doc }
+    CollectionBwt { bwt, doc, sampled, samples }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collection::TextCollection;
+
+    /// The collection BWT of `texts`, with the suffix array it came from.
+    struct Built {
+        bwt: Vec<u8>,
+        sa: Vec<usize>,
+        doc: Vec<u32>,
+    }
+
+    fn build_collection_bwt(texts: &[&str]) -> Built {
+        let t: Vec<u8> = texts.iter().flat_map(|x| x.bytes().chain([0])).collect();
+        let sa: Vec<usize> = suffix_array(&t).into_iter().map(|p| p as usize).collect();
+        let out = super::build_collection_bwt(&t, 1);
+        // At rate 1 every row is sampled: the samples are the suffix array.
+        assert_eq!(out.samples, sa.iter().map(|&p| p as u64).collect::<Vec<_>>());
+        assert_eq!(out.sampled.count_ones(), t.len());
+        Built { bwt: out.bwt, sa, doc: out.doc }
+    }
 
     /// Reference BWT via naive rotation sorting on the decoded symbols.
     fn naive_bwt(texts: &[&str]) -> Vec<u8> {
@@ -151,6 +161,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved for the terminator")]
     fn zero_bytes_rejected() {
-        build_collection_bwt(&[&[1u8, 0u8, 2u8][..]]);
+        TextCollection::new(&[&[1u8, 0u8, 2u8][..]]);
     }
 }

@@ -144,19 +144,47 @@ pub struct TextCollection {
     plain: PlainTexts,
 }
 
+/// Joins `texts` into `T`, each followed by its terminator.
+///
+/// # Panics
+/// Panics if a text contains byte 0, which is reserved for the terminator.
+fn join_texts<S: AsRef<[u8]>>(texts: &[S]) -> Vec<u8> {
+    let mut t = Vec::with_capacity(texts.iter().map(|x| x.as_ref().len() + 1).sum());
+    for (i, text) in texts.iter().enumerate() {
+        let text = text.as_ref();
+        if let Some(off) = text.iter().position(|&b| b == TERMINATOR) {
+            panic!("text {i} contains a zero byte at offset {off}; byte 0 is reserved for the terminator");
+        }
+        t.extend_from_slice(text);
+        t.push(TERMINATOR);
+    }
+    t
+}
+
 impl TextCollection {
-    /// Builds the collection index with the default locate sampling step.
-    pub fn new<S: AsRef<[u8]>>(texts: &[S]) -> Self {
-        Self::with_sample_rate(texts, DEFAULT_SAMPLE_RATE)
+    /// Builds the collection index of `T`, every text followed by a byte-0
+    /// terminator, sampling every `sample_rate`-th text position for locate
+    /// (`l` in the paper; Tables II and III use 64 and 4).  `T` is kept as
+    /// the plain text.
+    ///
+    /// # Panics
+    /// Panics if `T` is neither empty nor ends with a terminator, if it is
+    /// longer than [`crate::suffix::MAX_LEN`], or if `sample_rate` is 0.
+    pub fn from_t(t: Vec<u8>, sample_rate: usize) -> Self {
+        assert!(!t.last().is_some_and(|&b| b != TERMINATOR), "T must end with a terminator");
+        let bwt = build_collection_bwt(&t, sample_rate);
+        let fm = FmIndex::new(&bwt.bwt, &bwt.sampled, &bwt.samples, sample_rate);
+        Self { fm, doc: bwt.doc, plain: PlainTexts::from_t(t) }
     }
 
-    /// Builds the collection index, sampling every `sample_rate`-th text
-    /// position for locate (`l` in the paper; Tables II and III use 64 and
-    /// 4).
-    pub fn with_sample_rate<S: AsRef<[u8]>>(texts: &[S], sample_rate: usize) -> Self {
-        let bwt = build_collection_bwt(texts);
-        let fm = FmIndex::new(&bwt.bwt, &bwt.sa, sample_rate);
-        Self { fm, doc: bwt.doc, plain: PlainTexts::new(texts) }
+    /// Builds the collection index of `texts` with the default locate
+    /// sampling step: a convenience that joins them into `T`.
+    ///
+    /// # Panics
+    /// Panics if a text contains byte 0, which is reserved for the
+    /// terminator.
+    pub fn new<S: AsRef<[u8]>>(texts: &[S]) -> Self {
+        Self::from_t(join_texts(texts), DEFAULT_SAMPLE_RATE)
     }
 
     /// Number of texts (the paper's `d`): one end-marker each in the BWT.
@@ -593,7 +621,11 @@ mod tests {
     }
 
     fn collection_sampled(texts: &[&str]) -> TextCollection {
-        TextCollection::with_sample_rate(texts, 4)
+        with_sample_rate(texts, 4)
+    }
+
+    pub(super) fn with_sample_rate<S: AsRef<[u8]>>(texts: &[S], sample_rate: usize) -> TextCollection {
+        TextCollection::from_t(join_texts(texts), sample_rate)
     }
 
     const PAPER_TEXTS: [&str; 6] = ["pen", "Soon discontinued", "blue", "40", "rubber", "30"];
@@ -617,7 +649,7 @@ mod tests {
     fn body_is_fm_index_then_t_and_truncation_fails() {
         // The sample rate is not written on its own: the body begins with
         // the FM-index, which carries it, and ends with `T`.
-        let tc = TextCollection::with_sample_rate(&PAPER_TEXTS, 8);
+        let tc = with_sample_rate(&PAPER_TEXTS, 8);
         let bytes = tc.to_bytes();
         assert_eq!(bytes[..tc.fm.to_bytes().len()], tc.fm.to_bytes()[..]);
         assert!(bytes.ends_with(tc.plain.as_bytes()));
@@ -883,19 +915,20 @@ mod tests {
 
 #[cfg(test)]
 mod verify_tests {
+    use super::tests::with_sample_rate;
     use super::*;
     use sxsi_verify::{Verify, VerifyDepth};
 
     const PAPER_TEXTS: [&str; 6] = ["pen", "Soon discontinued", "blue", "40", "rubber", "30"];
 
     fn sampled_collection() -> TextCollection {
-        TextCollection::with_sample_rate(&PAPER_TEXTS, 4)
+        with_sample_rate(&PAPER_TEXTS, 4)
     }
 
     #[test]
     fn clean_collection_verifies() {
         for sample_rate in [4, 64] {
-            let tc = TextCollection::with_sample_rate(&PAPER_TEXTS, sample_rate);
+            let tc = with_sample_rate(&PAPER_TEXTS, sample_rate);
             let report = tc.verify(VerifyDepth::Deep);
             assert!(report.is_ok(), "sample_rate={sample_rate}: {report}");
             assert!(report.checks_run >= 15);

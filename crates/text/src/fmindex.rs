@@ -79,29 +79,16 @@ pub enum LocateOutcome {
 }
 
 impl FmIndex {
-    /// Builds the index from the collection BWT and its suffix array.
-    ///
-    /// `sample_rate` controls the locate time/space trade-off: every text
-    /// position that is a multiple of it is sampled.
-    pub fn new(bwt_bytes: &[u8], sa: &[usize], sample_rate: usize) -> Self {
+    /// Builds the index from the collection BWT and its locate samples (see
+    /// [`crate::bwt::build_collection_bwt`]): the rows marked in `sampled`
+    /// hold `samples`, in row order, every position that is a multiple of
+    /// `sample_rate`.
+    pub fn new(bwt: &[u8], sampled: &BitVec, samples: &[u64], sample_rate: usize) -> Self {
         assert!(sample_rate >= 1, "sample rate must be positive");
-        assert_eq!(bwt_bytes.len(), sa.len());
-        let mut sampled_bits = BitVec::filled(sa.len(), false);
-        let mut sample_values = Vec::new();
-        for (row, &pos) in sa.iter().enumerate() {
-            if pos % sample_rate == 0 {
-                sampled_bits.set(row, true);
-            }
-        }
-        let sampled = InterleavedRsBitVector::new(&sampled_bits);
-        for (row, &pos) in sa.iter().enumerate() {
-            if sampled_bits.get(row) {
-                debug_assert_eq!(sample_values.len(), sampled.rank1(row));
-                sample_values.push(pos as u64);
-            }
-        }
-        let samples = IntVector::from_values(&sample_values);
-        Self::from_parts(HuffmanWavelet::new(bwt_bytes), sampled, samples, sample_rate)
+        assert_eq!(bwt.len(), sampled.len());
+        let sampled = InterleavedRsBitVector::new(sampled);
+        debug_assert_eq!(sampled.count_ones(), samples.len());
+        Self::from_parts(HuffmanWavelet::new(bwt), sampled, IntVector::from_values(samples), sample_rate)
     }
 
     /// Assembles the index from its stored parts, deriving the `C` array
@@ -356,12 +343,12 @@ mod tests {
     use crate::bwt::build_collection_bwt;
 
     fn build(texts: &[&str], sample_rate: usize) -> (FmIndex, Vec<u8>) {
-        let out = build_collection_bwt(texts);
         let concat: Vec<u8> = texts
             .iter()
             .flat_map(|t| t.bytes().chain(std::iter::once(0u8)))
             .collect();
-        (FmIndex::new(&out.bwt, &out.sa, sample_rate), concat)
+        let out = build_collection_bwt(&concat, sample_rate);
+        (FmIndex::new(&out.bwt, &out.sampled, &out.samples, sample_rate), concat)
     }
 
     fn naive_count(concat: &[u8], pattern: &[u8]) -> usize {

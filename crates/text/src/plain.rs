@@ -20,7 +20,7 @@ use sxsi_succinct::EliasFano;
 pub type TextId = usize;
 
 /// The byte that closes every text in `T`.
-pub(crate) const TERMINATOR: u8 = 0;
+pub const TERMINATOR: u8 = 0;
 
 /// The collection text `T`.
 #[derive(Debug, Clone)]
@@ -50,22 +50,11 @@ impl<'a> Iterator for Texts<'a> {
 }
 
 impl PlainTexts {
-    /// Builds `T` from the texts, which must not contain the terminator.
-    pub(crate) fn new<S: AsRef<[u8]>>(texts: &[S]) -> Self {
-        let total = texts.iter().map(|t| t.as_ref().len() + 1).sum();
-        let mut data = Vec::with_capacity(total);
-        for t in texts {
-            data.extend_from_slice(t.as_ref());
-            data.push(TERMINATOR);
-        }
-        Self::from_t(data)
-    }
-
     /// Takes `T`, which ends with a terminator unless it is empty, and
     /// derives where each text starts in one scan for the terminators:
     /// each but the last starts the next text.  Building and loading both
-    /// take `T` here.
-    fn from_t(data: Vec<u8>) -> Self {
+    /// take `T` here, by value: the parser's `T` becomes the plain text.
+    pub(crate) fn from_t(data: Vec<u8>) -> Self {
         let mut starts = vec![0];
         starts.extend(data.iter().enumerate().filter(|&(_, &b)| b == TERMINATOR).map(|(i, _)| i as u64 + 1));
         starts.pop();
@@ -219,6 +208,10 @@ impl PlainTexts {
 mod tests {
     use super::*;
 
+    fn store_of(texts: &[&str]) -> PlainTexts {
+        PlainTexts::from_t(texts.iter().flat_map(|t| t.bytes().chain([TERMINATOR])).collect())
+    }
+
     /// The naive per-text search the walk must agree with.
     fn naive(texts: &[&[u8]], pattern: &[u8]) -> Vec<(TextId, usize)> {
         let mut out = Vec::new();
@@ -235,7 +228,7 @@ mod tests {
     #[test]
     fn store_and_read_back() {
         let texts = ["pen", "Soon discontinued", "", "blue"];
-        let store = PlainTexts::new(&texts);
+        let store = store_of(&texts);
         assert_eq!(store.as_bytes(), b"pen\0Soon discontinued\0\0blue\0");
         let read: Vec<&[u8]> = store.texts_at(0).collect();
         let expected: Vec<&[u8]> = texts.iter().map(|t| t.as_bytes()).collect();
@@ -243,13 +236,13 @@ mod tests {
         assert_eq!(store.total_bytes(), texts.iter().map(|t| t.len()).sum::<usize>());
         assert_eq!(store.as_bytes().len(), store.total_bytes() + texts.len());
         assert_eq!(store.texts_at(4).next(), Some(&b"Soon discontinued"[..]));
-        assert_eq!(PlainTexts::new::<&str>(&[]).texts_at(0).count(), 0);
+        assert_eq!(store_of(&[]).texts_at(0).count(), 0);
     }
 
     #[test]
     fn scans() {
         let texts = ["banana", "bandana", "ban", "anab"];
-        let store = PlainTexts::new(&texts);
+        let store = store_of(&texts);
         assert_eq!(store.scan_contains(b"ana"), vec![0, 1, 3]);
         assert_eq!(store.scan_contains(b"ban"), vec![0, 1, 2]);
         assert_eq!(store.occurrences(b"ana").count(), 4); // overlapping in banana counts twice
@@ -295,7 +288,7 @@ mod tests {
     #[test]
     fn scan_position_variants_agree() {
         let texts = ["banana", "bandana", "", "aaa"];
-        let store = PlainTexts::new(&texts);
+        let store = store_of(&texts);
         let positions = |p: &[u8]| store.occurrences(p).collect::<Vec<_>>();
         assert_eq!(positions(b"an"), vec![(0, 1), (0, 3), (1, 1), (1, 4)]);
         assert_eq!(positions(b"aa"), vec![(3, 0), (3, 1)]);
@@ -309,7 +302,7 @@ mod tests {
     #[test]
     fn serialization_roundtrip() {
         let texts = ["pen", "", "Soon discontinued", "blue"];
-        let store = PlainTexts::new(&texts);
+        let store = store_of(&texts);
         let bytes = store.to_bytes();
         let back = PlainTexts::from_bytes(&bytes).unwrap();
         assert_eq!(back.as_bytes(), store.as_bytes());

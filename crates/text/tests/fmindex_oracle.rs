@@ -51,9 +51,9 @@ fn naive_occurrences(texts: &[String], pattern: &[u8]) -> Vec<(usize, usize)> {
 }
 
 fn check_pool(texts: &[String], patterns: &[&str]) {
-    let refs: Vec<&[u8]> = texts.iter().map(|s| s.as_bytes()).collect();
+    let t: Vec<u8> = texts.iter().flat_map(|s| s.bytes().chain([0])).collect();
     for sample_rate in [64, 4] {
-        let tc = TextCollection::with_sample_rate(&refs, sample_rate);
+        let tc = TextCollection::from_t(t.clone(), sample_rate);
         assert_eq!(tc.num_texts(), texts.len());
 
         // Round-trip: extract returns every original text unchanged.

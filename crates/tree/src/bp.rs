@@ -224,6 +224,12 @@ impl BalancedParens {
         self.bits.len() == 0
     }
 
+    /// The parentheses 64 at a time: bit `k` of word `w` is position
+    /// `64 * w + k`, set for an opening parenthesis.
+    pub(crate) fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bits.words()
+    }
+
     /// Whether position `i` holds an opening parenthesis.
     #[inline]
     pub fn is_open(&self, i: usize) -> bool {

@@ -128,46 +128,51 @@ impl TagSequence {
     /// its sarray of opening positions.  The tree builder and the tree
     /// loader both build the sequence here.  Fails when the opening codes
     /// are more or fewer than the nodes, or one is not below `num_tags`.
-    pub(crate) fn from_opening(
-        bp: &BalancedParens,
-        opening: impl IntoIterator<Item = TagId>,
-        num_tags: usize,
-    ) -> Result<Self, TreeError> {
+    ///
+    /// One pass over the codes counts each tag, which sizes the sarrays;
+    /// one walk over the parentheses, a word at a time, then writes every
+    /// code and fills the sarrays.
+    pub(crate) fn from_opening<I>(bp: &BalancedParens, opening: I, num_tags: usize) -> Result<Self, TreeError>
+    where
+        I: IntoIterator<Item = TagId>,
+        I::IntoIter: Clone,
+    {
         let nodes = bp.len() / 2;
         let mut opening = opening.into_iter();
-        let mut codes = IntVector::new(bp.len(), code_width(num_tags));
         let mut counts = vec![0usize; num_tags];
-        // The tags of the open nodes: BP is balanced, so every close pops one.
-        let mut open: Vec<TagId> = Vec::new();
         let mut seen = 0;
-        for i in 0..bp.len() {
-            let code = if bp.is_open(i) {
-                let tag = opening.next().ok_or(TreeError::OpeningCodeCount { codes: seen, nodes })?;
-                let count = counts.get_mut(tag as usize).ok_or(TreeError::TagCodeOutOfRange {
+        for (k, tag) in opening.clone().enumerate() {
+            if k < nodes {
+                let count = counts.get_mut(tag as usize).ok_or_else(|| TreeError::TagCodeOutOfRange {
                     code: tag,
-                    position: i,
+                    position: bp.select_open(k + 1).unwrap_or(k),
                     num_tags,
                 })?;
                 *count += 1;
-                seen += 1;
-                open.push(tag);
-                tag as usize
-            } else {
-                open.pop().map_or(0, |tag| tag as usize + num_tags)
-            };
-            codes.set(i, code as u64);
+            }
+            seen = k + 1;
         }
-        let extra = opening.count();
-        if extra > 0 {
-            return Err(TreeError::OpeningCodeCount { codes: nodes + extra, nodes });
+        if seen != nodes {
+            return Err(TreeError::OpeningCodeCount { codes: seen, nodes });
         }
-        // Fill one sarray per tag, sized by the counts.
-        let universe = codes.len().max(1) as u64;
+        let universe = bp.len().max(1) as u64;
         let mut rows: Vec<EliasFanoBuilder> =
             counts.iter().map(|&count| EliasFanoBuilder::new(count, universe)).collect();
-        for (i, c) in codes.iter().enumerate() {
-            if let Some(row) = rows.get_mut(c as usize) {
-                row.push(i as u64);
+        let mut codes = IntVector::new(bp.len(), code_width(num_tags));
+        // The tags of the open nodes: BP is balanced, so every close pops one.
+        let mut open: Vec<TagId> = Vec::new();
+        for (w, mut word) in bp.words().enumerate() {
+            for i in w * 64..(w * 64 + 64).min(bp.len()) {
+                let code = if word & 1 == 1 {
+                    let tag = opening.next().expect("one code per open parenthesis, counted above");
+                    rows[tag as usize].push(i as u64);
+                    open.push(tag);
+                    tag as usize
+                } else {
+                    open.pop().map_or(0, |tag| tag as usize + num_tags)
+                };
+                codes.set(i, code as u64);
+                word >>= 1;
             }
         }
         let occurrences = rows.into_iter().map(EliasFanoBuilder::finish).collect();
@@ -175,12 +180,17 @@ impl TagSequence {
     }
 
     /// The opening codes in preorder, packed in [`opening_width`] bits:
-    /// what the index file stores of the sequence.
-    pub(crate) fn opening_codes(&self) -> IntVector {
-        let num_tags = self.num_tags();
-        let mut packed = IntVector::new(self.codes.len() / 2, opening_width(num_tags));
-        for (k, code) in self.codes.iter().filter(|&c| (c as usize) < num_tags).enumerate() {
-            packed.set(k, code);
+    /// what the index file stores of the sequence.  Reads the code at each
+    /// open parenthesis of `bp`, found a word at a time.
+    pub(crate) fn opening_codes(&self, bp: &BalancedParens) -> IntVector {
+        let mut packed = IntVector::new(self.codes.len() / 2, opening_width(self.num_tags()));
+        let mut k = 0;
+        for (w, mut word) in bp.words().enumerate() {
+            while word != 0 {
+                packed.set(k, self.codes.get(w * 64 + word.trailing_zeros() as usize));
+                k += 1;
+                word &= word - 1;
+            }
         }
         packed
     }
@@ -408,10 +418,10 @@ mod tests {
         // the three opening codes are stored, in one bit each.
         let codes = [0u32, 1, 3, 1, 3, 2];
         let seq = seq(&codes, 2);
-        let stored = seq.opening_codes();
+        let bp = parens(&codes, 2);
+        let stored = seq.opening_codes(&bp);
         assert_eq!((stored.len(), stored.width()), (3, 1));
         assert_eq!(stored.iter().collect::<Vec<_>>(), [0, 1, 1]);
-        let bp = parens(&codes, 2);
         let bytes = stored.to_bytes();
         let back = load(&bp, &bytes, 2).expect("roundtrip");
         assert_eq!(back.len(), seq.len());
@@ -606,13 +616,13 @@ mod tests {
         let codes = [0u32, 1, 3, 1, 3, 2];
         let seq = seq(&codes, 2);
         let bp = parens(&codes, 2);
-        let back = load(&bp, &seq.opening_codes().to_bytes(), 2).unwrap();
+        let back = load(&bp, &seq.opening_codes(&bp).to_bytes(), 2).unwrap();
         assert_eq!(back.len(), seq.len());
         assert_eq!(back.num_tags(), 2);
         for i in 0..codes.len() {
             assert_eq!(back.code(i), seq.code(i));
         }
         assert_eq!(back.next_occurrence(1, 2), Some(3));
-        assert!(load(&bp, &seq.opening_codes().to_bytes()[..5], 2).is_err());
+        assert!(load(&bp, &seq.opening_codes(&bp).to_bytes()[..5], 2).is_err());
     }
 }

@@ -596,7 +596,7 @@ impl WriteInto for XmlTree {
     fn write_into<W: std::io::Write + ?Sized>(&self, w: &mut W) -> std::io::Result<()> {
         self.bp.write_into(w)?;
         self.registry.write_into(w)?;
-        self.tags.opening_codes().write_into(w)?;
+        self.tags.opening_codes(&self.bp).write_into(w)?;
         for table in [&self.child_table, &self.desc_table, &self.foll_sibling_table, &self.following_table] {
             table.write_rows(w)?;
         }
@@ -717,7 +717,7 @@ impl XmlTreeBuilder {
         }
         self.close(); // close the synthetic root
         let bp = BalancedParens::try_new(&self.parens)?;
-        let tags = TagSequence::from_opening(&bp, self.opening, self.registry.len())?;
+        let tags = TagSequence::from_opening(&bp, self.opening.iter().copied(), self.registry.len())?;
         let tables = relation_tables(&tags);
         Ok(XmlTree::new(bp, self.registry, tags, tables))
     }
@@ -751,7 +751,7 @@ mod tests {
     fn layout(t: &XmlTree) -> (usize, usize, usize) {
         let registry_at = t.bp.to_bytes().len();
         let opening_at = registry_at + t.registry.to_bytes().len();
-        (registry_at, opening_at, opening_at + t.tags.opening_codes().to_bytes().len())
+        (registry_at, opening_at, opening_at + t.tags.opening_codes(&t.bp).to_bytes().len())
     }
 
     /// Builds the paper's Figure 1 document model:
@@ -1080,7 +1080,7 @@ mod tests {
         let t = figure1_tree();
         let (_, opening_at, tables_at) = layout(&t);
         let bytes = t.to_bytes();
-        let stored = t.tags.opening_codes();
+        let stored = t.tags.opening_codes(&t.bp);
         let forge = |codes: &IntVector| {
             let mut forged = bytes[..opening_at].to_vec();
             forged.extend_from_slice(&codes.to_bytes());

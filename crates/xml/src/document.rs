@@ -12,10 +12,13 @@
 //! * texts receive consecutive identifiers in document order.
 //!
 //! [`parse_document`] performs a single pass over the input, producing the
-//! succinct tree structure (via [`sxsi_tree::XmlTreeBuilder`]) and the list
-//! of texts, ready to be handed to the text index.
+//! succinct tree structure (via [`sxsi_tree::XmlTreeBuilder`]) and the
+//! collection text `T` — every text followed by a byte-0 terminator — ready
+//! to be handed to the text index, which keeps `T` itself as its plain text.
 
 use crate::parser::{Event, ParseError, Parser};
+use sxsi_text::plain::TERMINATOR;
+use sxsi_text::suffix::MAX_LEN;
 use sxsi_tree::{XmlTree, XmlTreeBuilder};
 
 /// Options controlling model construction.
@@ -27,20 +30,27 @@ pub struct DocumentOptions {
     pub keep_whitespace_text: bool,
 }
 
-/// The parsed document: tree structure plus texts in document order.
+/// The parsed document: tree structure plus the texts in document order.
 #[derive(Debug, Clone)]
 pub struct ParsedDocument {
     /// The succinct tree index.
     pub tree: XmlTree,
-    /// The texts, in the same order as the tree's text leaves.
-    pub texts: Vec<Vec<u8>>,
+    /// `T`: the texts, in the order of the tree's text leaves, each followed
+    /// by a [`TERMINATOR`].  At most [`MAX_LEN`] bytes.
+    pub t: Vec<u8>,
 }
 
-impl ParsedDocument {
-    /// Borrowed view of the texts (convenient for the text-index builder).
-    pub fn text_slices(&self) -> Vec<&[u8]> {
-        self.texts.iter().map(|t| t.as_slice()).collect()
+/// Appends `text` and its terminator to `t`, unless that would make `t`
+/// longer than `max_len`.  The parser has already rejected NUL, so `text`
+/// holds no terminator.
+fn push_text(t: &mut Vec<u8>, text: &str, max_len: usize) -> bool {
+    debug_assert!(!text.as_bytes().contains(&TERMINATOR), "the parser rejects NUL");
+    if t.len() + text.len() + 1 > max_len {
+        return false;
     }
+    t.extend_from_slice(text.as_bytes());
+    t.push(TERMINATOR);
+    true
 }
 
 /// Parses `input` into the SXSI document model with default options.
@@ -55,7 +65,11 @@ pub fn parse_document_with_options(
 ) -> Result<ParsedDocument, ParseError> {
     let mut parser = Parser::new(input);
     let mut builder = XmlTreeBuilder::new();
-    let mut texts: Vec<Vec<u8>> = Vec::new();
+    let mut t: Vec<u8> = Vec::new();
+    let too_long = |parser: &Parser| ParseError {
+        position: parser.position(),
+        message: format!("the texts with their terminators pass the {MAX_LEN} bytes the text index holds"),
+    };
     let mut open_names: Vec<String> = Vec::new();
 
     loop {
@@ -69,7 +83,9 @@ pub fn parse_document_with_options(
                     for (attr_name, value) in &attributes {
                         builder.open(attr_name);
                         builder.text_leaf(true);
-                        texts.push(value.clone().into_bytes());
+                        if !push_text(&mut t, value, MAX_LEN) {
+                            return Err(too_long(&parser));
+                        }
                         builder.close();
                     }
                     builder.close();
@@ -110,7 +126,9 @@ pub fn parse_document_with_options(
                     continue;
                 }
                 builder.text_leaf(false);
-                texts.push(text.into_bytes());
+                if !push_text(&mut t, &text, MAX_LEN) {
+                    return Err(too_long(&parser));
+                }
             }
             Event::Eof => break,
         }
@@ -128,14 +146,21 @@ pub fn parse_document_with_options(
         position: parser.position(),
         message: format!("malformed tree structure: {e}"),
     })?;
-    debug_assert_eq!(tree.num_texts(), texts.len(), "text leaves and texts must align");
-    Ok(ParsedDocument { tree, texts })
+    debug_assert_eq!(tree.num_texts(), t.iter().filter(|&&b| b == TERMINATOR).count(), "text leaves and texts must align");
+    Ok(ParsedDocument { tree, t })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sxsi_tree::reserved;
+
+    /// The texts of `T`, each up to its terminator.
+    fn texts(doc: &ParsedDocument) -> Vec<String> {
+        let mut texts: Vec<String> = doc.t.split(|&b| b == 0).map(|x| String::from_utf8(x.to_vec()).unwrap()).collect();
+        assert_eq!(texts.pop().as_deref(), Some(""), "T ends with a terminator");
+        texts
+    }
 
     /// The running example of Figure 1 in the paper.
     const FIGURE1: &str = r#"<parts>
@@ -153,7 +178,7 @@ mod tests {
     fn figure1_model_counts() {
         let doc = parse_document(FIGURE1.as_bytes()).unwrap();
         // Texts: pen, blue, 40, "Soon discontinued.", rubber, 30 (whitespace dropped).
-        assert_eq!(doc.texts.len(), 6);
+        assert_eq!(texts(&doc).len(), 6);
         assert_eq!(doc.tree.num_texts(), 6);
         // The tree carries the element and attribute counts: one `%` value
         // per attribute, and one non-reserved node per element or
@@ -168,7 +193,7 @@ mod tests {
         let opts = DocumentOptions { keep_whitespace_text: true };
         let doc = parse_document_with_options(FIGURE1.as_bytes(), &opts).unwrap();
         // The paper notes seven whitespace-only texts in this document.
-        assert_eq!(doc.texts.len(), 13);
+        assert_eq!(texts(&doc).len(), 13);
     }
 
     #[test]
@@ -190,8 +215,7 @@ mod tests {
         let value_leaf = t.first_child(name_attr).unwrap();
         assert_eq!(t.tag(value_leaf), reserved::ATTRIBUTE_VALUE);
         // Text order: pen, blue, 40, Soon discontinued., rubber, 30.
-        let texts: Vec<String> =
-            doc.texts.iter().map(|t| String::from_utf8(t.clone()).unwrap()).collect();
+        let texts = texts(&doc);
         assert_eq!(texts[0], "pen");
         assert_eq!(texts[1], "blue");
         assert_eq!(texts[2], "40");
@@ -205,7 +229,7 @@ mod tests {
     #[test]
     fn empty_elements_have_no_texts() {
         let doc = parse_document(b"<a></a>").unwrap();
-        assert_eq!(doc.texts.len(), 0);
+        assert!(doc.t.is_empty());
         assert_eq!(doc.tree.num_nodes(), 2); // & and a
         let doc = parse_document(b"<a><b/><c/></a>").unwrap();
         assert_eq!(doc.tree.num_nodes(), 4);
@@ -221,9 +245,7 @@ mod tests {
     #[test]
     fn mixed_content_keeps_every_run() {
         let doc = parse_document(b"<a>one<b>two</b>three</a>").unwrap();
-        let texts: Vec<String> =
-            doc.texts.iter().map(|t| String::from_utf8(t.clone()).unwrap()).collect();
-        assert_eq!(texts, vec!["one", "two", "three"]);
+        assert_eq!(texts(&doc), vec!["one", "two", "three"]);
         let t = &doc.tree;
         let a = t.first_child(t.root()).unwrap();
         let kids: Vec<&str> = t.children(a).map(|c| t.tag_name(t.tag(c))).collect();
@@ -236,8 +258,35 @@ mod tests {
 <!-- top comment -->
 <doc><item id="1"><![CDATA[x < y]]></item></doc>"#;
         let doc = parse_document(input.as_bytes()).unwrap();
-        assert_eq!(doc.texts.len(), 2); // the attribute value and the CDATA text
-        assert_eq!(doc.texts[0], b"1");
-        assert_eq!(doc.texts[1], b"x < y");
+        // The attribute value and the CDATA text.
+        assert_eq!(doc.t, b"1\0x < y\0");
+    }
+
+    #[test]
+    fn texts_are_written_into_t() {
+        let doc = parse_document(b"<a x='v'>one<b/>two<c>three</c></a>").unwrap();
+        assert_eq!(doc.t, b"v\0one\0two\0three\0");
+        assert_eq!(doc.tree.num_texts(), 4);
+    }
+
+    #[test]
+    fn nul_is_rejected_at_its_offset() {
+        // NUL is no XML character, and byte 0 terminates texts in `T`.
+        for (input, at) in [(&b"<a>x\0y</a>"[..], 4), (b"<a b='1\0x'/>", 7), (b"<a><![CDATA[\0]]></a>", 12)] {
+            let err = parse_document(input).unwrap_err();
+            assert_eq!(err.position, at, "{err}");
+            assert!(err.message.contains("NUL"), "{err}");
+        }
+    }
+
+    #[test]
+    fn t_longer_than_the_limit_is_refused() {
+        let mut t = Vec::new();
+        assert!(push_text(&mut t, "abc", 8));
+        assert!(push_text(&mut t, "abc", 8));
+        assert_eq!(t, b"abc\0abc\0");
+        assert!(!push_text(&mut t, "", 8));
+        assert_eq!(t.len(), 8);
+        assert!(!push_text(&mut Vec::new(), "abcdefgh", 8));
     }
 }

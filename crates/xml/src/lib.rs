@@ -2,7 +2,8 @@
 //!
 //! This crate turns raw XML bytes into the two structures the SXSI index is
 //! built from: the succinct tree (via [`sxsi_tree::XmlTreeBuilder`]) and the
-//! ordered list of texts (handed to [`sxsi_text::TextCollection`]).
+//! collection text `T`, every text followed by a byte-0 terminator (handed
+//! to [`sxsi_text::TextCollection::from_t`]).
 //!
 //! * [`parser`] — a dependency-free SAX-style XML parser.
 //! * [`document`] — the model of Section 2 (`&` root, `#` text leaves, `@`

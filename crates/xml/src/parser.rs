@@ -5,7 +5,10 @@
 //! without external dependencies.  The parser covers the XML subset needed
 //! for the paper's corpora: elements, attributes, character data, CDATA
 //! sections, comments, processing instructions, an (ignored) DOCTYPE, and
-//! the predefined plus numeric character entities.
+//! the predefined plus numeric character entities.  A NUL byte is an error
+//! wherever it appears in character data, CDATA, attribute values, comments
+//! or processing instructions: it is no XML character, and the text index
+//! terminates every text with it.
 
 // lint:allow-file(index: the cursor invariant `pos <= input.len()` is
 // established by eof()/peek() guards before every direct access; the
@@ -54,6 +57,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The error for a NUL byte: no XML character, and in `T` the terminator
+/// of every text.
+const NUL_MESSAGE: &str = "NUL byte: not an XML character";
+
 /// Streaming XML parser.
 pub struct Parser<'a> {
     input: &'a [u8],
@@ -100,9 +107,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads up to `delim` and past it.  Rejects NUL on the way: the
+    /// constructs read this way (comments, processing instructions, CDATA,
+    /// attribute values) hold XML characters only.
     fn read_until(&mut self, delim: &[u8]) -> Result<&'a [u8], ParseError> {
         let start = self.pos;
-        while self.pos < self.input.len() {
+        while let Some(b) = self.peek() {
+            if b == 0 {
+                return self.err(NUL_MESSAGE);
+            }
             if self.starts_with(delim) {
                 let out = &self.input[start..self.pos];
                 self.pos += delim.len();
@@ -165,8 +178,12 @@ impl<'a> Parser<'a> {
             }
             // Character data up to the next '<'.
             let start = self.pos;
-            while self.pos < self.input.len() && self.peek() != Some(b'<') {
-                self.pos += 1;
+            while let Some(b) = self.peek() {
+                match b {
+                    b'<' => break,
+                    0 => return self.err(NUL_MESSAGE),
+                    _ => self.pos += 1,
+                }
             }
             let raw = &self.input[start..self.pos];
             return Ok(Event::Text(unescape(raw)));

@@ -442,7 +442,7 @@ mod tests {
 
     fn fixture() -> Fixture {
         let doc = parse_document(MEDLINE_LIKE.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         Fixture { tree: doc.tree, texts }
     }
 

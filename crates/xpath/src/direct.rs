@@ -599,7 +599,7 @@ mod tests {
 
     fn fixture() -> Fixture {
         let doc = parse_document(DOC.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         Fixture { tree: doc.tree, texts }
     }
 
@@ -678,7 +678,7 @@ mod tests {
         // the remaining attribute-name nodes of the same element.
         let doc = r#"<a><b id="1" name="n" class="c"><x/></b><c/></a>"#;
         let parsed = sxsi_xml::parse_document(doc.as_bytes()).unwrap();
-        let texts = TextCollection::new(&parsed.text_slices());
+        let texts = TextCollection::from_t(parsed.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         let f = Fixture { tree: parsed.tree, texts };
         assert_eq!(names(&f, "//@id/following::*"), ["x", "c"]);
         assert_eq!(names(&f, "//@name/following::*"), ["x", "c"]);

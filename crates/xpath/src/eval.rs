@@ -789,7 +789,7 @@ mod tests {
 
     fn fixture() -> Fixture {
         let doc = parse_document(DOC.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         Fixture { tree: doc.tree, texts }
     }
 
@@ -977,7 +977,7 @@ mod tests {
         xml.push_str("<t17><t4999/></t17></root>");
         let doc = parse_document(xml.as_bytes()).unwrap();
         assert!(doc.tree.num_tags() > TAGS);
-        let f = Fixture { texts: TextCollection::new(&doc.text_slices()), tree: doc.tree };
+        let f = Fixture { texts: TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE), tree: doc.tree };
         let expected = [("//t17", 2), ("//t17//t4999", 1), ("/root/t4999", 1), ("//*[leaf]", TAGS as u64), ("//*", 2 * TAGS as u64 + 3)];
         for (query, expected) in expected {
             for opts in all_option_sets() {
@@ -1030,7 +1030,7 @@ mod tests {
         }
         xml.push_str("<hit/></root>");
         let doc = parse_document(xml.as_bytes()).unwrap();
-        let texts = TextCollection::new(&doc.text_slices());
+        let texts = TextCollection::from_t(doc.t, sxsi_text::fmindex::DEFAULT_SAMPLE_RATE);
         let q = parse_query("//hit").unwrap();
         let a = compile(&q, &doc.tree).unwrap();
         assert!(a.truncation_safe, "//hit should be truncation safe");

@@ -153,6 +153,24 @@ fn saved_bytes_of_a_fixed_document_are_pinned() {
     assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), (20_580, 0xa7da_adca_a682_4a60));
 }
 
+/// The saved bytes of each of the four generated corpora at a small scale,
+/// pinned like the fixed document above: a change to how the index is
+/// built that alters any byte — the suffix order behind the BWT, `Doc` or
+/// the locate samples — fails here.
+#[test]
+fn saved_bytes_of_the_four_corpora_are_pinned() {
+    let corpora = [
+        ("xmark", xmark::generate(&XMarkConfig { scale: 0.02, seed: 7 }), (20_884, 0x90a8_2f0d_cb7b_0f68)),
+        ("treebank", treebank::generate(&TreebankConfig { num_sentences: 60, seed: 7 }), (24_919, 0xd6fd_f6d4_e009_0b57)),
+        ("medline", medline::generate(&MedlineConfig { num_citations: 40, seed: 7 }), (55_747, 0x1a0f_5ce6_5556_32e1)),
+        ("wiki", wiki::generate(&WikiConfig { num_pages: 30, seed: 7 }), (50_245, 0xa832_6cdb_7469_be55)),
+    ];
+    for (name, xml, pin) in corpora {
+        let bytes = SxsiIndex::build_from_xml(xml.as_bytes()).expect("index builds").to_bytes();
+        assert_eq!((bytes.len(), sxsi::fnv1a64(&bytes)), pin, "{name}");
+    }
+}
+
 #[test]
 fn options_survive_reload() {
     use sxsi::SxsiOptions;

@@ -158,8 +158,9 @@ fn cross_codepoint_needles_agree_with_naive_scan() {
     // Both branches of `contains` face the hostile needles: the locate
     // answer (backward search, then `locate_row` per occurrence) and the
     // plain scans of `T`, at the default and a dense sampling step.
+    let t: Vec<u8> = texts.iter().flat_map(|text| text.iter().copied().chain([0])).collect();
     for sample_rate in [64, 4] {
-        let col = TextCollection::with_sample_rate(&texts, sample_rate);
+        let col = TextCollection::from_t(t.clone(), sample_rate);
         let plain = col.plain().expect("T is always kept");
         for needle in &needles {
             let naive_ids: Vec<usize> = (0..texts.len())
