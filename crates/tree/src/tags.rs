@@ -8,7 +8,7 @@
 //! answered by one Elias–Fano *sarray* of occurrence positions per tag,
 //! mirroring the paper's per-row Okanohara–Sadakane structures.  Of all
 //! this the index file stores only the opening codes, one per node in
-//! preorder: [`TagSequence::from_opening`] derives the closing codes from
+//! preorder: `TagSequence::from_opening` derives the closing codes from
 //! the parentheses and the sarrays from the codes.
 
 use crate::bp::BalancedParens;
