@@ -77,10 +77,10 @@ mod tests {
         doc: Vec<u32>,
     }
 
-    fn build_collection_bwt(texts: &[&str]) -> Built {
+    fn build_from_texts(texts: &[&str]) -> Built {
         let t: Vec<u8> = texts.iter().flat_map(|x| x.bytes().chain([0])).collect();
         let sa: Vec<usize> = suffix_array(&t).into_iter().map(|p| p as usize).collect();
-        let out = super::build_collection_bwt(&t, 1);
+        let out = build_collection_bwt(&t, 1);
         // At rate 1 every row is sampled: the samples are the suffix array.
         assert_eq!(out.samples, sa.iter().map(|&p| p as u64).collect::<Vec<_>>());
         assert_eq!(out.sampled.count_ones(), t.len());
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn single_text() {
-        let out = build_collection_bwt(&["discontinued"]);
+        let out = build_from_texts(&["discontinued"]);
         assert_eq!(out.sa.len(), 13);
         assert_eq!(out.bwt.len(), 13);
         assert_eq!(out.doc, vec![0]);
@@ -126,7 +126,7 @@ mod tests {
     fn paper_running_example() {
         // The six texts of Figure 1.
         let texts = ["pen", "Soon discontinued", "blue", "40", "rubber", "30"];
-        let out = build_collection_bwt(&texts);
+        let out = build_from_texts(&texts);
         assert_eq!(out.doc.len(), 6);
         assert_eq!(out.bwt.iter().filter(|&&b| b == 0).count(), 6);
         assert_eq!(out.bwt, naive_bwt(&texts));
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn doc_maps_rows_to_starting_texts() {
         let texts = ["abc", "ab", "b"];
-        let out = build_collection_bwt(&texts);
+        let out = build_from_texts(&texts);
         // Every text id appears exactly once in doc.
         let mut ids: Vec<u32> = out.doc.clone();
         ids.sort_unstable();
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn empty_texts_are_allowed() {
         let texts = ["", "a", ""];
-        let out = build_collection_bwt(&texts);
+        let out = build_from_texts(&texts);
         assert_eq!(out.bwt.len(), 4);
         assert_eq!(out.bwt.iter().filter(|&&b| b == 0).count(), 3);
     }
