@@ -265,9 +265,17 @@ impl SxsiIndex {
 
     /// Parses `xml` and builds the index.
     pub fn build_from_xml_with_options(xml: &[u8], options: SxsiOptions) -> Result<Self, BuildError> {
-        let doc_options = DocumentOptions { keep_whitespace_text: options.keep_whitespace_text };
-        let doc = parse_document_with_options(xml, &doc_options).map_err(BuildError::Parse)?;
+        let doc = Self::parse_xml(xml, &options)?;
         Ok(Self::from_parsed_document(doc, options))
+    }
+
+    /// Parses `xml` into the document model the builder consumes, keeping
+    /// or dropping whitespace-only texts as `options` say.  The model holds
+    /// no reference to `xml`, so a caller that owns the buffer can free it
+    /// before [`SxsiIndex::from_parsed_document`] builds the index.
+    pub fn parse_xml(xml: &[u8], options: &SxsiOptions) -> Result<ParsedDocument, BuildError> {
+        let doc_options = DocumentOptions { keep_whitespace_text: options.keep_whitespace_text };
+        parse_document_with_options(xml, &doc_options).map_err(BuildError::Parse)
     }
 
     /// Builds the index from an already-parsed document model.

@@ -283,9 +283,13 @@ fn cmd_build(args: &[String]) -> ExitCode {
         Ok(xml) => xml,
         Err(e) => return fail(format_args!("cannot read {input}: {e}")),
     };
+    let xml_len = xml.len();
     let start = Instant::now();
-    let index = match SxsiIndex::build_from_xml_with_options(&xml, options) {
-        Ok(index) => index,
+    // Only the parse reads the XML: free it before the index build.
+    let doc = SxsiIndex::parse_xml(&xml, &options);
+    drop(xml);
+    let index = match doc {
+        Ok(doc) => SxsiIndex::from_parsed_document(doc, options),
         Err(e) => return fail(e),
     };
     let build_time = start.elapsed();
@@ -298,7 +302,7 @@ fn cmd_build(args: &[String]) -> ExitCode {
     let stats = index.stats();
     let file_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
     let mut out = String::new();
-    let _ = writeln!(out, "indexed {input} ({} bytes of XML) in {build_time:.2?}", xml.len());
+    let _ = writeln!(out, "indexed {input} ({xml_len} bytes of XML) in {build_time:.2?}");
     let _ = writeln!(
         out,
         "  {} nodes, {} elements, {} texts, {} tags",
@@ -343,12 +347,12 @@ fn cmd_build_collection(args: &[String]) -> ExitCode {
                 Err(e) => return fail(format_args!("cannot load {input}: {e}")),
             }
         } else {
-            let xml = match std::fs::read(input) {
-                Ok(xml) => xml,
+            let doc = match std::fs::read(input) {
+                Ok(xml) => SxsiIndex::parse_xml(&xml, &options),
                 Err(e) => return fail(format_args!("cannot read {input}: {e}")),
             };
-            match SxsiIndex::build_from_xml_with_options(&xml, options.clone()) {
-                Ok(index) => index,
+            match doc {
+                Ok(doc) => SxsiIndex::from_parsed_document(doc, options.clone()),
                 Err(e) => return fail(format_args!("cannot index {input}: {e}")),
             }
         };

@@ -15,6 +15,14 @@
 //! levels hold `Σ count(c) · codelen(c)` bits, i.e. roughly `n·H₀` — the
 //! space of the paper's Huffman-shaped FM-index.
 //!
+//! `access_rank(i)` returns the symbol `c` at `i` together with
+//! `rank(c, i)`: the descent that finds `c` carries the position of `i`
+//! inside each node down to `c`'s leaf, and that position is the rank.  So
+//! an LF step of the FM-index (symbol, then its rank) costs one descent of
+//! `codelen(c)` ranks instead of two.  `access` is `access_rank(i).0`, at
+//! the same cost; `rank(c, i)` descends `codelen(c)` levels along the known
+//! code of `c` (backward search needs it for a symbol that is not at `i`).
+//!
 //! Construction ping-pongs two byte buffers level by level: each pass
 //! writes one level's bits and stably moves every symbol whose code goes
 //! deeper into its child's segment of the next level.  The node table is
@@ -195,14 +203,26 @@ impl HuffmanWavelet {
         self.levels.iter().map(|l| l.len()).sum()
     }
 
-    /// Symbol at position `i`: one interleaved rank per code bit.
+    /// Symbol at position `i`: [`HuffmanWavelet::access_rank`] without the
+    /// rank.
     ///
     /// # Panics
     /// Debug-panics if `i >= len()`.
+    #[inline]
     pub fn access(&self, i: usize) -> u8 {
+        self.access_rank(i).0
+    }
+
+    /// Symbol `c` at position `i` and its rank there, `rank(c, i)`, in one
+    /// descent of one interleaved rank per bit of `c`'s code: the position
+    /// the descent carries into `c`'s leaf is that rank.
+    ///
+    /// # Panics
+    /// Debug-panics if `i >= len()`.
+    pub fn access_rank(&self, i: usize) -> (u8, usize) {
         debug_assert!(i < self.len, "index {i} out of range (len {})", self.len);
         if let Some(sym) = self.single {
-            return sym;
+            return (sym, i);
         }
         let mut node = &self.nodes[0];
         let mut pos = i;
@@ -213,7 +233,7 @@ impl HuffmanWavelet {
             pos = if bit { ones } else { pos - ones };
             let child = node.child[bit as usize];
             if child >= LEAF {
-                return (child - LEAF) as u8;
+                return ((child - LEAF) as u8, pos);
             }
             node = &self.nodes[child as usize];
         }
@@ -754,5 +774,28 @@ mod tests {
         let mut wt = HuffmanWavelet::new(&seq);
         wt.levels.pop();
         assert!(wt.verify(VerifyDepth::Quick).has_code("wt-level-len"));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn access_rank_is_access_and_its_rank(
+            seq in proptest::collection::vec(any::<u8>(), 0..1500),
+            modulus in 1u8..=255,
+        ) {
+            // A small modulus skews the bytes towards a few short codes.
+            let seq: Vec<u8> = seq.iter().map(|&b| b % modulus).collect();
+            let wt = HuffmanWavelet::new(&seq);
+            for (i, &c) in seq.iter().enumerate() {
+                prop_assert_eq!(wt.access_rank(i), (wt.access(i), wt.rank(c, i)));
+                prop_assert_eq!(wt.access(i), c);
+            }
+        }
     }
 }

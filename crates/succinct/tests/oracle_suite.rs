@@ -270,7 +270,7 @@ impl SequenceIndex<u8> for NaiveSeq {
 
 /// Builds the Huffman wavelet tree over `seq` and checks every `access`,
 /// `rank` and `select` against [`NaiveSeq`], for each present byte plus one
-/// absent byte.
+/// absent byte, and `access_rank` at every position.
 fn check_against_naive(label: &str, seq: &[u8]) -> HuffmanWavelet {
     let mut alphabet = seq.to_vec();
     alphabet.sort_unstable();
@@ -280,6 +280,12 @@ fn check_against_naive(label: &str, seq: &[u8]) -> HuffmanWavelet {
     }
     let wt = HuffmanWavelet::new(seq);
     check_sequence_equivalence(label, &alphabet, &wt, &NaiveSeq(seq.to_vec()));
+    // The fused descent: the symbol and its rank at every position.
+    let mut seen = [0usize; 256];
+    for (i, &c) in seq.iter().enumerate() {
+        assert_eq!(wt.access_rank(i), (c, seen[c as usize]), "[{label}] access_rank({i})");
+        seen[c as usize] += 1;
+    }
     wt
 }
 

@@ -474,9 +474,11 @@ impl TextCollection {
     /// Deep verification: replays every text backwards through the LF
     /// mapping, cross-checking the sampling structures, the `Doc` array and
     /// every byte of `T`, terminators included, against the position the
-    /// walk tracks.  Visits every BWT row exactly once, `O(total_len)` rank
-    /// operations.  Runs only once the quick checks passed, so `T` is as
-    /// long as the BWT and holds one terminator per text.
+    /// walk tracks.  Visits every BWT row exactly once, with one wavelet-tree
+    /// descent per row ([`FmIndex::lf_step`] reads the row's symbol, its LF
+    /// row and, on an end-marker, its `$`-rank).  Runs only once the quick
+    /// checks passed, so `T` is as long as the BWT and holds one terminator
+    /// per text.
     fn verify_walk(&self, ctx: &mut sxsi_verify::VerifyContext) {
         let rate = self.fm.sample_rate();
         let t = self.plain.as_bytes();
@@ -510,7 +512,7 @@ impl TextCollection {
                 }
                 // The BWT symbol of the row is the byte of `T` before `pos`
                 // (cyclically: text 0 is preceded by the last terminator).
-                let b = self.fm.bwt_symbol(row);
+                let (b, mapped) = self.fm.lf_step(row);
                 let before = (pos + total_len - 1) % total_len;
                 if t[before] != b {
                     plain_mismatch.get_or_insert_with(|| {
@@ -523,7 +525,7 @@ impl TextCollection {
                             format!("walk of text {id} reached its start over symbol {b}, expected an end-marker")
                         });
                     } else {
-                        let dollar_rank = self.fm.occ(0, row);
+                        let dollar_rank = mapped;
                         let d = self.doc[dollar_rank] as usize;
                         if d != id {
                             doc_mismatch.get_or_insert_with(|| {
@@ -539,7 +541,7 @@ impl TextCollection {
                     });
                     break;
                 }
-                row = self.fm.lf(row);
+                row = mapped;
                 offset -= 1;
             }
         }

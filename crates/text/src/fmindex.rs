@@ -6,10 +6,18 @@
 //! bit, 4–5 on average for XML text), plus the `C` array of cumulative
 //! symbol counts (derived from the wavelet tree, never stored), a sampling
 //! bitmap `Bs` marking rows whose text position is a multiple of the
-//! sampling step `l`, and the corresponding samples array `Ps`.  Locating an occurrence walks backwards with `LF`
-//! until it hits a sample (at most `l` steps) or an end-marker, in which case
-//! the paper's `Doc` array resolves the text directly (that resolution lives
-//! in [`crate::collection::TextCollection`], which owns `Doc`).
+//! sampling step `l`, and the corresponding samples array `Ps`.  Locating an
+//! occurrence walks backwards with `LF` until it hits a sample (at most `l`
+//! steps) or an end-marker, in which case the paper's `Doc` array resolves
+//! the text directly (that resolution lives in
+//! [`crate::collection::TextCollection`], which owns `Doc`).
+//!
+//! Each LF step is one descent of the wavelet tree: [`FmIndex::lf_step`]
+//! reads the row's symbol `b` and `rank_b(row)` together
+//! (`HuffmanWavelet::access_rank`), so `LF(row) = C[b] + rank_b(row)` costs
+//! `codelen(b)` ranks, not twice that.  On an end-marker the same rank is
+//! the marker's `$`-rank, which `Doc` resolves.  The locate walk and the
+//! collection's deep verification walk both step this way.
 
 use sxsi_io::{corrupt, read_usize, write_usize, IoError, ReadFrom, WriteInto};
 use sxsi_succinct::{BitVec, HuffmanWavelet, InterleavedRsBitVector, IntVector, SpaceUsage};
@@ -138,15 +146,18 @@ impl FmIndex {
         self.bwt.access(row)
     }
 
-    /// The LF-mapping: the row of the suffix starting one position earlier.
+    /// The BWT symbol `b` of `row` and the LF-mapping of `row`, the row of
+    /// the suffix starting one position earlier: `C[b] + rank_b(row)`, from
+    /// one descent of the wavelet tree.  On an end-marker (`b == 0`, and
+    /// `C[0] == 0`) the mapped row is the marker's `$`-rank.
     #[inline]
-    pub fn lf(&self, row: usize) -> usize {
+    pub fn lf_step(&self, row: usize) -> (u8, usize) {
         debug_assert!(row < self.len(), "LF-mapping of row {row} in a {}-row index", self.len());
-        let b = self.bwt_symbol(row);
-        let mapped = self.c[b as usize] + self.occ(b, row);
+        let (b, rank) = self.bwt.access_rank(row);
+        let mapped = self.c[b as usize] + rank;
         // In range because the C array is the BWT's own symbol counts.
         debug_assert!(mapped < self.len(), "LF-mapping left the index: {row} -> {mapped}");
-        mapped
+        (b, mapped)
     }
 
     /// One backward-search step: restrict `range` to rows whose suffix starts
@@ -202,12 +213,11 @@ impl FmIndex {
                 let position = self.samples.get(self.sampled.rank1(row)) as usize;
                 return LocateOutcome::Sample { position, steps };
             }
-            let b = self.bwt_symbol(row);
+            let (b, mapped) = self.lf_step(row);
             if b == 0 {
-                let dollar_rank = self.occ(0, row);
-                return LocateOutcome::EndMarker { dollar_rank, steps };
+                return LocateOutcome::EndMarker { dollar_rank: mapped, steps };
             }
-            row = self.c[b as usize] + self.occ(b, row);
+            row = mapped;
             steps += 1;
             // Every `sample_rate`-th text position is sampled (the
             // verifier's `fm-sample-rate` invariant), so the walk must hit
@@ -408,9 +418,9 @@ mod tests {
         let mut row = 0usize;
         let mut rebuilt = Vec::new();
         for _ in 0..concat.len() {
-            let b = fm.bwt_symbol(row);
+            let (b, mapped) = fm.lf_step(row);
             rebuilt.push(b);
-            row = fm.lf(row);
+            row = mapped;
         }
         rebuilt.reverse();
         // Walking LF from the $-row yields the text preceded (cyclically) by
@@ -510,6 +520,55 @@ mod tests {
         let (fm, concat) = build(&["mississippi"], 4);
         for b in [b'm', b'i', b's', b'p', 0u8, b'z'] {
             assert_eq!(fm.symbol_count(b), concat.iter().filter(|&&c| c == b).count());
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::bwt::build_collection_bwt;
+    use crate::suffix::suffix_array_naive;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn lf_step_matches_the_naive_lf(
+            texts in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..8), 1..30),
+            rate in 1usize..8,
+        ) {
+            // Few symbols, high bytes among them: empty texts and runs of
+            // terminators are common; a `T` of terminators alone (a BWT of
+            // one symbol) occurs too.
+            let symbol = |k: u8| [b'a', b'b', 0x80, 0xff][k as usize];
+            let t: Vec<u8> = texts.iter().flat_map(|x| x.iter().map(|&k| symbol(k)).chain([0])).collect();
+            // The naive order: terminators are distinct symbols, ordered by
+            // position and below every byte.
+            let d = texts.len() as u32;
+            let mut j = 0;
+            let wide: Vec<u32> = t.iter().map(|&b| if b == 0 { j += 1; j - 1 } else { d + b as u32 - 1 }).collect();
+            let sa = suffix_array_naive(&wide);
+            let mut row_of = vec![0usize; t.len()];
+            for (row, &p) in sa.iter().enumerate() {
+                row_of[p] = row;
+            }
+            let out = build_collection_bwt(&t, rate);
+            let fm = FmIndex::new(&out.bwt, &out.sampled, &out.samples, rate);
+            let n = t.len();
+            let mut dollars = 0usize;
+            for (row, &p) in sa.iter().enumerate() {
+                let before = (p + n - 1) % n;
+                if t[before] == 0 {
+                    // An end-marker row maps to its `$`-rank, which `Doc`
+                    // resolves to the text starting at `p`.
+                    prop_assert_eq!(fm.lf_step(row), (0, dollars));
+                    prop_assert_eq!(out.doc[dollars] as usize, t[..p].iter().filter(|&&b| b == 0).count());
+                    dollars += 1;
+                } else {
+                    prop_assert_eq!(fm.lf_step(row), (t[before], row_of[before]));
+                }
+            }
         }
     }
 }
